@@ -7,14 +7,18 @@
 //
 //	positrond -model iris.json                         # one model
 //	positrond -model iris=iris.json -model wbc=wbc.json \
-//	          -default iris -batch-window 2ms -max-batch 64 \
+//	          -default iris -max-batch 64 \
 //	          -flush-pipeline 2 -max-inflight 256 -cost-aware \
 //	          -request-timeout 2s
 //
 // -flush-pipeline sets the per-model flush-pipeline depth: that many
-// result planes per shared-output runtime, so the fused batch kernels
-// compute flush N while flush N−1's results demux and flush N+1
-// accumulates (1 serialises flushes end to end). -cost-aware makes the
+// result planes per runtime, so the fused batch kernels compute flush N
+// while flush N−1's results demux and flush N+1 accumulates (1
+// serialises flushes end to end). The micro-batcher is work-conserving:
+// a single inference flushes at once while a plane is free, and only
+// requests queued behind busy planes share a batch of up to -max-batch.
+// -batch-window > 0 opts into holding requests for a coalescing window
+// instead. -cost-aware makes the
 // -max-inflight admission gate count samples instead of requests: an
 // explicit batch of n inputs claims n units, so mixed single/batch
 // traffic sheds in proportion to the compute it asks for.
@@ -172,9 +176,9 @@ func main() {
 	workers := flag.Int("workers", 0, "per-model inference worker count (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "per-model job queue depth (0 = 2x workers)")
 	batchWindow := flag.Duration("batch-window", registry.DefaultBatchWindow,
-		"micro-batching window: concurrent single inferences arriving within it share one batch (0 disables)")
+		"micro-batching window. 0 (the default) is work-conserving: a single inference flushes at once while a flush plane is free, and only requests queued behind busy planes share a batch. > 0 also holds a lone request up to this long so concurrent ones arriving within it share its batch")
 	maxBatch := flag.Int("max-batch", registry.DefaultMaxBatch,
-		"flush a coalesced batch at this size instead of waiting out the window")
+		"largest coalesced batch: a window flushes early at this size, and a finishing flush takes up at most this many queued requests")
 	flushPipeline := flag.Int("flush-pipeline", registry.DefaultFlushPipeline,
 		"flush-pipeline depth: result planes per model, so flush N computes while flush N-1 demuxes and N+1 accumulates (1 serialises flushes)")
 	maxInFlight := flag.Int("max-inflight", 0,
@@ -339,7 +343,7 @@ func main() {
 	if *storeGC > 0 {
 		fmt.Printf("positrond: artifact store GC every %s\n", *storeGC)
 	}
-	if *batchWindow > 0 && *maxBatch > 1 {
+	if *maxBatch > 1 {
 		fmt.Printf("positrond: flush pipeline depth %d per model\n", *flushPipeline)
 	}
 	if *maxInFlight > 0 || *requestTimeout > 0 {

@@ -3,18 +3,17 @@ package registry
 // The dynamic micro-batcher. positrond's HTTP clients mostly send one
 // sample per request, but the runtime's shared-output batch path (0
 // allocs/op steady state) amortises scheduling and decode costs across a
-// whole batch. The batcher bridges the two: single-sample requests that
-// arrive within a configurable window are coalesced into one InferBatch
-// call, with per-request result demux — the serving analogue of the
-// paper's streaming accelerator keeping its EMAC pipeline full.
+// whole batch. By default the batcher is work-conserving, like the
+// paper's EMAC pipeline, which streams each input as it arrives: a
+// request that finds a free flush plane flushes at once, alone. Only
+// requests arriving while every plane is busy queue, and each finishing
+// flush takes up to maxBatch of them as the next flush — batch size
+// follows load, not a clock. A window > 0 opts into timer coalescing.
 //
-// Over a shared-output runtime the batcher rides the flush pipeline:
-// each window leases one of the runtime's D result planes
-// (engine.AcquireFlushSlot), so flush N+1 starts computing while flush
-// N's results are still being demultiplexed and flush N+2 accumulates —
-// collect, compute and demux overlap instead of serialising end to end.
-// Bit-identity is unaffected: samples are independent, and each window
-// computes into its own plane.
+// Every flush leases one of the runtime's D result planes
+// (engine.AcquireFlushSlot), so flush N+1 computes while flush N's
+// results are still being demultiplexed. Bit-identity is unaffected:
+// samples are independent, and each flush computes into its own plane.
 
 import (
 	"context"
@@ -30,15 +29,15 @@ import (
 var ErrBatcherClosed = errors.New("registry: batcher closed")
 
 // DefaultBatchWindow is the coalescing window used when none is
-// configured: long enough to catch concurrent bursts, short enough to be
-// invisible next to network latency.
-const DefaultBatchWindow = 2 * time.Millisecond
+// configured: 0, the work-conserving batcher, which never holds a
+// request back while a flush plane is free.
+const DefaultBatchWindow = 0
 
 // DefaultMaxBatch bounds a coalesced flush when no limit is configured.
 const DefaultMaxBatch = 64
 
 // DefaultFlushPipeline is the flush-slot plane count the registry gives
-// shared-output runtimes when none is configured: two planes — compute
+// its runtimes when none is configured: two planes — compute
 // flush N while flush N−1 demuxes — captures most of the overlap win at
 // one extra result plane of memory (the Langroudi et al. bounded-memory
 // framing: depth is a budget, not a free variable).
@@ -58,28 +57,31 @@ type call struct {
 	done   chan struct{}
 }
 
-// Batcher coalesces single-sample Infer calls in front of one Runtime.
-// All methods are safe for concurrent use. When the runtime was built
-// with engine.WithSharedOutputs, every inference on it — coalesced
-// flushes and explicit InferBatch calls alike — runs through a leased
-// flush slot and results are copied out of the slot's plane before it is
-// released; with D > 1 planes, flushes pipeline. Over an ordinary
-// runtime, batches run concurrently and the allocating InferBatch
-// results are returned as-is.
+// Batcher coalesces single-sample Infer calls in front of one
+// shared-output Runtime. All methods are safe for concurrent use. Every
+// inference — coalesced flushes and explicit InferBatch calls alike —
+// runs through a leased flush slot, and results are copied out of the
+// slot's plane before it is released; with D > 1 planes, flushes
+// pipeline.
 type Batcher struct {
 	rt       *engine.Runtime
 	window   time.Duration
 	maxBatch int
+	depth    int
 	metrics  *Metrics
 	inDim    int
 	outDim   int
-	shared   bool
 
-	// mu guards the pending queue, the window timer and closed.
+	// mu guards the pending queue, the window timer, running and closed.
 	mu      sync.Mutex
 	pending []*call
 	timer   *time.Timer
 	closed  bool
+
+	// running counts work-conserving flushes in progress. Calls queue
+	// only while running == depth, and only a flush that finds the queue
+	// empty decrements it, so a queued call always has a flush to take it.
+	running int
 
 	// flights counts in-progress runtime operations (flushes and direct
 	// batches). Close waits for it, so the runtime can be closed
@@ -87,26 +89,29 @@ type Batcher struct {
 	flights sync.WaitGroup
 }
 
-// NewBatcher wraps a runtime with a micro-batcher. window <= 0 or
-// maxBatch <= 1 disables coalescing: Infer degenerates to a serialised
-// single-sample InferBatch. metrics may be nil.
+// NewBatcher wraps a runtime with a micro-batcher. The runtime must be
+// built with engine.WithSharedOutputs: every flush leases one of its
+// flush slots, and over any other runtime every inference fails. window
+// <= 0 or maxBatch <= 1 selects the work-conserving batcher; window > 0
+// coalesces the calls arriving within it. metrics may be nil.
 func NewBatcher(rt *engine.Runtime, window time.Duration, maxBatch int, metrics *Metrics) *Batcher {
 	m := rt.Model()
 	return &Batcher{
 		rt:       rt,
 		window:   window,
 		maxBatch: maxBatch,
+		depth:    max(rt.FlushPipelineDepth(), 1),
 		metrics:  metrics,
 		inDim:    m.InputDim(),
 		outDim:   m.OutputDim(),
-		shared:   rt.SharedOutputs(),
 	}
 }
 
 // Runtime returns the wrapped runtime.
 func (b *Batcher) Runtime() *engine.Runtime { return b.rt }
 
-// Window returns the coalescing window (0 when batching is disabled).
+// Window returns the coalescing window (0 for the work-conserving
+// batcher).
 func (b *Batcher) Window() time.Duration {
 	if b.window <= 0 || b.maxBatch <= 1 {
 		return 0
@@ -137,10 +142,12 @@ func (b *Batcher) beginOp() error {
 	return nil
 }
 
-// Infer runs one sample. If other Infer calls arrive within the window
-// (or until maxBatch is reached), they share one runtime batch; results
-// are demultiplexed per caller and are bit-identical to an unbatched
-// call, because each inference in a batch is independent. Cancelling ctx
+// Infer runs one sample. With a window, the Infer calls arriving within
+// it (or until maxBatch is reached) share one runtime batch; without
+// one, the call flushes at once if a flush plane is free and otherwise
+// joins the batch the next finishing flush takes up. Results are
+// demultiplexed per caller and are bit-identical to an unbatched call,
+// because each inference in a batch is independent. Cancelling ctx
 // abandons the wait (the flush may still compute the result; it is
 // discarded). The returned slice is caller-owned.
 func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
@@ -148,33 +155,32 @@ func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
 		return nil, err
 	}
 	start := time.Now()
-	if b.Window() == 0 {
-		if err := b.beginOp(); err != nil {
-			return nil, err
-		}
-		out, err := b.inferDirect(ctx, [][]float64{x}, false)
-		b.flights.Done()
-		if err != nil {
-			return nil, err
-		}
-		b.metrics.ObserveLatency(time.Since(start))
-		return out[0], nil
-	}
-
 	c := &call{ctx: ctx, x: x, enq: start, done: make(chan struct{})}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return nil, ErrBatcherClosed
 	}
-	b.pending = append(b.pending, c)
-	if len(b.pending) >= b.maxBatch {
+	switch {
+	case b.Window() == 0 && b.running < b.depth:
+		// A free plane: flush this call alone, on this goroutine.
+		b.running++
+		b.flights.Add(1)
+		b.mu.Unlock()
+		b.conserve(ctx, []*call{c})
+	case b.Window() == 0:
+		// Every plane is busy: a finishing flush takes this call up.
+		b.pending = append(b.pending, c)
+		b.mu.Unlock()
+	case len(b.pending)+1 >= b.maxBatch:
+		b.pending = append(b.pending, c)
 		batch := b.takeLocked()
 		b.flights.Add(1)
 		b.mu.Unlock()
-		b.run(batch) // flush rides this caller's goroutine
+		b.run(context.Background(), batch) // flush rides this caller's goroutine
 		b.flights.Done()
-	} else {
+	default:
+		b.pending = append(b.pending, c)
 		if len(b.pending) == 1 {
 			b.timer = time.AfterFunc(b.window, b.flush)
 		}
@@ -193,10 +199,32 @@ func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
 	}
 }
 
+// conserve runs one work-conserving flush, then hands its turn to the
+// calls that queued meanwhile: up to maxBatch of them become the next
+// flush, on a fresh goroutine, so the caller that started this flush is
+// never held back computing later ones. The flight and the running slot
+// pass down the chain and end with the flush that finds the queue empty.
+func (b *Batcher) conserve(ctx context.Context, batch []*call) {
+	b.run(ctx, batch)
+	b.mu.Lock()
+	if len(b.pending) == 0 {
+		b.running--
+		b.mu.Unlock()
+		b.flights.Done()
+		return
+	}
+	n := min(len(b.pending), max(b.maxBatch, 1))
+	next := b.pending[:n:n]
+	b.pending = b.pending[n:]
+	b.mu.Unlock()
+	go b.conserve(context.Background(), next)
+}
+
 // InferBatch runs an explicit client batch directly (no coalescing —
 // the client already amortised the call) through its own flush slot, so
-// it pipelines with coalesced windows instead of serialising against
-// them. The returned slices are caller-owned.
+// it pipelines with coalesced flushes instead of serialising against
+// them; waiting for a free plane is its queue wait. The returned slices
+// are caller-owned.
 func (b *Batcher) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	if len(xs) == 0 {
 		// Reject before the runtime: a zero-sample batch has no result to
@@ -213,55 +241,42 @@ func (b *Batcher) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, 
 	}
 	defer b.flights.Done()
 	start := time.Now()
-	out, err := b.inferDirect(ctx, xs, false)
+	out, computed, err := b.compute(ctx, xs, false)
 	if err != nil {
 		return nil, err
 	}
+	b.metrics.ObserveQueueWait(computed.Sub(start))
 	b.metrics.ObserveLatency(time.Since(start))
 	return out, nil
 }
 
-// inferDirect runs one runtime batch for a caller that wants the results
-// back (the passthrough and explicit-batch paths). Over a shared-output
-// runtime it leases a flush slot — waiting for a free plane is this
-// path's queue wait — and copies the results out of the plane into one
-// fresh flat allocation before releasing it; over an ordinary runtime,
-// batches run concurrently on the whole pool and the freshly allocated
-// logits are caller-owned already.
-func (b *Batcher) inferDirect(ctx context.Context, xs [][]float64, coalesced bool) ([][]float64, error) {
-	if !b.shared {
-		out, err := b.rt.InferBatch(ctx, xs)
-		if err != nil {
-			return nil, err
-		}
-		b.metrics.ObserveFlush(len(xs), coalesced)
-		return out, nil
-	}
-	acq := time.Now()
+// compute leases a flush slot, runs xs in its plane, and copies the
+// logits out into one caller-owned allocation before releasing the
+// plane, so the next flush can compute while this one's callers wake.
+// It returns when the compute started: the end of the queue wait.
+func (b *Batcher) compute(ctx context.Context, xs [][]float64, coalesced bool) ([][]float64, time.Time, error) {
 	slot, err := b.rt.AcquireFlushSlot(ctx)
 	if err != nil {
-		return nil, err
+		return nil, time.Time{}, err
 	}
-	b.metrics.ObserveQueueWait(time.Since(acq))
+	start := time.Now()
 	b.metrics.ObservePipelineDepth(b.rt.FlushSlotsInUse())
-	computeStart := time.Now()
 	out, err := slot.InferBatch(ctx, xs)
 	if err != nil {
 		slot.Release()
-		return nil, err
+		return nil, start, err
 	}
-	b.metrics.ObserveCompute(time.Since(computeStart))
+	b.metrics.ObserveCompute(time.Since(start))
 	b.metrics.ObserveFlush(len(xs), coalesced)
 	od := b.outDim
 	flat := make([]float64, len(out)*od)
 	hdrs := make([][]float64, len(out))
 	for i, logits := range out {
-		dst := flat[i*od : (i+1)*od : (i+1)*od]
-		copy(dst, logits)
-		hdrs[i] = dst
+		hdrs[i] = flat[i*od : (i+1)*od : (i+1)*od]
+		copy(hdrs[i], logits)
 	}
 	slot.Release()
-	return hdrs, nil
+	return hdrs, start, nil
 }
 
 // takeLocked detaches the pending queue and disarms the window timer.
@@ -286,24 +301,19 @@ func (b *Batcher) flush() {
 	}
 	b.flights.Add(1)
 	b.mu.Unlock()
-	b.run(batch)
+	b.run(context.Background(), batch)
 	b.flights.Done()
 }
 
-// run executes one coalesced window and demultiplexes results to the
-// waiting callers. The flush context is Background: one caller's
-// cancellation must not abort its batch-mates' inferences. Calls whose
-// own context is already done are dropped before the runtime sees the
-// batch — the caller returned at cancellation but its entry stayed in
-// the pending queue, and computing it would waste EMAC compute, occupy
-// a coalesced batch slot, and skew the batch-size histogram.
-//
-// Over a shared-output runtime the window computes in a leased flush
-// slot: the demux copy happens after the slot's InferBatch returns but
-// the plane is released the moment the copy is done — with D > 1 planes
-// the next window's compute is already running while this one's callers
-// are still being woken, so demux is off the compute critical path.
-func (b *Batcher) run(batch []*call) {
+// run executes one flush and demultiplexes results to the waiting
+// callers. Calls whose own context is already done are dropped before
+// the runtime sees the batch — the caller returned at cancellation but
+// its entry stayed in the pending queue, and computing it would waste
+// EMAC compute, occupy a batch slot, and skew the batch-size histogram.
+// ctx bounds the flush: Background when it carries queued calls, since
+// one caller's cancellation must not abort its batch-mates' inferences,
+// and the caller's own context for a call flushing alone at once.
+func (b *Batcher) run(ctx context.Context, batch []*call) {
 	live := batch[:0]
 	for _, c := range batch {
 		select {
@@ -321,54 +331,19 @@ func (b *Batcher) run(batch []*call) {
 	for i, c := range live {
 		xs[i] = c.x
 	}
-	if !b.shared {
-		out, err := b.rt.InferBatch(context.Background(), xs)
-		if err != nil {
-			b.failAll(live, err)
-			return
-		}
-		b.metrics.ObserveFlush(len(xs), true)
-		for i, c := range live {
-			c.logits = out[i]
-			close(c.done)
-		}
-		return
-	}
-	slot, err := b.rt.AcquireFlushSlot(context.Background())
+	out, computed, err := b.compute(ctx, xs, len(xs) > 1)
 	if err != nil {
 		b.failAll(live, err)
 		return
 	}
-	// The window's queue wait ends here: the flush is about to compute.
-	now := time.Now()
-	for _, c := range live {
-		b.metrics.ObserveQueueWait(now.Sub(c.enq))
-	}
-	b.metrics.ObservePipelineDepth(b.rt.FlushSlotsInUse())
-	out, err := slot.InferBatch(context.Background(), xs)
-	if err != nil {
-		slot.Release()
-		b.failAll(live, err)
-		return
-	}
-	b.metrics.ObserveCompute(time.Since(now))
-	b.metrics.ObserveFlush(len(xs), true)
-	// Demux copy: one flat caller-owned allocation for the window, then
-	// the plane frees for the next flush before the callers wake.
-	od := b.outDim
-	flat := make([]float64, len(out)*od)
 	for i, c := range live {
-		dst := flat[i*od : (i+1)*od : (i+1)*od]
-		copy(dst, out[i])
-		c.logits = dst
-	}
-	slot.Release()
-	for _, c := range live {
+		b.metrics.ObserveQueueWait(computed.Sub(c.enq))
+		c.logits = out[i]
 		close(c.done)
 	}
 }
 
-// failAll delivers err to every live call of a window.
+// failAll delivers err to every live call of a flush.
 func (b *Batcher) failAll(live []*call, err error) {
 	for _, c := range live {
 		c.err = err
@@ -376,12 +351,13 @@ func (b *Batcher) failAll(live []*call, err error) {
 	}
 }
 
-// Close stops accepting new work, synchronously flushes any pending
-// coalesced calls, and waits for every in-flight flush to finish — so
-// no caller is left waiting and the owner may close the runtime
-// immediately afterwards without failing a mid-pipeline window. It does
-// not close the underlying runtime (the registry owns that ordering).
-// Idempotent.
+// Close stops accepting new work, flushes any pending calls, and waits
+// for every in-flight flush to finish — so no caller is left waiting and
+// the owner may close the runtime immediately afterwards without failing
+// a mid-pipeline flush. Calls queued behind running work-conserving
+// flushes leave with those flushes' chain; a window's pending calls
+// flush here. It does not close the underlying runtime (the registry
+// owns that ordering). Idempotent.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -389,8 +365,11 @@ func (b *Batcher) Close() {
 		return
 	}
 	b.closed = true
-	batch := b.takeLocked()
+	var batch []*call
+	if b.running == 0 {
+		batch = b.takeLocked()
+	}
 	b.mu.Unlock()
-	b.run(batch)
+	b.run(context.Background(), batch)
 	b.flights.Wait()
 }

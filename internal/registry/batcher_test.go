@@ -118,56 +118,74 @@ func TestBatcherExplicitBatchMatches(t *testing.T) {
 	}
 }
 
-// TestBatcherUnsharedRuntime: over an ordinary (allocating) runtime the
-// batcher skips the flush serialisation and copy, and results are still
-// bit-identical.
-func TestBatcherUnsharedRuntime(t *testing.T) {
-	model := posit8Model(12)
-	rt, err := engine.NewRuntime(model, engine.WithWorkers(2))
+// TestBatcherRequiresSharedRuntime: every flush leases a result plane,
+// so over an ordinary (allocating) runtime single and batch inferences
+// fail with an error — never a hang, never an answer.
+func TestBatcherRequiresSharedRuntime(t *testing.T) {
+	rt, err := engine.NewRuntime(posit8Model(12), engine.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rt.Close() })
-	b := NewBatcher(rt, 50*time.Millisecond, 8, &Metrics{})
-	ref := model.NewInferer()
-
-	const n = 16
-	got := make([][]float64, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			out, err := b.Infer(context.Background(), testInput(i))
-			if err != nil {
-				t.Error(err)
-				return
+	for _, window := range []time.Duration{0, 50 * time.Millisecond} {
+		m := &Metrics{}
+		b := NewBatcher(rt, window, 8, m)
+		const n = 4
+		errs := make(chan error, n)
+		for i := 0; i < n; i++ {
+			go func(i int) {
+				_, err := b.Infer(context.Background(), testInput(i))
+				errs <- err
+			}(i)
+		}
+		for i := 0; i < n; i++ {
+			select {
+			case err := <-errs:
+				if err == nil {
+					t.Fatalf("window %v: single inference served over an unshared runtime", window)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("window %v: single inference hung over an unshared runtime", window)
 			}
-			got[i] = out
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		want := ref.Infer(testInput(i))
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("request %d logit %d: %v != %v", i, j, got[i][j], want[j])
-			}
+		}
+		if _, err := b.InferBatch(context.Background(), [][]float64{testInput(0)}); err == nil {
+			t.Fatalf("window %v: batch served over an unshared runtime", window)
+		}
+		b.Close()
+		if snap := m.Snapshot(); snap.Batches != 0 {
+			t.Fatalf("window %v: failed inferences recorded flushes: %+v", window, snap)
 		}
 	}
 }
 
+// TestBatcherPassthrough: at window 0 a lone request finds a free plane
+// and flushes at once as a batch of one — no timer armed, nothing left
+// queued, and the flush is not counted as coalesced.
 func TestBatcherPassthrough(t *testing.T) {
-	b, m := newTestBatcher(t, 0, 8) // window 0: no coalescing
+	b, m := newTestBatcher(t, 0, 8)
 	if b.Window() != 0 {
 		t.Fatalf("Window = %v, want 0", b.Window())
 	}
 	out, err := b.Infer(context.Background(), testInput(1))
 	if err != nil || len(out) != 3 {
-		t.Fatalf("passthrough: %v, %v", out, err)
+		t.Fatalf("lone request: %v, %v", out, err)
 	}
-	if snap := m.Snapshot(); snap.CoalescedBatches != 0 || snap.Batches != 1 {
-		t.Fatalf("passthrough metrics: %+v", snap)
+	want := b.Runtime().Model().NewInferer().Infer(testInput(1))
+	for j := range want {
+		if out[j] != want[j] {
+			t.Fatalf("logit %d: %v != %v", j, out[j], want[j])
+		}
+	}
+	b.mu.Lock()
+	timer, pending, running := b.timer, len(b.pending), b.running
+	b.mu.Unlock()
+	if timer != nil || pending != 0 || running != 0 {
+		t.Fatalf("after a lone request: timer %v, pending %d, running %d", timer, pending, running)
+	}
+	snap := m.Snapshot()
+	if snap.Batches != 1 || snap.Requests != 1 || snap.BatchSizeHist["1"] != 1 ||
+		snap.CoalescedBatches != 0 || snap.MaxCoalesced != 0 {
+		t.Fatalf("lone request metrics: %+v", snap)
 	}
 }
 

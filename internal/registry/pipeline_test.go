@@ -39,6 +39,184 @@ func (s *slowInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
 	return s.Inferer.InferBatchInto(dst, xs)
 }
 
+// gatedModel wraps a core.Model so every fused batch inference blocks
+// until gate closes: flushes started before then pin their planes for
+// as long as a test needs.
+type gatedModel struct {
+	core.Model
+	gate chan struct{}
+}
+
+func (m *gatedModel) NewInferer() core.Inferer {
+	return &gatedInferer{Inferer: m.Model.NewInferer(), gate: m.gate}
+}
+
+type gatedInferer struct {
+	core.Inferer
+	gate chan struct{}
+}
+
+func (g *gatedInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
+	<-g.gate
+	return g.Inferer.InferBatchInto(dst, xs)
+}
+
+// queueBehindPinnedPlanes builds a work-conserving batcher (window 0)
+// over a gated model with depth planes, pins every plane with one lone
+// call each, then queues n more singles behind them. It returns the
+// batcher, its metrics, the undecorated reference inferer, the gate, and
+// the callers' results and errors, which are complete once wg is done.
+func queueBehindPinnedPlanes(t *testing.T, depth, maxBatch, n int) (b *Batcher, m *Metrics, ref core.Inferer, gate chan struct{}, wg *sync.WaitGroup, outs [][]float64, errs []error) {
+	t.Helper()
+	gate = make(chan struct{})
+	model := &gatedModel{Model: posit8Model(49), gate: gate}
+	rt, err := engine.NewRuntime(model,
+		engine.WithWorkers(depth), engine.WithSharedOutputs(), engine.WithFlushPipeline(depth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	m = &Metrics{}
+	b = NewBatcher(rt, 0, maxBatch, m)
+	ref = model.Model.NewInferer()
+	outs = make([][]float64, depth+n)
+	errs = make([]error, depth+n)
+	wg = &sync.WaitGroup{}
+	infer := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = b.Infer(context.Background(), testInput(i))
+		}()
+	}
+	waitFor := func(what string, ok func() bool) {
+		deadline := time.Now().Add(5 * time.Second)
+		for !ok() {
+			if time.Now().After(deadline) {
+				close(gate)
+				t.Fatalf("%s never happened", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		infer(i)
+	}
+	waitFor("pinning every plane", func() bool { return rt.FlushSlotsInUse() == depth })
+	for i := depth; i < depth+n; i++ {
+		infer(i)
+	}
+	waitFor("queueing behind the pinned planes", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.pending) == n && b.running == depth
+	})
+	return b, m, ref, gate, wg, outs, errs
+}
+
+// checkServed asserts every caller got a result bit-identical to a
+// serial session.
+func checkServed(t *testing.T, ref core.Inferer, outs [][]float64, errs []error) {
+	t.Helper()
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		want := ref.Infer(testInput(i))
+		for j := range want {
+			if outs[i][j] != want[j] {
+				t.Fatalf("caller %d logit %d: %v != serial %v", i, j, outs[i][j], want[j])
+			}
+		}
+	}
+}
+
+// TestWorkConservingCoalescesBehindBusyPlanes: with every plane pinned,
+// N singles queue; once the planes free, the finishing flushes take
+// them up maxBatch at a time — ⌈N/maxBatch⌉ flushes, the largest of
+// min(N, maxBatch) — and every result is bit-identical to a serial
+// session. The pinning calls flushed at once, alone and uncoalesced.
+func TestWorkConservingCoalescesBehindBusyPlanes(t *testing.T) {
+	const depth, maxBatch, n = 2, 4, 10
+	b, m, ref, gate, wg, outs, errs := queueBehindPinnedPlanes(t, depth, maxBatch, n)
+	defer b.Close()
+	close(gate)
+	wg.Wait()
+	checkServed(t, ref, outs, errs)
+
+	flushes := (n + maxBatch - 1) / maxBatch
+	snap := m.Snapshot()
+	if snap.Batches != int64(depth+flushes) || snap.Requests != depth+n {
+		t.Fatalf("flushes: %+v, want %d batches / %d requests", snap, depth+flushes, depth+n)
+	}
+	if snap.CoalescedBatches != int64(flushes) || snap.MaxCoalesced != min(n, maxBatch) {
+		t.Fatalf("coalescing: %+v, want %d coalesced flushes of at most %d", snap, flushes, min(n, maxBatch))
+	}
+	if snap.BatchSizeHist["1"] != depth || snap.BatchSizeHist["3-4"] != 2 || snap.BatchSizeHist["2"] != 1 {
+		t.Fatalf("flush sizes: %v, want %d lone flushes, then 4, 4 and 2", snap.BatchSizeHist, depth)
+	}
+	b.mu.Lock()
+	running, pending := b.running, len(b.pending)
+	b.mu.Unlock()
+	if running != 0 || pending != 0 {
+		t.Fatalf("after the drain: running %d, pending %d", running, pending)
+	}
+}
+
+// TestCloseWithCallersQueuedBehindBusyPlanes closes a work-conserving
+// batcher while callers are queued behind pinned planes: new work is
+// refused at once, Close waits for the planes to free, and then every
+// queued caller leaves with its bit-identical result in exactly
+// ⌈N/maxBatch⌉ further flushes — nothing hangs, nothing phantom.
+func TestCloseWithCallersQueuedBehindBusyPlanes(t *testing.T) {
+	const depth, maxBatch, n = 2, 3, 8
+	b, m, ref, gate, wg, outs, errs := queueBehindPinnedPlanes(t, depth, maxBatch, n)
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		closing := b.closed
+		b.mu.Unlock()
+		if closing {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatal("Close never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := b.Infer(context.Background(), testInput(99)); !errors.Is(err, ErrBatcherClosed) {
+		close(gate)
+		t.Fatalf("infer while closing = %v, want ErrBatcherClosed", err)
+	}
+	select {
+	case <-closed:
+		close(gate)
+		t.Fatal("Close returned with flushes still pinned")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung with callers queued")
+	}
+	wg.Wait()
+	checkServed(t, ref, outs, errs)
+
+	flushes := (n + maxBatch - 1) / maxBatch
+	snap := m.Snapshot()
+	if snap.Batches != int64(depth+flushes) || snap.Requests != depth+n || snap.CoalescedBatches != int64(flushes) {
+		t.Fatalf("flush accounting across Close: %+v, want %d batches (%d coalesced) / %d requests",
+			snap, depth+flushes, flushes, depth+n)
+	}
+}
+
 // newPipelineRegistry loads one slow posit8 model into a registry built
 // with the given options and returns its pinned handle.
 func newPipelineRegistry(t *testing.T, delay time.Duration, opts ...Option) *Handle {

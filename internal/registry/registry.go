@@ -63,26 +63,27 @@ type Option func(*config)
 
 // WithRuntimeOptions sets the engine options (worker count, queue depth,
 // warm tables) applied to every per-model runtime the registry builds.
-// When micro-batching is enabled, engine.WithSharedOutputs is implied:
-// the batcher serialises runtime access and copies results out, so
-// coalesced flushes ride the allocation-free batch path. With batching
-// disabled (WithBatchWindow(0) or WithMaxBatch(1)) runtimes stay on the
-// allocating path so concurrent requests use the whole pool unserialised.
+// engine.WithSharedOutputs and engine.WithFlushPipeline are implied: the
+// batcher leases a result plane per flush and copies results out, so
+// every flush rides the allocation-free batch path.
 func WithRuntimeOptions(opts ...engine.Option) Option {
 	return func(c *config) { c.rtOpts = append(c.rtOpts, opts...) }
 }
 
 // WithBatchWindow sets the micro-batching coalescing window for every
 // model: single-sample inferences arriving within the window share one
-// runtime batch. d <= 0 disables coalescing. The default is
-// DefaultBatchWindow.
+// runtime batch. d <= 0 selects the work-conserving batcher, which
+// flushes a request at once while a flush plane is free and coalesces
+// only the requests queued behind busy planes. The default is
+// DefaultBatchWindow (0).
 func WithBatchWindow(d time.Duration) Option {
 	return func(c *config) { c.window = d }
 }
 
 // WithMaxBatch bounds a coalesced flush: when the pending queue reaches
-// n the batch flushes immediately instead of waiting out the window.
-// n <= 1 disables coalescing. The default is DefaultMaxBatch.
+// n the batch flushes immediately instead of waiting out the window, and
+// a finishing work-conserving flush takes up at most n queued requests.
+// n <= 1 flushes every request alone. The default is DefaultMaxBatch.
 func WithMaxBatch(n int) Option {
 	return func(c *config) { c.maxBatch = n }
 }
@@ -98,13 +99,12 @@ func WithMaxInFlight(n int) Option {
 	return func(c *config) { c.maxInFlight = n }
 }
 
-// WithFlushPipeline sets the flush-pipeline depth D for every
-// shared-output runtime the registry builds: D leasable result planes,
-// so the runtime computes flush N while flush N−1's results demux and
-// flush N+1 accumulates. d = 1 serialises flushes (the pre-pipeline
-// behaviour); d <= 0 resets to DefaultFlushPipeline. Ignored when
-// micro-batching is disabled (those runtimes run unserialised on the
-// allocating path already).
+// WithFlushPipeline sets the flush-pipeline depth D for every runtime
+// the registry builds: D leasable result planes, so the runtime computes
+// flush N while flush N−1's results demux and flush N+1 accumulates. It
+// is also how many work-conserving flushes run at once before requests
+// start to queue. d = 1 serialises flushes (the pre-pipeline behaviour);
+// d <= 0 resets to DefaultFlushPipeline.
 func WithFlushPipeline(d int) Option {
 	return func(c *config) { c.flushDepth = d }
 }
@@ -276,8 +276,8 @@ func (r *Registry) unpin(h artifact.Hash) {
 	r.mu.Unlock()
 }
 
-// isLive is the GC predicate: a hash is live while an in-flight load
-// pins it or a loaded entry owns it.
+// isLive is the GC predicate: a hash is live while an in-flight load or
+// a draining entry pins it, or a loaded entry owns it.
 func (r *Registry) isLive(h artifact.Hash) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -435,13 +435,9 @@ func (r *Registry) loadEntry(name string, key, hash artifact.Hash, artBytes int6
 	}
 	r.mu.Unlock()
 
-	// Shared outputs only when the micro-batcher will serialise access
-	// and copy results out; on the passthrough path concurrent requests
-	// keep the pool unserialised.
+	// The batcher leases a result plane per flush and copies results out.
 	opts := append([]engine.Option{}, r.cfg.rtOpts...)
-	if r.cfg.window > 0 && r.cfg.maxBatch > 1 {
-		opts = append(opts, engine.WithSharedOutputs(), engine.WithFlushPipeline(r.cfg.flushDepth))
-	}
+	opts = append(opts, engine.WithSharedOutputs(), engine.WithFlushPipeline(r.cfg.flushDepth))
 	rt, err := engine.NewRuntime(model, opts...)
 	if err != nil {
 		return err
@@ -511,10 +507,10 @@ func (h *Handle) Model() core.Model { return h.e.model }
 // ContentHash returns the model's artifact content address.
 func (h *Handle) ContentHash() artifact.Hash { return h.e.hash }
 
-// Runtime returns the model's worker-pool runtime. When micro-batching
-// is enabled it is built with shared outputs: call it through Batcher
-// (which serialises access and copies results) rather than invoking
-// InferBatch directly.
+// Runtime returns the model's worker-pool runtime. It is built with
+// shared outputs: call it through Batcher (which leases a result plane
+// per flush and copies results out) rather than invoking InferBatch
+// directly.
 func (h *Handle) Runtime() *engine.Runtime { return h.e.rt }
 
 // Batcher returns the model's micro-batcher — the inference entry point.
@@ -585,6 +581,9 @@ func (r *Registry) Unload(name string) error {
 	}
 	delete(r.objects, e.key)
 	e.unloaded = true
+	// Out of the object table, the entry's handles still serve its bytes:
+	// pin the hash until they drain.
+	r.pins[e.key]++
 	idle := e.refs == 0
 	r.mu.Unlock()
 
@@ -592,6 +591,7 @@ func (r *Registry) Unload(name string) error {
 		e.closeOnce.Do(e.close)
 	}
 	<-e.done
+	r.unpin(e.key)
 	return nil
 }
 
@@ -656,9 +656,8 @@ type ModelStat struct {
 	Workers     int    `json:"workers"`
 	BatchWindow string `json:"batch_window"`
 	MaxBatch    int    `json:"max_batch"`
-	// FlushPipeline is the runtime's flush-slot plane count (0 when the
-	// model serves on the unserialised allocating path); PipelineInUse
-	// samples how many planes are leased right now.
+	// FlushPipeline is the runtime's flush-slot plane count;
+	// PipelineInUse samples how many planes are leased right now.
 	FlushPipeline int `json:"flush_pipeline"`
 	PipelineInUse int `json:"pipeline_in_use"`
 	// MaxInFlight is the admission capacity in units (0 = unlimited);
@@ -771,6 +770,7 @@ func (r *Registry) Close() error {
 		delete(r.objects, key)
 		e.bound = 0
 		e.unloaded = true
+		r.pins[key]++ // as in Unload: live until its handles drain
 		entries = append(entries, e)
 	}
 	for name := range r.names {
@@ -786,6 +786,7 @@ func (r *Registry) Close() error {
 			e.closeOnce.Do(e.close)
 		}
 		<-e.done
+		r.unpin(e.key)
 	}
 	return nil
 }

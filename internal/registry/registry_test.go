@@ -65,35 +65,33 @@ func TestLoadAcquireUnload(t *testing.T) {
 	}
 }
 
-// TestSharedOutputsTracksBatching: coalescing entries ride the
-// shared-output (0 allocs/op) runtime path; with batching disabled the
-// runtime stays on the allocating path so concurrent requests are not
-// serialised through the batcher.
+// TestSharedOutputsTracksBatching: every entry rides the shared-output
+// (0 allocs/op) runtime path with a flush pipeline, whether it batches
+// on a window or work-conserves at window 0.
 func TestSharedOutputsTracksBatching(t *testing.T) {
-	batched := New(WithRuntimeOptions(engine.WithWorkers(1)))
-	defer batched.Close()
-	if err := batched.Load("m", posit8Model(20)); err != nil {
-		t.Fatal(err)
+	for _, window := range []time.Duration{0, time.Millisecond} {
+		r := New(WithRuntimeOptions(engine.WithWorkers(1)), WithBatchWindow(window))
+		t.Cleanup(func() { r.Close() })
+		if err := r.Load("m", posit8Model(20)); err != nil {
+			t.Fatal(err)
+		}
+		h, err := r.Acquire("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Released before the registry closes, even on failure: a held
+		// handle would block Close on the entry's drain.
+		t.Cleanup(h.Release)
+		if !h.Runtime().SharedOutputs() {
+			t.Fatalf("window %v: runtime not shared-output", window)
+		}
+		if d := h.Runtime().FlushPipelineDepth(); d != DefaultFlushPipeline {
+			t.Fatalf("window %v: FlushPipelineDepth = %d, want %d", window, d, DefaultFlushPipeline)
+		}
+		if h.Batcher().Window() != window {
+			t.Fatalf("Window = %v, want %v", h.Batcher().Window(), window)
+		}
 	}
-	h, _ := batched.Acquire("m")
-	if !h.Runtime().SharedOutputs() {
-		t.Fatal("batching enabled but runtime not shared-output")
-	}
-	h.Release()
-
-	plain := New(WithRuntimeOptions(engine.WithWorkers(1)), WithBatchWindow(0))
-	defer plain.Close()
-	if err := plain.Load("m", posit8Model(21)); err != nil {
-		t.Fatal(err)
-	}
-	h2, _ := plain.Acquire("m")
-	if h2.Runtime().SharedOutputs() {
-		t.Fatal("batching disabled but runtime built with shared outputs")
-	}
-	if h2.Batcher().Window() != 0 {
-		t.Fatalf("Window = %v, want 0", h2.Batcher().Window())
-	}
-	h2.Release()
 }
 
 func TestInvalidNames(t *testing.T) {

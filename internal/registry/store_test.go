@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/artifact/store"
@@ -404,4 +405,44 @@ func TestGCNeverSweepsPinnedConcurrent(t *testing.T) {
 	churn.Wait()
 	close(stop)
 	sweeper.Wait()
+}
+
+// TestGCKeepsDrainingEntryBlob: a model unloaded while a handle is still
+// in flight keeps its blob out of GC sweeps until the handle drains;
+// the next sweep after that reclaims it.
+func TestGCKeepsDrainingEntryBlob(t *testing.T) {
+	r := New(WithRuntimeOptions(engine.WithWorkers(1)))
+	defer r.Close()
+	if err := r.Load("m", posit8Model(7)); err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unloaded := make(chan error, 1)
+	go func() { unloaded <- r.Unload("m") }()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Len() != 0 {
+		if time.Now().After(deadline) {
+			h.Release()
+			t.Fatal("unload never removed the name")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if removed, _, err := r.GC(); err != nil || removed != 0 {
+		h.Release()
+		t.Fatalf("GC with a live handle: removed %d, %v", removed, err)
+	}
+	if _, err := r.Store().Get(h.ContentHash()); err != nil {
+		h.Release()
+		t.Fatalf("draining model's blob unreadable: %v", err)
+	}
+	h.Release()
+	if err := <-unloaded; err != nil {
+		t.Fatal(err)
+	}
+	if removed, _, err := r.GC(); err != nil || removed != 1 {
+		t.Fatalf("GC after drain: removed %d, %v, want 1", removed, err)
+	}
 }

@@ -302,9 +302,10 @@ type RegistryOption = registry.Option
 type ModelHandle = registry.Handle
 
 // Batcher coalesces concurrent single-sample inferences into shared
-// runtime batches (dynamic micro-batching): requests arriving within the
-// batch window ride one InferBatch call, with per-caller result demux
-// and cancellation. Results are bit-identical to unbatched inference.
+// runtime batches (dynamic micro-batching): requests queued behind busy
+// flush planes (or, with a batch window, arriving within it) ride one
+// InferBatch call, with per-caller result demux and cancellation.
+// Results are bit-identical to unbatched inference.
 type Batcher = registry.Batcher
 
 // ModelStat is one registry entry's introspection record (shape,
@@ -336,11 +337,13 @@ var ErrRequestTimeout = registry.ErrRequestTimeout
 func NewRegistry(opts ...RegistryOption) *Registry { return registry.New(opts...) }
 
 // WithBatchWindow sets the micro-batching coalescing window applied to
-// every model in a Registry (d <= 0 disables coalescing).
+// every model in a Registry. d <= 0 (the default) is work-conserving: a
+// request flushes at once while a flush plane is free, and only requests
+// queued behind busy planes share a batch.
 func WithBatchWindow(d time.Duration) RegistryOption { return registry.WithBatchWindow(d) }
 
-// WithMaxBatch flushes a coalesced batch at size n instead of waiting
-// out the window (n <= 1 disables coalescing).
+// WithMaxBatch bounds a coalesced batch at n samples (n <= 1 disables
+// coalescing).
 func WithMaxBatch(n int) RegistryOption { return registry.WithMaxBatch(n) }
 
 // WithMaxInFlight caps concurrently admitted inference requests per
