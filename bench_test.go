@@ -551,7 +551,7 @@ func BenchmarkAllocForwardPosit8(b *testing.B) {
 func BenchmarkForwardBatch(b *testing.B) {
 	const in, out = 30, 16
 	for _, arith := range []emac.Arithmetic{
-		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4),
+		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4), emac.NewPosit(16, 1),
 	} {
 		r := rng.New(31)
 		w := make([][]emac.Code, out)

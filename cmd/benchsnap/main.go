@@ -190,6 +190,7 @@ func main() {
 		{"posit(8,0)", emac.NewPosit(8, 0)},
 		{"float(8,4)", emac.NewFloatN(8, 4)},
 		{"fixed(8,4)", emac.NewFixed(8, 4)},
+		{"posit(16,1)", emac.NewPosit(16, 1)},
 	} {
 		const in, out = 30, 16
 		lr := rng.New(31)

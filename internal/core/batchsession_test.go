@@ -1,9 +1,9 @@
 package core
 
 // Fused-batch execution tests: InferBatchInto must be bit-identical to
-// per-sample InferInto for every arm (fused kernels, loop fallbacks and
-// the MAC-only float32 path alike), for uniform and mixed networks, and
-// allocation-free once the planes are warm.
+// per-sample InferInto for every arm (fused kernels, the loop fallback
+// and the MAC-only float32 path alike), for uniform and mixed networks,
+// and allocation-free once the planes are warm.
 
 import (
 	"testing"
@@ -17,7 +17,9 @@ func TestInferBatchIntoMatchesPerSample(t *testing.T) {
 	net, test := trainedIris(t)
 	for _, a := range []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4),
-		emac.NewPosit(12, 1), // loop fallback (no fused tier at n=12)
+		emac.NewPosit(12, 1), // fused exact-window tier
+		emac.NewPosit(16, 1), // fused exact-window tier
+		emac.NewPosit(16, 2), // loop fallback (register beyond 128 bits)
 		emac.Float32Arith{},  // per-neuron MAC path, no kernels at all
 	} {
 		q := Quantize(net, a)
@@ -69,20 +71,22 @@ func TestMixedInferBatchIntoMatchesPerSample(t *testing.T) {
 }
 
 // TestInferBatchIntoAllocFree: after one warmup flush, the fused path
-// must not allocate.
+// must not allocate, on the term-table and the exact-window tier alike.
 func TestInferBatchIntoAllocFree(t *testing.T) {
 	net, test := trainedIris(t)
-	q := Quantize(net, emac.NewPosit(8, 0))
-	s := q.NewSession()
-	od := q.OutputDim()
-	xs := test.X[:16]
-	dst := make([]float64, len(xs)*od)
-	s.InferBatchInto(dst, xs) // warm planes and kernel scratch
-	allocs := testing.AllocsPerRun(20, func() {
-		s.InferBatchInto(dst, xs)
-	})
-	if allocs != 0 {
-		t.Fatalf("InferBatchInto allocates %v objects per flush; want 0", allocs)
+	for _, a := range []emac.Arithmetic{emac.NewPosit(8, 0), emac.NewPosit(16, 1)} {
+		q := Quantize(net, a)
+		s := q.NewSession()
+		od := q.OutputDim()
+		xs := test.X[:16]
+		dst := make([]float64, len(xs)*od)
+		s.InferBatchInto(dst, xs) // warm planes and kernel scratch
+		allocs := testing.AllocsPerRun(20, func() {
+			s.InferBatchInto(dst, xs)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: InferBatchInto allocates %v objects per flush; want 0", a.Name(), allocs)
+		}
 	}
 }
 

@@ -2,14 +2,18 @@ package emac
 
 // The batched kernel tier. A BatchLayerKernel runs a whole flush of
 // samples through one layer in a single fused call: activations are
-// decoded once per flush instead of once per sample, the pre-decoded
-// weight traversal is cache-blocked so each row streams through every
-// sample while hot, and where the format's accumulator fits a machine
-// word the arms pack the decoded work into SWAR/table datapaths
-// (internal/{posit,fixedpoint,minifloat} BatchDenseKernel). Arms without
-// a fused path for a configuration fall back to looping their per-sample
-// kernel, so a BatchLayerKernel exists whenever a LayerKernel does and
-// results are always bit-identical to per-sample Forward calls.
+// decoded once per flush instead of once per sample, and the pre-decoded
+// weight traversal is cache-blocked so each row streams through many
+// samples while hot. The arms' fused datapaths
+// (internal/{posit,fixedpoint,minifloat} BatchDenseKernel) read and write
+// the Code planes in place through their generic ForwardBatch entry
+// points. Posit layers take term tables when n <= 8 and the eq.-(4)
+// register fits one word, and exact int64 windows with a two-word
+// fallback up to 128 bits; float and fixed layers take their one-word
+// table and SWAR paths. Configurations beyond that (posit(16,2), posit32,
+// wide float/fixed registers) loop their per-sample kernel, so a
+// BatchLayerKernel exists whenever a LayerKernel does and results are
+// always bit-identical to per-sample Forward calls.
 
 import (
 	"repro/internal/fixedpoint"
@@ -17,19 +21,13 @@ import (
 	"repro/internal/posit"
 )
 
-// BatchLayerKernel is a whole-flush batched layer datapath. Both entry
-// points compute out[s][j] = Result(bias[j] + Σ_i W[j][i]·act[s][i]) for
-// every sample s, bit-identical to calling LayerKernel.Forward once per
-// sample. Kernels reuse internal scratch and are not safe for concurrent
-// use.
+// BatchLayerKernel is a whole-flush batched layer datapath.
+// ForwardBatchStrided computes out[s*Out+j] = Result(bias[j] + Σ_i
+// W[j][i]·act[s*In+i]) for every sample s of a flat sample-major flush
+// (len(act) = b·in, len(out) = b·out), bit-identical to calling
+// LayerKernel.Forward once per sample. Kernels reuse internal scratch and
+// are not safe for concurrent use.
 type BatchLayerKernel interface {
-	// ForwardBatch runs one flush over per-sample rows: len(act) ==
-	// len(out) == batch size, each act[s] of layer fan-in length and each
-	// out[s] of layer width length.
-	ForwardBatch(act, out [][]Code)
-	// ForwardBatchStrided is the flat variant over sample-major planes:
-	// len(act) = b·in, len(out) = b·out, sample s occupying
-	// act[s*in:(s+1)*in] and out[s*out:(s+1)*out].
 	ForwardBatchStrided(act, out []Code, b int)
 }
 
@@ -42,70 +40,11 @@ type BatchKernelBuilder interface {
 	NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool)
 }
 
-// bitsBatchKernel adapts a package-level ForwardBatchBits kernel to the
-// Code plane, reusing uint64 scratch grown to the largest flush seen so
-// the adaptation allocates nothing in steady state.
-type bitsBatchKernel struct {
-	forward  func(act, out []uint64, b int)
-	in, out  int
-	act, res []uint64
-}
+// fusedBatchKernel is an arm's fused datapath bound to its kernel; the
+// arm checks the plane sizes.
+type fusedBatchKernel func(act, out []Code, b int)
 
-func newBitsBatchKernel(forward func(act, out []uint64, b int), in, out int) *bitsBatchKernel {
-	return &bitsBatchKernel{forward: forward, in: in, out: out}
-}
-
-func (k *bitsBatchKernel) grow(b int) {
-	if cap(k.act) < b*k.in {
-		k.act = make([]uint64, b*k.in)
-	}
-	if cap(k.res) < b*k.out {
-		k.res = make([]uint64, b*k.out)
-	}
-}
-
-func (k *bitsBatchKernel) ForwardBatchStrided(act, out []Code, b int) {
-	if b < 0 || len(act) != b*k.in || len(out) != b*k.out {
-		panic("emac: batch kernel size mismatch")
-	}
-	k.grow(b)
-	abuf, rbuf := k.act[:b*k.in], k.res[:b*k.out]
-	for i, c := range act {
-		abuf[i] = uint64(c)
-	}
-	k.forward(abuf, rbuf, b)
-	for i, v := range rbuf {
-		out[i] = Code(v)
-	}
-}
-
-func (k *bitsBatchKernel) ForwardBatch(act, out [][]Code) {
-	b := len(act)
-	if len(out) != b {
-		panic("emac: batch kernel size mismatch")
-	}
-	k.grow(b)
-	abuf, rbuf := k.act[:b*k.in], k.res[:b*k.out]
-	for s, row := range act {
-		if len(row) != k.in {
-			panic("emac: batch kernel size mismatch")
-		}
-		dst := abuf[s*k.in : (s+1)*k.in]
-		for i, c := range row {
-			dst[i] = uint64(c)
-		}
-	}
-	k.forward(abuf, rbuf, b)
-	for s, row := range out {
-		if len(row) != k.out {
-			panic("emac: batch kernel size mismatch")
-		}
-		src := rbuf[s*k.out : (s+1)*k.out]
-		for j, v := range src {
-			row[j] = Code(v)
-		}
-	}
-}
+func (f fusedBatchKernel) ForwardBatchStrided(act, out []Code, b int) { f(act, out, b) }
 
 // loopBatchKernel is the scalar fallback: a per-sample LayerKernel
 // driven once per sample. It keeps the BatchLayerKernel contract
@@ -125,17 +64,8 @@ func (k *loopBatchKernel) ForwardBatchStrided(act, out []Code, b int) {
 	}
 }
 
-func (k *loopBatchKernel) ForwardBatch(act, out [][]Code) {
-	if len(out) != len(act) {
-		panic("emac: batch kernel size mismatch")
-	}
-	for s := range act {
-		k.lk.Forward(act[s], out[s])
-	}
-}
-
 // NewBatchLayerKernel implements BatchKernelBuilder: the fused posit
-// term-table datapath when the quire fits one word, else a loop over the
+// datapath when the quire fits two words, else a loop over the
 // per-sample kernel. The truncated-quire ablation has no kernel tier.
 func (p PositArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool) {
 	if p.QuireDrop > 0 || len(w) == 0 || len(w[0]) == 0 {
@@ -154,7 +84,7 @@ func (p PositArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 		pb[j] = p.F.FromBits(uint64(c))
 	}
 	if k, ok := posit.NewBatchDenseKernel(p.F, pw, pb); ok {
-		return newBitsBatchKernel(k.ForwardBatchBits, len(w[0]), len(w)), true
+		return fusedBatchKernel(func(act, out []Code, b int) { posit.ForwardBatch(k, act, out, b) }), true
 	}
 	lk, ok := p.NewLayerKernel(w, b)
 	if !ok {
@@ -183,7 +113,7 @@ func (p FloatArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 		fb[j] = p.F.FromBits(uint64(c))
 	}
 	if k, ok := minifloat.NewBatchDenseKernel(p.F, fw, fb); ok {
-		return newBitsBatchKernel(k.ForwardBatchBits, len(w[0]), len(w)), true
+		return fusedBatchKernel(func(act, out []Code, b int) { minifloat.ForwardBatch(k, act, out, b) }), true
 	}
 	lk, ok := p.NewLayerKernel(w, b)
 	if !ok {
@@ -212,7 +142,7 @@ func (p FixedArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 		fb[j] = p.F.FromBits(uint64(c))
 	}
 	if k, ok := fixedpoint.NewBatchDenseKernel(p.F, fw, fb, p.RoundNearest); ok {
-		return newBitsBatchKernel(k.ForwardBatchBits, len(w[0]), len(w)), true
+		return fusedBatchKernel(func(act, out []Code, b int) { fixedpoint.ForwardBatch(k, act, out, b) }), true
 	}
 	lk, ok := p.NewLayerKernel(w, b)
 	if !ok {

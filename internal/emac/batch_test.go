@@ -2,7 +2,8 @@ package emac
 
 // Cross-arm batch-kernel tests: every BatchKernelBuilder must produce
 // results bit-identical to driving its per-sample LayerKernel once per
-// sample — fused term-table/SWAR datapaths and loop fallbacks alike.
+// sample — fused term-table/window/SWAR datapaths and loop fallbacks
+// alike.
 
 import (
 	"testing"
@@ -10,14 +11,17 @@ import (
 	"repro/internal/rng"
 )
 
-// batchAriths are the configurations under test: the three fused
-// datapaths plus configurations that must take the loop fallback
-// (multi-word posit quire, 12-bit formats, fixed RNE).
+// batchAriths are the configurations under test: the fused datapaths
+// (posit term tables for posit(8,0)/(8,1); posit exact windows for the
+// two-word registers of posit(8,2), posit(12,1) and posit(16,1)) plus
+// configurations that must take the loop fallback (posit(16,2), whose
+// register exceeds 128 bits; 12-bit float and fixed; fixed RNE).
 func batchAriths() []Arithmetic {
 	rneFixed := NewFixed(8, 4)
 	rneFixed.RoundNearest = true
 	return []Arithmetic{
 		NewPosit(8, 0), NewPosit(8, 1), NewPosit(8, 2), NewPosit(12, 1),
+		NewPosit(16, 1), NewPosit(16, 2),
 		NewFloatN(8, 4), NewFloatN(6, 2), NewFloatN(12, 5),
 		NewFixed(8, 4), NewFixed(8, 1), NewFixed(12, 6), rneFixed,
 	}
@@ -44,8 +48,8 @@ func codePatterns(a Arithmetic, r *rng.Source, max int) []Code {
 // TestBatchKernelExhaustiveSweep sweeps every (weight, activation)
 // operand pair of each 8-bit arm through a 1×1 layer: one ForwardBatch
 // flush carrying the whole code space must match per-sample Forward
-// bit-for-bit. Wide formats get a random subset (their fused tiers are
-// gated off; this exercises the loop fallback).
+// bit-for-bit. Wide formats get a random subset (the posit window tier,
+// and the loop fallback elsewhere).
 func TestBatchKernelExhaustiveSweep(t *testing.T) {
 	r := rng.New(3)
 	for _, a := range batchAriths() {
@@ -85,8 +89,8 @@ func TestBatchKernelExhaustiveSweep(t *testing.T) {
 }
 
 // TestBatchKernelMatchesLayerKernel checks realistic random layers for
-// every arm, through both the strided and the row-slice entry points,
-// with flush sizes crossing the scratch-growth boundary.
+// every arm through the strided entry point, with flush sizes crossing
+// the scratch-growth boundary and the posit window tier's tile edge.
 func TestBatchKernelMatchesLayerKernel(t *testing.T) {
 	r := rng.New(17)
 	for _, a := range batchAriths() {
@@ -102,35 +106,47 @@ func TestBatchKernelMatchesLayerKernel(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no layer kernel", a.Name())
 		}
-		for _, batch := range []int{1, 2, 7, 32} {
+		for _, batch := range []int{1, 2, 7, 32, 65, 130} {
 			act := make([]Code, batch*in)
 			for i := range act {
 				act[i] = a.Quantize(r.NormMS(0, 1))
 			}
 			got := make([]Code, batch*out)
 			bk.ForwardBatchStrided(act, got, batch)
-			// Row-slice entry must agree with the strided one.
-			actRows := make([][]Code, batch)
-			gotRows := make([][]Code, batch)
-			for s := 0; s < batch; s++ {
-				actRows[s] = act[s*in : (s+1)*in]
-				gotRows[s] = make([]Code, out)
-			}
-			bk.ForwardBatch(actRows, gotRows)
 			want := make([]Code, out)
 			for s := 0; s < batch; s++ {
-				lk.Forward(actRows[s], want)
+				lk.Forward(act[s*in:(s+1)*in], want)
 				for j := range want {
 					if got[s*out+j] != want[j] {
-						t.Fatalf("%s b=%d: strided sample %d row %d: %#x vs %#x",
+						t.Fatalf("%s b=%d: sample %d row %d: %#x vs %#x",
 							a.Name(), batch, s, j, got[s*out+j], want[j])
-					}
-					if gotRows[s][j] != want[j] {
-						t.Fatalf("%s b=%d: rows sample %d row %d: %#x vs %#x",
-							a.Name(), batch, s, j, gotRows[s][j], want[j])
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBatchKernelTiers pins which posit configurations take a fused
+// datapath and which loop the per-sample kernel.
+func TestBatchKernelTiers(t *testing.T) {
+	for _, tc := range []struct {
+		a     PositArith
+		fused bool
+	}{
+		{NewPosit(8, 0), true},
+		{NewPosit(8, 2), true},
+		{NewPosit(12, 1), true},
+		{NewPosit(16, 1), true},
+		{NewPosit(16, 2), false},
+	} {
+		w, b := randomLayer(tc.a, 30, 16, 99)
+		bk, ok := tc.a.NewBatchLayerKernel(w, b)
+		if !ok {
+			t.Fatalf("%s: no batch kernel", tc.a.Name())
+		}
+		if _, loop := bk.(*loopBatchKernel); loop == tc.fused {
+			t.Fatalf("%s: loop fallback = %v, want %v", tc.a.Name(), loop, !tc.fused)
 		}
 	}
 }
@@ -153,8 +169,9 @@ func TestBatchKernelDeclines(t *testing.T) {
 }
 
 // FuzzBatchStrided fuzzes the strided batch layout: arbitrary bytes
-// become a flush of activations for a fixed 5-wide layer in each arm,
-// and the fused result must match the per-sample kernel bit-for-bit.
+// become a flush of activations for a fixed 5-wide layer in each arm
+// (one byte per 8-bit code, two per 16-bit code), and the fused result
+// must match the per-sample kernel bit-for-bit.
 func FuzzBatchStrided(f *testing.F) {
 	f.Add(uint8(1), []byte{0x00, 0x80, 0xFF, 0x7F, 0x01})
 	f.Add(uint8(3), []byte("deep positron strided"))
@@ -167,7 +184,7 @@ func FuzzBatchStrided(f *testing.F) {
 		lk LayerKernel
 	}
 	var arms []arm
-	for _, a := range []Arithmetic{NewPosit(8, 0), NewFloatN(8, 4), NewFixed(8, 4)} {
+	for _, a := range []Arithmetic{NewPosit(8, 0), NewFloatN(8, 4), NewFixed(8, 4), NewPosit(16, 1)} {
 		w, b := randomLayer(a, in, out, 23)
 		bk, ok := a.(BatchKernelBuilder).NewBatchLayerKernel(w, b)
 		if !ok {
@@ -178,16 +195,21 @@ func FuzzBatchStrided(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b uint8, data []byte) {
 		batch := int(b % 33)
-		need := batch * in
-		act := make([]Code, need)
-		for i := range act {
-			var v byte
-			if len(data) > 0 {
-				v = data[i%len(data)]
+		byteAt := func(i int) Code {
+			if len(data) == 0 {
+				return 0
 			}
-			act[i] = Code(v)
+			return Code(data[i%len(data)])
 		}
 		for _, ar := range arms {
+			act := make([]Code, batch*in)
+			for i := range act {
+				if ar.a.BitWidth() > 8 {
+					act[i] = byteAt(2*i)<<8 | byteAt(2*i+1)
+				} else {
+					act[i] = byteAt(i)
+				}
+			}
 			got := make([]Code, batch*out)
 			ar.bk.ForwardBatchStrided(act, got, batch)
 			want := make([]Code, out)

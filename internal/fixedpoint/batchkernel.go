@@ -132,10 +132,12 @@ func (k *BatchDenseKernel) finish(j int, dot int64) uint64 {
 	return k.f.FromRaw(v).Bits()
 }
 
-// ForwardBatchBits computes dst[s*Out()+j] = round(b[j] + Σ_i
-// W[j][i]·act[s*In()+i]) for every sample s: flat sample-major planes,
-// len(act) = b·In(), len(dst) = b·Out(). Not safe for concurrent use.
-func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
+// ForwardBatch computes dst[s*k.Out()+j] = round(b[j] + Σ_i
+// W[j][i]·act[s*k.In()+i]) for every sample s: flat sample-major planes
+// of any uint64-backed code type, read and written in place, with
+// len(act) = b·In(), len(dst) = b·Out(). Not safe for concurrent use of
+// one kernel.
+func ForwardBatch[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
 	if b < 0 || len(act) != b*k.in || len(dst) != b*k.out {
 		panic("fixedpoint: BatchDenseKernel batch size mismatch")
 	}
@@ -154,7 +156,7 @@ func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
 		urow := ua[s*in : (s+1)*in]
 		var sum int64
 		for i, bits := range row {
-			u := uint32((bits & mask) ^ signBit)
+			u := uint32((uint64(bits) & mask) ^ signBit)
 			urow[i] = u
 			sum += int64(u)
 		}
@@ -179,8 +181,8 @@ func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
 				acc2 += w * packed[i]
 			}
 			rc := k.rowConst[j]
-			d0[j] = k.finish(j, int64(acc2&0xFFFFFFFF)-ba0+rc)
-			d1[j] = k.finish(j, int64(acc2>>32)-ba1+rc)
+			d0[j] = C(k.finish(j, int64(acc2&0xFFFFFFFF)-ba0+rc))
+			d1[j] = C(k.finish(j, int64(acc2>>32)-ba1+rc))
 		}
 	}
 	if s < b { // odd tail: single-lane pass
@@ -193,7 +195,7 @@ func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
 			for i, w := range row {
 				acc += w * uint64(urow[i])
 			}
-			d[j] = k.finish(j, int64(acc)-ba+k.rowConst[j])
+			d[j] = C(k.finish(j, int64(acc)-ba+k.rowConst[j]))
 		}
 	}
 }

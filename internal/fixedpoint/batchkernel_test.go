@@ -43,7 +43,7 @@ func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 					act[i] = r.Uint64()
 				}
 				got := make([]uint64, batch*out)
-				bk.ForwardBatchBits(act, got, batch)
+				ForwardBatch(bk, act, got, batch)
 				want := make([]uint64, out)
 				for s := 0; s < batch; s++ {
 					sk.ForwardBits(act[s*in:(s+1)*in], want)
@@ -80,7 +80,7 @@ func TestBatchDenseKernelExhaustive(t *testing.T) {
 					act[ab] = uint64(ab)
 				}
 				got := make([]uint64, count)
-				bk.ForwardBatchBits(act, got, count)
+				ForwardBatch(bk, act, got, count)
 				want := make([]uint64, 1)
 				for ab := 0; ab < count; ab++ {
 					sk.ForwardBits(act[ab:ab+1], want)
@@ -107,5 +107,5 @@ func TestBatchDenseKernelGates(t *testing.T) {
 	if !ok {
 		t.Fatal("Q(8,4) 1x1 should qualify")
 	}
-	bk.ForwardBatchBits(nil, nil, 0) // empty flush must not panic
+	ForwardBatch[uint64](bk, nil, nil, 0) // empty flush must not panic
 }

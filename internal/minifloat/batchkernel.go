@@ -202,10 +202,12 @@ func (k *BatchDenseKernel) encodeAcc(a int64) uint64 {
 	return k.f.encode(sign, int(l)-1-int(k.fracBits), m, l, false).Bits()
 }
 
-// ForwardBatchBits computes dst[s*Out()+j] = round(b[j] + Σ_i
-// W[j][i]·act[s*In()+i]) for every sample s: flat sample-major planes,
-// len(act) = b·In(), len(dst) = b·Out(). Not safe for concurrent use.
-func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
+// ForwardBatch computes dst[s*k.Out()+j] = round(b[j] + Σ_i
+// W[j][i]·act[s*k.In()+i]) for every sample s: flat sample-major planes
+// of any uint64-backed code type, read and written in place, with
+// len(act) = b·In(), len(dst) = b·Out(). Not safe for concurrent use of
+// one kernel.
+func ForwardBatch[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
 	if b < 0 || len(act) != b*k.in || len(dst) != b*k.out {
 		panic("minifloat: BatchDenseKernel batch size mismatch")
 	}
@@ -219,8 +221,8 @@ func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
 	for s := 0; s < b; s++ {
 		special := false
 		row := act[s*in : (s+1)*in]
-		for i, p := range row {
-			p &= mask
+		for i, c := range row {
+			p := uint64(c) & mask
 			x := Float{f: k.f, bits: p}
 			if x.IsNaN() || x.IsInf() {
 				special = true
@@ -248,15 +250,15 @@ func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
 		}
 		if k.specialRow[j] {
 			for s := 0; s < b; s++ {
-				dst[s*out+j] = k.nanBits
+				dst[s*out+j] = C(k.nanBits)
 			}
 			continue
 		}
 		for s, a := range acc {
 			if spS[s] {
-				dst[s*out+j] = k.nanBits
+				dst[s*out+j] = C(k.nanBits)
 			} else {
-				dst[s*out+j] = k.encodeAcc(a)
+				dst[s*out+j] = C(k.encodeAcc(a))
 			}
 		}
 	}

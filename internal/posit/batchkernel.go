@@ -1,34 +1,38 @@
 package posit
 
 // BatchDenseKernel is the GEMM-style batched datapath for one dense
-// layer: it computes a whole flush of samples through the layer with the
-// per-sample work reduced to one table add per MAC. Three ideas stack:
+// layer: it computes a whole flush of samples through the layer, each
+// activation decoded once per flush and each pre-decoded weight row
+// streamed through many samples while hot. It covers every layer whose
+// eq.-(4) register is at most two words (128 bits), in one of two tiers:
 //
-//  1. Decode once per flush: each activation pattern is classified and
-//     transposed into a column-major byte plane exactly once, instead of
-//     once per sample×row like the per-sample kernel's predecode.
-//  2. Term tables: for formats narrow enough to enumerate (n <= 8), the
-//     full signed MAC contribution ±(sig_w·sig_a) << (fb+adj_w+adj_a) of
-//     every (weight, activation) pattern pair is precomputed, so the
-//     inner loop is acc[s] += tab[w][a] — no multiply, no shift, no sign
-//     fix-up at MAC time.
-//  3. Cache blocking: the loop order is (row j, weight i, sample s), so
-//     one 2 KiB table row stays hot while it is streamed through every
-//     sample in the flush, and the activation plane is walked
-//     column-contiguously.
+//   - Term tables, for formats narrow enough to enumerate (n <= 8) whose
+//     register fits one word. The full signed MAC contribution
+//     ±(sig_w·sig_a) << (fb+adj_w+adj_a) of every (weight, activation)
+//     pattern pair is precomputed, so the inner loop is acc[s] +=
+//     tab[w][a]: no multiply, no shift, no sign fix-up at MAC time. The
+//     loop order is (row j, weight i, sample s), so one table row stays
+//     hot across the flush.
+//   - Exact windows, for everything else up to 128 bits (posit(16,1),
+//     posit(8,2) at large fan-in, n = 9..16 in general). The flush is
+//     walked in tiles of batchTile samples. Each tile is decoded once into
+//     per-sample lists of its real activations (zeros add nothing to the
+//     exact sum and are skipped), each packed with its signed significand
+//     and LSB scale adj. Per row and tile, the weights' and activations'
+//     scale ranges bound where any term can land; when that window plus
+//     its carries fits an int64, the row accumulates exactly in one word
+//     relative to the window floor lo (acc += (w·a) << (adj_w+adj_a−lo))
+//     and rounds with one encode. Otherwise that row-tile takes a two-word
+//     register with accSigned128 and rounds through Quire.Result.
 //
-// The kernel qualifies only when the eq.-(4) quire for the layer fan-in
-// fits one machine word: then the register is a plain int64 (the exact
-// sum can never overflow it, by the quire sizing) and rounding is the
-// single-word Result fast path. NewBatchDenseKernel reports ok == false
-// otherwise and callers fall back to looping the per-sample kernel.
-// Results are bit-identical to DenseKernel.ForwardBits per sample, which
-// the exhaustive equivalence tests verify.
+// Either way the sum is exact and rounded once, so results are
+// bit-identical to DenseKernel.ForwardBits per sample, which the
+// equivalence tests verify. Wider registers (posit(16,2), posit32) have
+// no batched tier: NewBatchDenseKernel reports ok == false and callers
+// loop the per-sample kernel.
 
 import (
 	"math/bits"
-
-	"repro/internal/bitutil"
 )
 
 // termTabStride is the padded row length of a term table: rows are
@@ -37,6 +41,13 @@ import (
 // and index it with no bounds check. Formats narrower than 8 bits simply
 // leave the upper entries zero (their patterns never occur).
 const termTabStride = 256
+
+// batchTile is the window tier's sample tile: the tile's decoded
+// activations (8 bytes per nonzero) stay cache-resident while every row
+// streams through them, the scale window stays that of 64 samples rather
+// than the whole flush, and the flush scratch stays O(in × batchTile)
+// whatever the flush size.
+const batchTile = 64
 
 // termTab returns the signed MAC-term table for f (one int64 per
 // (weight, activation) pattern pair, at the quire's fraction depth),
@@ -90,33 +101,58 @@ func (f Format) buildTermTab() []int64 {
 // BatchDenseKernel holds the pre-decoded parameters and reused flush
 // scratch for one layer. Not safe for concurrent use.
 type BatchDenseKernel struct {
-	f       Format
-	in, out int
-	tab     []int64
+	f        Format
+	in, out  int
+	fracBits uint // quire fraction depth 2^(es+1)(n-2)
+	narBits  uint64
+	// narRow[j] records a NaR weight or bias in row j.
+	narRow []bool
+
+	// Term tier (tab != nil).
+	tab []int64
 	// wRow[j*in+i] is the term-table row offset of weight (j,i), already
 	// multiplied by termTabStride; -1 for zero/NaR weights (their table
 	// row is all zeros, so skipping them is free and exact).
 	wRow []int32
 	// biasTerm[j] is the bias contribution at the quire's fraction depth.
 	biasTerm []int64
-	// narRow[j] records a NaR weight or bias in row j.
-	narRow    []bool
-	width     uint // eq.-(4) register width for the fan-in; <= 64
-	widthMask uint64
-	fracBits  uint
-	narBits   uint64
+	actT     []uint8 // flush scratch: column-major activation patterns [in][b]
 
-	// flush scratch, grown on demand and reused across flushes.
-	actT []uint8 // column-major activation patterns [in][b]
+	// Window tier (tab == nil).
+	// wPack[j*in+i] packs weight (j,i) as sig<<8 | uint8(adj): its signed
+	// significand (0 for zero/NaR) over its LSB scale.
+	wPack []int64
+	// wLo[j], wHi[j] bound the scales of row j's real weights (wLo > wHi
+	// when the row has none).
+	wLo, wHi []int8
+	// wAlign[j*in+i] is weight (j,i) as an integer at its row's lowest
+	// scale: sig << (adj − wLo[j]). Only rows whose scale range fits the
+	// int64 window read it, and for those it is exact.
+	wAlign []int64
+	bias   []pdec
+	// headroom is the window's width beyond hi−lo: two significands, the
+	// carries of in+1 terms, and a sign.
+	headroom int
+	q        Quire // rounds the two-word fallback
+	// Tile scratch: the tile's real activations, packed as
+	// sig<<32 | i<<8 | uint8(adj) and grouped by sample, sample s owning
+	// ents[start[s]:start[s+1]]. Zero activations are left out: they add
+	// nothing to the exact sum. aAlign[n] is ents[n] as an integer at the
+	// tile's lowest scale, read under the same condition as wAlign.
+	ents   []int64
+	aAlign []int64
+	start  []int
+
+	// Shared flush scratch.
 	narS []bool  // per-sample NaR flag
-	acc  []int64 // per-sample registers for the current row
+	acc  []int64 // per-sample registers for the current row (term tier)
 }
 
 // NewBatchDenseKernel pre-decodes a row-major weight matrix (out rows of
 // in weights) and bias vector of format f into a batched layer kernel.
 // ok is false when this configuration has no batched fast path: the
-// format is too wide to enumerate (n > 8) or the eq.-(4) quire for this
-// fan-in does not fit one machine word.
+// eq.-(4) quire for this fan-in is wider than two machine words (or the
+// fan-in reaches 2^24, beyond the window tier's packed index).
 func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, bool) {
 	f.mustValid()
 	out := len(w)
@@ -124,52 +160,93 @@ func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, b
 		return nil, false
 	}
 	in := len(w[0])
-	if f.n > opTabMaxN || QuireSize(f, in) > 64 {
+	width := QuireSize(f, in)
+	if width > 128 || in >= 1<<24 {
 		return nil, false
 	}
 	k := &BatchDenseKernel{
 		f:        f,
 		in:       in,
 		out:      out,
-		tab:      f.termTab(),
-		wRow:     make([]int32, out*in),
-		biasTerm: make([]int64, out),
-		narRow:   make([]bool, out),
-		width:    QuireSize(f, in),
 		fracBits: (uint(1) << (f.es + 1)) * (f.n - 2),
+		narBits:  f.NaR().bits,
+		narRow:   make([]bool, out),
 	}
-	k.widthMask = bitutil.Mask(k.width)
-	k.narBits = f.NaR().bits
+	if f.n <= opTabMaxN && width <= 64 {
+		k.tab = f.termTab()
+		k.wRow = make([]int32, out*in)
+		k.biasTerm = make([]int64, out)
+	} else {
+		k.wPack = make([]int64, out*in)
+		k.wAlign = make([]int64, out*in)
+		k.wLo = make([]int8, out)
+		k.wHi = make([]int8, out)
+		k.bias = make([]pdec, out)
+		k.headroom = 2*max(int(f.n)-2-int(f.es), 1) + bits.Len(uint(in)) + 1
+		k.q.init(f, in, 0)
+		k.ents = make([]int64, 0, in*batchTile)
+		k.aAlign = make([]int64, in*batchTile)
+		k.start = make([]int, batchTile+1)
+		k.narS = make([]bool, batchTile)
+	}
 	wd := make([]pdec, in)
 	for j, row := range w {
 		if len(row) != in {
 			panic("posit: BatchDenseKernel ragged weight matrix")
 		}
 		predecodeInto(wd, row, f)
-		nar := false
-		dst := k.wRow[j*in : (j+1)*in]
-		for i, d := range wd {
-			switch d.cls {
-			case pdReal:
-				dst[i] = int32(row[i].bits) * termTabStride
-			case pdNaR:
-				nar = true
-				dst[i] = -1
-			default:
-				dst[i] = -1
-			}
-		}
 		bd := predecodeBits(f, f.decTab(), b[j].mustFormat(f).bits)
-		switch bd.cls {
-		case pdReal:
-			v := bd.sig << uint(int(k.fracBits)+int(bd.adj))
-			k.biasTerm[j] = int64((v ^ bd.sgn) - bd.sgn)
-		case pdNaR:
-			nar = true
+		nar := bd.cls == pdNaR
+		for _, d := range wd {
+			nar = nar || d.cls == pdNaR
 		}
 		k.narRow[j] = nar
+		if k.tab != nil {
+			k.initTermRow(j, row, wd, bd)
+		} else {
+			k.initWindowRow(j, wd, bd)
+		}
 	}
 	return k, true
+}
+
+func (k *BatchDenseKernel) initTermRow(j int, row []Posit, wd []pdec, bd pdec) {
+	dst := k.wRow[j*k.in : (j+1)*k.in]
+	for i, d := range wd {
+		dst[i] = -1
+		if d.cls == pdReal {
+			dst[i] = int32(row[i].bits) * termTabStride
+		}
+	}
+	if bd.cls == pdReal {
+		v := bd.sig << uint(int(k.fracBits)+int(bd.adj))
+		k.biasTerm[j] = int64((v ^ bd.sgn) - bd.sgn)
+	}
+}
+
+func (k *BatchDenseKernel) initWindowRow(j int, wd []pdec, bd pdec) {
+	dst := k.wPack[j*k.in : (j+1)*k.in]
+	lo, hi := int8(127), int8(-128)
+	for i, d := range wd {
+		dst[i] = signedSig(d)<<8 | int64(uint8(d.adj))
+		if d.cls == pdReal {
+			lo, hi = min(lo, int8(d.adj)), max(hi, int8(d.adj))
+		}
+	}
+	k.wLo[j], k.wHi[j] = lo, hi
+	k.bias[j] = bd
+	for i, d := range wd {
+		if d.cls == pdReal {
+			k.wAlign[j*k.in+i] = signedSig(d) << uint(d.adj-int32(lo))
+		}
+	}
+}
+
+// signedSig is d's significand with its sign applied (0 for zero/NaR).
+// Significands of formats up to 32 bits fit 30 bits, so any product of
+// two stays below 2^60.
+func signedSig(d pdec) int64 {
+	return (int64(d.sig) ^ int64(d.sgn)) - int64(d.sgn)
 }
 
 // mustFormat panics unless p has format f (mirrors predecodeInto's check
@@ -190,51 +267,57 @@ func (k *BatchDenseKernel) Out() int { return k.out }
 // Format returns the kernel's posit format.
 func (k *BatchDenseKernel) Format() Format { return k.f }
 
-// grow sizes the flush scratch for b samples.
-func (k *BatchDenseKernel) grow(b int) {
-	if cap(k.actT) < k.in*b {
-		k.actT = make([]uint8, k.in*b)
-	}
-	if cap(k.narS) < b {
-		k.narS = make([]bool, b)
-	}
-	if cap(k.acc) < b {
-		k.acc = make([]int64, b)
-	}
-}
-
-// encodeAcc rounds one sample's register to a posit — the single-word
-// Quire.Result fast path on an int64 register (masking to the eq.-(4)
-// width reproduces the hardware register's residue exactly).
-func (k *BatchDenseKernel) encodeAcc(a int64) uint64 {
-	m := uint64(a) & k.widthMask
-	sign := m>>(k.width-1)&1 == 1
+// round rounds the exact value a × 2^lsb to a posit pattern: the
+// one-word Quire.Result step (the magnitude fits 64 bits, so there is no
+// extraction and no sticky bit).
+func (k *BatchDenseKernel) round(a int64, lsb int) uint64 {
+	sign := a < 0
+	m := uint64(a)
 	if sign {
-		m = -m & k.widthMask
+		m = -m
 	}
 	if m == 0 {
 		return 0
 	}
-	l := uint(bits.Len64(m))
-	return k.f.encode(sign, int(l)-1-int(k.fracBits), m, l, false).bits
+	l := bits.Len64(m)
+	return k.f.encode(sign, l-1+lsb, m, uint(l), false).bits
 }
 
-// ForwardBatchBits computes dst[s*Out()+j] = round(b[j] + Σ_i
-// W[j][i]·act[s*In()+i]) for every sample s in the flush: flat
-// sample-major planes, len(act) = b·In(), len(dst) = b·Out(). No
-// activation function is applied. Not safe for concurrent use (the flush
-// scratch is reused).
-func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
+// ForwardBatch computes dst[s*k.Out()+j] = round(b[j] + Σ_i
+// W[j][i]·act[s*k.In()+i]) for every sample s in the flush: flat
+// sample-major planes of n-bit patterns, len(act) = b·In(), len(dst) =
+// b·Out(). The planes may be any uint64-backed code type and are read and
+// written in place. No activation function is applied. Not safe for
+// concurrent use of one kernel (the flush scratch is reused).
+func ForwardBatch[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
 	if b < 0 || len(act) != b*k.in || len(dst) != b*k.out {
 		panic("posit: BatchDenseKernel batch size mismatch")
 	}
 	if b == 0 {
 		return
 	}
-	k.grow(b)
+	if k.tab != nil {
+		forwardTerms(k, act, dst, b)
+		return
+	}
+	for s0 := 0; s0 < b; s0 += batchTile {
+		ts := min(batchTile, b-s0)
+		forwardTile(k, act[s0*k.in:(s0+ts)*k.in], dst[s0*k.out:(s0+ts)*k.out], ts)
+	}
+}
+
+// forwardTerms is the term-table tier over the whole flush.
+func forwardTerms[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
+	in, out := k.in, k.out
+	if cap(k.actT) < in*b {
+		k.actT = make([]uint8, in*b)
+	}
+	if cap(k.narS) < b {
+		k.narS = make([]bool, b)
+		k.acc = make([]int64, b)
+	}
 	mask := k.f.Mask()
 	narPat := k.f.signBit()
-	in, out := k.in, k.out
 	actT, narS := k.actT, k.narS
 	// Decode once per flush: transpose the patterns into column-major
 	// bytes (column s-contiguous, matching the inner loop) and record
@@ -242,24 +325,27 @@ func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
 	// as per-sample accumulation would).
 	for s := 0; s < b; s++ {
 		nar := false
-		row := act[s*in : (s+1)*in]
-		for i, p := range row {
-			p &= mask
-			if p == narPat {
-				nar = true
-			}
+		for i, c := range act[s*in : (s+1)*in] {
+			p := uint64(c) & mask
+			nar = nar || p == narPat
 			actT[i*b+s] = uint8(p)
 		}
 		narS[s] = nar
 	}
 	acc := k.acc[:b]
+	lsb := -int(k.fracBits)
 	for j := 0; j < out; j++ {
+		if k.narRow[j] {
+			for s := 0; s < b; s++ {
+				dst[s*out+j] = C(k.narBits)
+			}
+			continue
+		}
 		bt := k.biasTerm[j]
 		for s := range acc {
 			acc[s] = bt
 		}
-		wr := k.wRow[j*in : (j+1)*in]
-		for i, off := range wr {
+		for i, off := range k.wRow[j*in : (j+1)*in] {
 			if off < 0 {
 				continue // zero/NaR weight: all-zero table row
 			}
@@ -271,18 +357,142 @@ func (k *BatchDenseKernel) ForwardBatchBits(act, dst []uint64, b int) {
 				acc[s] += row[a]
 			}
 		}
+		for s, a := range acc {
+			v := k.narBits
+			if !narS[s] {
+				v = k.round(a, lsb)
+			}
+			dst[s*out+j] = C(v)
+		}
+	}
+}
+
+// forwardTile is the window tier over one tile of ts <= batchTile
+// samples: act and dst are the tile's slices of the flush planes.
+func forwardTile[C ~uint64](k *BatchDenseKernel, act, dst []C, ts int) {
+	in, out := k.in, k.out
+	// Decode the tile once: each sample's real activations, with the
+	// scale range over the whole tile.
+	t, mask := k.f.decTab(), k.f.Mask()
+	ents, start, narS := k.ents[:0], k.start[:ts+1], k.narS[:ts]
+	aLo, aHi := 127, -128
+	for s := 0; s < ts; s++ {
+		start[s] = len(ents)
+		nar := false
+		for i, c := range act[s*in : (s+1)*in] {
+			p := uint64(c) & mask
+			if p == 0 {
+				continue
+			}
+			d := predecodeBits(k.f, t, p)
+			if d.cls != pdReal {
+				nar = true
+				continue
+			}
+			ents = append(ents, signedSig(d)<<32|int64(i)<<8|int64(uint8(d.adj)))
+			aLo, aHi = min(aLo, int(d.adj)), max(aHi, int(d.adj))
+		}
+		narS[s] = nar
+	}
+	start[ts] = len(ents)
+	aAlign := k.aAlign[:len(ents)]
+	for n, e := range ents {
+		aAlign[n] = (e >> 32) << (uint(int(int8(e))-aLo) & 63)
+	}
+	for j := 0; j < out; j++ {
 		if k.narRow[j] {
-			for s := 0; s < b; s++ {
-				dst[s*out+j] = k.narBits
+			for s := 0; s < ts; s++ {
+				dst[s*out+j] = C(k.narBits)
 			}
 			continue
 		}
-		for s, a := range acc {
-			if narS[s] {
-				dst[s*out+j] = k.narBits
-			} else {
-				dst[s*out+j] = k.encodeAcc(a)
+		// The exact term window [lo, hi]: every term's LSB scale lies in
+		// it, so relative to lo the whole sum needs hi−lo+headroom bits.
+		// Rows without real weights contribute zero products, whatever
+		// their scale fields hold.
+		wLo, wHi := int(k.wLo[j]), int(k.wHi[j])
+		products := wLo <= wHi && aLo <= aHi
+		lo, hi := 0, 0
+		if products {
+			lo, hi = wLo+aLo, wHi+aHi
+		}
+		bias := &k.bias[j]
+		if bias.cls == pdReal {
+			lo, hi = int(bias.adj), int(bias.adj)
+			if products {
+				lo, hi = min(wLo+aLo, lo), max(wHi+aHi, hi)
 			}
 		}
+		if hi-lo+k.headroom <= 63 {
+			// Aligned operands make each term a plain product at scale
+			// wLo+aLo, base steps above lo. Without products the dot
+			// product is 0, whatever base holds.
+			var bt int64
+			if bias.cls == pdReal {
+				bt = signedSig(*bias) << uint(int(bias.adj)-lo)
+			}
+			base := uint(wLo+aLo-lo) & 63
+			wrow := k.wAlign[j*in : (j+1)*in]
+			for s := 0; s < ts; s++ {
+				if narS[s] {
+					dst[s*out+j] = C(k.narBits)
+					continue
+				}
+				dot := dotAligned(wrow, ents[start[s]:start[s+1]], aAlign[start[s]:start[s+1]])
+				dst[s*out+j] = C(k.round(bt+dot<<base, lo))
+			}
+			continue
+		}
+		// Two-word fallback at the quire's own scale.
+		fb := int(k.fracBits)
+		var b0, b1 uint64
+		if bias.cls == pdReal {
+			b0, b1 = acc128(0, 0, bias.sig, uint(fb+int(bias.adj)), bias.sgn != 0)
+		}
+		q := &k.q
+		wrow := k.wPack[j*in : (j+1)*in]
+		for s := 0; s < ts; s++ {
+			if narS[s] {
+				dst[s*out+j] = C(k.narBits)
+				continue
+			}
+			a0, a1 := dotWide(b0, b1, wrow, ents[start[s]:start[s+1]], fb)
+			q.sw[0] = a0
+			if q.words == 2 {
+				q.sw[1] = a1
+			}
+			q.snorm()
+			dst[s*out+j] = C(q.Result().bits)
+		}
 	}
+}
+
+// dotAligned is one sample's dot product over its real activations:
+// Σ wrow[i]·a for each entry (i, a) of ents/aAlign, in one int64. The loop
+// stays out of line: inlined into forwardTile, its operands spill to the
+// stack.
+//
+//go:noinline
+func dotAligned(wrow, ents, aAlign []int64) int64 {
+	var acc int64
+	aAlign = aAlign[:len(ents)]
+	for n, e := range ents {
+		acc += wrow[uint32(e)>>8] * aAlign[n]
+	}
+	return acc
+}
+
+// dotWide adds one sample's terms (w·a) << (fb+adj_w+adj_a) to the
+// two-word register a1:a0: wrow is a packed weight row (sig<<8 | adj),
+// ents the sample's packed activations.
+//
+//go:noinline
+func dotWide(a0, a1 uint64, wrow, ents []int64, fb int) (uint64, uint64) {
+	for _, e := range ents {
+		w := wrow[uint32(e)>>8]
+		p := (w >> 8) * (e >> 32)
+		sm := uint64(p >> 63)
+		a0, a1 = accSigned128(a0, a1, (uint64(p)^sm)-sm, uint(fb+int(int8(w))+int(int8(e))), sm)
+	}
+	return a0, a1
 }

@@ -41,7 +41,7 @@ func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 				act[i] = uint64(r.Uint64()) & f.Mask()
 			}
 			got := make([]uint64, batch*out)
-			bk.ForwardBatchBits(act, got, batch)
+			ForwardBatch(bk, act, got, batch)
 			want := make([]uint64, out)
 			for s := 0; s < batch; s++ {
 				sk.ForwardBits(act[s*in:(s+1)*in], want)
@@ -77,7 +77,7 @@ func TestBatchDenseKernelExhaustive(t *testing.T) {
 				act[ab] = uint64(ab)
 			}
 			got := make([]uint64, count)
-			bk.ForwardBatchBits(act, got, count)
+			ForwardBatch(bk, act, got, count)
 			want := make([]uint64, 1)
 			for ab := 0; ab < count; ab++ {
 				sk.ForwardBits(act[ab:ab+1], want)
@@ -90,20 +90,33 @@ func TestBatchDenseKernelExhaustive(t *testing.T) {
 	}
 }
 
-// TestBatchDenseKernelGates checks the fallback conditions: wide formats
-// and multi-word quires must decline.
+// TestBatchDenseKernelGates checks the fallback conditions: registers
+// wider than two words must decline, everything up to 128 bits must not.
 func TestBatchDenseKernelGates(t *testing.T) {
-	wide := MustFormat(16, 1)
-	w := [][]Posit{{wide.Zero()}}
-	if _, ok := NewBatchDenseKernel(wide, w, []Posit{wide.Zero()}); ok {
-		t.Fatal("n=16 must have no term-table batch kernel")
-	}
-	// posit(8,3): quire width 2^5*6+2+clog2(k) = 194+ bits, far beyond one
-	// word even at k=1.
-	f := MustFormat(8, 3)
-	w8 := [][]Posit{{f.Zero()}}
-	if _, ok := NewBatchDenseKernel(f, w8, []Posit{f.Zero()}); ok {
-		t.Fatal("multi-word quire must have no single-word batch kernel")
+	for _, tc := range []struct {
+		n, es uint
+		in    int
+		ok    bool
+	}{
+		{16, 1, 1, true},       // 114 bits: the window tier
+		{16, 1, 1 << 14, true}, // 128 bits exactly
+		{16, 1, 1<<14 + 1, false},
+		{9, 2, 30, true},  // 119 bits
+		{10, 2, 1, false}, // 130 bits
+		{16, 2, 1, false}, // 226 bits
+		{8, 3, 1, false},  // 194 bits
+	} {
+		f := MustFormat(tc.n, tc.es)
+		w := [][]Posit{make([]Posit, tc.in)}
+		for i := range w[0] {
+			w[0][i] = f.Zero()
+		}
+		if got := QuireSize(f, tc.in) <= 128; got != tc.ok {
+			t.Fatalf("%v in=%d: register %d bits, case expects fit=%v", f, tc.in, QuireSize(f, tc.in), tc.ok)
+		}
+		if _, ok := NewBatchDenseKernel(f, w, []Posit{f.Zero()}); ok != tc.ok {
+			t.Fatalf("%v in=%d: batch kernel ok=%v, want %v", f, tc.in, ok, tc.ok)
+		}
 	}
 	if QuireSize(MustFormat(8, 0), 30) > 64 {
 		t.Fatal("posit(8,0) k=30 quire should fit one word")
@@ -117,5 +130,5 @@ func TestBatchDenseKernelEmptyFlush(t *testing.T) {
 	if !ok {
 		t.Fatal("no batch kernel")
 	}
-	bk.ForwardBatchBits(nil, nil, 0) // must not panic
+	ForwardBatch[uint64](bk, nil, nil, 0) // must not panic
 }
