@@ -544,7 +544,7 @@ func BenchmarkAllocForwardPosit8(b *testing.B) {
 }
 
 // BenchmarkForwardBatch measures the fused whole-flush batch kernels
-// (decode-once-per-flush, cache-blocked weight traversal, SWAR/table
+// (decode-once-per-tile, cache-blocked weight traversal, signed-lane/table
 // inner loops) against looping the per-sample kernel over the same
 // flush, for each arm and flush size. cmd/benchsnap -check holds the
 // fused 256-flush to at least per-sample throughput in CI.

@@ -8,9 +8,11 @@
 //	go run ./cmd/benchsnap -check     # bench-regression smoke (CI): fail
 //	                                  # if the fused 256-sample flush is
 //	                                  # slower than 256x the per-sample
-//	                                  # layer kernel, or the binary
-//	                                  # artifact decode is not >=3x faster
-//	                                  # than the JSON parse; writes nothing
+//	                                  # layer kernel, a one-hot 117x32
+//	                                  # flush is not faster than a dense
+//	                                  # one, or the binary artifact decode
+//	                                  # is not >=3x faster than the JSON
+//	                                  # parse; writes nothing
 package main
 
 import (
@@ -84,7 +86,7 @@ func measure(name string, fn func(b *testing.B)) Result {
 func main() {
 	out := flag.String("o", "BENCH_arith.json", "output path")
 	check := flag.Bool("check", false,
-		"regression smoke: only compare ForwardBatch256 against 256x the per-sample layer kernel per arm, exit 1 on regression, write nothing")
+		"regression smoke: compare ForwardBatch256 against 256x the per-sample layer kernel and one-hot against dense 117x32 flushes per arm, exit 1 on regression, write nothing")
 	flag.Parse()
 
 	f80 := posit.MustFormat(8, 0)
@@ -249,6 +251,86 @@ func main() {
 		}
 		checks = append(checks, lc)
 	}
+	// Zero skipping: one seeded 117×32 layer per 8-bit arm (the Mushroom
+	// input layer's shape) at B=256, fed one-hot inputs (22 of 117 at 1.0
+	// per sample, like Mushroom's categorical encoding) and dense N(0,1)
+	// inputs. In -check mode each arm's one-hot flush (best of 3) must
+	// beat its dense one, so the fused kernels cannot silently stop
+	// skipping zeros.
+	type sparseCheck struct {
+		arm           string
+		onehot, dense float64
+	}
+	var sparseChecks []sparseCheck
+	for _, arm := range []struct {
+		name string
+		a    emac.Arithmetic
+	}{
+		{"posit(8,0)", emac.NewPosit(8, 0)},
+		{"float(8,4)", emac.NewFloatN(8, 4)},
+		{"fixed(8,4)", emac.NewFixed(8, 4)},
+	} {
+		const in, out, bsz, hot = 117, 32, 256, 22
+		lr := rng.New(37)
+		w := make([][]emac.Code, out)
+		bias := make([]emac.Code, out)
+		for j := range w {
+			row := make([]emac.Code, in)
+			for i := range row {
+				row[i] = arm.a.Quantize(lr.NormMS(0, 1))
+			}
+			w[j] = row
+			bias[j] = arm.a.Quantize(lr.NormMS(0, 0.5))
+		}
+		bk, ok := arm.a.(emac.BatchKernelBuilder).NewBatchLayerKernel(w, bias)
+		if !ok {
+			fmt.Fprintln(os.Stderr, "benchsnap: no batch layer kernel for", arm.a.Name())
+			os.Exit(1)
+		}
+		zero, one := arm.a.Quantize(0), arm.a.Quantize(1)
+		onehot := make([]emac.Code, bsz*in)
+		dense := make([]emac.Code, bsz*in)
+		for s := 0; s < bsz; s++ {
+			x := onehot[s*in : (s+1)*in]
+			for i := range x {
+				x[i] = zero
+			}
+			for n := 0; n < hot; {
+				if i := lr.Intn(in); x[i] == zero {
+					x[i] = one
+					n++
+				}
+			}
+		}
+		for i := range dense {
+			dense[i] = arm.a.Quantize(lr.NormMS(0, 1))
+		}
+		outP := make([]emac.Code, bsz*out)
+		flush := func(act []emac.Code) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bk.ForwardBatchStrided(act, outP, bsz)
+				}
+			}
+		}
+		oh := measure("ForwardBatch256/117x32-onehot/"+arm.name, flush(onehot))
+		dn := measure("ForwardBatch256/117x32-dense/"+arm.name, flush(dense))
+		if *check {
+			// Best of 3, alternating: the fixed arm's margin is about 1.3×,
+			// within the swing of a single pair on a shared 2-vCPU VM.
+			for i := 1; i < 3; i++ {
+				if r := measure(oh.Name, flush(onehot)); r.NsPerOp < oh.NsPerOp {
+					oh = r
+				}
+				if r := measure(dn.Name, flush(dense)); r.NsPerOp < dn.NsPerOp {
+					dn = r
+				}
+			}
+		}
+		snap.Results = append(snap.Results, oh, dn)
+		sparseChecks = append(sparseChecks, sparseCheck{arm.name, oh.NsPerOp, dn.NsPerOp})
+	}
 	// ArtifactLoad: warm model load from bytes, JSON parse vs binary
 	// decode on the 30-16-8-2 posit(8,0) net. The binary path is the one
 	// positrond restarts and registry warm loads ride on; -check holds it
@@ -405,6 +487,15 @@ func main() {
 				pass = false
 			}
 		}
+		for _, c := range sparseChecks {
+			fmt.Printf("benchsnap check: %-12s 117x32 256-flush one-hot %12.1f ns, dense %12.1f ns (%.2fx)\n",
+				c.arm, c.onehot, c.dense, c.dense/c.onehot)
+			if c.onehot >= c.dense {
+				fmt.Fprintf(os.Stderr,
+					"benchsnap check: REGRESSION: %s one-hot flush is not faster than the dense flush (zero skipping lost)\n", c.arm)
+				pass = false
+			}
+		}
 		ratio := flushSerial.NsPerOp / flushPiped.NsPerOp
 		floor := 1.0
 		note := ""
@@ -425,7 +516,7 @@ func main() {
 		if !pass {
 			os.Exit(1)
 		}
-		fmt.Println("benchsnap check: fused batch kernels, artifact load, and flush pipeline OK")
+		fmt.Println("benchsnap check: fused batch kernels, zero skipping, artifact load, and flush pipeline OK")
 		return
 	}
 	// Batch-engine bench: 256 inferences per op through the worker pool.

@@ -5,7 +5,10 @@
 // implements round-to-nearest-even at an arbitrary cut point.
 package bitutil
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Clog2 returns ceil(log2(x)) for x >= 1. Clog2(1) == 0.
 // It mirrors the clog2 function used throughout the paper's hardware
@@ -96,4 +99,52 @@ func RoundNearestEven(q uint64, guard, sticky bool) uint64 {
 		return q + 1
 	}
 	return q
+}
+
+// ZeroBytes counts the zero bytes of b, eight at a time: in each word,
+// a byte's top bit survives the complement below iff the byte is zero
+// (its low seven bits carry into bit 7 when any is set, and its own bit 7
+// is or'd in).
+func ZeroBytes(b []byte) int {
+	const low7 = 0x7F7F7F7F7F7F7F7F
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		x := binary.LittleEndian.Uint64(b)
+		n += bits.OnesCount64(^(x&low7 + low7 | x | low7))
+	}
+	for _, c := range b {
+		if c == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// RoundKey indexes a table of 64 × 256 rounding results by the parts of
+// a nonzero magnitude m that decide how a format keeping at most six bits
+// below the leading one rounds it (the guard bit then lies among the next
+// seven): m's bit length l, the seven bits T below its leading one, and
+// whether any lower bit is set. The key is (l−1)<<8 | T<<1 | sticky.
+func RoundKey(m uint64) int {
+	l := bits.Len64(m)
+	if l <= 8 {
+		return (l-1)<<8 | int(m<<uint(8-l)&0x7F)<<1
+	}
+	key := (l-1)<<8 | int(m>>uint(l-8)&0x7F)<<1
+	if m<<uint(72-l) != 0 { // any bit below the top eight
+		key |= 1
+	}
+	return key
+}
+
+// RoundKeyValue returns a magnitude whose RoundKey is key, for building
+// a table RoundKey indexes. Keys no magnitude has (T bits below a short
+// m's LSB, or sticky with l <= 8) map to a neighbour's magnitude.
+func RoundKeyValue(key int) uint64 {
+	l := key>>8 + 1
+	top := uint64(1<<7 | key>>1&0x7F)
+	if l <= 8 {
+		return top >> uint(8-l)
+	}
+	return top<<uint(l-8) | uint64(key&1)
 }

@@ -221,3 +221,66 @@ func TestWriterPanics(t *testing.T) {
 	}()
 	NewWriter(64)
 }
+
+// TestZeroBytes checks the word-at-a-time count against a byte loop on
+// every single-byte value and on random slices of every length mod 8.
+func TestZeroBytes(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		b := []byte{1, 2, 3, byte(v), 5, 6, 7, 8, byte(v)}
+		want := 0
+		if v == 0 {
+			want = 2
+		}
+		if got := ZeroBytes(b); got != want {
+			t.Fatalf("byte %#x: %d zero bytes, want %d", v, got, want)
+		}
+	}
+	f := func(b []byte) bool {
+		for i := range b {
+			b[i] &= 0x81 // about a quarter zero, with the top bit exercised
+		}
+		want := 0
+		for _, c := range b {
+			if c == 0 {
+				want++
+			}
+		}
+		return ZeroBytes(b) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRoundKey checks that RoundKey keeps a magnitude's length, its
+// seven bits below the leading one and its stickiness, and that
+// RoundKeyValue inverts it on every key a magnitude can have.
+func TestRoundKey(t *testing.T) {
+	for key := 0; key < 64<<8; key++ {
+		l := key>>8 + 1
+		if l <= 8 && (key&1 != 0 || key>>1&0x7F&int(Mask(uint(8-l))) != 0) {
+			continue // no magnitude of length l has this key
+		}
+		if got := RoundKey(RoundKeyValue(key)); got != key {
+			t.Fatalf("key %#x: RoundKey(RoundKeyValue) = %#x", key, got)
+		}
+	}
+	f := func(m uint64, drop uint8) bool {
+		m >>= drop % 64
+		if m == 0 {
+			return true
+		}
+		l := Len(m)
+		v := RoundKeyValue(RoundKey(m))
+		if Len(v) != l {
+			return false
+		}
+		if l <= 8 {
+			return v == m
+		}
+		return v>>(l-8) == m>>(l-8) && (v&Mask(l-8) != 0) == (m&Mask(l-8) != 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}

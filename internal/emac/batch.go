@@ -7,13 +7,26 @@ package emac
 // samples while hot. The arms' fused datapaths
 // (internal/{posit,fixedpoint,minifloat} BatchDenseKernel) read and write
 // the Code planes in place through their generic ForwardBatch entry
-// points. Posit layers take term tables when n <= 8 and the eq.-(4)
-// register fits one word, and exact int64 windows with a two-word
-// fallback up to 128 bits; float and fixed layers take their one-word
-// table and SWAR paths. Configurations beyond that (posit(16,2), posit32,
-// wide float/fixed registers) loop their per-sample kernel, so a
-// BatchLayerKernel exists whenever a LayerKernel does and results are
-// always bit-identical to per-sample Forward calls.
+// points, and every one skips zero activations, which add nothing to the
+// exact sum:
+//
+//   - Posit layers with n <= 8 whose eq.-(4) register fits one word, and
+//     float layers with n <= 8 whose eq.-(3) register does, take term
+//     tables over 256-sample tiles. A tile column with enough zeros is
+//     compacted to its nonzero entries; the others keep the dense loop.
+//     Sums round through per-format tables rather than the encoder.
+//   - Other posit layers up to a 128-bit register take exact int64
+//     windows over per-sample lists of nonzero activations, with a
+//     two-word fallback.
+//   - Fixed layers with n <= 8 take two signed 32-bit lanes per int64
+//     multiply, over the columns where either sample of a pair is
+//     nonzero when half or more are zero in both; they qualify while
+//     in·2^(2n−2) < 2^31 keeps every lane sum exact.
+//
+// Configurations beyond that (posit(16,2), posit32, wide float/fixed
+// registers) loop their per-sample kernel, so a BatchLayerKernel exists
+// whenever a LayerKernel does and results are always bit-identical to
+// per-sample Forward calls.
 
 import (
 	"repro/internal/fixedpoint"
@@ -122,9 +135,9 @@ func (p FloatArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 	return &loopBatchKernel{lk: lk, in: len(w[0]), out: len(w)}, true
 }
 
-// NewBatchLayerKernel implements BatchKernelBuilder: the fused SWAR
-// datapath when the register and lane bounds allow, else a loop over the
-// per-sample kernel.
+// NewBatchLayerKernel implements BatchKernelBuilder: the fused
+// signed-lane datapath when the register and lane bounds allow, else a
+// loop over the per-sample kernel.
 func (p FixedArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool) {
 	if len(w) == 0 || len(w[0]) == 0 {
 		return nil, false

@@ -4,47 +4,45 @@ import "repro/internal/bitutil"
 
 // BatchDenseKernel is the GEMM-style batched datapath for one dense
 // layer in the fixed arm: a whole flush of samples goes through the
-// layer with two samples computed per multiply via SIMD-within-a-
-// -register (SWAR) on the packed 64-bit datapath.
+// layer two samples per multiply, as signed 32-bit lanes of one int64
+// (SIMD within a register). For each pair of samples s, s+1 the packed
+// activation a_s + a_{s+1}·2^32 of every column where either sample is
+// nonzero is listed once (zeros add nothing to an exact sum); when at
+// least half the columns are zero in both samples, each row accumulates
+// over that list alone, and otherwise over every column:
 //
-// The trick is the biased-operand identity. With β = 2^(n-1), write
-// every n-bit operand as its biased (unsigned) form u = v + β ∈ [0, 2^n):
+//	acc = Σ_i w_i·(a_{s,i} + a_{s+1,i}·2^32) = L + H·2^32
 //
-//	Σ_i w_i·a_i = Σ_i u_w·u_a − β·Σ_i u_w − β·Σ_i u_a + in·β²
-//
-// The unsigned sum Σ u_w·u_a is the only per-(row, sample) term; the
-// weight sum folds into a per-row constant and the activation sum is
-// computed once per sample per flush. Because every partial product and
-// the whole unsigned sum stay below 2^32 (enforced at construction),
-// two samples' activations pack into the two 32-bit lanes of one uint64
-// and a single `acc2 += u_w · packed` accumulates both dot products with
-// no cross-lane carry — one multiply per two samples. The reconstructed
-// signed dot product is exact in int64, after which the readout
-// (sign-wrap to the eq.-(3) width, shift, clip) is byte-for-byte the
-// per-sample kernel's, so results are bit-identical — the equivalence
-// tests sweep this exhaustively.
+// Both dot products come back as L = int64(int32(acc)) and
+// H = (acc−L)>>32. That is exact while every lane sum stays below 2^31
+// in magnitude; each term is at most 2^(2n−2) in magnitude, so the
+// constructor requires in·2^(2n−2) < 2^31. The readout (bias, sign-wrap
+// to the eq.-(3) width, shift, clip) is byte-for-byte the per-sample
+// kernel's, so results are bit-identical — the equivalence tests sweep
+// this exhaustively.
 type BatchDenseKernel struct {
-	f       Format
-	in, out int
-	uw      []uint64 // row-major biased weights (bits ^ β), zero-extended
-	bq      []int64  // biases pre-shifted left by q (product scale)
-	// rowConst[j] = in·β² − β·Σ_i u_w[j][i]: the weight-side bias terms.
-	rowConst     []int64
-	wrap         uint // 64 - AccumSize(f, in)
+	f            Format
+	in, out      int
+	w            []int64 // row-major out×in sign-extended raw weights
+	bq           []int64 // biases pre-shifted left by q (product scale)
+	wrap         uint    // 64 - AccumSize(f, in)
 	roundNearest bool
-	beta         int64
+	lo, hi       int64  // the stored range the readout clips to
+	mask         uint64 // the n-bit pattern mask
+	// ext[p] is the raw value of the n-bit pattern in p's low byte.
+	ext [256]int64
 
-	// flush scratch, grown on demand.
-	ua     []uint32 // sample-major biased activations
-	sua    []int64  // per-sample Σ u_a
-	packed []uint64 // two-lane packed activations for the current pair
+	// Pair scratch: the current pair's packed activations, and the
+	// columns where either sample is nonzero with theirs.
+	packed []int64
+	cols   []int32
+	pk     []int64
 }
 
-// NewBatchDenseKernel builds the SWAR batch kernel. ok is false when the
-// configuration has no packed fast path: the eq.-(3) register is wider
-// than 64 bits, the format is wider than 8 bits (lanes would need more
-// than 32 bits of headroom), or the fan-in is large enough that an
-// unsigned lane sum could reach 2^32.
+// NewBatchDenseKernel builds the signed-lane batch kernel. ok is false
+// when the configuration has no packed fast path: the eq.-(3) register
+// is wider than 64 bits, the format is wider than 8 bits, or the fan-in
+// is large enough that a lane sum could reach 2^31 in magnitude.
 func NewBatchDenseKernel(f Format, w [][]Fixed, b []Fixed, roundNearest bool) (*BatchDenseKernel, bool) {
 	f.mustValid()
 	out := len(w)
@@ -53,38 +51,38 @@ func NewBatchDenseKernel(f Format, w [][]Fixed, b []Fixed, roundNearest bool) (*
 	}
 	in := len(w[0])
 	width := AccumSize(f, in)
-	maxU := uint64(1)<<f.n - 1
-	if width > 64 || f.n > 8 || uint64(in)*maxU*maxU >= 1<<32 {
+	if width > 64 || f.n > 8 || uint64(in)<<(2*f.n-2) >= 1<<31 {
 		return nil, false
 	}
-	beta := int64(1) << (f.n - 1)
 	k := &BatchDenseKernel{
 		f:            f,
 		in:           in,
 		out:          out,
-		uw:           make([]uint64, out*in),
+		w:            make([]int64, out*in),
 		bq:           make([]int64, out),
-		rowConst:     make([]int64, out),
 		wrap:         64 - width,
 		roundNearest: roundNearest,
-		beta:         beta,
+		lo:           f.MinInt(),
+		hi:           f.MaxInt(),
+		mask:         bitutil.Mask(f.n),
+		packed:       make([]int64, in),
+		cols:         make([]int32, in),
+		pk:           make([]int64, in),
 	}
-	signBit := uint64(beta)
+	for p := range k.ext {
+		k.ext[p] = f.FromBits(uint64(p)).v
+	}
 	for j, row := range w {
 		if len(row) != in {
 			panic("fixedpoint: BatchDenseKernel ragged weight matrix")
 		}
-		dst := k.uw[j*in : (j+1)*in]
-		var suw int64
+		dst := k.w[j*in : (j+1)*in]
 		for i, v := range row {
 			if v.f != f {
 				panic("fixedpoint: BatchDenseKernel weight format mismatch")
 			}
-			u := v.Bits() ^ signBit
-			dst[i] = u
-			suw += int64(u)
+			dst[i] = v.v
 		}
-		k.rowConst[j] = int64(in)*beta*beta - beta*suw
 	}
 	for j, v := range b {
 		if v.f != f {
@@ -104,22 +102,9 @@ func (k *BatchDenseKernel) Out() int { return k.out }
 // Format returns the kernel's fixed-point format.
 func (k *BatchDenseKernel) Format() Format { return k.f }
 
-func (k *BatchDenseKernel) grow(b int) {
-	if cap(k.ua) < k.in*b {
-		k.ua = make([]uint32, k.in*b)
-	}
-	if cap(k.sua) < b {
-		k.sua = make([]int64, b)
-	}
-	if cap(k.packed) < k.in {
-		k.packed = make([]uint64, k.in)
-	}
-}
-
-// finish applies the per-sample readout to one reconstructed dot
-// product: bias, sign-wrap to the register width, shift back to the
-// stored scale (truncate or RNE) and clip — exactly the per-sample
-// kernel's epilogue.
+// finish applies the per-sample readout to one dot product: bias,
+// sign-wrap to the register width, shift back to the stored scale
+// (truncate or RNE) and clip — exactly the per-sample kernel's epilogue.
 func (k *BatchDenseKernel) finish(j int, dot int64) uint64 {
 	acc := k.bq[j] + dot
 	acc = acc << k.wrap >> k.wrap
@@ -129,7 +114,7 @@ func (k *BatchDenseKernel) finish(j int, dot int64) uint64 {
 	} else {
 		v = acc >> k.f.q
 	}
-	return k.f.FromRaw(v).Bits()
+	return uint64(min(max(v, k.lo), k.hi)) & k.mask // FromRaw(v).Bits()
 }
 
 // ForwardBatch computes dst[s*k.Out()+j] = round(b[j] + Σ_i
@@ -141,61 +126,72 @@ func ForwardBatch[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
 	if b < 0 || len(act) != b*k.in || len(dst) != b*k.out {
 		panic("fixedpoint: BatchDenseKernel batch size mismatch")
 	}
-	if b == 0 {
-		return
-	}
-	k.grow(b)
 	in, out := k.in, k.out
-	mask := bitutil.Mask(k.f.n)
-	signBit := uint64(k.beta)
-	ua, sua := k.ua, k.sua
-	// Decode once per flush: bias every activation (one XOR) and bank the
-	// per-sample activation sums.
-	for s := 0; s < b; s++ {
-		row := act[s*in : (s+1)*in]
-		urow := ua[s*in : (s+1)*in]
-		var sum int64
-		for i, bits := range row {
-			u := uint32((uint64(bits) & mask) ^ signBit)
-			urow[i] = u
-			sum += int64(u)
+	for s := 0; s < b; s += 2 {
+		// Pack the pair; an odd tail packs its last sample against a zero
+		// lane (hi masked off by hm).
+		pair := s+1 < b
+		lo := act[s*in : (s+1)*in]
+		hi, hm := lo, int64(0)
+		if pair {
+			hi, hm = act[(s+1)*in:(s+2)*in], -1
 		}
-		sua[s] = sum
-	}
-	packed := k.packed[:in]
-	s := 0
-	for ; s+1 < b; s += 2 {
-		u0 := ua[s*in : (s+1)*in]
-		u1 := ua[(s+1)*in : (s+2)*in]
-		for i := range packed {
-			packed[i] = uint64(u0[i]) | uint64(u1[i])<<32
-		}
-		ba0 := k.beta * sua[s]
-		ba1 := k.beta * sua[s+1]
-		d0 := dst[s*out : (s+1)*out]
-		d1 := dst[(s+1)*out : (s+2)*out]
+		n := packPair(&k.ext, k.packed, k.cols, k.pk, lo, hi, hm)
+		// A gathered term costs about 1.7 dense ones: on 16×30 and 117×32
+		// layers (Intel Xeon) the list broke even with 40–55% of a pair's
+		// columns zero in both samples, so it is taken from a half on.
+		sparse := 2*(in-n) >= in
 		for j := 0; j < out; j++ {
-			row := k.uw[j*in : (j+1)*in]
-			var acc2 uint64
-			for i, w := range row {
-				acc2 += w * packed[i]
+			row := k.w[j*in : (j+1)*in]
+			var acc int64
+			if sparse {
+				acc = dotGather(row, k.cols[:n], k.pk[:n])
+			} else {
+				acc = dot(row, k.packed)
 			}
-			rc := k.rowConst[j]
-			d0[j] = C(k.finish(j, int64(acc2&0xFFFFFFFF)-ba0+rc))
-			d1[j] = C(k.finish(j, int64(acc2>>32)-ba1+rc))
+			l := int64(int32(acc))
+			dst[s*out+j] = C(k.finish(j, l))
+			if pair {
+				dst[(s+1)*out+j] = C(k.finish(j, (acc-l)>>32))
+			}
 		}
 	}
-	if s < b { // odd tail: single-lane pass
-		urow := ua[s*in : (s+1)*in]
-		ba := k.beta * sua[s]
-		d := dst[s*out : (s+1)*out]
-		for j := 0; j < out; j++ {
-			row := k.uw[j*in : (j+1)*in]
-			var acc uint64
-			for i, w := range row {
-				acc += w * uint64(urow[i])
-			}
-			d[j] = C(k.finish(j, int64(acc)-ba+k.rowConst[j]))
-		}
+}
+
+// packPair packs the pair's raw values (ext of each pattern) as
+// lo[i] + (hi[i]·2^32 & hm) into packed, lists the columns where that is
+// nonzero in cols/pk, and returns how many. Out of line: inlined into
+// ForwardBatch, its operands spill to the stack.
+//
+//go:noinline
+func packPair[C ~uint64](ext *[256]int64, packed []int64, cols []int32, pk []int64, lo, hi []C, hm int64) int {
+	packed, hi = packed[:len(lo)], hi[:len(lo)]
+	n := 0
+	for i, c := range lo {
+		v := ext[uint8(c)] + ext[uint8(hi[i])]<<32&hm
+		packed[i] = v
+		cols[n], pk[n] = int32(i), v
+		n += int(uint64(v|-v) >> 63)
 	}
+	return n
+}
+
+// dot is Σ row[i]·packed[i].
+func dot(row, packed []int64) int64 {
+	packed = packed[:len(row)]
+	var acc int64
+	for i, w := range row {
+		acc += w * packed[i]
+	}
+	return acc
+}
+
+// dotGather is Σ row[cols[m]]·pk[m].
+func dotGather(row []int64, cols []int32, pk []int64) int64 {
+	pk = pk[:len(cols)]
+	var acc int64
+	for m, i := range cols {
+		acc += row[i] * pk[m]
+	}
+	return acc
 }

@@ -61,7 +61,7 @@ func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 
 // TestBatchDenseKernelExhaustive sweeps every (weight, activation) 8-bit
 // pattern pair through a 1×1 layer with extreme biases in both rounding
-// modes — the SWAR identity must hold on every operand pair.
+// modes — both signed lanes must hold on every operand pair.
 func TestBatchDenseKernelExhaustive(t *testing.T) {
 	f := MustFormat(8, 4)
 	count := int(f.Count())
@@ -94,13 +94,80 @@ func TestBatchDenseKernelExhaustive(t *testing.T) {
 	}
 }
 
+// TestBatchDenseKernelExhaustiveZeroHeavy is the zero-skipping
+// counterpart of the sweep above: one layer carries every weight pattern
+// as a row over four inputs, and the flush holds every activation
+// pattern in column s mod 4 of its own sample, each followed by three
+// all-zero samples. Every pair then has at least half its columns zero
+// in both samples and takes the gathered list, in both rounding modes
+// and with an even and an odd flush.
+func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
+	f := MustFormat(8, 4)
+	count := int(f.Count())
+	const in, gap = 4, 4
+	for _, bias := range []uint64{0, 0x7F, 0x80, 0x2A} {
+		w := make([][]Fixed, count)
+		bv := make([]Fixed, count)
+		for wb := range w {
+			w[wb] = make([]Fixed, in)
+			for i := range w[wb] {
+				w[wb][i] = f.FromBits(uint64(wb))
+			}
+			bv[wb] = f.FromBits(bias)
+		}
+		act := make([]uint64, (count*gap+1)*in)
+		for ab := 0; ab < count; ab++ {
+			act[ab*gap*in+ab%in] = uint64(ab)
+		}
+		act[len(act)-in+1] = 0x80 // the odd flush's tail sample
+		for _, rne := range []bool{false, true} {
+			for _, batch := range []int{count * gap, count*gap + 1} {
+				checkBatchFlush(t, f, w, bv, act[:batch*in], rne)
+			}
+		}
+	}
+}
+
+// checkBatchFlush runs one flush through the batch kernel and each sample
+// through the per-sample kernel, requiring identical outputs.
+func checkBatchFlush(t *testing.T, f Format, w [][]Fixed, b []Fixed, act []uint64, rne bool) {
+	t.Helper()
+	in, out := len(w[0]), len(w)
+	bk, ok := NewBatchDenseKernel(f, w, b, rne)
+	if !ok {
+		t.Fatalf("%v: no batch kernel for %dx%d", f, out, in)
+	}
+	sk, ok := NewDenseKernel(f, w, b, rne)
+	if !ok {
+		t.Fatalf("%v: no per-sample kernel for %dx%d", f, out, in)
+	}
+	batch := len(act) / in
+	got := make([]uint64, batch*out)
+	ForwardBatch(bk, act, got, batch)
+	want := make([]uint64, out)
+	for s := 0; s < batch; s++ {
+		sk.ForwardBits(act[s*in:(s+1)*in], want)
+		for j, wb := range want {
+			if got[s*out+j] != wb {
+				t.Fatalf("%v %dx%d rne=%v b=%d: sample %d row %d (act %#x): batch %#x, per-sample %#x",
+					f, out, in, rne, batch, s, j, act[s*in:(s+1)*in], got[s*out+j], wb)
+			}
+		}
+	}
+}
+
 // TestBatchDenseKernelGates checks the packed path declines what it
-// cannot carry.
+// cannot carry: formats wider than 8 bits, and fan-ins whose lane sum
+// could reach 2^31 in magnitude (in·2^(2n−2) >= 2^31). At the largest
+// fan-in the lane gate admits, the extreme lane sum — every weight and
+// activation at −2^(n−1), so every term is +2^(2n−2) — must still match
+// the per-sample kernel in both lanes and in an odd tail.
 func TestBatchDenseKernelGates(t *testing.T) {
-	wide := MustFormat(16, 8)
-	w := [][]Fixed{{wide.Zero()}}
-	if _, ok := NewBatchDenseKernel(wide, w, []Fixed{wide.Zero()}, false); ok {
-		t.Fatal("n=16 must have no SWAR batch kernel")
+	for _, wide := range []Format{MustFormat(16, 8), MustFormat(9, 4)} {
+		w := [][]Fixed{{wide.Zero()}}
+		if _, ok := NewBatchDenseKernel(wide, w, []Fixed{wide.Zero()}, false); ok {
+			t.Fatalf("%v must have no signed-lane batch kernel", wide)
+		}
 	}
 	f := MustFormat(8, 4)
 	bk, ok := NewBatchDenseKernel(f, [][]Fixed{{f.Zero()}}, []Fixed{f.Zero()}, false)
@@ -108,4 +175,28 @@ func TestBatchDenseKernelGates(t *testing.T) {
 		t.Fatal("Q(8,4) 1x1 should qualify")
 	}
 	ForwardBatch[uint64](bk, nil, nil, 0) // empty flush must not panic
+
+	maxIn := 1<<(31-(2*f.N()-2)) - 1 // 131071 for n = 8
+	if _, ok := NewBatchDenseKernel(f, [][]Fixed{make([]Fixed, maxIn+1)}, []Fixed{f.Zero()}, false); ok {
+		t.Fatalf("fan-in %d must decline: its lane sum reaches 2^31", maxIn+1)
+	}
+	row := make([]Fixed, maxIn)
+	for i := range row {
+		row[i] = f.Min()
+	}
+	// Samples 0 and 2 (the odd tail) carry the extreme positive lane sum;
+	// sample 1, all +(2^(n−1)−1), the largest negative one beside it.
+	const batch = 3
+	act := make([]uint64, batch*maxIn)
+	for i := range act {
+		act[i] = f.Min().Bits()
+		if i/maxIn == 1 {
+			act[i] = f.Max().Bits()
+		}
+	}
+	for _, bias := range []Fixed{f.Zero(), f.Max(), f.Min()} {
+		for _, rne := range []bool{false, true} {
+			checkBatchFlush(t, f, [][]Fixed{row, row}, []Fixed{bias, f.Zero()}, act, rne)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package minifloat
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/rng"
@@ -93,6 +94,50 @@ func TestBatchDenseKernelExhaustive(t *testing.T) {
 	}
 }
 
+// TestBatchDenseKernelExhaustiveZeroHeavy is the zero-skipping
+// counterpart of the sweep above: one layer carries every weight pattern
+// as a row (NaN, ±Inf and -0 included) over two inputs, and the flush
+// holds every activation pattern, alternating between the two columns,
+// each followed by three all-zero samples. Four tiles of columns at
+// least 7/8 zero take the compacted loop with every pattern, specials
+// and -0 included, inside.
+func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
+	for _, f := range []Format{MustFormat(4, 3), MustFormat(2, 3)} {
+		count := 1 << f.N()
+		for _, bias := range []uint64{0, 0x01, f.signBit(), 0x22, f.NaN().Bits()} {
+			w := make([][]Float, count)
+			bv := make([]Float, count)
+			for wb := range w {
+				w[wb] = []Float{f.FromBits(uint64(wb)), f.FromBits(uint64(wb))}
+				bv[wb] = f.FromBits(bias & f.Mask())
+			}
+			const in, gap = 2, 4
+			act := make([]uint64, count*gap*in)
+			for ab := 0; ab < count; ab++ {
+				act[ab*gap*in+ab%in] = uint64(ab)
+			}
+			bk, ok := NewBatchDenseKernel(f, w, bv)
+			if !ok {
+				t.Fatalf("%v: no batch kernel", f)
+			}
+			sk, _ := NewDenseKernel(f, w, bv)
+			batch := len(act) / in
+			got := make([]uint64, batch*count)
+			ForwardBatch(bk, act, got, batch)
+			want := make([]uint64, count)
+			for s := 0; s < batch; s++ {
+				sk.ForwardBits(act[s*in:(s+1)*in], want)
+				for j, wb := range want {
+					if got[s*count+j] != wb {
+						t.Fatalf("%v bias %#x w %#x act %#x: batch %#x, per-sample %#x",
+							f, bias, j, act[s*in:(s+1)*in], got[s*count+j], wb)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchDenseKernelGates checks the decline conditions.
 func TestBatchDenseKernelGates(t *testing.T) {
 	f := MustFormat(4, 3)
@@ -104,5 +149,48 @@ func TestBatchDenseKernelGates(t *testing.T) {
 	wide := MustFormat(5, 10)             // 16-bit: too wide to enumerate
 	if _, ok := NewBatchDenseKernel(wide, [][]Float{{wide.Zero()}}, []Float{wide.Zero()}); ok {
 		t.Fatal("16-bit float must have no term-table batch kernel")
+	}
+}
+
+// TestEncodeAccMatchesEncode checks the kernel's table rounding against
+// the encoder for register values of every bit length, ties and sticky
+// tails included, in every float format narrow enough for the kernel.
+func TestEncodeAccMatchesEncode(t *testing.T) {
+	r := rng.New(23)
+	for n := uint(4); n <= 8; n++ {
+		for we := uint(2); we <= n-2; we++ {
+			f := MustFormat(we, n-1-we)
+			k, ok := NewBatchDenseKernel(f, [][]Float{{f.Zero()}}, []Float{f.Zero()})
+			if !ok {
+				continue // register wider than a word: no kernel
+			}
+			check := func(a int64) {
+				m := uint64(a) & k.widthMask
+				sign := m>>(k.width-1)&1 == 1
+				if sign {
+					m = -m & k.widthMask
+				}
+				var want uint64
+				if m != 0 {
+					l := uint(bits.Len64(m))
+					want = f.encode(sign, int(l)-1-int(k.fracBits), m, l, false).Bits()
+				}
+				if got := k.encodeAcc(a); got != want {
+					t.Fatalf("%v: register %#x rounds to %#x through the table, %#x through encode", f, a, got, want)
+				}
+			}
+			for l := uint(0); l < k.width; l++ {
+				top := int64(1) << l
+				for _, a := range []int64{top, top - 1, top + 1, top | top>>1, top | top>>8, top | top>>8 | 1} {
+					check(a)
+					check(-a)
+				}
+				for i := 0; i < 200; i++ {
+					a := int64(r.Uint64() >> (64 - l - 1))
+					check(a)
+					check(-a)
+				}
+			}
+		}
 	}
 }

@@ -11,8 +11,15 @@ package posit
 //     ±(sig_w·sig_a) << (fb+adj_w+adj_a) of every (weight, activation)
 //     pattern pair is precomputed, so the inner loop is acc[s] +=
 //     tab[w][a]: no multiply, no shift, no sign fix-up at MAC time. The
-//     loop order is (row j, weight i, sample s), so one table row stays
-//     hot across the flush.
+//     flush is walked in tiles of termtile.Size samples, each transposed
+//     once into column-major bytes; the loop order is (row j, weight i,
+//     sample s), so one table row stays hot across the tile. Zeros add
+//     nothing to the exact sum, so a column with enough of them is
+//     compacted into entries s | a<<8 of its nonzero activations and the
+//     row loop runs acc[uint8(e)] += tab[w][e>>8] over those alone;
+//     other columns keep the dense loop. Each sum rounds through a
+//     per-format table keyed by its bit length and top bits
+//     (bitutil.RoundKey) rather than through the encoder.
 //   - Exact windows, for everything else up to 128 bits (posit(16,1),
 //     posit(8,2) at large fan-in, n = 9..16 in general). The flush is
 //     walked in tiles of batchTile samples. Each tile is decoded once into
@@ -33,6 +40,9 @@ package posit
 
 import (
 	"math/bits"
+
+	"repro/internal/bitutil"
+	"repro/internal/termtile"
 )
 
 // termTabStride is the padded row length of a term table: rows are
@@ -98,6 +108,31 @@ func (f Format) buildTermTab() []int64 {
 	return t
 }
 
+// roundTab returns f's rounding table for the term tier (f.n <= 8),
+// building and caching it on first use: entry bitutil.RoundKey(m) holds
+// the pattern of the positive exact value m × 2^-fb (fb the quire's
+// fraction depth). An n <= 8 posit keeps at most five fraction bits, so
+// the key decides the rounding. Memory cost: 16 KiB per format.
+func (f Format) roundTab() []uint8 {
+	if p := roundTabs[f.n][f.es].Load(); p != nil {
+		return *p
+	}
+	tabMu.Lock()
+	defer tabMu.Unlock()
+	if p := roundTabs[f.n][f.es].Load(); p != nil {
+		return *p
+	}
+	lsb := -int((uint(1) << (f.es + 1)) * (f.n - 2))
+	t := make([]uint8, 64<<8)
+	for key := range t {
+		m := bitutil.RoundKeyValue(key)
+		l := bits.Len64(m)
+		t[key] = uint8(f.encode(false, l-1+lsb, m, uint(l), false).bits)
+	}
+	roundTabs[f.n][f.es].Store(&t)
+	return t
+}
+
 // BatchDenseKernel holds the pre-decoded parameters and reused flush
 // scratch for one layer. Not safe for concurrent use.
 type BatchDenseKernel struct {
@@ -116,7 +151,15 @@ type BatchDenseKernel struct {
 	wRow []int32
 	// biasTerm[j] is the bias contribution at the quire's fraction depth.
 	biasTerm []int64
-	actT     []uint8 // flush scratch: column-major activation patterns [in][b]
+	rtab     *[64 << 8]uint8 // f.roundTab()
+	// Tile scratch (see termtile): the tile's patterns column-major
+	// (actT[i*ts+s], NaR stored as 0: its table entries are 0), the
+	// compacted entries of its sparse columns, each column's span of them,
+	// and the registers of the current row.
+	actT  []uint8
+	lists []uint16
+	spans []int32
+	acc   []int64
 
 	// Window tier (tab == nil).
 	// wPack[j*in+i] packs weight (j,i) as sig<<8 | uint8(adj): its signed
@@ -143,9 +186,7 @@ type BatchDenseKernel struct {
 	aAlign []int64
 	start  []int
 
-	// Shared flush scratch.
-	narS []bool  // per-sample NaR flag
-	acc  []int64 // per-sample registers for the current row (term tier)
+	narS []bool // per-sample NaR flag of the current tile
 }
 
 // NewBatchDenseKernel pre-decodes a row-major weight matrix (out rows of
@@ -174,8 +215,12 @@ func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, b
 	}
 	if f.n <= opTabMaxN && width <= 64 {
 		k.tab = f.termTab()
+		k.rtab = (*[64 << 8]uint8)(f.roundTab())
 		k.wRow = make([]int32, out*in)
 		k.biasTerm = make([]int64, out)
+		k.spans = make([]int32, 2*in)
+		k.acc = make([]int64, termtile.Size)
+		k.narS = make([]bool, termtile.Size)
 	} else {
 		k.wPack = make([]int64, out*in)
 		k.wAlign = make([]int64, out*in)
@@ -283,6 +328,23 @@ func (k *BatchDenseKernel) round(a int64, lsb int) uint64 {
 	return k.f.encode(sign, l-1+lsb, m, uint(l), false).bits
 }
 
+// roundTerm is round at the term tier's scale 2^-fracBits, read from
+// the format's rounding table.
+func (k *BatchDenseKernel) roundTerm(a int64) uint64 {
+	m := uint64(a)
+	if a < 0 {
+		m = -m
+	}
+	if m == 0 {
+		return 0
+	}
+	p := uint64(k.rtab[bitutil.RoundKey(m)&(64<<8-1)])
+	if a < 0 {
+		p = -p & k.f.Mask()
+	}
+	return p
+}
+
 // ForwardBatch computes dst[s*k.Out()+j] = round(b[j] + Σ_i
 // W[j][i]·act[s*k.In()+i]) for every sample s in the flush: flat
 // sample-major planes of n-bit patterns, len(act) = b·In(), len(dst) =
@@ -306,63 +368,89 @@ func ForwardBatch[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
 	}
 }
 
-// forwardTerms is the term-table tier over the whole flush.
+// forwardTerms is the term-table tier, walked in tiles of
+// termtile.Size samples.
 func forwardTerms[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
+	if n := k.in * min(b, termtile.Size); len(k.actT) < n {
+		k.actT = make([]uint8, n)
+		k.lists = make([]uint16, n)
+	}
+	for s0 := 0; s0 < b; s0 += termtile.Size {
+		ts := min(termtile.Size, b-s0)
+		forwardTermTile(k, act[s0*k.in:(s0+ts)*k.in], dst[s0*k.out:(s0+ts)*k.out], ts)
+	}
+}
+
+// forwardTermTile is the term tier over one tile of ts <= termtile.Size
+// samples: act and dst are the tile's slices of the flush planes.
+func forwardTermTile[C ~uint64](k *BatchDenseKernel, act, dst []C, ts int) {
 	in, out := k.in, k.out
-	if cap(k.actT) < in*b {
-		k.actT = make([]uint8, in*b)
-	}
-	if cap(k.narS) < b {
-		k.narS = make([]bool, b)
-		k.acc = make([]int64, b)
-	}
-	mask := k.f.Mask()
-	narPat := k.f.signBit()
-	actT, narS := k.actT, k.narS
-	// Decode once per flush: transpose the patterns into column-major
-	// bytes (column s-contiguous, matching the inner loop) and record
-	// which samples carry a NaR activation (poisoning every row, exactly
-	// as per-sample accumulation would).
-	for s := 0; s < b; s++ {
+	actT, narS := k.actT[:in*ts], k.narS[:ts]
+	mask, narPat := k.f.Mask(), k.f.signBit()
+	// Decode once per tile: transpose the patterns into column-major bytes
+	// (column s-contiguous, matching the dense loop), record which samples
+	// carry a NaR activation (poisoning every row, exactly as per-sample
+	// accumulation would).
+	for s := 0; s < ts; s++ {
 		nar := false
 		for i, c := range act[s*in : (s+1)*in] {
 			p := uint64(c) & mask
-			nar = nar || p == narPat
-			actT[i*b+s] = uint8(p)
+			if p == narPat {
+				nar, p = true, 0
+			}
+			actT[i*ts+s] = uint8(p)
 		}
 		narS[s] = nar
 	}
-	acc := k.acc[:b]
-	lsb := -int(k.fracBits)
+	sparse := termtile.Compact(actT, k.lists, k.spans, ts, out)
+	acc := (*[termtile.Size]int64)(k.acc)
 	for j := 0; j < out; j++ {
 		if k.narRow[j] {
-			for s := 0; s < b; s++ {
+			for s := 0; s < ts; s++ {
 				dst[s*out+j] = C(k.narBits)
 			}
 			continue
 		}
 		bt := k.biasTerm[j]
-		for s := range acc {
+		for s := 0; s < ts; s++ {
 			acc[s] = bt
 		}
-		for i, off := range k.wRow[j*in : (j+1)*in] {
-			if off < 0 {
-				continue // zero/NaR weight: all-zero table row
-			}
-			// One table row (2 KiB) stays hot across the whole flush;
-			// the fixed-size array view removes the inner bounds check.
-			row := (*[termTabStride]int64)(k.tab[off:])
-			col := actT[i*b : i*b+b]
-			for s, a := range col {
-				acc[s] += row[a]
-			}
-		}
-		for s, a := range acc {
+		k.addRow(acc, k.wRow[j*in:(j+1)*in], actT, ts, sparse)
+		for s := 0; s < ts; s++ {
 			v := k.narBits
 			if !narS[s] {
-				v = k.round(a, lsb)
+				v = k.roundTerm(acc[s])
 			}
 			dst[s*out+j] = C(v)
+		}
+	}
+}
+
+// addRow adds one row's terms for a tile to acc: wRow holds the row's
+// table offsets, actT the tile's column-major patterns, and sparse says
+// whether termtile.Compact compacted any column. Out of line: inlined
+// into the tile loop, its loop state spills to the stack.
+//
+//go:noinline
+func (k *BatchDenseKernel) addRow(acc *[termtile.Size]int64, wRow []int32, actT []uint8, ts int, sparse bool) {
+	lists, spans := k.lists, k.spans
+	for i, off := range wRow {
+		if off < 0 {
+			continue // zero/NaR weight: all-zero table row
+		}
+		// One table row (2 KiB) stays hot across the tile; the fixed-size
+		// array views remove the inner bounds checks.
+		row := (*[termTabStride]int64)(k.tab[off:])
+		if sparse && spans[2*i+1] >= 0 {
+			if lo, hi := spans[2*i], spans[2*i+1]; hi > lo {
+				termtile.AddEntries(acc, row, lists[lo:hi])
+			}
+			continue
+		}
+		col := actT[i*ts : i*ts+ts]
+		a := acc[:len(col)]
+		for s, p := range col {
+			a[s] += row[p]
 		}
 	}
 }

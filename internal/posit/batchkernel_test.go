@@ -90,6 +90,57 @@ func TestBatchDenseKernelExhaustive(t *testing.T) {
 	}
 }
 
+// TestBatchDenseKernelExhaustiveZeroHeavy is the zero-skipping
+// counterpart of the sweep above: one layer carries every weight pattern
+// as a row (NaR included) over two inputs, and the flush holds every
+// activation pattern, alternating between the two columns, each followed
+// by three all-zero samples. Four tiles of columns at least 7/8 zero
+// take the compacted loop with every pattern, NaR included, inside.
+func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
+	for _, f := range []Format{MustFormat(8, 0), MustFormat(8, 1), MustFormat(6, 1)} {
+		count := int(uint64(1) << f.n)
+		for _, bias := range []uint64{0, 0x17, f.signBit()} {
+			w := make([][]Posit, count)
+			bv := make([]Posit, count)
+			for wb := range w {
+				w[wb] = []Posit{{f: f, bits: uint64(wb)}, {f: f, bits: uint64(wb)}}
+				bv[wb] = Posit{f: f, bits: bias & f.Mask()}
+			}
+			const in, gap = 2, 4
+			act := make([]uint64, count*gap*in)
+			for ab := 0; ab < count; ab++ {
+				act[ab*gap*in+ab%in] = uint64(ab)
+			}
+			checkBatchFlush(t, f, w, bv, act)
+		}
+	}
+}
+
+// checkBatchFlush runs one flush through the batch kernel and each sample
+// through the per-sample kernel, requiring identical outputs.
+func checkBatchFlush(t *testing.T, f Format, w [][]Posit, b []Posit, act []uint64) {
+	t.Helper()
+	in, out := len(w[0]), len(w)
+	bk, ok := NewBatchDenseKernel(f, w, b)
+	if !ok {
+		t.Fatalf("%v: no batch kernel for %dx%d", f, out, in)
+	}
+	sk := NewDenseKernel(f, w, b)
+	batch := len(act) / in
+	got := make([]uint64, batch*out)
+	ForwardBatch(bk, act, got, batch)
+	want := make([]uint64, out)
+	for s := 0; s < batch; s++ {
+		sk.ForwardBits(act[s*in:(s+1)*in], want)
+		for j, wbits := range want {
+			if got[s*out+j] != wbits {
+				t.Fatalf("%v %dx%d b=%d: sample %d row %d (w %#x, bias %#x, act %#x): batch %#x, per-sample %#x",
+					f, out, in, batch, s, j, w[j][0].bits, b[j].bits, act[s*in:(s+1)*in], got[s*out+j], wbits)
+			}
+		}
+	}
+}
+
 // TestBatchDenseKernelGates checks the fallback conditions: registers
 // wider than two words must decline, everything up to 128 bits must not.
 func TestBatchDenseKernelGates(t *testing.T) {
@@ -131,4 +182,36 @@ func TestBatchDenseKernelEmptyFlush(t *testing.T) {
 		t.Fatal("no batch kernel")
 	}
 	ForwardBatch[uint64](bk, nil, nil, 0) // must not panic
+}
+
+// TestRoundTermMatchesEncode checks the term tier's table rounding
+// against the encoder for exact sums of every bit length, ties and
+// sticky tails included, in every format narrow enough for the tier.
+func TestRoundTermMatchesEncode(t *testing.T) {
+	r := rng.New(19)
+	for n := uint(3); n <= 8; n++ {
+		for es := uint(0); es <= 2; es++ {
+			f := MustFormat(n, es)
+			k := &BatchDenseKernel{f: f, fracBits: (uint(1) << (es + 1)) * (n - 2)}
+			k.rtab = (*[64 << 8]uint8)(f.roundTab())
+			lsb := -int(k.fracBits)
+			check := func(a int64) {
+				if got, want := k.roundTerm(a), k.round(a, lsb); got != want {
+					t.Fatalf("%v: sum %#x rounds to %#x through the table, %#x through encode", f, a, got, want)
+				}
+			}
+			for l := uint(0); l < 64; l++ {
+				top := int64(1) << l
+				for _, a := range []int64{top, top - 1, top + 1, top | top>>1, top | top>>8, top | top>>8 | 1} {
+					check(a)
+					check(-a)
+				}
+				for i := 0; i < 200; i++ {
+					a := int64(r.Uint64()>>1) >> (62 - l)
+					check(a)
+					check(-a)
+				}
+			}
+		}
+	}
 }

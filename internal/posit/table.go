@@ -84,6 +84,9 @@ var (
 	// termTabs holds the batched kernels' signed MAC-term tables (see
 	// batchkernel.go): 2^n × 256 int64 entries per format.
 	termTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[[]int64]
+	// roundTabs holds the term tier's rounding tables (see
+	// batchkernel.go): 64 × 256 patterns per format.
+	roundTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[[]uint8]
 )
 
 // decTab returns the decode table for f, building it on first use, or nil
