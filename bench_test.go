@@ -309,25 +309,6 @@ func BenchmarkSessionInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineBatch measures the worker-pool batch engine over the
-// full Iris inference split (50 samples per op).
-func BenchmarkEngineBatch(b *testing.B) {
-	experiments.Datasets()
-	iris := experiments.Datasets()[1]
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(sizeWorkers(workers), func(b *testing.B) {
-			e := NewEngine(QuantizeNetwork(iris.Net, emac.NewPosit(8, 0)), workers)
-			defer e.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.InferBatch(iris.Test.X)
-			}
-		})
-	}
-}
-
-func sizeWorkers(w int) string { return fmt.Sprintf("workers%d", w) }
-
 // BenchmarkRuntimeBatch measures the context-aware Runtime over the full
 // Iris inference split (50 samples per op), comparing the default
 // allocating batch path against WithSharedOutputs — the ROADMAP item

@@ -24,6 +24,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,12 +50,30 @@ type Result struct {
 	Iterations  int     `json:"iterations"`
 }
 
-// Snapshot is the whole BENCH_arith.json document.
+// Snapshot is the whole BENCH_arith.json document. The host fields are
+// those of the bench module's "# host" line.
 type Snapshot struct {
-	GoVersion string   `json:"go_version"`
-	GOARCH    string   `json:"goarch"`
-	Timestamp string   `json:"timestamp"`
-	Results   []Result `json:"results"`
+	GoVersion  string   `json:"go_version"`
+	GOARCH     string   `json:"goarch"`
+	CPU        string   `json:"cpu"`
+	NumCPU     int      `json:"num_cpu"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Timestamp  string   `json:"timestamp"`
+	Results    []Result `json:"results"`
+}
+
+// cpuModel is the first "model name" in /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 func randomPosits(f posit.Format, n int, seed uint64) []posit.Posit {
@@ -115,9 +134,12 @@ func main() {
 	}
 
 	snap := Snapshot{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOARCH:     runtime.GOARCH,
+		CPU:        cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
 	if !*check {
 		// Forward30-16-8-2 measures steady-state serving inference: one
@@ -518,18 +540,6 @@ func main() {
 		}
 		fmt.Println("benchsnap check: fused batch kernels, zero skipping, artifact load, and flush pipeline OK")
 		return
-	}
-	// Batch-engine bench: 256 inferences per op through the worker pool.
-	for _, workers := range []int{1, 4} {
-		e := engine.New(dp, workers)
-		snap.Results = append(snap.Results, measure(
-			fmt.Sprintf("EngineBatch256/posit(8,0)/workers%d", workers),
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					e.InferBatch(batch)
-				}
-			}))
-		e.Close()
 	}
 	// Runtime worker-scaling bench, gated on a multicore host: the 1-CPU
 	// dev container measures ≈1.0× for any pool size, so emitting rows

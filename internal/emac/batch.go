@@ -11,10 +11,12 @@ package emac
 // exact sum:
 //
 //   - Posit layers with n <= 8 whose eq.-(4) register fits one word, and
-//     float layers with n <= 8 whose eq.-(3) register does, take term
-//     tables over 256-sample tiles. A tile column with enough zeros is
-//     compacted to its nonzero entries; the others keep the dense loop.
-//     Sums round through per-format tables rather than the encoder.
+//     float layers with n <= 8 whose eq.-(3) register does, run one
+//     kernel, internal/termtile, over per-format tables the two arms
+//     build: term tables over 256-sample tiles. A tile column with
+//     enough zeros is compacted to its nonzero entries; the others keep
+//     the dense loop. Sums round through the tables rather than the
+//     encoder.
 //   - Other posit layers up to a 128-bit register take exact int64
 //     windows over per-sample lists of nonzero activations, with a
 //     two-word fallback.

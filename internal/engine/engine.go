@@ -8,8 +8,7 @@
 // core.Model (uniform or mixed precision alike). It is configured with
 // functional options, observes context cancellation, and fails with
 // errors rather than panics on misuse. One layer up, internal/registry
-// serves many named Runtimes side by side with micro-batching; Engine is
-// the original batch-engine API, kept as a thin deprecated wrapper.
+// serves many named Runtimes side by side with micro-batching.
 package engine
 
 import (
@@ -658,85 +657,3 @@ func (r *Runtime) Close() error {
 // Results returns the streaming output channel. It is closed by Close
 // after every in-flight inference has delivered.
 func (r *Runtime) Results() <-chan Result { return r.results }
-
-// --- deprecated batch-engine wrapper ---
-
-// Engine is the original worker-pool batch-inference API over a uniform
-// network.
-//
-// Deprecated: use Runtime via NewRuntime for direct batch inference, or
-// a registry.Registry when serving models behind names — both serve
-// mixed-precision models, observe context cancellation and return errors
-// instead of panicking. Engine remains as a source-compatible shim.
-type Engine struct {
-	rt  *Runtime
-	net *core.Network
-}
-
-// New starts an engine with the given number of workers over one
-// immutable network; workers <= 0 selects GOMAXPROCS.
-//
-// Deprecated: use NewRuntime.
-func New(net *core.Network, workers int) *Engine {
-	rt, err := NewRuntime(net, WithWorkers(workers))
-	if err != nil {
-		panic(err)
-	}
-	return &Engine{rt: rt, net: net}
-}
-
-// Runtime returns the runtime backing this engine.
-func (e *Engine) Runtime() *Runtime { return e.rt }
-
-// Network returns the model plane the engine serves.
-func (e *Engine) Network() *core.Network { return e.net }
-
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.rt.Workers() }
-
-// InferBatch runs every input through the pool and returns the logits in
-// input order. It panics when the batch is rejected (closed engine or
-// misshapen inputs) — use Runtime.InferBatch for the error-returning,
-// cancellable form.
-func (e *Engine) InferBatch(xs [][]float64) [][]float64 {
-	out, err := e.rt.InferBatch(context.Background(), xs)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// PredictBatch runs every input through the pool and returns the argmax
-// classes in input order.
-func (e *Engine) PredictBatch(xs [][]float64) []int {
-	classes, err := e.rt.PredictBatch(context.Background(), xs)
-	if err != nil {
-		panic(err)
-	}
-	return classes
-}
-
-// Accuracy evaluates classification accuracy over a dataset with the
-// whole pool.
-func (e *Engine) Accuracy(ds *datasets.Dataset) float64 {
-	acc, err := e.rt.Accuracy(context.Background(), ds)
-	if err != nil {
-		panic(err)
-	}
-	return acc
-}
-
-// Submit enqueues one streaming inference. Unlike the original Engine,
-// submitting after Close returns ErrClosed instead of panicking.
-func (e *Engine) Submit(id int, x []float64) error {
-	return e.rt.Submit(context.Background(), id, x)
-}
-
-// Results returns the streaming output channel (closed by Close after
-// in-flight work drains).
-func (e *Engine) Results() <-chan Result { return e.rt.Results() }
-
-// Close stops accepting work, waits for in-flight inferences and closes
-// the Results channel. Idempotent and safe to call concurrently with
-// Submit (late submissions observe ErrClosed).
-func (e *Engine) Close() { _ = e.rt.Close() }

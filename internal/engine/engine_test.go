@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -31,6 +32,18 @@ func fixture(a emac.Arithmetic, samples int) (*core.Network, *datasets.Dataset) 
 	return net, ds
 }
 
+// startRuntime starts a pool of the given size over net (workers <= 0
+// selects GOMAXPROCS), closed when the test ends.
+func startRuntime(t *testing.T, net core.Model, workers int) *Runtime {
+	t.Helper()
+	rt, err := NewRuntime(net, WithWorkers(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Close() })
+	return rt
+}
+
 func TestInferBatchMatchesSerial(t *testing.T) {
 	for _, a := range []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4), emac.Float32Arith{},
@@ -41,9 +54,14 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 		for i, x := range ds.X {
 			want[i] = s.Infer(x)
 		}
-		e := New(net, 8)
-		got := e.InferBatch(ds.X)
-		e.Close()
+		rt := startRuntime(t, net, 8)
+		if rt.Workers() != 8 {
+			t.Fatalf("workers = %d", rt.Workers())
+		}
+		got, err := rt.InferBatch(context.Background(), ds.X)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range got {
 			for j := range got[i] {
 				if got[i][j] != want[i][j] {
@@ -56,13 +74,16 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 
 func TestAccuracyMatchesCore(t *testing.T) {
 	net, ds := fixture(emac.NewPosit(8, 0), 300)
-	e := New(net, 0) // GOMAXPROCS workers
-	defer e.Close()
-	if e.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("workers = %d", e.Workers())
+	rt := startRuntime(t, net, 0) // GOMAXPROCS workers
+	if rt.Workers() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers = %d", rt.Workers())
 	}
-	if got, want := e.Accuracy(ds), net.Accuracy(ds); got != want {
-		t.Fatalf("engine accuracy %v != core accuracy %v", got, want)
+	got, err := rt.Accuracy(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := net.Accuracy(ds); got != want {
+		t.Fatalf("runtime accuracy %v != core accuracy %v", got, want)
 	}
 }
 
@@ -73,13 +94,13 @@ func TestStreaming(t *testing.T) {
 	for i, x := range ds.X {
 		want[i] = s.Infer(x)
 	}
-	e := New(net, 4)
+	rt := startRuntime(t, net, 4)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	seen := make([]bool, len(ds.X))
 	go func() {
 		defer wg.Done()
-		for res := range e.Results() {
+		for res := range rt.Results() {
 			if seen[res.ID] {
 				t.Errorf("duplicate result id %d", res.ID)
 			}
@@ -95,9 +116,11 @@ func TestStreaming(t *testing.T) {
 		}
 	}()
 	for i, x := range ds.X {
-		e.Submit(i, x)
+		if err := rt.Submit(context.Background(), i, x); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.Close() // drains in-flight work, closes Results
+	rt.Close() // drains in-flight work, closes Results
 	wg.Wait()
 	for i, ok := range seen {
 		if !ok {
@@ -113,14 +136,17 @@ func TestConcurrentBatches(t *testing.T) {
 	for i, x := range ds.X {
 		want[i] = s.Infer(x)
 	}
-	e := New(net, 4)
-	defer e.Close()
+	rt := startRuntime(t, net, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := e.InferBatch(ds.X)
+			got, err := rt.InferBatch(context.Background(), ds.X)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for i := range got {
 				for j := range got[i] {
 					if got[i][j] != want[i][j] {
@@ -136,10 +162,14 @@ func TestConcurrentBatches(t *testing.T) {
 
 func TestCloseIdempotent(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	e := New(net, 2)
-	e.Close()
-	e.Close() // second close must not panic
-	if _, ok := <-e.Results(); ok {
+	rt := startRuntime(t, net, 2)
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil { // a second close is a no-op
+		t.Fatal(err)
+	}
+	if _, ok := <-rt.Results(); ok {
 		t.Fatal("results channel open after Close")
 	}
 }

@@ -278,28 +278,6 @@ func TestRuntimeRejectsMisshapenInput(t *testing.T) {
 	}
 }
 
-func TestEngineWrapperStillWorks(t *testing.T) {
-	net, ds := fixture(emac.NewPosit(8, 0), 40)
-	e := New(net, 3)
-	if e.Workers() != 3 || e.Network() != net {
-		t.Fatal("wrapper plumbing")
-	}
-	got := e.InferBatch(ds.X)
-	s := net.NewSession()
-	for i, x := range ds.X {
-		want := s.Infer(x)
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("wrapper sample %d diverges", i)
-			}
-		}
-	}
-	e.Close()
-	if err := e.Submit(0, ds.X[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("wrapper Submit after Close = %v, want ErrClosed", err)
-	}
-}
-
 // TestSharedOutputsConcurrentConsumers hammers PredictBatch/Accuracy
 // concurrently on a shared-output runtime: classes must be computed from
 // the caller's own batch, never another batch's logits (the shared

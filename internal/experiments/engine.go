@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -53,11 +54,17 @@ func EngineSweep(evalLimit, workers int) ([]EngineRow, *tabulate.Table) {
 			serialAcc := s.Accuracy(test)
 			serial := time.Since(start)
 
-			e := engine.New(net, workers)
+			rt, err := engine.NewRuntime(net, engine.WithWorkers(workers))
+			if err != nil {
+				panic(err)
+			}
 			start = time.Now()
-			parAcc := e.Accuracy(test)
+			parAcc, err := rt.Accuracy(context.Background(), test)
 			par := time.Since(start)
-			e.Close()
+			_ = rt.Close()
+			if err != nil {
+				panic(err)
+			}
 
 			if par <= 0 {
 				par = time.Nanosecond // sub-resolution run; avoid a 0/0 speedup

@@ -1,9 +1,11 @@
 package minifloat
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/rng"
 )
 
@@ -152,43 +154,65 @@ func TestBatchDenseKernelGates(t *testing.T) {
 	}
 }
 
-// TestEncodeAccMatchesEncode checks the kernel's table rounding against
-// the encoder for register values of every bit length, ties and sticky
-// tails included, in every float format narrow enough for the kernel.
-func TestEncodeAccMatchesEncode(t *testing.T) {
+// TestTermTablesMatchFormat checks the tables of every float(n <= 8)
+// format with a term-table kernel exhaustively: each activation byte's
+// classification, each pattern's negation, and the rounding of register
+// magnitudes of every bit length, ties and sticky tails included, through
+// Round and Neg against the encoder.
+func TestTermTablesMatchFormat(t *testing.T) {
 	r := rng.New(23)
-	for n := uint(4); n <= 8; n++ {
-		for we := uint(2); we <= n-2; we++ {
-			f := MustFormat(we, n-1-we)
-			k, ok := NewBatchDenseKernel(f, [][]Float{{f.Zero()}}, []Float{f.Zero()})
-			if !ok {
+	for we := uint(2); we <= 7; we++ {
+		for wf := uint(0); 1+we+wf <= 8; wf++ {
+			f := MustFormat(we, wf)
+			if _, ok := NewBatchDenseKernel(f, [][]Float{{f.Zero()}}, []Float{f.Zero()}); !ok {
 				continue // register wider than a word: no kernel
 			}
-			check := func(a int64) {
-				m := uint64(a) & k.widthMask
-				sign := m>>(k.width-1)&1 == 1
-				if sign {
-					m = -m & k.widthMask
+			tab := f.termTables()
+			if tab.Special != f.NaN().Bits() {
+				t.Fatalf("%v: special %#x", f, tab.Special)
+			}
+			for p := range 256 {
+				x := f.FromBits(uint64(p) & f.Mask())
+				want := uint16(x.Bits())
+				switch {
+				case x.IsZero():
+					want = 0
+				case x.IsNaN() || x.IsInf():
+					want = 1 << 8
 				}
-				var want uint64
-				if m != 0 {
-					l := uint(bits.Len64(m))
-					want = f.encode(sign, int(l)-1-int(k.fracBits), m, l, false).Bits()
+				if tab.Act[p] != want {
+					t.Fatalf("%v: Act[%#x] = %#x, want %#x", f, p, tab.Act[p], want)
 				}
-				if got := k.encodeAcc(a); got != want {
-					t.Fatalf("%v: register %#x rounds to %#x through the table, %#x through encode", f, a, got, want)
+				neg := f.FromBits(uint64(tab.Neg[p]))
+				if x.IsNaN() != neg.IsNaN() || !x.IsNaN() && math.Float64bits(neg.Float64()) != math.Float64bits(-x.Float64()) {
+					t.Fatalf("%v: Neg[%#x] = %v, want -%v", f, p, neg, x)
 				}
 			}
-			for l := uint(0); l < k.width; l++ {
-				top := int64(1) << l
-				for _, a := range []int64{top, top - 1, top + 1, top | top>>1, top | top>>8, top | top>>8 | 1} {
-					check(a)
-					check(-a)
+			fb := 2 * (f.Bias() - 1 + int(f.wf))
+			check := func(m uint64, sign bool) {
+				var got, want uint64
+				if m != 0 {
+					got = uint64(tab.Round[bitutil.RoundKey(m)])
+					if sign {
+						got = uint64(tab.Neg[got])
+					}
+					l := uint(bits.Len64(m))
+					want = f.encode(sign, int(l)-1-fb, m, l, false).Bits()
+				}
+				if got != want {
+					t.Fatalf("%v: magnitude %#x (negative %v) rounds to %#x through the tables, %#x through encode", f, m, sign, got, want)
+				}
+			}
+			for l := uint(0); l < 64; l++ {
+				top := uint64(1) << l
+				for _, m := range []uint64{top, top - 1, top + 1, top | top>>1, top | top>>8, top | top>>8 | 1} {
+					check(m, false)
+					check(m, true)
 				}
 				for i := 0; i < 200; i++ {
-					a := int64(r.Uint64() >> (64 - l - 1))
-					check(a)
-					check(-a)
+					m := r.Uint64() >> (63 - l)
+					check(m, false)
+					check(m, true)
 				}
 			}
 		}

@@ -7,19 +7,13 @@ package posit
 // eq.-(4) register is at most two words (128 bits), in one of two tiers:
 //
 //   - Term tables, for formats narrow enough to enumerate (n <= 8) whose
-//     register fits one word. The full signed MAC contribution
+//     register fits one word: the termtile kernel over this format's
+//     tables (termTables). They hold the full signed MAC contribution
 //     ±(sig_w·sig_a) << (fb+adj_w+adj_a) of every (weight, activation)
-//     pattern pair is precomputed, so the inner loop is acc[s] +=
-//     tab[w][a]: no multiply, no shift, no sign fix-up at MAC time. The
-//     flush is walked in tiles of termtile.Size samples, each transposed
-//     once into column-major bytes; the loop order is (row j, weight i,
-//     sample s), so one table row stays hot across the tile. Zeros add
-//     nothing to the exact sum, so a column with enough of them is
-//     compacted into entries s | a<<8 of its nonzero activations and the
-//     row loop runs acc[uint8(e)] += tab[w][e>>8] over those alone;
-//     other columns keep the dense loop. Each sum rounds through a
-//     per-format table keyed by its bit length and top bits
-//     (bitutil.RoundKey) rather than through the encoder.
+//     pattern pair, map NaR to the special flag and round each sum
+//     through a table keyed by its bit length and top bits
+//     (bitutil.RoundKey); a negative sum's pattern is the two's
+//     complement.
 //   - Exact windows, for everything else up to 128 bits (posit(16,1),
 //     posit(8,2) at large fan-in, n = 9..16 in general). The flush is
 //     walked in tiles of batchTile samples. Each tile is decoded once into
@@ -45,13 +39,6 @@ import (
 	"repro/internal/termtile"
 )
 
-// termTabStride is the padded row length of a term table: rows are
-// indexed by the activation pattern, stored as a byte, so a fixed
-// 256-entry stride lets the inner loop convert the row to a *[256]int64
-// and index it with no bounds check. Formats narrower than 8 bits simply
-// leave the upper entries zero (their patterns never occur).
-const termTabStride = 256
-
 // batchTile is the window tier's sample tile: the tile's decoded
 // activations (8 bytes per nonzero) stay cache-resident while every row
 // streams through them, the scale window stays that of 64 samples rather
@@ -59,37 +46,44 @@ const termTabStride = 256
 // whatever the flush size.
 const batchTile = 64
 
-// termTab returns the signed MAC-term table for f (one int64 per
-// (weight, activation) pattern pair, at the quire's fraction depth),
-// building and caching it on first use; nil when f is too wide for one.
-// Memory cost: 2^n × 256 × 8 bytes — 512 KiB at the n = 8 ceiling.
-func (f Format) termTab() []int64 {
-	if f.n > opTabMaxN {
-		return nil
+// termTables returns f's term-tier tables (f.n <= 8), building and
+// caching them on first use. Terms are at the quire's fraction depth fb,
+// and Round holds the pattern of each positive m × 2^-fb. Memory cost:
+// 2^n × 256 × 8 bytes of terms (512 KiB at n = 8) and 16 KiB of rounding.
+func (f Format) termTables() *termtile.Tables {
+	if t := termTabs[f.n][f.es].Load(); t != nil {
+		return t
 	}
-	if p := termTabs[f.n][f.es].Load(); p != nil {
-		return *p
-	}
-	return f.buildTermTab()
-}
-
-func (f Format) buildTermTab() []int64 {
 	// Build the decode table first: tabMu is not reentrant.
 	dec := f.decTab()
 	tabMu.Lock()
 	defer tabMu.Unlock()
-	if p := termTabs[f.n][f.es].Load(); p != nil {
-		return *p
+	if t := termTabs[f.n][f.es].Load(); t != nil {
+		return t
 	}
 	fb := int((uint(1) << (f.es + 1)) * (f.n - 2))
-	count := 1 << f.n
-	t := make([]int64, count*termTabStride)
+	mask, count := f.Mask(), 1<<f.n
+	t := &termtile.Tables{
+		Terms:   make([]int64, count<<8),
+		Round:   new([64 << 8]uint8),
+		Special: f.NaR().bits,
+	}
+	for p := range t.Act {
+		q := uint64(p) & mask
+		switch predecodeBits(f, dec, q).cls {
+		case pdReal:
+			t.Act[p] = uint16(q)
+		case pdNaR:
+			t.Act[p] = 1 << 8
+		}
+		t.Neg[p] = uint8(-q & mask)
+	}
 	for wb := 0; wb < count; wb++ {
 		wd := predecodeBits(f, dec, uint64(wb))
 		if wd.cls != pdReal {
 			continue // zero/NaR rows stay all-zero
 		}
-		row := t[wb*termTabStride : (wb+1)*termTabStride]
+		row := t.Terms[wb<<8 : (wb+1)<<8]
 		for ab := 0; ab < count; ab++ {
 			ad := predecodeBits(f, dec, uint64(ab))
 			if ad.cls != pdReal {
@@ -104,64 +98,30 @@ func (f Format) buildTermTab() []int64 {
 			row[ab] = int64((v ^ sm) - sm)
 		}
 	}
-	termTabs[f.n][f.es].Store(&t)
-	return t
-}
-
-// roundTab returns f's rounding table for the term tier (f.n <= 8),
-// building and caching it on first use: entry bitutil.RoundKey(m) holds
-// the pattern of the positive exact value m × 2^-fb (fb the quire's
-// fraction depth). An n <= 8 posit keeps at most five fraction bits, so
-// the key decides the rounding. Memory cost: 16 KiB per format.
-func (f Format) roundTab() []uint8 {
-	if p := roundTabs[f.n][f.es].Load(); p != nil {
-		return *p
-	}
-	tabMu.Lock()
-	defer tabMu.Unlock()
-	if p := roundTabs[f.n][f.es].Load(); p != nil {
-		return *p
-	}
-	lsb := -int((uint(1) << (f.es + 1)) * (f.n - 2))
-	t := make([]uint8, 64<<8)
-	for key := range t {
+	// An n <= 8 posit keeps at most five fraction bits, so the key decides
+	// the rounding.
+	for key := range t.Round {
 		m := bitutil.RoundKeyValue(key)
 		l := bits.Len64(m)
-		t[key] = uint8(f.encode(false, l-1+lsb, m, uint(l), false).bits)
+		t.Round[key] = uint8(f.encode(false, l-1-fb, m, uint(l), false).bits)
 	}
-	roundTabs[f.n][f.es].Store(&t)
+	termTabs[f.n][f.es].Store(t)
 	return t
 }
 
 // BatchDenseKernel holds the pre-decoded parameters and reused flush
 // scratch for one layer. Not safe for concurrent use.
 type BatchDenseKernel struct {
-	f        Format
-	in, out  int
+	f       Format
+	in, out int
+	// term is the term tier's kernel; nil in the window tier, which the
+	// remaining fields serve.
+	term *termtile.Kernel
+
 	fracBits uint // quire fraction depth 2^(es+1)(n-2)
 	narBits  uint64
 	// narRow[j] records a NaR weight or bias in row j.
 	narRow []bool
-
-	// Term tier (tab != nil).
-	tab []int64
-	// wRow[j*in+i] is the term-table row offset of weight (j,i), already
-	// multiplied by termTabStride; -1 for zero/NaR weights (their table
-	// row is all zeros, so skipping them is free and exact).
-	wRow []int32
-	// biasTerm[j] is the bias contribution at the quire's fraction depth.
-	biasTerm []int64
-	rtab     *[64 << 8]uint8 // f.roundTab()
-	// Tile scratch (see termtile): the tile's patterns column-major
-	// (actT[i*ts+s], NaR stored as 0: its table entries are 0), the
-	// compacted entries of its sparse columns, each column's span of them,
-	// and the registers of the current row.
-	actT  []uint8
-	lists []uint16
-	spans []int32
-	acc   []int64
-
-	// Window tier (tab == nil).
 	// wPack[j*in+i] packs weight (j,i) as sig<<8 | uint8(adj): its signed
 	// significand (0 for zero/NaR) over its LSB scale.
 	wPack []int64
@@ -205,35 +165,25 @@ func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, b
 	if width > 128 || in >= 1<<24 {
 		return nil, false
 	}
-	k := &BatchDenseKernel{
-		f:        f,
-		in:       in,
-		out:      out,
-		fracBits: (uint(1) << (f.es + 1)) * (f.n - 2),
-		narBits:  f.NaR().bits,
-		narRow:   make([]bool, out),
-	}
+	k := &BatchDenseKernel{f: f, in: in, out: out}
 	if f.n <= opTabMaxN && width <= 64 {
-		k.tab = f.termTab()
-		k.rtab = (*[64 << 8]uint8)(f.roundTab())
-		k.wRow = make([]int32, out*in)
-		k.biasTerm = make([]int64, out)
-		k.spans = make([]int32, 2*in)
-		k.acc = make([]int64, termtile.Size)
-		k.narS = make([]bool, termtile.Size)
-	} else {
-		k.wPack = make([]int64, out*in)
-		k.wAlign = make([]int64, out*in)
-		k.wLo = make([]int8, out)
-		k.wHi = make([]int8, out)
-		k.bias = make([]pdec, out)
-		k.headroom = 2*max(int(f.n)-2-int(f.es), 1) + bits.Len(uint(in)) + 1
-		k.q.init(f, in, 0)
-		k.ents = make([]int64, 0, in*batchTile)
-		k.aAlign = make([]int64, in*batchTile)
-		k.start = make([]int, batchTile+1)
-		k.narS = make([]bool, batchTile)
+		k.term = newTermKernel(f, w, b)
+		return k, true
 	}
+	k.fracBits = (uint(1) << (f.es + 1)) * (f.n - 2)
+	k.narBits = f.NaR().bits
+	k.narRow = make([]bool, out)
+	k.wPack = make([]int64, out*in)
+	k.wAlign = make([]int64, out*in)
+	k.wLo = make([]int8, out)
+	k.wHi = make([]int8, out)
+	k.bias = make([]pdec, out)
+	k.headroom = 2*max(int(f.n)-2-int(f.es), 1) + bits.Len(uint(in)) + 1
+	k.q.init(f, in, 0)
+	k.ents = make([]int64, 0, in*batchTile)
+	k.aAlign = make([]int64, in*batchTile)
+	k.start = make([]int, batchTile+1)
+	k.narS = make([]bool, batchTile)
 	wd := make([]pdec, in)
 	for j, row := range w {
 		if len(row) != in {
@@ -246,27 +196,33 @@ func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, b
 			nar = nar || d.cls == pdNaR
 		}
 		k.narRow[j] = nar
-		if k.tab != nil {
-			k.initTermRow(j, row, wd, bd)
-		} else {
-			k.initWindowRow(j, wd, bd)
-		}
+		k.initWindowRow(j, wd, bd)
 	}
 	return k, true
 }
 
-func (k *BatchDenseKernel) initTermRow(j int, row []Posit, wd []pdec, bd pdec) {
-	dst := k.wRow[j*k.in : (j+1)*k.in]
-	for i, d := range wd {
-		dst[i] = -1
-		if d.cls == pdReal {
-			dst[i] = int32(row[i].bits) * termTabStride
+// newTermKernel builds the term tier's kernel for a layer: f's tables,
+// the weight patterns, and each real bias at the quire's fraction depth.
+// The quire never wraps, so sums take the full 64-bit register.
+func newTermKernel(f Format, w [][]Posit, b []Posit) *termtile.Kernel {
+	dec, fb := f.decTab(), int((uint(1)<<(f.es+1))*(f.n-2))
+	pats := make([][]uint8, len(w))
+	biasTerm := make([]int64, len(w))
+	biasNaR := make([]bool, len(w))
+	for j, row := range w {
+		pats[j] = make([]uint8, len(row))
+		for i, p := range row {
+			pats[j][i] = uint8(p.mustFormat(f).bits)
+		}
+		switch bd := predecodeBits(f, dec, b[j].mustFormat(f).bits); bd.cls {
+		case pdReal:
+			v := bd.sig << uint(fb+int(bd.adj))
+			biasTerm[j] = int64((v ^ bd.sgn) - bd.sgn)
+		case pdNaR:
+			biasNaR[j] = true
 		}
 	}
-	if bd.cls == pdReal {
-		v := bd.sig << uint(int(k.fracBits)+int(bd.adj))
-		k.biasTerm[j] = int64((v ^ bd.sgn) - bd.sgn)
-	}
+	return termtile.New(f.termTables(), pats, biasTerm, biasNaR, 64)
 }
 
 func (k *BatchDenseKernel) initWindowRow(j int, wd []pdec, bd pdec) {
@@ -328,23 +284,6 @@ func (k *BatchDenseKernel) round(a int64, lsb int) uint64 {
 	return k.f.encode(sign, l-1+lsb, m, uint(l), false).bits
 }
 
-// roundTerm is round at the term tier's scale 2^-fracBits, read from
-// the format's rounding table.
-func (k *BatchDenseKernel) roundTerm(a int64) uint64 {
-	m := uint64(a)
-	if a < 0 {
-		m = -m
-	}
-	if m == 0 {
-		return 0
-	}
-	p := uint64(k.rtab[bitutil.RoundKey(m)&(64<<8-1)])
-	if a < 0 {
-		p = -p & k.f.Mask()
-	}
-	return p
-}
-
 // ForwardBatch computes dst[s*k.Out()+j] = round(b[j] + Σ_i
 // W[j][i]·act[s*k.In()+i]) for every sample s in the flush: flat
 // sample-major planes of n-bit patterns, len(act) = b·In(), len(dst) =
@@ -355,103 +294,13 @@ func ForwardBatch[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
 	if b < 0 || len(act) != b*k.in || len(dst) != b*k.out {
 		panic("posit: BatchDenseKernel batch size mismatch")
 	}
-	if b == 0 {
-		return
-	}
-	if k.tab != nil {
-		forwardTerms(k, act, dst, b)
+	if k.term != nil {
+		termtile.Forward(k.term, act, dst, b)
 		return
 	}
 	for s0 := 0; s0 < b; s0 += batchTile {
 		ts := min(batchTile, b-s0)
 		forwardTile(k, act[s0*k.in:(s0+ts)*k.in], dst[s0*k.out:(s0+ts)*k.out], ts)
-	}
-}
-
-// forwardTerms is the term-table tier, walked in tiles of
-// termtile.Size samples.
-func forwardTerms[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
-	if n := k.in * min(b, termtile.Size); len(k.actT) < n {
-		k.actT = make([]uint8, n)
-		k.lists = make([]uint16, n)
-	}
-	for s0 := 0; s0 < b; s0 += termtile.Size {
-		ts := min(termtile.Size, b-s0)
-		forwardTermTile(k, act[s0*k.in:(s0+ts)*k.in], dst[s0*k.out:(s0+ts)*k.out], ts)
-	}
-}
-
-// forwardTermTile is the term tier over one tile of ts <= termtile.Size
-// samples: act and dst are the tile's slices of the flush planes.
-func forwardTermTile[C ~uint64](k *BatchDenseKernel, act, dst []C, ts int) {
-	in, out := k.in, k.out
-	actT, narS := k.actT[:in*ts], k.narS[:ts]
-	mask, narPat := k.f.Mask(), k.f.signBit()
-	// Decode once per tile: transpose the patterns into column-major bytes
-	// (column s-contiguous, matching the dense loop), record which samples
-	// carry a NaR activation (poisoning every row, exactly as per-sample
-	// accumulation would).
-	for s := 0; s < ts; s++ {
-		nar := false
-		for i, c := range act[s*in : (s+1)*in] {
-			p := uint64(c) & mask
-			if p == narPat {
-				nar, p = true, 0
-			}
-			actT[i*ts+s] = uint8(p)
-		}
-		narS[s] = nar
-	}
-	sparse := termtile.Compact(actT, k.lists, k.spans, ts, out)
-	acc := (*[termtile.Size]int64)(k.acc)
-	for j := 0; j < out; j++ {
-		if k.narRow[j] {
-			for s := 0; s < ts; s++ {
-				dst[s*out+j] = C(k.narBits)
-			}
-			continue
-		}
-		bt := k.biasTerm[j]
-		for s := 0; s < ts; s++ {
-			acc[s] = bt
-		}
-		k.addRow(acc, k.wRow[j*in:(j+1)*in], actT, ts, sparse)
-		for s := 0; s < ts; s++ {
-			v := k.narBits
-			if !narS[s] {
-				v = k.roundTerm(acc[s])
-			}
-			dst[s*out+j] = C(v)
-		}
-	}
-}
-
-// addRow adds one row's terms for a tile to acc: wRow holds the row's
-// table offsets, actT the tile's column-major patterns, and sparse says
-// whether termtile.Compact compacted any column. Out of line: inlined
-// into the tile loop, its loop state spills to the stack.
-//
-//go:noinline
-func (k *BatchDenseKernel) addRow(acc *[termtile.Size]int64, wRow []int32, actT []uint8, ts int, sparse bool) {
-	lists, spans := k.lists, k.spans
-	for i, off := range wRow {
-		if off < 0 {
-			continue // zero/NaR weight: all-zero table row
-		}
-		// One table row (2 KiB) stays hot across the tile; the fixed-size
-		// array views remove the inner bounds checks.
-		row := (*[termTabStride]int64)(k.tab[off:])
-		if sparse && spans[2*i+1] >= 0 {
-			if lo, hi := spans[2*i], spans[2*i+1]; hi > lo {
-				termtile.AddEntries(acc, row, lists[lo:hi])
-			}
-			continue
-		}
-		col := actT[i*ts : i*ts+ts]
-		a := acc[:len(col)]
-		for s, p := range col {
-			a[s] += row[p]
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package posit
 import (
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/rng"
 )
 
@@ -184,20 +185,53 @@ func TestBatchDenseKernelEmptyFlush(t *testing.T) {
 	ForwardBatch[uint64](bk, nil, nil, 0) // must not panic
 }
 
-// TestRoundTermMatchesEncode checks the term tier's table rounding
-// against the encoder for exact sums of every bit length, ties and
-// sticky tails included, in every format narrow enough for the tier.
-func TestRoundTermMatchesEncode(t *testing.T) {
+// TestTermTablesMatchFormat checks every posit(n <= 8, es <= 2) term
+// tier's tables exhaustively: each activation byte's classification, each
+// pattern's negation, and the rounding of exact sums of every bit length,
+// ties and sticky tails included, through Round and Neg against the
+// encoder.
+func TestTermTablesMatchFormat(t *testing.T) {
 	r := rng.New(19)
 	for n := uint(3); n <= 8; n++ {
 		for es := uint(0); es <= 2; es++ {
 			f := MustFormat(n, es)
-			k := &BatchDenseKernel{f: f, fracBits: (uint(1) << (es + 1)) * (n - 2)}
-			k.rtab = (*[64 << 8]uint8)(f.roundTab())
-			lsb := -int(k.fracBits)
+			tab := f.termTables()
+			if tab.Special != f.NaR().Bits() {
+				t.Fatalf("%v: special %#x", f, tab.Special)
+			}
+			for p := range 256 {
+				x := f.FromBits(uint64(p) & f.Mask())
+				want := uint16(x.Bits())
+				switch {
+				case x.IsZero():
+					want = 0
+				case x.IsNaR():
+					want = 1 << 8
+				}
+				if tab.Act[p] != want {
+					t.Fatalf("%v: Act[%#x] = %#x, want %#x", f, p, tab.Act[p], want)
+				}
+				neg := f.FromBits(uint64(tab.Neg[p]))
+				if x.IsNaR() != neg.IsNaR() || !x.IsNaR() && neg.Float64() != -x.Float64() {
+					t.Fatalf("%v: Neg[%#x] = %v, want -%v", f, p, neg, x)
+				}
+			}
+			k := &BatchDenseKernel{f: f}
+			lsb := -int((uint(1) << (es + 1)) * (n - 2))
 			check := func(a int64) {
-				if got, want := k.roundTerm(a), k.round(a, lsb); got != want {
-					t.Fatalf("%v: sum %#x rounds to %#x through the table, %#x through encode", f, a, got, want)
+				m := uint64(a)
+				if a < 0 {
+					m = -m
+				}
+				var got uint64
+				if m != 0 {
+					got = uint64(tab.Round[bitutil.RoundKey(m)])
+					if a < 0 {
+						got = uint64(tab.Neg[got])
+					}
+				}
+				if want := k.round(a, lsb); got != want {
+					t.Fatalf("%v: sum %#x rounds to %#x through the tables, %#x through encode", f, a, got, want)
 				}
 			}
 			for l := uint(0); l < 64; l++ {

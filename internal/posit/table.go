@@ -20,6 +20,8 @@ package posit
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/termtile"
 )
 
 const (
@@ -81,12 +83,9 @@ var (
 	decTabs [decTabMaxN + 1][MaxES + 1]atomic.Pointer[[]uint32]
 	mulTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[[]uint8]
 	addTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[[]uint8]
-	// termTabs holds the batched kernels' signed MAC-term tables (see
-	// batchkernel.go): 2^n × 256 int64 entries per format.
-	termTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[[]int64]
-	// roundTabs holds the term tier's rounding tables (see
-	// batchkernel.go): 64 × 256 patterns per format.
-	roundTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[[]uint8]
+	// termTabs holds the batch kernel's term-tier tables (see
+	// batchkernel.go).
+	termTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[termtile.Tables]
 )
 
 // decTab returns the decode table for f, building it on first use, or nil

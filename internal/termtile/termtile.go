@@ -1,31 +1,191 @@
-// Package termtile holds the tile machinery the posit and minifloat
-// term-table batch kernels share. A kernel transposes each tile of a
-// flush into column-major byte patterns, Compact turns the columns with
-// enough zeros into lists of their nonzero entries, and a kernel's row
-// loop adds table terms over the dense columns and, through AddEntries,
-// over the lists.
-// Zeros add nothing to an exact sum, so skipping them cannot change a
-// result.
+// Package termtile is the term-table batch kernel of the posit and float
+// arms for 8-bit-enumerable formats: one Kernel over per-format Tables.
+//
+// Tables hold the full signed MAC term of every (weight, activation)
+// pattern pair at the register's fraction depth, so the inner loop is
+// acc[s] += Terms[w<<8|a]: no multiply, no shift, no sign fix-up at MAC
+// time. The flush is walked in tiles of 256 samples, each transposed
+// once into column-major bytes through the activation map; the loop order
+// is (row j, weight i, sample s), so one table row stays hot across the
+// tile. Zeros add nothing to an exact sum, so a column with enough of
+// them is compacted into entries s | a<<8 of its nonzero activations and
+// the row loop runs acc[uint8(e)] += row[e>>8] over those alone; other
+// columns keep the dense loop. Skipping a zero cannot change a result.
+// Each sum wraps in the arm's register width and rounds through a table
+// keyed by its bit length and top bits (bitutil.RoundKey), not through
+// the encoder. A special activation, weight or bias poisons its sample or
+// row, which then yields the special pattern.
+//
+// An arm supplies only its Tables, each row's weight patterns, its bias
+// terms and its register width; results are bit-identical to the arm's
+// per-sample kernel.
 package termtile
 
 import "repro/internal/bitutil"
 
-// Size is the sample tile: a sample's index within its tile fits the
+// tileSize is the sample tile: a sample's index within its tile fits the
 // low byte of a compacted entry, and a kernel's tile scratch stays
-// O(in × Size) whatever the flush size.
-const Size = 256
+// O(in × tileSize) whatever the flush size.
+const tileSize = 256
 
-// minCompact is the smallest tile Compact considers: below it the pass's
+// minCompact is the smallest tile compact considers: below it the pass's
 // fixed cost per column outweighs the few table reads it could save, and
 // a single-sample flush measured 20% slower with it.
 const minCompact = 16
 
-// Compact builds a tile's entry lists from its column-major patterns
-// actT ([in][ts], pattern 0 for every activation whose terms are all
-// zero) for a layer of out rows. A column whose zero share reaches
-// 3/8 + 1/out keeps only its nonzero patterns, as entries s | a<<8 in
+// Tables is one format's data for the kernel, built once by its arm.
+type Tables struct {
+	// Terms[w<<8|a] is the signed MAC term of weight pattern w and
+	// activation pattern a at the register's fraction depth: 2^n rows of
+	// 256, with zero for zero and special operands. The fixed 256-entry
+	// stride lets the row loop view a row as a *[256]int64 and index it
+	// with a byte and no bounds check.
+	Terms []int64
+	// Act[p] is byte p as a tile stores it: p & mask for a real nonzero
+	// pattern, 0 for zero and special ones (their terms are all zero),
+	// with bit 8 set for a special (NaR, NaN, ±Inf). It covers all 256
+	// bytes, so the patterns of formats narrower than 8 bits read the
+	// same with any bits above their width.
+	Act [256]uint16
+	// Round[bitutil.RoundKey(m)] is the pattern of the positive exact
+	// value m at the register's fraction depth. An 8-bit format keeps at
+	// most five fraction bits, so the key decides the rounding.
+	Round *[64 << 8]uint8
+	// Neg[p] is the pattern of the negation of pattern p.
+	Neg [256]uint8
+	// Special is the pattern a poisoned sum yields (NaR, or a float's NaN).
+	Special uint64
+}
+
+// Kernel is one layer's term-table datapath: its weights as table-row
+// offsets, its bias terms and reused tile scratch. Not safe for
+// concurrent use.
+type Kernel struct {
+	t       *Tables
+	in, out int
+	// wRow[j*in+i] is the Terms offset (pattern << 8) of weight (j,i); -1
+	// for zero and special weights, whose table rows are all zero.
+	wRow     []int32
+	biasTerm []int64
+	// specialRow[j] records a special weight or bias in row j.
+	specialRow []bool
+	// wrap sign-extends a sum from the register width: sums wrap there.
+	wrap uint
+
+	// Tile scratch: the tile's stored bytes column-major (actT[i*ts+s]),
+	// the compacted entries of its sparse columns, each column's span of
+	// them, the registers of the current row and the per-sample special
+	// flags.
+	actT  []uint8
+	lists []uint16
+	spans []int32
+	acc   [tileSize]int64
+	spS   [tileSize]bool
+}
+
+// New builds the kernel of a layer of len(w) rows of len(w[0]) weight
+// patterns over t. biasTerm[j] is row j's bias at the register's fraction
+// depth (0 for a zero or special bias) and biasSpecial[j] flags a special
+// bias. Each sum wraps in a two's-complement register of width bits
+// (1..64), as the arm's register does.
+func New(t *Tables, w [][]uint8, biasTerm []int64, biasSpecial []bool, width uint) *Kernel {
+	out, in := len(w), len(w[0])
+	k := &Kernel{
+		t:          t,
+		in:         in,
+		out:        out,
+		wRow:       make([]int32, out*in),
+		biasTerm:   biasTerm,
+		specialRow: make([]bool, out),
+		wrap:       64 - width,
+		spans:      make([]int32, 2*in),
+	}
+	for j, row := range w {
+		if len(row) != in {
+			panic("termtile: ragged weight matrix")
+		}
+		special := biasSpecial[j]
+		dst := k.wRow[j*in : (j+1)*in]
+		for i, p := range row {
+			c := t.Act[p]
+			special = special || c>>8 != 0
+			dst[i] = -1
+			if uint8(c) != 0 {
+				dst[i] = int32(uint8(c)) << 8
+			}
+		}
+		k.specialRow[j] = special
+	}
+	return k
+}
+
+// Forward computes dst[s*out+j] = round(b[j] + Σ_i W[j][i]·act[s*in+i])
+// for every sample s of a flush: flat sample-major planes of patterns in
+// any uint64-backed code type, read and written in place, with len(act) =
+// b·in and len(dst) = b·out. No activation function is applied. Only the
+// low 8 bits of an activation are read.
+func Forward[C ~uint64](k *Kernel, act, dst []C, b int) {
+	if b < 0 || len(act) != b*k.in || len(dst) != b*k.out {
+		panic("termtile: batch size mismatch")
+	}
+	if n := k.in * min(b, tileSize); len(k.actT) < n {
+		k.actT = make([]uint8, n)
+		k.lists = make([]uint16, n)
+	}
+	for s0 := 0; s0 < b; s0 += tileSize {
+		ts := min(tileSize, b-s0)
+		forwardTile(k, act[s0*k.in:(s0+ts)*k.in], dst[s0*k.out:(s0+ts)*k.out], ts)
+	}
+}
+
+// forwardTile runs one tile of ts <= tileSize samples: act and dst are the
+// tile's slices of the flush planes.
+func forwardTile[C ~uint64](k *Kernel, act, dst []C, ts int) {
+	t, in, out := k.t, k.in, k.out
+	actT, spS := k.actT[:in*ts], k.spS[:ts]
+	// Decode once per tile: transpose the stored bytes into column-major
+	// order (column s-contiguous, matching the dense loop) and flag the
+	// samples carrying a special activation, which poisons every row,
+	// exactly as per-sample accumulation would.
+	for s := 0; s < ts; s++ {
+		var special uint16
+		for i, c := range act[s*in : (s+1)*in] {
+			v := t.Act[uint8(c)]
+			special |= v
+			actT[i*ts+s] = uint8(v)
+		}
+		spS[s] = special>>8 != 0
+	}
+	sparse := compact(actT, k.lists, k.spans, ts, out)
+	acc := &k.acc
+	for j := 0; j < out; j++ {
+		if k.specialRow[j] {
+			for s := 0; s < ts; s++ {
+				dst[s*out+j] = C(t.Special)
+			}
+			continue
+		}
+		bt := k.biasTerm[j]
+		for s := 0; s < ts; s++ {
+			acc[s] = bt
+		}
+		k.addRow(acc, k.wRow[j*in:(j+1)*in], actT, ts, sparse)
+		for s := 0; s < ts; s++ {
+			v := t.Special
+			if !spS[s] {
+				v = k.round(acc[s])
+			}
+			dst[s*out+j] = C(v)
+		}
+	}
+}
+
+// compact builds a tile's entry lists from its column-major bytes actT
+// ([in][ts], 0 for every activation whose terms are all zero) for a
+// layer of out rows. A column whose zero share reaches 3/8 + 1/out keeps
+// only its nonzero bytes, as entries s | a<<8 in
 // lists[spans[2i]:spans[2i+1]]; the others stay dense (spans[2i+1] < 0).
-// lists holds in·ts entries and spans 2·in. Compact reports whether any
+// lists holds in·ts entries and spans 2·in. compact reports whether any
 // column was compacted; tiles under minCompact samples stay dense.
 //
 // The threshold is the measured crossover (Intel Xeon, 256-sample tile,
@@ -35,7 +195,7 @@ const minCompact = 16
 // a half on. An entry costs more than a dense step and takes one pass to
 // build; the 1/out term charges that pass to the rows it serves, so a
 // 32×2 layer's columns compact only when nearly all zero.
-func Compact(actT []uint8, lists []uint16, spans []int32, ts, out int) (sparse bool) {
+func compact(actT []uint8, lists []uint16, spans []int32, ts, out int) (sparse bool) {
 	if ts < minCompact {
 		return false
 	}
@@ -61,13 +221,62 @@ func Compact(actT []uint8, lists []uint16, spans []int32, ts, out int) (sparse b
 	return sparse
 }
 
-// AddEntries adds row[a] to acc[s] for each entry s | a<<8 of a
-// compacted column. The loop stays out of line: inlined into a kernel's
-// row loop, it ran slower.
+// addRow adds one row's terms for a tile to acc: wRow holds the row's
+// table offsets, actT the tile's column-major bytes, and sparse says
+// whether compact compacted any column. Out of line: inlined into the
+// tile loop, its loop state spills to the stack.
 //
 //go:noinline
-func AddEntries(acc *[Size]int64, row *[256]int64, ents []uint16) {
+func (k *Kernel) addRow(acc *[tileSize]int64, wRow []int32, actT []uint8, ts int, sparse bool) {
+	lists, spans := k.lists, k.spans
+	for i, off := range wRow {
+		if off < 0 {
+			continue // zero or special weight: all-zero table row
+		}
+		// One table row (2 KiB) stays hot across the tile; the fixed-size
+		// array views remove the inner bounds checks.
+		row := (*[256]int64)(k.t.Terms[off:])
+		if sparse && spans[2*i+1] >= 0 {
+			if lo, hi := spans[2*i], spans[2*i+1]; hi > lo {
+				addEntries(acc, row, lists[lo:hi])
+			}
+			continue
+		}
+		col := actT[i*ts : i*ts+ts]
+		a := acc[:len(col)]
+		for s, p := range col {
+			a[s] += row[p]
+		}
+	}
+}
+
+// addEntries adds row[a] to acc[s] for each entry s | a<<8 of a
+// compacted column. The loop stays out of line: inlined into the row
+// loop, it ran slower.
+//
+//go:noinline
+func addEntries(acc *[tileSize]int64, row *[256]int64, ents []uint16) {
 	for _, e := range ents {
 		acc[uint8(e)] += row[e>>8]
 	}
+}
+
+// round rounds one register to a pattern: the sum wraps in the register
+// width, its magnitude reads the rounding table and a negative sum's
+// pattern is negated.
+func (k *Kernel) round(a int64) uint64 {
+	sh := k.wrap & 63 // wrap < 64: the mask spares the shifts' overflow fix-up
+	a = a << sh >> sh
+	m := uint64(a)
+	if a < 0 {
+		m = -m
+	}
+	if m == 0 {
+		return 0
+	}
+	p := k.t.Round[bitutil.RoundKey(m)&(64<<8-1)]
+	if a < 0 {
+		p = k.t.Neg[p]
+	}
+	return uint64(p)
 }

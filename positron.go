@@ -530,25 +530,8 @@ func NewFaultInjector(seed uint64, rules ...FaultRule) *FaultInjector {
 	return faults.New(seed, rules...)
 }
 
-// Engine is the original worker-pool batch-inference engine over a
-// uniform-precision network.
-//
-// Deprecated: use Runtime via NewRuntime for direct batch inference, or
-// a Registry (NewRegistry) when serving models behind names — both serve
-// mixed-precision models, observe context cancellation and return errors
-// instead of panicking. Engine remains as a source-compatible shim over
-// Runtime.
-type Engine = engine.Engine
-
 // EngineResult is one completed streaming inference (ID, logits, class).
 type EngineResult = engine.Result
-
-// NewEngine starts an inference engine with the given worker count over
-// the network (workers <= 0 selects GOMAXPROCS). Call Close to release
-// the pool.
-//
-// Deprecated: use NewRuntime.
-func NewEngine(net *DeepPositron, workers int) *Engine { return engine.New(net, workers) }
 
 // SweepResult is one evaluated low-precision configuration.
 type SweepResult = core.Result

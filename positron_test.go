@@ -144,14 +144,6 @@ func TestFacadeServingPath(t *testing.T) {
 	if err := rt.Submit(context.Background(), 0, test.X[0]); !errors.Is(err, ErrRuntimeClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrRuntimeClosed", err)
 	}
-
-	// The deprecated engine shim still compiles and serves.
-	uni := QuantizeNetwork(net, PositArith(8, 0))
-	e := NewEngine(uni, 2)
-	defer e.Close()
-	if out := e.InferBatch(test.X[:5]); len(out) != 5 {
-		t.Fatalf("engine shim returned %d results", len(out))
-	}
 }
 
 // TestFacadeRegistryServing walks the multi-model serving story through
