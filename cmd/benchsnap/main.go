@@ -12,10 +12,14 @@
 //	                                  # flush is not faster than a dense
 //	                                  # one, or the binary artifact decode
 //	                                  # is not >=3x faster than the JSON
-//	                                  # parse; writes nothing
+//	                                  # parse, or the whole /infer handler
+//	                                  # on a 64-sample batch is not faster
+//	                                  # than encoding/json decoding its
+//	                                  # body; writes nothing
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -33,12 +37,14 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/artifact/store"
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/emac"
 	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/posit"
 	"repro/internal/registry"
 	"repro/internal/rng"
+	"repro/internal/server"
 )
 
 // Result is one benchmark measurement.
@@ -102,10 +108,21 @@ func measure(name string, fn func(b *testing.B)) Result {
 	}
 }
 
+// fastest calls run runs times and keeps the fastest result.
+func fastest(runs int, run func() Result) Result {
+	best := run()
+	for i := 1; i < runs; i++ {
+		if r := run(); r.NsPerOp < best.NsPerOp {
+			best = r
+		}
+	}
+	return best
+}
+
 func main() {
 	out := flag.String("o", "BENCH_arith.json", "output path")
 	check := flag.Bool("check", false,
-		"regression smoke: compare ForwardBatch256 against 256x the per-sample layer kernel and one-hot against dense 117x32 flushes per arm, exit 1 on regression, write nothing")
+		"regression smoke: compare ForwardBatch256 against 256x the per-sample layer kernel, one-hot against dense 117x32 flushes per arm, and the /infer handler against encoding/json decoding its body; exit 1 on regression, write nothing")
 	flag.Parse()
 
 	f80 := posit.MustFormat(8, 0)
@@ -384,6 +401,60 @@ func main() {
 		}
 	})
 	snap.Results = append(snap.Results, loadJSON, loadBin)
+	// DecodeJSON and ServeInfer: the bench module's mushroom-batch body
+	// at seed 1, 64 one-hot Mushroom samples. DecodeJSON is encoding/json
+	// decoding it, which is what the request scanner's fallback costs;
+	// ServeInfer is the whole /infer handler on a 117-32-2 posit(8,0)
+	// model, from Server.ServeHTTP on a recorder. -check holds the
+	// handler, best of 3, to less than the decode alone.
+	_, mushTest := datasets.MushroomSplit(datasets.MushroomSeed + 1)
+	mushBody, err := json.Marshal(map[string][][]float64{"inputs": mushTest.X[:64]})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchsnap:", err)
+		os.Exit(1)
+	}
+	mushReg := registry.New()
+	mushNet := core.Quantize(nn.NewMLP([]int{datasets.MushroomOneHotDim(), 32, 2}, rng.New(43)), emac.NewPosit(8, 0))
+	if err := mushReg.Load("mushroom", mushNet); err != nil {
+		fmt.Fprintln(os.Stderr, "benchsnap:", err)
+		os.Exit(1)
+	}
+	srv := server.New(mushReg, "mushroom")
+	// -check keeps the best of 3 runs of each gated serving row.
+	runs := 1
+	if *check {
+		runs = 3
+	}
+	decodeJSON := fastest(runs, func() Result {
+		return measure("DecodeJSON/mushroom64", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var req struct {
+					Input  []float64   `json:"input"`
+					Inputs [][]float64 `json:"inputs"`
+				}
+				dec := json.NewDecoder(bytes.NewReader(mushBody))
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+	serveInfer := fastest(runs, func() Result {
+		return measure("ServeInfer/mushroom64", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/mushroom/infer", bytes.NewReader(mushBody)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("infer: status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	})
+	srv.Close()
+	snap.Results = append(snap.Results, decodeJSON, serveInfer)
 	if !*check {
 		// ArtifactFetch: the two ends of the store read path a replica
 		// sees — a local in-memory tier hit vs a cold peer fetch over
@@ -473,21 +544,8 @@ func main() {
 		_ = rt.Close()
 		return res
 	}
-	bestOf := func(name string, depth, runs int) Result {
-		best := flushBench(name, depth)
-		for i := 1; i < runs; i++ {
-			if r := flushBench(name, depth); r.NsPerOp < best.NsPerOp {
-				best = r
-			}
-		}
-		return best
-	}
-	flushRuns := 1
-	if *check {
-		flushRuns = 3
-	}
-	flushSerial := bestOf("FlushPipeline/serialised", 1, flushRuns)
-	flushPiped := bestOf("FlushPipeline/pipelined2", 2, flushRuns)
+	flushSerial := fastest(runs, func() Result { return flushBench("FlushPipeline/serialised", 1) })
+	flushPiped := fastest(runs, func() Result { return flushBench("FlushPipeline/pipelined2", 2) })
 	snap.Results = append(snap.Results, flushSerial, flushPiped)
 	if *check {
 		pass := true
@@ -497,6 +555,13 @@ func main() {
 		if speedup < 3 {
 			fmt.Fprintf(os.Stderr,
 				"benchsnap check: REGRESSION: binary artifact decode only %.2fx the JSON parse (want >= 3x)\n", speedup)
+			pass = false
+		}
+		fmt.Printf("benchsnap check: ServeInfer %.1f ns, encoding/json decode of its body %.1f ns (%.2fx)\n",
+			serveInfer.NsPerOp, decodeJSON.NsPerOp, decodeJSON.NsPerOp/serveInfer.NsPerOp)
+		if serveInfer.NsPerOp >= decodeJSON.NsPerOp {
+			fmt.Fprintln(os.Stderr,
+				"benchsnap check: REGRESSION: the /infer handler is not faster than encoding/json decoding its body (request scanner lost)")
 			pass = false
 		}
 		for _, c := range checks {
@@ -538,7 +603,7 @@ func main() {
 		if !pass {
 			os.Exit(1)
 		}
-		fmt.Println("benchsnap check: fused batch kernels, zero skipping, artifact load, and flush pipeline OK")
+		fmt.Println("benchsnap check: fused batch kernels, zero skipping, artifact load, request decode and flush pipeline OK")
 		return
 	}
 	// Runtime worker-scaling bench, gated on a multicore host: the 1-CPU

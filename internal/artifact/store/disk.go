@@ -77,7 +77,13 @@ func (d *Disk) Put(data []byte) (artifact.Hash, error) {
 		d.putDedups.Add(1)
 		return h, nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	switch err := os.Mkdir(filepath.Dir(path), 0o755); {
+	case err == nil:
+		// A new shard directory is durable only once the root is synced.
+		if err := fsutil.SyncDir(d.root); err != nil {
+			return h, err
+		}
+	case !errors.Is(err, fs.ErrExist):
 		return h, err
 	}
 	if err := fsutil.WriteFileAtomic(path, data, 0o644); err != nil {

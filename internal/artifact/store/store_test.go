@@ -391,6 +391,38 @@ func TestDiskDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDiskPutShardBlocked: when a shard directory cannot be created (a
+// stray file holds its name), Put fails, counts nothing, and a Put into
+// another shard still succeeds.
+func TestDiskPutShardBlocked(t *testing.T) {
+	d, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := []byte("blocked shard")
+	shard := artifact.Sum(blob).String()[:2]
+	if err := os.WriteFile(filepath.Join(d.Root(), shard), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Put(blob); err == nil {
+		t.Fatal("Put into a shard blocked by a file succeeded")
+	}
+	if st := d.Stats(); st.Objects != 0 {
+		t.Fatalf("objects = %d after a failed Put", st.Objects)
+	}
+	other := []byte("another shard")
+	for artifact.Sum(other).String()[:2] == shard {
+		other = append(other, '!')
+	}
+	h, err := d.Put(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Get(h); err != nil || !bytes.Equal(got, other) {
+		t.Fatalf("Get after Put: %q, %v", got, err)
+	}
+}
+
 // TestDiskPersistsAcrossReopen: a new Disk over an existing root sees
 // the blobs and counts them in Stats.
 func TestDiskPersistsAcrossReopen(t *testing.T) {

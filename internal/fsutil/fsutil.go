@@ -13,7 +13,9 @@ import (
 // old content or the new content, never a partial write: the bytes go to
 // a temporary file in the target's directory (same filesystem, so the
 // final rename cannot degrade to a copy) which is fsynced, closed and
-// renamed over path. On any error the temporary file is removed and the
+// renamed over path. The directory is fsynced after the rename, so the
+// new name survives a power loss once WriteFileAtomic returns nil. On an
+// error before the rename the temporary file is removed and the
 // destination is untouched.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
@@ -46,5 +48,19 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	tmpName = "" // renamed away; nothing to clean up
-	return nil
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs the directory dir, making the names created, renamed
+// or removed in it durable.
+func SyncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

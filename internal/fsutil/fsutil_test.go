@@ -50,3 +50,39 @@ func TestWriteFileAtomicMissingDirFails(t *testing.T) {
 		t.Fatal("want error for missing directory")
 	}
 }
+
+// TestWriteFileAtomicFailedRenameLeavesDestination: when the final rename
+// fails (here the destination is a non-empty directory), the
+// destination is untouched and the temporary file is gone.
+func TestWriteFileAtomicFailedRenameLeavesDestination(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "blob")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, "keep"), []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("new"), 0o644); err == nil {
+		t.Fatal("want an error renaming over a non-empty directory")
+	}
+	if got, err := os.ReadFile(filepath.Join(path, "keep")); err != nil || string(got) != "old" {
+		t.Fatalf("destination changed: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "blob" {
+		t.Fatalf("want only the destination left, got %v", entries)
+	}
+}
+
+func TestSyncDir(t *testing.T) {
+	if err := SyncDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if err := SyncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("want an error syncing a missing directory")
+	}
+}

@@ -31,6 +31,13 @@
 // loads from the content-addressed store alone, which over a peer-backed
 // store means fetching the bytes from another replica by hash.
 //
+// Inference bodies are read whole into a pooled buffer. A strict scanner
+// decodes the two documented shapes, an explicit batch into one pooled
+// flat plane; every other body, and any read error (the MaxBodyBytes
+// limit included), goes to encoding/json with DisallowUnknownFields over
+// the same bytes. What a body means, and every 400 text, is therefore
+// encoding/json's (decode.go).
+//
 // Errors are JSON ({"error": "..."}): 400 for malformed bodies or inputs
 // of the wrong feature width, 403 for path loads outside the configured
 // model directory (see WithModelDir; without one only inline artifact
@@ -632,10 +639,8 @@ func (s *Server) handleDefaultInfer(w http.ResponseWriter, r *http.Request) {
 // inputs ride the micro-batcher (coalescing with concurrent requests);
 // explicit batches go straight to the runtime batch path.
 func (s *Server) infer(w http.ResponseWriter, r *http.Request, name string) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	var req inferRequest
-	if err := dec.Decode(&req); err != nil {
+	req, p, err := readInfer(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed body: %v", err)
 		return
 	}
@@ -669,16 +674,17 @@ func (s *Server) infer(w http.ResponseWriter, r *http.Request, name string) {
 		}
 	}
 
-	var (
-		logits [][]float64
-		err    error
-	)
+	var logits [][]float64
 	if single {
 		var one []float64
 		one, err = h.Infer(r.Context(), req.Input)
 		logits = [][]float64{one}
 	} else {
 		logits, err = h.InferBatch(r.Context(), req.Inputs)
+		// The runtime drains every submitted chunk before InferBatch
+		// returns, even on cancellation, so nothing reads the rows now.
+		// A panic skips this and drops the plane.
+		p.release()
 	}
 	switch {
 	case err == nil:

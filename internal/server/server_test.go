@@ -649,34 +649,102 @@ func TestRequestTimeout503(t *testing.T) {
 	}
 }
 
+// TestBadRequests pins every 400 text the inference route returns for a
+// bad body. Malformed bodies answer with encoding/json's own error, so
+// the texts below are that decoder's.
 func TestBadRequests(t *testing.T) {
 	_, ts, _, test := newTestServer(t)
-	check := func(name, body string) {
-		t.Helper()
-		resp, raw := postJSON(t, ts.URL+"/v1/infer", body)
+	wrongDim, _ := json.Marshal(map[string]any{"input": []float64{1, 2}})
+	both, _ := json.Marshal(map[string]any{"input": test.X[0], "inputs": test.X[:2]})
+	batchWrong, _ := json.Marshal(map[string]any{"inputs": [][]float64{test.X[0], {1}}})
+	const neither = `body must set exactly one of "input" or "inputs"`
+	for _, c := range []struct{ name, body, want string }{
+		{"malformed", "{not json", "malformed body: invalid character 'n' looking for beginning of object key string"},
+		{"empty body", "", "malformed body: EOF"},
+		{"unterminated", `{"input":[1,2,3,4]`, "malformed body: unexpected EOF"},
+		{"out of range", `{"input":[1e400,2,3,4]}`,
+			"malformed body: json: cannot unmarshal number 1e400 into Go struct field inferRequest.input of type float64"},
+		{"leading zero", `{"input":[01,2,3,4]}`, "malformed body: invalid character '1' after array element"},
+		{"NaN", `{"input":[NaN,2,3,4]}`, "malformed body: invalid character 'N' looking for beginning of value"},
+		{"hex float", `{"input":[0x1p-2,2,3,4]}`, "malformed body: invalid character 'x' after array element"},
+		{"plus sign", `{"input":[+1,2,3,4]}`, "malformed body: invalid character '+' looking for beginning of value"},
+		{"bare fraction", `{"input":[.5,2,3,4]}`, "malformed body: invalid character '.' looking for beginning of value"},
+		{"bare point", `{"input":[1.,2,3,4]}`, "malformed body: invalid character ',' after decimal point in numeric literal"},
+		{"bare exponent", `{"input":[1e,2,3,4]}`, "malformed body: invalid character ',' in exponent of numeric literal"},
+		{"bare minus", `{"input":[-,2,3,4]}`, "malformed body: invalid character ',' in numeric literal"},
+		{"trailing comma", `{"input":[1,2,3,4,]}`, "malformed body: invalid character ']' looking for beginning of value"},
+		{"string element", `{"input":["1",2,3,4]}`,
+			"malformed body: json: cannot unmarshal string into Go struct field inferRequest.input of type float64"},
+		{"array body", `[1,2]`, "malformed body: json: cannot unmarshal array into Go value of type server.inferRequest"},
+		{"unknown field", `{"data":[1,2,3,4]}`, `malformed body: json: unknown field "data"`},
+		{"unknown short field", `{"data":[1]}`, `malformed body: json: unknown field "data"`},
+		{"too large", `{"input":[1,2,3,4]` + strings.Repeat(" ", MaxBodyBytes) + "}",
+			"malformed body: http: request body too large"},
+		{"neither", `{}`, neither},
+		{"null input", `{"input":null}`, neither},
+		{"both input and inputs", string(both), neither},
+		{"empty batch", `{"inputs":[]}`, "empty batch"},
+		{"empty input", `{"input":[]}`, "input 0 has 0 features, model expects 4"},
+		{"empty batch row", `{"inputs":[[]]}`, "input 0 has 0 features, model expects 4"},
+		{"null batch row", `{"inputs":[[1,2,3,4],null]}`, "input 1 has 0 features, model expects 4"},
+		{"wrong feature count", string(wrongDim), "input 0 has 2 features, model expects 4"},
+		{"bad batch element", string(batchWrong), "input 1 has 1 features, model expects 4"},
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/infer", c.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400 (%s)", name, resp.StatusCode, raw)
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, raw)
+			continue
 		}
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("%s: content type %q", name, ct)
+			t.Errorf("%s: content type %q", c.name, ct)
 		}
 		var e struct {
 			Error string `json:"error"`
 		}
-		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
-			t.Fatalf("%s: error body %s (%v)", name, raw, err)
+		if err := json.Unmarshal(raw, &e); err != nil || e.Error != c.want {
+			t.Errorf("%s: error %q (%v), want %q", c.name, e.Error, err, c.want)
 		}
 	}
-	check("malformed", "{not json")
-	check("neither", `{}`)
-	wrongDim, _ := json.Marshal(map[string]any{"input": []float64{1, 2}})
-	check("wrong feature count", string(wrongDim))
-	both, _ := json.Marshal(map[string]any{"input": test.X[0], "inputs": test.X[:2]})
-	check("both input and inputs", string(both))
-	check("empty batch", `{"inputs":[]}`)
-	check("unknown field", `{"data":[1,2,3,4]}`)
-	batchWrong, _ := json.Marshal(map[string]any{"inputs": [][]float64{test.X[0], {1}}})
-	check("bad batch element", string(batchWrong))
+}
+
+// TestAcceptedBodyQuirks pins the bodies encoding/json accepts beyond the
+// two documented shapes: each must be served exactly like its canonical
+// body.
+func TestAcceptedBodyQuirks(t *testing.T) {
+	_, ts, _, _ := newTestServer(t)
+	const (
+		single = `{"input":[0,3.5,1.4,0.2]}`
+		batch  = `{"inputs":[[0,3.5,1.4,0.2],[6.3,2.9,5.6,1.8]]}`
+	)
+	serve := func(body string) []byte {
+		t.Helper()
+		resp, raw := postJSON(t, ts.URL+"/v1/infer", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", body, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	wantSingle, wantBatch := serve(single), serve(batch)
+	for _, c := range []struct {
+		name, body string
+		want       []byte
+	}{
+		{"key case", `{"Input":[0,3.5,1.4,0.2]}`, wantSingle},
+		{"batch key case", `{"INPUTS":[[0,3.5,1.4,0.2],[6.3,2.9,5.6,1.8]]}`, wantBatch},
+		{"duplicate key, last wins", `{"input":[1,2],"input":[0,3.5,1.4,0.2]}`, wantSingle},
+		{"duplicate batch key", `{"inputs":[[1]],"inputs":[[0,3.5,1.4,0.2],[6.3,2.9,5.6,1.8]]}`, wantBatch},
+		{"trailing garbage", single + ` garbage`, wantSingle},
+		{"trailing object", batch + `{`, wantBatch},
+		{"oversized trailing space", single + strings.Repeat(" ", MaxBodyBytes), wantSingle},
+		{"whitespace", " \t\r\n{ \"input\" :\n[ 0 ,\t3.5,1.4 , 0.2 ] }\r\n ", wantSingle},
+		{"batch whitespace", "{\"inputs\":[ [0,3.5,1.4,0.2] ,\n[6.3,2.9,5.6,1.8]\t]}\n", wantBatch},
+		{"negative zero", `{"input":[-0,3.5,1.4,0.2]}`, wantSingle},
+		{"exponent forms", `{"input":[0e0,35E-1,0.14e+1,2e-1]}`, wantSingle},
+	} {
+		if got := serve(c.body); !bytes.Equal(got, c.want) {
+			t.Errorf("%s: served %s, want %s", c.name, got, c.want)
+		}
+	}
 }
 
 func TestUnknownModelRoutes(t *testing.T) {
