@@ -15,7 +15,9 @@
 //	                                  # parse, or the whole /infer handler
 //	                                  # on a 64-sample batch is not faster
 //	                                  # than encoding/json decoding its
-//	                                  # body; writes nothing
+//	                                  # body, or a cold 2708-sample Mushroom
+//	                                  # flush allocates more than 1.05x a
+//	                                  # 256-sample one; writes nothing
 package main
 
 import (
@@ -122,7 +124,7 @@ func fastest(runs int, run func() Result) Result {
 func main() {
 	out := flag.String("o", "BENCH_arith.json", "output path")
 	check := flag.Bool("check", false,
-		"regression smoke: compare ForwardBatch256 against 256x the per-sample layer kernel, one-hot against dense 117x32 flushes per arm, and the /infer handler against encoding/json decoding its body; exit 1 on regression, write nothing")
+		"regression smoke: compare ForwardBatch256 against 256x the per-sample layer kernel, one-hot against dense 117x32 flushes per arm, the /infer handler against encoding/json decoding its body, and a cold 2708-sample flush's B/op against a 256-sample one's; exit 1 on regression, write nothing")
 	flag.Parse()
 
 	f80 := posit.MustFormat(8, 0)
@@ -414,7 +416,8 @@ func main() {
 		os.Exit(1)
 	}
 	mushReg := registry.New()
-	mushNet := core.Quantize(nn.NewMLP([]int{datasets.MushroomOneHotDim(), 32, 2}, rng.New(43)), emac.NewPosit(8, 0))
+	mushSrc := nn.NewMLP([]int{datasets.MushroomOneHotDim(), 32, 2}, rng.New(43))
+	mushNet := core.Quantize(mushSrc, emac.NewPosit(8, 0))
 	if err := mushReg.Load("mushroom", mushNet); err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap:", err)
 		os.Exit(1)
@@ -455,6 +458,36 @@ func main() {
 	})
 	srv.Close()
 	snap.Results = append(snap.Results, decodeJSON, serveInfer)
+	// ColdFlush: a new session's InferBatchInto over the first 256 and
+	// all 2708 samples of the same Mushroom test split, on the term tier
+	// (posit8) and the window tier (posit16). The forward pass walks a
+	// flush in 256-sample tiles, so a session's planes, and its bytes
+	// per op, do not grow with the flush. -check holds each 2708 row to
+	// 1.05x the 256 row's B/op, which does not depend on the host.
+	type coldCheck struct {
+		arm                 string
+		bytes256, bytes2708 int64
+	}
+	var coldChecks []coldCheck
+	for _, arm := range []struct {
+		name string
+		a    emac.Arithmetic
+	}{{"posit8", emac.NewPosit(8, 0)}, {"posit16", emac.NewPosit(16, 1)}} {
+		m := core.Quantize(mushSrc, arm.a)
+		var rows [2]Result
+		for i, n := range []int{256, len(mushTest.X)} {
+			xs := mushTest.X[:n]
+			dst := make([]float64, n*m.OutputDim())
+			rows[i] = measure(fmt.Sprintf("ColdFlush/mushroom%d/%s", n, arm.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.NewSession().InferBatchInto(dst, xs)
+				}
+			})
+		}
+		snap.Results = append(snap.Results, rows[:]...)
+		coldChecks = append(coldChecks, coldCheck{arm.name, rows[0].BytesPerOp, rows[1].BytesPerOp})
+	}
 	if !*check {
 		// ArtifactFetch: the two ends of the store read path a replica
 		// sees — a local in-memory tier hit vs a cold peer fetch over
@@ -564,6 +597,16 @@ func main() {
 				"benchsnap check: REGRESSION: the /infer handler is not faster than encoding/json decoding its body (request scanner lost)")
 			pass = false
 		}
+		for _, c := range coldChecks {
+			ratio := float64(c.bytes2708) / float64(c.bytes256)
+			fmt.Printf("benchsnap check: %-12s cold 2708-flush %d B/op, 256-flush %d B/op (%.2fx)\n",
+				c.arm, c.bytes2708, c.bytes256, ratio)
+			if ratio > 1.05 {
+				fmt.Fprintf(os.Stderr,
+					"benchsnap check: REGRESSION: %s cold 2708-sample flush allocates %.2fx the 256-sample flush (want <= 1.05x: planes sized to the flush, not the tile)\n", c.arm, ratio)
+				pass = false
+			}
+		}
 		for _, c := range checks {
 			limit := c.perOp * 256
 			fmt.Printf("benchsnap check: %-12s fused 256-flush %12.1f ns, 256x per-sample %12.1f ns (%.2fx per-sample throughput)\n",
@@ -603,7 +646,7 @@ func main() {
 		if !pass {
 			os.Exit(1)
 		}
-		fmt.Println("benchsnap check: fused batch kernels, zero skipping, artifact load, request decode and flush pipeline OK")
+		fmt.Println("benchsnap check: fused batch kernels, zero skipping, tiled flush memory, artifact load, request decode and flush pipeline OK")
 		return
 	}
 	// Runtime worker-scaling bench, gated on a multicore host: the 1-CPU

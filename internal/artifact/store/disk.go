@@ -17,14 +17,17 @@ import (
 // shards keep any one directory small at fleet-scale artifact counts.
 // Writes are atomic (temp file + rename into the shard), so concurrent
 // Puts of the same hash are safe (they race to rename identical bytes
-// onto one name) and a crashed writer leaves no torn blob behind.
+// onto one name) and a crashed writer leaves no torn blob behind; GC
+// removes the temp file such a writer leaves.
 type Disk struct {
 	counters
 	root string
 
 	// occupancy cache, initialised by a walk at construction and kept
 	// current by Put/Delete. mu also serialises the exists-check in Put
-	// against Delete, so the dedup fast path cannot lose bytes.
+	// against Delete, so the dedup fast path cannot lose bytes, and Put's
+	// write and rename against GC, so a temp file GC sees under mu is
+	// debris.
 	mu      sync.Mutex
 	objects int64
 	bytes   int64
@@ -146,27 +149,39 @@ func (d *Disk) Delete(h artifact.Hash) error {
 
 // List implements Store.
 func (d *Disk) List() ([]artifact.Hash, error) {
-	var out []artifact.Hash
-	err := filepath.WalkDir(d.root, func(path string, entry fs.DirEntry, err error) error {
+	hashes, _, err := d.scan()
+	return hashes, err
+}
+
+// scan walks the shards for the stored hashes and the paths of the temp
+// files WriteFileAtomic leaves when its writer dies before the rename.
+func (d *Disk) scan() (hashes []artifact.Hash, temps []string, err error) {
+	err = filepath.WalkDir(d.root, func(path string, entry fs.DirEntry, err error) error {
 		if err != nil || entry.IsDir() {
 			return err
 		}
 		if h, herr := artifact.ParseHash(entry.Name()); herr == nil {
-			out = append(out, h)
+			hashes = append(hashes, h)
+		} else if target, ok := fsutil.TempTarget(entry.Name()); ok {
+			if _, herr := artifact.ParseHash(target); herr == nil {
+				temps = append(temps, path)
+			}
 		}
 		return nil
 	})
-	return out, err
+	return hashes, temps, err
 }
 
 // GC implements Store: walks the shards and deletes every blob the live
 // predicate does not claim. Each candidate goes through Delete, so the
 // occupancy cache stays exact and the sweep serialises correctly
 // against concurrent Puts of the same hash (the predicate runs at
-// delete time — a hash pinned before its Put can never be swept).
+// delete time — a hash pinned before its Put can never be swept). It
+// also removes the temp files of writers killed mid-Put: their bytes
+// count as freed, but removed and Stats count blobs only.
 func (d *Disk) GC(live func(artifact.Hash) bool) (int, int64, error) {
 	d.gcRuns.Add(1)
-	hashes, err := d.List()
+	hashes, temps, err := d.scan()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -199,6 +214,24 @@ func (d *Disk) GC(live func(artifact.Hash) bool) (int, int64, error) {
 		d.bytes -= info.Size()
 		d.mu.Unlock()
 		removed++
+		freed += info.Size()
+	}
+	for _, path := range temps {
+		// Put holds mu across its write and rename, so a temp file that
+		// still exists under mu belongs to no live writer.
+		d.mu.Lock()
+		info, err := os.Stat(path)
+		if err == nil {
+			err = os.Remove(path)
+		}
+		d.mu.Unlock()
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // renamed away, or swept by a concurrent GC
+		}
+		if err != nil {
+			d.gcFreed.Add(freed)
+			return removed, freed, err
+		}
 		freed += info.Size()
 	}
 	d.gcFreed.Add(freed)

@@ -79,12 +79,11 @@ func Quantize(src *nn.Network, a emac.Arithmetic) *Network {
 	return net
 }
 
-// QuantizeInput converts a raw feature vector into activation codes.
+// QuantizeInput converts a raw feature vector into activation codes,
+// applying the folded standardizer first when one is present.
 func (n *Network) QuantizeInput(x []float64) []emac.Code {
 	codes := make([]emac.Code, len(x))
-	for i, v := range x {
-		codes[i] = n.Arith.Quantize(v)
-	}
+	quantizeInto(codes, x, n.Arith, n.Stand)
 	return codes
 }
 
@@ -112,11 +111,7 @@ func (n *Network) Accuracy(ds *datasets.Dataset) float64 { return n.session().Ac
 // activate applies the hidden-layer nonlinearity on a code.
 func (n *Network) activate(c emac.Code) emac.Code {
 	if n.Sigmoid {
-		pa, ok := n.Arith.(emac.PositArith)
-		if !ok || !pa.F.FastSigmoidValid() {
-			panic("core: Sigmoid activation requires a posit arithmetic with es=0")
-		}
-		return emac.Code(pa.F.FromBits(uint64(c)).FastSigmoid().Bits())
+		return emac.Code(sigmoidFormat(n.Arith).FromBits(uint64(c)).FastSigmoid().Bits())
 	}
 	return n.Arith.ReLU(c)
 }

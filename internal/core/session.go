@@ -83,24 +83,18 @@ func (e *execLayer) forward(act []emac.Code) []emac.Code {
 // weights once per layer) and are not safe for concurrent use; the
 // Network they execute is never written through them.
 type Session struct {
-	net    *Network
-	layers []execLayer
+	net *Network
+	// tiledPass holds the layers' execution plane, the network's
+	// arithmetic repeated per layer, and the batched pass's planes.
+	tiledPass
 	// in is the reused input-code buffer.
 	in []emac.Code
-	// planes are the two reused ping-pong activation planes the batched
-	// forward pass flows through (flat sample-major, grown to the
-	// largest flush × layer width seen).
-	planes [2][]emac.Code
 }
 
 // NewSession builds an independent execution plane for the network. Any
 // number of sessions may run concurrently over the same Network.
 func (n *Network) NewSession() *Session {
-	s := &Session{net: n, layers: make([]execLayer, len(n.Layers))}
-	for i, l := range n.Layers {
-		s.layers[i] = newExecLayer(l, n.Arith)
-	}
-	return s
+	return &Session{net: n, tiledPass: newTiledPass(n.Layers, n.Ariths())}
 }
 
 // Network returns the model plane this session executes.
@@ -114,16 +108,7 @@ func (s *Session) quantizeInput(x []float64) []emac.Code {
 		s.in = make([]emac.Code, len(x))
 	}
 	codes := s.in[:len(x)]
-	a := s.net.Arith
-	if st := s.net.Stand; st != nil {
-		for i, v := range x {
-			codes[i] = a.Quantize((v - st.Mean[i]) / st.Std[i])
-		}
-	} else {
-		for i, v := range x {
-			codes[i] = a.Quantize(v)
-		}
-	}
+	quantizeInto(codes, x, s.net.Arith, s.net.Stand)
 	return codes
 }
 
@@ -198,19 +183,14 @@ func (s *Session) Accuracy(ds *datasets.Dataset) float64 {
 
 // MixedSession is the per-goroutine execution state for one MixedNetwork.
 type MixedSession struct {
-	net    *MixedNetwork
-	layers []execLayer
-	in     []emac.Code
-	planes [2][]emac.Code
+	net *MixedNetwork
+	tiledPass
+	in []emac.Code
 }
 
 // NewSession builds an independent execution plane for the mixed network.
 func (n *MixedNetwork) NewSession() *MixedSession {
-	s := &MixedSession{net: n, layers: make([]execLayer, len(n.Layers))}
-	for i, l := range n.Layers {
-		s.layers[i] = newExecLayer(l, n.LayerAriths[i])
-	}
-	return s
+	return &MixedSession{net: n, tiledPass: newTiledPass(n.Layers, n.LayerAriths)}
 }
 
 // Network returns the model plane this session executes.
@@ -229,16 +209,7 @@ func (s *MixedSession) run(x []float64) []emac.Code {
 		s.in = make([]emac.Code, len(x))
 	}
 	act := s.in[:len(x)]
-	first := n.LayerAriths[0]
-	if st := n.Stand; st != nil {
-		for i, v := range x {
-			act[i] = first.Quantize((v - st.Mean[i]) / st.Std[i])
-		}
-	} else {
-		for i, v := range x {
-			act[i] = first.Quantize(v)
-		}
-	}
+	quantizeInto(act, x, n.LayerAriths[0], n.Stand)
 	for li := range s.layers {
 		a := n.LayerAriths[li]
 		next := s.layers[li].forward(act)

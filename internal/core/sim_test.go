@@ -3,27 +3,41 @@ package core
 import (
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/emac"
 )
 
+// TestStreamInferMatchesInfer: streamed logits equal Infer's, also for a
+// network with a folded standardizer fed raw features.
 func TestStreamInferMatchesInfer(t *testing.T) {
 	net, test := trainedIris(t)
 	q := Quantize(net, emac.NewPosit(8, 0))
-	inputs := test.X[:20]
-	outs, stats, _ := q.StreamInfer(inputs, false)
-	if len(outs) != 20 {
-		t.Fatalf("%d outputs", len(outs))
-	}
-	for i, x := range inputs {
-		want := q.Infer(x)
-		for j := range want {
-			if outs[i][j] != want[j] {
-				t.Fatalf("input %d logit %d: stream %g vs direct %g", i, j, outs[i][j], want[j])
+	rawTrain, rawTest := datasets.IrisSplit(datasets.IrisSeed)
+	std := Quantize(net, emac.NewPosit(8, 0))
+	std.Stand = datasets.FitStandardizer(rawTrain)
+	for _, c := range []struct {
+		name   string
+		q      *Network
+		inputs [][]float64
+	}{
+		{"plain", q, test.X[:20]},
+		{"standardized", std, rawTest.X[:20]},
+	} {
+		outs, stats, _ := c.q.StreamInfer(c.inputs, false)
+		if len(outs) != 20 {
+			t.Fatalf("%s: %d outputs", c.name, len(outs))
+		}
+		for i, x := range c.inputs {
+			want := c.q.Infer(x)
+			for j := range want {
+				if outs[i][j] != want[j] {
+					t.Fatalf("%s input %d logit %d: stream %g vs direct %g", c.name, i, j, outs[i][j], want[j])
+				}
 			}
 		}
-	}
-	if stats.Inputs != 20 || stats.TotalCycles <= 0 {
-		t.Errorf("stats: %+v", stats)
+		if stats.Inputs != 20 || stats.TotalCycles <= 0 {
+			t.Errorf("%s stats: %+v", c.name, stats)
+		}
 	}
 }
 

@@ -7,7 +7,26 @@ package fsutil
 import (
 	"os"
 	"path/filepath"
+	"strings"
 )
+
+// tempMark separates a temporary file's target name from the random
+// suffix os.CreateTemp appends: WriteFileAtomic writes path's bytes to
+// "." + base(path) + tempMark + suffix in path's directory.
+const tempMark = ".tmp"
+
+// TempTarget reports whether name is the name of a temporary file
+// WriteFileAtomic creates, and returns the base name it was to be
+// renamed to. A temporary file outlives WriteFileAtomic only when its
+// writer was killed, so an owner that serialises its writes can remove
+// the ones it finds.
+func TempTarget(name string) (string, bool) {
+	i := strings.LastIndex(name, tempMark)
+	if i < 2 || name[0] != '.' || i+len(tempMark) == len(name) {
+		return "", false
+	}
+	return name[1:i], true
+}
 
 // WriteFileAtomic writes data to path so that readers observe either the
 // old content or the new content, never a partial write: the bytes go to
@@ -19,7 +38,7 @@ import (
 // destination is untouched.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+tempMark+"*")
 	if err != nil {
 		return err
 	}

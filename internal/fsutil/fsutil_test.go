@@ -86,3 +86,20 @@ func TestSyncDir(t *testing.T) {
 		t.Fatal("want an error syncing a missing directory")
 	}
 }
+
+func TestTempTarget(t *testing.T) {
+	for name, want := range map[string]string{
+		".artifact.bin.tmp123": "artifact.bin",
+		".ab.tmp9":             "ab",
+		"artifact.bin":         "",
+		".artifact.bin":        "",
+		".artifact.bin.tmp":    "",
+		"x.tmp1":               "",
+		".tmp1":                "",
+	} {
+		got, ok := TempTarget(name)
+		if got != want || ok != (want != "") {
+			t.Errorf("TempTarget(%q) = %q, %v; want %q", name, got, ok, want)
+		}
+	}
+}

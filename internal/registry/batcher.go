@@ -122,6 +122,23 @@ func (b *Batcher) Window() time.Duration {
 // MaxBatch returns the coalesced-flush size bound.
 func (b *Batcher) MaxBatch() int { return b.maxBatch }
 
+// Flushing returns how many work-conserving flushes are in progress,
+// those still waiting for a flush plane included. Single-sample calls
+// queue only while it equals the pipeline depth.
+func (b *Batcher) Flushing() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.running
+}
+
+// Queued returns how many single-sample calls wait in the pending queue
+// for a flush to take them up.
+func (b *Batcher) Queued() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
+}
+
 func (b *Batcher) checkInput(x []float64) error {
 	if len(x) != b.inDim {
 		return fmt.Errorf("registry: input has %d features, model expects %d", len(x), b.inDim)

@@ -657,9 +657,15 @@ type ModelStat struct {
 	BatchWindow string `json:"batch_window"`
 	MaxBatch    int    `json:"max_batch"`
 	// FlushPipeline is the runtime's flush-slot plane count;
-	// PipelineInUse samples how many planes are leased right now.
+	// PipelineInUse samples how many planes are leased right now,
+	// BatchFlushing how many work-conserving flushes are in progress
+	// (single-sample calls queue once it reaches FlushPipeline), and
+	// BatchQueued how many single-sample calls wait in the batcher's
+	// queue for a flush.
 	FlushPipeline int `json:"flush_pipeline"`
 	PipelineInUse int `json:"pipeline_in_use"`
+	BatchFlushing int `json:"batch_flushing"`
+	BatchQueued   int `json:"batch_queued"`
 	// MaxInFlight is the admission capacity in units (0 = unlimited);
 	// CostAwareAdmission marks those units as samples rather than
 	// requests; RequestTimeout is the per-request deadline ("0s" = none).
@@ -708,6 +714,8 @@ func statFor(name string, b *binding, aliases int) ModelStat {
 		MaxBatch:           e.batcher.MaxBatch(),
 		FlushPipeline:      e.rt.FlushPipelineDepth(),
 		PipelineInUse:      e.rt.FlushSlotsInUse(),
+		BatchFlushing:      e.batcher.Flushing(),
+		BatchQueued:        e.batcher.Queued(),
 		MaxInFlight:        e.gate.Cap(),
 		CostAwareAdmission: e.costAware,
 		RequestTimeout:     e.timeout.String(),

@@ -300,28 +300,34 @@ func TestBatchPlaneLifetime(t *testing.T) {
 		}
 		return gateCall{}
 	}
-	waitInFlight := func(n int64) {
+	// waitStat polls the model's stats until ok holds.
+	waitStat := func(what string, ok func(registry.ModelStat) bool) {
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-			if st, err := reg.Stat("iris"); err == nil && st.Metrics.InFlight == n {
+			if st, err := reg.Stat("iris"); err == nil && ok(st) {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %d requests in flight", n)
+				t.Fatalf("timed out waiting for %s", what)
 			}
 		}
 	}
 
+	// Each step waits on the batcher's and runtime's own state, not on
+	// admitted requests: an admitted request may not have reached it yet.
 	batch(0, 7)
 	a := parked(7)
 	batch(7, 9) // leases the second plane; its chunk waits for the worker
-	waitInFlight(2)
+	waitStat("the second batch's chunk queued", func(st registry.ModelStat) bool {
+		return st.PipelineInUse == 2 && st.QueueLen == 1
+	})
 	ownCtx, cancelOwn := context.WithCancel(context.Background())
 	queuedCtx, cancelQueued := context.WithCancel(context.Background())
 	defer cancelQueued()
 	own := singles(ownCtx, 20, 2) // each waits for a plane to flush alone
-	waitInFlight(4)
+	waitStat("2 flushes waiting for a plane", func(st registry.ModelStat) bool { return st.BatchFlushing == 2 })
 	queued := singles(queuedCtx, 22, 4) // every plane busy: queued
-	waitInFlight(8)
+	// The flush cancelOwn hands on takes the whole queue.
+	waitStat("4 queued calls", func(st registry.ModelStat) bool { return st.BatchQueued == 4 })
 	cancelOwn()
 	own.Wait()
 	close(a.release)
