@@ -234,8 +234,9 @@ func BenchmarkInferIris(b *testing.B) {
 }
 
 // BenchmarkLayerKernel measures one pre-decoded 16×30 layer forward pass
-// per EMAC arm against stepping the same layer through per-neuron MACs —
-// the Table II cross-arm datapath comparison at layer granularity.
+// per EMAC arm — the fused kernel over a one-sample flush, as InferInto
+// runs it — against stepping the same layer through per-neuron MACs: the
+// Table II cross-arm datapath comparison at layer granularity.
 func BenchmarkLayerKernel(b *testing.B) {
 	r := rng.New(31)
 	const in, out = 30, 16
@@ -257,14 +258,14 @@ func BenchmarkLayerKernel(b *testing.B) {
 			act[i] = arith.Quantize(r.NormMS(0, 1))
 		}
 		dst := make([]emac.Code, out)
-		k, ok := arith.(emac.KernelBuilder).NewLayerKernel(w, bias)
+		k, ok := arith.(emac.BatchKernelBuilder).NewBatchLayerKernel(w, bias)
 		if !ok {
 			b.Fatalf("%s: no layer kernel", arith.Name())
 		}
 		b.Run("kernel/"+arith.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k.Forward(act, dst)
+				k.ForwardBatchStrided(act, dst, 1)
 			}
 		})
 		macs := make([]emac.MAC, out)
@@ -526,9 +527,9 @@ func BenchmarkAllocForwardPosit8(b *testing.B) {
 
 // BenchmarkForwardBatch measures the fused whole-flush batch kernels
 // (decode-once-per-tile, cache-blocked weight traversal, signed-lane/table
-// inner loops) against looping the per-sample kernel over the same
-// flush, for each arm and flush size. cmd/benchsnap -check holds the
-// fused 256-flush to at least per-sample throughput in CI.
+// inner loops) against running the same kernel one sample at a time over
+// the same flush, for each arm and flush size. cmd/benchsnap -check holds
+// the fused 256-flush to at least 1-sample-flush throughput in CI.
 func BenchmarkForwardBatch(b *testing.B) {
 	const in, out = 30, 16
 	for _, arith := range []emac.Arithmetic{
@@ -544,10 +545,6 @@ func BenchmarkForwardBatch(b *testing.B) {
 			}
 			w[j] = row
 			bias[j] = arith.Quantize(r.NormMS(0, 0.5))
-		}
-		k, ok := arith.(emac.KernelBuilder).NewLayerKernel(w, bias)
-		if !ok {
-			b.Fatalf("%s: no layer kernel", arith.Name())
 		}
 		bk, ok := arith.(emac.BatchKernelBuilder).NewBatchLayerKernel(w, bias)
 		if !ok {
@@ -569,7 +566,7 @@ func BenchmarkForwardBatch(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for s := 0; s < bsz; s++ {
-						k.Forward(act[s*in:(s+1)*in], dst[s*out:(s+1)*out])
+						bk.ForwardBatchStrided(act[s*in:(s+1)*in], dst[s*out:(s+1)*out], 1)
 					}
 				}
 			})

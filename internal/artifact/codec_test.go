@@ -230,6 +230,20 @@ func TestSigmoidRoundTrip(t *testing.T) {
 	assertSameInference(t, net, back, 25)
 }
 
+// TestEncodeRejectsInvalidSigmoid: the encoder refuses the sigmoid flag
+// where no session could apply it (core.CheckSigmoid), so it never writes
+// an artifact the decoder rejects.
+func TestEncodeRejectsInvalidSigmoid(t *testing.T) {
+	src := nn.NewMLP([]int{4, 6, 2}, rng.New(7))
+	for _, a := range []emac.Arithmetic{emac.NewFixed(8, 4), emac.NewPosit(8, 1), emac.NewFloatN(8, 4)} {
+		net := core.Quantize(src, a)
+		net.Sigmoid = true
+		if _, err := Encode(net); err == nil {
+			t.Errorf("%s: sigmoid network encoded", a.Name())
+		}
+	}
+}
+
 // TestWideWordWidths exercises the 2-byte word path (a 12-bit posit) —
 // the goldens are all 8-bit.
 func TestWideWordWidths(t *testing.T) {

@@ -88,7 +88,7 @@ func Decode(data []byte) (core.Model, error) {
 		return nil, corruptf("unknown flag bits %#x", flags)
 	}
 	if kind == kindMixed && flags&flagSigmoid != 0 {
-		return nil, corruptf("sigmoid flag on a mixed artifact")
+		return nil, fmt.Errorf("%w: sigmoid flag: %v", ErrCorrupt, core.ErrMixedSigmoid)
 	}
 	nLayers := int(binary.LittleEndian.Uint32(data[8:]))
 	if nLayers < 1 || nLayers > maxLayers {
@@ -132,6 +132,13 @@ func Decode(data []byte) (core.Model, error) {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		ariths[i] = a
+	}
+	// Accepting the sigmoid flag where the fast sigmoid cannot run would
+	// defer the failure to inference time.
+	if flags&flagSigmoid != 0 {
+		if err := core.CheckSigmoid(ariths[0]); err != nil {
+			return nil, fmt.Errorf("%w: sigmoid flag: %v", ErrCorrupt, err)
+		}
 	}
 	arithAt := func(i int) emac.Arithmetic {
 		if kind == kindMixed {
@@ -255,14 +262,6 @@ func Decode(data []byte) (core.Model, error) {
 
 	if kind == kindMixed {
 		return &core.MixedNetwork{LayerAriths: ariths, Stand: stand, Layers: layers}, nil
-	}
-	if flags&flagSigmoid != 0 {
-		// The fast sigmoid only exists for es=0 posits; accepting the flag
-		// on any other arm would defer the failure to inference time.
-		pa, ok := ariths[0].(emac.PositArith)
-		if !ok || !pa.F.FastSigmoidValid() {
-			return nil, corruptf("sigmoid flag requires a posit arithmetic with es=0, got %s", ariths[0].Name())
-		}
 	}
 	return &core.Network{
 		Arith:   ariths[0],

@@ -112,6 +112,9 @@ func encode(kind byte, sigmoid bool, specs []core.ArithSpec, ariths []emac.Arith
 	buf[6] = kind
 	var flags byte
 	if sigmoid {
+		if err := core.CheckSigmoid(ariths[0]); err != nil {
+			return nil, err
+		}
 		flags |= flagSigmoid
 	}
 	if stand != nil {

@@ -47,6 +47,7 @@ func FuzzParseArtifact(f *testing.F) {
 	}
 	f.Add([]byte(nil))
 	f.Add(magic[:])
+	f.Add([]byte(`{"version":1,"kind":"mixed","sigmoid":true}`)) // flag on no layers
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Parse(data)

@@ -1,25 +1,25 @@
 package core
 
-// The batched execution plane. InferBatchInto walks a flush in tiles of
-// batchTile samples. Each tile is quantised into one flat sample-major
-// plane and passes through every layer's BatchLayerKernel in one call per
-// layer (decoding every activation column once per tile and streaming
-// each pre-decoded weight row through the tile's samples while hot); the
-// hidden layers' activation and any format conversion follow, and the
-// logits decode straight into the tile's slice of dst. Two ping-pong
-// planes of at most batchTile × the widest layer are reused across tiles
-// and flushes, so the steady state allocates nothing and a session's
-// memory does not grow with the flush. Uniform and mixed-precision
-// sessions run this one pass. Results are bit-identical to per-sample
-// inference — each sample's arithmetic is unchanged, only the loop order
-// differs.
+// The tiled forward pass every session runs. InferBatchInto walks a flush
+// in tiles of batchTile samples, and Infer and InferInto run it over a
+// one-sample flush. Each tile is quantised into one flat sample-major
+// plane and passes through every layer in one call per layer: the layer's
+// fused BatchLayerKernel (decoding every activation column once per tile
+// and streaming each pre-decoded weight row through the tile's samples
+// while hot), or its EMAC bank sample by sample where the arithmetic has
+// no fused kernel. The hidden layers' activation and any format
+// conversion follow, and the logits decode straight into the tile's slice
+// of dst. Two ping-pong planes of at most batchTile × the widest layer
+// are reused across tiles and flushes, so the steady state allocates
+// nothing and a session's memory does not grow with the flush. Results
+// are bit-identical to the MAC bank sample by sample — each sample's
+// arithmetic is unchanged, only the loop order differs.
 
 import (
 	"fmt"
 
 	"repro/internal/datasets"
 	"repro/internal/emac"
-	"repro/internal/posit"
 )
 
 // batchTile is the forward pass's sample tile. It is a multiple of the
@@ -30,26 +30,8 @@ import (
 // registry's default max batch), so each runs as a single tile.
 const batchTile = 256
 
-// tiledPass is the execution state both session types share: each
-// layer's execution plane and arithmetic, and the batched pass's planes.
-type tiledPass struct {
-	layers []execLayer
-	ariths []emac.Arithmetic
-	// planes are the two reused ping-pong activation planes a tile flows
-	// through (flat sample-major), grown to at most batchTile × the
-	// widest layer whatever the flush size.
-	planes [2][]emac.Code
-}
-
-// newTiledPass builds the execution state for layers under their
-// per-layer arithmetics.
-func newTiledPass(layers []*Layer, ariths []emac.Arithmetic) tiledPass {
-	p := tiledPass{layers: make([]execLayer, len(layers)), ariths: ariths}
-	for i, l := range layers {
-		p.layers[i] = newExecLayer(l, ariths[i])
-	}
-	return p
-}
+// outDim is the width of the last layer: the logits per sample.
+func (s *Session) outDim() int { return s.layers[len(s.layers)-1].model.Out }
 
 // growPlane sizes one reused activation plane.
 func growPlane(p *[]emac.Code, n int) []emac.Code {
@@ -73,32 +55,19 @@ func quantizeInto(dst []emac.Code, x []float64, a emac.Arithmetic, st *datasets.
 	}
 }
 
-// sigmoidFormat returns the posit format whose fast sigmoid the Sigmoid
-// activation applies under a, and panics for any other arithmetic.
-func sigmoidFormat(a emac.Arithmetic) posit.Format {
-	pa, ok := a.(emac.PositArith)
-	if !ok || !pa.F.FastSigmoidValid() {
-		panic("core: Sigmoid activation requires a posit arithmetic with es=0")
-	}
-	return pa.F
-}
-
-// forwardBatch computes the layer's raw MAC outputs for a tile of b
-// samples over flat sample-major planes, via the batch kernel when one
-// exists and per-sample forwards otherwise.
+// forwardBatch computes the layer's raw MAC outputs (bias + dot product,
+// one rounding each, no activation function) for a tile of b samples over
+// flat sample-major planes, via the fused kernel when one exists and the
+// EMAC bank sample by sample otherwise.
 func (e *execLayer) forwardBatch(act, dst []emac.Code, b int) {
-	if e.bkernel != nil {
-		e.bkernel.ForwardBatchStrided(act, dst, b)
+	if e.kernel != nil {
+		e.kernel.ForwardBatchStrided(act, dst, b)
 		return
 	}
 	l := e.model
 	for s := 0; s < b; s++ {
 		row := act[s*l.In : (s+1)*l.In]
 		drow := dst[s*l.Out : (s+1)*l.Out]
-		if e.kernel != nil {
-			e.kernel.Forward(row, drow)
-			continue
-		}
 		for j := 0; j < l.Out; j++ {
 			mac := e.macs[j]
 			mac.Reset(l.B[j])
@@ -112,13 +81,13 @@ func (e *execLayer) forwardBatch(act, dst []emac.Code, b int) {
 }
 
 // activate applies hidden layer li's activation to a tile's plane in
-// place — the posit fast sigmoid when sigmoid is set, ReLU otherwise —
-// and then, where layer li+1's arithmetic differs, the format-conversion
-// unit into it.
-func (p *tiledPass) activate(li int, plane []emac.Code, sigmoid bool) {
-	a := p.ariths[li]
-	if sigmoid {
-		f := sigmoidFormat(a)
+// place — the posit fast sigmoid when the session's sigmoid flag is set,
+// ReLU otherwise — and then, where layer li+1's arithmetic differs, the
+// format-conversion unit into it.
+func (s *Session) activate(li int, plane []emac.Code) {
+	a := s.ariths[li]
+	if s.sigmoid {
+		f := a.(emac.PositArith).F // NewSession ran CheckSigmoid
 		for j, c := range plane {
 			plane[j] = emac.Code(f.FromBits(uint64(c)).FastSigmoid().Bits())
 		}
@@ -127,18 +96,21 @@ func (p *tiledPass) activate(li int, plane []emac.Code, sigmoid bool) {
 			plane[j] = a.ReLU(c)
 		}
 	}
-	if to := p.ariths[li+1]; to != a {
+	if to := s.ariths[li+1]; to != a {
 		for j, c := range plane {
 			plane[j] = to.Quantize(a.Decode(c))
 		}
 	}
 }
 
-// inferBatch runs a flush tile by tile, standardizing inputs with st when
-// it is non-nil, and decodes the logits into the flat sample-major dst.
-func (p *tiledPass) inferBatch(dst []float64, xs [][]float64, st *datasets.Standardizer, sigmoid bool) []float64 {
-	last := len(p.layers) - 1
-	in0, od := p.layers[0].model.In, p.layers[last].model.Out
+// InferBatchInto runs a flush of inputs through the tiled pass, decoding
+// the logits into the flat sample-major dst (which must have len(xs) ×
+// the model's output width), and returns dst. Results are bit-identical
+// to calling InferInto per sample; with the session's planes warm this
+// path allocates nothing.
+func (s *Session) InferBatchInto(dst []float64, xs [][]float64) []float64 {
+	last := len(s.layers) - 1
+	in0, od := s.layers[0].model.In, s.layers[last].model.Out
 	// A bad dst or input panics before any tile is computed.
 	if len(dst) != len(xs)*od {
 		panic(fmt.Sprintf("core: InferBatchInto buffer has %d slots for %d logits", len(dst), len(xs)*od))
@@ -151,42 +123,26 @@ func (p *tiledPass) inferBatch(dst []float64, xs [][]float64, st *datasets.Stand
 	for s0 := 0; s0 < len(xs); s0 += batchTile {
 		tile := xs[s0:min(s0+batchTile, len(xs))]
 		b := len(tile)
-		act := growPlane(&p.planes[0], b*in0)
+		act := growPlane(&s.planes[0], b*in0)
 		// A call per sample, not an inline loop: after each Quantize call
 		// a loop reloads every value live in it from the stack, and inline
 		// that would include the tile loop's.
-		for s, x := range tile {
-			quantizeInto(act[s*in0:(s+1)*in0], x, p.ariths[0], st)
+		for i, x := range tile {
+			quantizeInto(act[i*in0:(i+1)*in0], x, s.ariths[0], s.stand)
 		}
-		for li := range p.layers {
-			e := &p.layers[li]
-			next := growPlane(&p.planes[(li+1)%2], b*e.model.Out)
+		for li := range s.layers {
+			e := &s.layers[li]
+			next := growPlane(&s.planes[(li+1)%2], b*e.model.Out)
 			e.forwardBatch(act, next, b)
 			if li < last {
-				p.activate(li, next, sigmoid)
+				s.activate(li, next)
 			}
 			act = next
 		}
-		out, a := dst[s0*od:(s0+b)*od], p.ariths[last]
+		out, a := dst[s0*od:(s0+b)*od], s.ariths[last]
 		for i, c := range act {
 			out[i] = a.Decode(c)
 		}
 	}
 	return dst
-}
-
-// InferBatchInto runs a flush of inputs through the fused batched layer
-// kernels, decoding the logits into the flat sample-major dst (which
-// must have len(xs) × the network's output width), and returns dst.
-// Results are bit-identical to calling InferInto per sample; with the
-// session's planes warm this path allocates nothing.
-func (s *Session) InferBatchInto(dst []float64, xs [][]float64) []float64 {
-	return s.inferBatch(dst, xs, s.net.Stand, s.net.Sigmoid)
-}
-
-// InferBatchInto runs a flush through the mixed-precision fused
-// pipeline, decoding the logits into the flat sample-major dst, and
-// returns dst. Bit-identical to per-sample InferInto.
-func (s *MixedSession) InferBatchInto(dst []float64, xs [][]float64) []float64 {
-	return s.inferBatch(dst, xs, s.net.Stand, false)
 }

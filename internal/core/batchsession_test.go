@@ -1,12 +1,14 @@
 package core
 
-// Fused-batch execution tests: InferBatchInto must be bit-identical to
-// per-sample InferInto for every arm (fused kernels, the loop fallback
-// and the MAC-only float32 path alike), for uniform and mixed networks,
-// and allocation-free once the planes are warm.
+// Tiled-pass execution tests: every session route — InferBatchInto,
+// InferInto and Infer (the pass at b=1), the default wrappers, Accuracy
+// and StreamInfer — must be bit-identical to the MAC-bank oracle
+// (oracle_test.go) for every arm, fused kernels and MAC-bank layers
+// alike, for uniform and mixed networks, and allocation-free once the
+// planes are warm.
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"repro/internal/datasets"
@@ -15,36 +17,34 @@ import (
 	"repro/internal/rng"
 )
 
-// TestInferBatchIntoMatchesPerSample sweeps the iris test split through
-// the fused batch path and the per-sample path for each arm.
+// irisRepeat is the length the Iris route tests repeat the 50-sample test
+// split to, and irisBatches the flush sizes they run: below, at and
+// across the 256-sample tile boundary, up to the repeated split.
+const irisRepeat = 600
+
+var irisBatches = []int{0, 1, 3, 17, 255, 256, 257, 513, irisRepeat}
+
+// TestInferBatchIntoMatchesPerSample runs the repeated Iris test split
+// through every session route for each arm: the fused kernels, and the
+// arms whose layers run the MAC bank.
 func TestInferBatchIntoMatchesPerSample(t *testing.T) {
 	net, test := trainedIris(t)
+	ds := repeatSplit(test, irisRepeat)
+	drop := emac.NewPosit(8, 0)
+	drop.QuireDrop = 6
 	for _, a := range []emac.Arithmetic{
+		// fused kernels
 		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4),
-		emac.NewPosit(12, 1), // fused exact-window tier
-		emac.NewPosit(16, 1), // fused exact-window tier
-		emac.NewPosit(16, 2), // loop fallback (register beyond 128 bits)
-		emac.Float32Arith{},  // per-neuron MAC path, no kernels at all
+		emac.NewPosit(12, 1), emac.NewPosit(16, 1),
+		// the MAC bank
+		emac.NewPosit(16, 2), emac.NewPosit(32, 2), emac.NewFloatN(16, 5),
+		emac.NewFixed(16, 8), drop, emac.Float32Arith{},
 	} {
-		q := Quantize(net, a)
-		s := q.NewSession()
-		od := q.OutputDim()
-		for _, b := range []int{1, 3, 17, len(test.X)} {
-			xs := test.X[:b]
-			got := make([]float64, b*od)
-			s.InferBatchInto(got, xs)
-			ref := q.NewSession()
-			want := make([]float64, od)
-			for i, x := range xs {
-				ref.InferInto(want, x)
-				for j := range want {
-					if got[i*od+j] != want[j] {
-						t.Fatalf("%s b=%d sample %d logit %d: batch %v, per-sample %v",
-							a.Name(), b, i, j, got[i*od+j], want[j])
-					}
-				}
-			}
+		name := a.Name()
+		if pa, ok := a.(emac.PositArith); ok && pa.QuireDrop > 0 {
+			name = fmt.Sprintf("%s quire-%d", name, pa.QuireDrop)
 		}
+		checkRoutes(t, name, Quantize(net, a), ds, irisBatches, 64)
 	}
 }
 
@@ -52,30 +52,15 @@ func TestInferBatchIntoMatchesPerSample(t *testing.T) {
 // precision network with a format conversion at every boundary.
 func TestMixedInferBatchIntoMatchesPerSample(t *testing.T) {
 	net, test := trainedIris(t)
-	ariths := []emac.Arithmetic{
+	m := QuantizeMixed(net, []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4),
-	}
-	q := QuantizeMixed(net, ariths)
-	s := q.NewSession()
-	od := q.OutputDim()
-	b := len(test.X)
-	got := make([]float64, b*od)
-	s.InferBatchInto(got, test.X)
-	ref := q.NewSession()
-	want := make([]float64, od)
-	for i, x := range test.X {
-		ref.InferInto(want, x)
-		for j := range want {
-			if got[i*od+j] != want[j] {
-				t.Fatalf("mixed sample %d logit %d: batch %v, per-sample %v",
-					i, j, got[i*od+j], want[j])
-			}
-		}
-	}
+	})
+	checkRoutes(t, "mixed", m, repeatSplit(test, irisRepeat), irisBatches, 0)
 }
 
-// TestInferBatchIntoAllocFree: after one warmup flush, the fused path
-// must not allocate, on the term-table and the exact-window tier alike.
+// TestInferBatchIntoAllocFree: after one warmup flush, InferBatchInto and
+// InferInto must not allocate, on the term-table and the exact-window
+// tier alike.
 func TestInferBatchIntoAllocFree(t *testing.T) {
 	net, test := trainedIris(t)
 	for _, a := range []emac.Arithmetic{emac.NewPosit(8, 0), emac.NewPosit(16, 1)} {
@@ -91,48 +76,37 @@ func TestInferBatchIntoAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: InferBatchInto allocates %v objects per flush; want 0", a.Name(), allocs)
 		}
-	}
-}
-
-// TestInferBatchIntoSigmoid covers the posit fast-sigmoid activation on
-// the batch plane.
-func TestInferBatchIntoSigmoid(t *testing.T) {
-	net, test := trainedIris(t)
-	q := Quantize(net, emac.NewPosit(8, 0))
-	q.Sigmoid = true
-	s := q.NewSession()
-	od := q.OutputDim()
-	xs := test.X[:8]
-	got := make([]float64, len(xs)*od)
-	s.InferBatchInto(got, xs)
-	ref := q.NewSession()
-	want := make([]float64, od)
-	for i, x := range xs {
-		ref.InferInto(want, x)
-		for j := range want {
-			if got[i*od+j] != want[j] {
-				t.Fatalf("sigmoid sample %d logit %d: batch %v, per-sample %v", i, j, got[i*od+j], want[j])
-			}
+		logits := dst[:od]
+		if allocs := testing.AllocsPerRun(20, func() { s.InferInto(logits, xs[0]) }); allocs != 0 {
+			t.Fatalf("%s: InferInto allocates %v objects per sample; want 0", a.Name(), allocs)
 		}
 	}
 }
 
-// tileNets builds one network per path through the tiled pass over a
-// seeded 117-32-16-2 MLP (the Mushroom input width, with two hidden
-// layers so activations and conversions run at two boundaries), and
-// returns them with the Mushroom test split's 2708 inputs.
-func tileNets(t *testing.T) (map[string]Model, [][]float64) {
+// TestInferBatchIntoSigmoid covers the posit fast-sigmoid activation with
+// a folded standardizer fed raw features, on every route.
+func TestInferBatchIntoSigmoid(t *testing.T) {
+	net, _ := trainedIris(t)
+	rawTrain, rawTest := datasets.IrisSplit(datasets.IrisSeed)
+	q := Quantize(net, emac.NewPosit(8, 0))
+	q.Sigmoid = true
+	q.Stand = datasets.FitStandardizer(rawTrain)
+	checkRoutes(t, "sigmoid+standardized", q, repeatSplit(rawTest, irisRepeat), irisBatches, 64)
+}
+
+// tileNets builds one network per fused path through the tiled pass
+// over a seeded 117-32-16-2 MLP (the Mushroom input width, with two
+// hidden layers so activations and conversions run at two boundaries),
+// and returns them with the Mushroom test split's 2708 samples. The
+// MAC-bank arms run the Iris routes (TestInferBatchIntoMatchesPerSample).
+func tileNets(t *testing.T) (map[string]Model, *datasets.Dataset) {
 	t.Helper()
 	_, test := datasets.MushroomSplit(datasets.MushroomSeed + 1)
 	src := nn.NewMLP([]int{datasets.MushroomOneHotDim(), 32, 16, 2}, rng.New(43))
-	drop := emac.NewPosit(8, 0)
-	drop.QuireDrop = 6
-	nets := map[string]Model{"posit(8,0) quire-6": Quantize(src, drop)} // MAC path
+	nets := map[string]Model{}
 	for _, a := range []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4),
 		emac.NewPosit(16, 1), // fused exact-window tier
-		emac.NewPosit(16, 2), // loop fallback (register beyond 128 bits)
-		emac.Float32Arith{},  // per-neuron MAC path, no kernels at all
 	} {
 		nets[a.Name()] = Quantize(src, a)
 	}
@@ -146,40 +120,16 @@ func tileNets(t *testing.T) (map[string]Model, [][]float64) {
 	nets["mixed"] = QuantizeMixed(src, []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4),
 	})
-	return nets, test.X
-}
-
-// passOf returns a session's tiled-pass state.
-func passOf(s Inferer) *tiledPass {
-	if s, ok := s.(*MixedSession); ok {
-		return &s.tiledPass
-	}
-	return &s.(*Session).tiledPass
+	return nets, test
 }
 
 // TestInferBatchIntoTiles runs flushes below, at and across the 256-sample
-// tile boundary, up to the whole Mushroom test split, through every path
-// the tiled pass takes, against per-sample InferInto.
+// tile boundary, up to the whole Mushroom test split, and every other
+// session route, through each fused path against the MAC-bank oracle.
 func TestInferBatchIntoTiles(t *testing.T) {
-	nets, xs := tileNets(t)
+	nets, test := tileNets(t)
 	for name, m := range nets {
-		od := m.OutputDim()
-		ref := m.NewInferer()
-		want := make([]float64, len(xs)*od)
-		for i, x := range xs {
-			ref.InferInto(want[i*od:(i+1)*od], x)
-		}
-		s := m.NewInferer()
-		for _, b := range []int{0, 1, 255, 256, 257, 513, len(xs)} {
-			got := make([]float64, b*od)
-			s.InferBatchInto(got, xs[:b])
-			for i, v := range got {
-				if math.Float64bits(v) != math.Float64bits(want[i]) {
-					t.Fatalf("%s b=%d sample %d logit %d: batch %v, per-sample %v",
-						name, b, i/od, i%od, v, want[i])
-				}
-			}
-		}
+		checkRoutes(t, name, m, test, []int{0, 1, 255, 256, 257, 513, test.Len()}, 64)
 	}
 }
 
@@ -187,10 +137,11 @@ func TestInferBatchIntoTiles(t *testing.T) {
 // before any sample is quantised or computed, leaving dst and the planes
 // untouched.
 func TestInferBatchIntoBadDstPanicsFirst(t *testing.T) {
-	nets, xs := tileNets(t)
+	nets, test := tileNets(t)
+	xs := test.X
 	for _, name := range []string{"posit(8,0)", "mixed"} {
 		m := nets[name]
-		s := m.NewInferer()
+		s := m.NewInferer().(*Session)
 		dst := make([]float64, 300*m.OutputDim()-1)
 		for i := range dst {
 			dst[i] = -7
@@ -203,8 +154,7 @@ func TestInferBatchIntoBadDstPanicsFirst(t *testing.T) {
 			}()
 			s.InferBatchInto(dst, xs[:300])
 		}()
-		p := passOf(s)
-		if p.planes[0] != nil || p.planes[1] != nil {
+		if s.planes[0] != nil || s.planes[1] != nil {
 			t.Fatalf("%s: planes grown before the dst check", name)
 		}
 		for i, v := range dst {
@@ -219,18 +169,18 @@ func TestInferBatchIntoBadDstPanicsFirst(t *testing.T) {
 // at most one tile × the widest layer, and warm flushes of that size
 // allocate nothing.
 func TestInferBatchIntoTileBounded(t *testing.T) {
-	nets, xs := tileNets(t)
+	nets, test := tileNets(t)
+	xs := test.X
 	for _, name := range []string{"posit(8,0)", "posit(16,1)", "mixed"} {
 		m := nets[name]
-		s := m.NewInferer()
+		s := m.NewInferer().(*Session)
 		dst := make([]float64, len(xs)*m.OutputDim())
 		s.InferBatchInto(dst, xs)
-		p := passOf(s)
 		widest := 0
-		for _, e := range p.layers {
+		for _, e := range s.layers {
 			widest = max(widest, e.model.In, e.model.Out)
 		}
-		for i, pl := range p.planes {
+		for i, pl := range s.planes {
 			if cap(pl) > batchTile*widest {
 				t.Fatalf("%s: plane %d holds %d codes after a %d-sample flush; want <= %d",
 					name, i, cap(pl), len(xs), batchTile*widest)

@@ -11,13 +11,15 @@
 // Network/MixedNetwork/Layer hold only the immutable quantised
 // parameters (the bitstream a Deep Positron deployment would flash), so
 // one network can be shared by any number of goroutines; all mutable
-// state — EMAC banks, pre-decoded layer kernels, activation scratch —
-// lives in per-goroutine Session objects (see session.go). Network.Infer
-// and friends remain as thin wrappers over a lazily-built default
-// session for single-goroutine callers.
+// state — each layer's fused kernel or EMAC bank and the activation
+// planes — lives in per-goroutine Session objects (see session.go), one
+// session type for both network kinds. Network.Infer and friends remain
+// as thin wrappers over a lazily-built default session for
+// single-goroutine callers.
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/datasets"
@@ -41,18 +43,36 @@ type Network struct {
 	Arith  emac.Arithmetic
 	Layers []*Layer
 	// Sigmoid selects the posit fast-sigmoid activation instead of ReLU
-	// on hidden layers (extension; requires a posit arithmetic with
-	// es=0).
+	// on hidden layers (extension; requires a posit arithmetic with es=0,
+	// see CheckSigmoid).
 	Sigmoid bool
 	// Stand, when non-nil, is a per-feature standardizer folded into the
 	// deployment artifact: sessions standardize raw inputs with it before
 	// quantising, so the served model consumes raw measurements.
 	Stand *datasets.Standardizer
 	// def is the lazily-built default session backing the Infer/Predict/
-	// Accuracy convenience wrappers. Those wrappers are not safe for
+	// Accuracy convenience wrappers and StreamInfer; like every session it
+	// copies Sigmoid and Stand when it is built, so changes made after the
+	// first call do not reach it. Those wrappers are not safe for
 	// concurrent use — concurrent callers build one Session each via
 	// NewSession.
 	def *Session
+}
+
+// ErrMixedSigmoid rejects the Sigmoid flag on a mixed network: mixed
+// networks run ReLU on every hidden layer and cannot carry the flag.
+var ErrMixedSigmoid = errors.New("core: the Sigmoid activation is uniform-only; a mixed network cannot carry it")
+
+// CheckSigmoid reports whether a uniform network over arithmetic a may
+// carry the Sigmoid flag. The fast sigmoid is a bit trick on es=0 posits
+// only, so a must be one. The artifact decoders and encoders and
+// NewSession all apply this one rule (and ErrMixedSigmoid for mixed
+// artifacts).
+func CheckSigmoid(a emac.Arithmetic) error {
+	if pa, ok := a.(emac.PositArith); !ok || !pa.F.FastSigmoidValid() {
+		return fmt.Errorf("core: Sigmoid activation requires a posit arithmetic with es=0, got %s", a.Name())
+	}
+	return nil
 }
 
 // Quantize lowers a trained float64 network into the target arithmetic.
@@ -107,14 +127,6 @@ func (n *Network) Predict(x []float64) int { return n.session().Predict(x) }
 // Accuracy evaluates classification accuracy on a dataset (default
 // session; not safe for concurrent use).
 func (n *Network) Accuracy(ds *datasets.Dataset) float64 { return n.session().Accuracy(ds) }
-
-// activate applies the hidden-layer nonlinearity on a code.
-func (n *Network) activate(c emac.Code) emac.Code {
-	if n.Sigmoid {
-		return emac.Code(sigmoidFormat(n.Arith).FromBits(uint64(c)).FastSigmoid().Bits())
-	}
-	return n.Arith.ReLU(c)
-}
 
 // NewInferer builds an independent execution plane (Model interface).
 func (n *Network) NewInferer() Inferer { return n.NewSession() }

@@ -197,6 +197,11 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n.Sigmoid {
+		if err := CheckSigmoid(n.Arith); err != nil {
+			return nil, err
+		}
+	}
 	out := artifactJSON{
 		Version: ArtifactVersion,
 		Kind:    kindUniform,
@@ -227,6 +232,11 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	arith, err := in.Arith.build()
 	if err != nil {
 		return err
+	}
+	if in.Sigmoid {
+		if err := CheckSigmoid(arith); err != nil {
+			return err
+		}
 	}
 	layers, err := decodeLayers(in.Layers, func(int) emac.Arithmetic { return arith })
 	if err != nil {
@@ -276,6 +286,9 @@ func (n *MixedNetwork) UnmarshalJSON(data []byte) error {
 	}
 	if in.Kind != kindMixed {
 		return fmt.Errorf("core: artifact is not a mixed network (kind %q)", in.Kind)
+	}
+	if in.Sigmoid {
+		return ErrMixedSigmoid
 	}
 	if len(in.Ariths) != len(in.Layers) {
 		return fmt.Errorf("core: mixed artifact has %d arithmetics for %d layers",

@@ -3,9 +3,12 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/emac"
+	"repro/internal/nn"
+	"repro/internal/rng"
 )
 
 func TestQuantizedSaveLoadRoundTrip(t *testing.T) {
@@ -81,6 +84,42 @@ func TestLoadRejectsCorruptModels(t *testing.T) {
 	bad("empty.json", `{"arith":{"family":"posit","n":8},"layers":[]}`)
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// invalidSigmoidBodies are artifacts whose sigmoid flag no session can
+// apply: a mixed network (also one with no layers at all), and a uniform
+// one over fixed point.
+var invalidSigmoidBodies = map[string]string{
+	"empty mixed": `{"version":1,"kind":"mixed","sigmoid":true}`,
+	"mixed": `{"version":1,"kind":"mixed","ariths":[{"family":"posit","n":8},{"family":"posit","n":8}],"sigmoid":true,
+		"layers":[{"in":2,"out":2,"w":[[64,64],[64,64]],"b":[0,0]},{"in":2,"out":1,"w":[[64,64]],"b":[0]}]}`,
+	"uniform fixed(8,4)": `{"version":1,"kind":"uniform","arith":{"family":"fixed","n":8,"q":4},"sigmoid":true,
+		"layers":[{"in":2,"out":2,"w":[[16,16],[16,16]],"b":[0,0]},{"in":2,"out":1,"w":[[16,16]],"b":[0]}]}`,
+}
+
+// TestParseModelRejectsInvalidSigmoid: the sigmoid flag parses only on a
+// uniform artifact over an es=0 posit (CheckSigmoid), the rule the binary
+// codec and NewSession apply; the same body over posit(8,0) parses, and
+// the JSON encoder refuses the flag where the decoder would.
+func TestParseModelRejectsInvalidSigmoid(t *testing.T) {
+	for name, body := range invalidSigmoidBodies {
+		if _, err := ParseModel([]byte(body)); err == nil {
+			t.Errorf("%s: sigmoid artifact accepted", name)
+		}
+	}
+	valid := strings.Replace(invalidSigmoidBodies["uniform fixed(8,4)"], `"family":"fixed","n":8,"q":4`, `"family":"posit","n":8`, 1)
+	m, err := ParseModel([]byte(valid))
+	if err != nil {
+		t.Fatalf("posit(8,0) sigmoid artifact: %v", err)
+	}
+	if !m.(*Network).Sigmoid {
+		t.Fatal("sigmoid flag lost")
+	}
+	q := Quantize(nn.NewMLP([]int{2, 2, 1}, rng.New(3)), emac.NewFixed(8, 4))
+	q.Sigmoid = true
+	if _, err := q.MarshalJSON(); err == nil {
+		t.Error("fixed(8,4) sigmoid network serialised")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // boundaries activations are re-encoded into the next layer's format by a
 // format-conversion unit (decode → round), the same single-rounding step
 // the EMAC output stage already performs. Like Network, a MixedNetwork is
-// the immutable model plane; execution state lives in MixedSession.
+// the immutable model plane; execution state lives in a Session.
 type MixedNetwork struct {
 	LayerAriths []emac.Arithmetic // one per layer
 	Layers      []*Layer
@@ -24,7 +24,7 @@ type MixedNetwork struct {
 	Stand *datasets.Standardizer
 	// def is the lazily-built default session backing the convenience
 	// wrappers (not safe for concurrent use; see Network.def).
-	def *MixedSession
+	def *Session
 }
 
 // QuantizeMixed lowers a trained float64 network with one arithmetic per
@@ -55,7 +55,7 @@ func QuantizeMixed(src *nn.Network, ariths []emac.Arithmetic) *MixedNetwork {
 }
 
 // session returns the lazily-built default session.
-func (n *MixedNetwork) session() *MixedSession {
+func (n *MixedNetwork) session() *Session {
 	if n.def == nil {
 		n.def = n.NewSession()
 	}
@@ -63,8 +63,8 @@ func (n *MixedNetwork) session() *MixedSession {
 }
 
 // Infer runs one input through the mixed-precision pipeline via the
-// default session. Not safe for concurrent use — build one MixedSession
-// per goroutine with NewSession for that.
+// default session. Not safe for concurrent use — build one Session per
+// goroutine with NewSession for that.
 func (n *MixedNetwork) Infer(x []float64) []float64 { return n.session().Infer(x) }
 
 // Predict returns the argmax class (default session; not safe for

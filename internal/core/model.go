@@ -14,9 +14,9 @@ import (
 	"repro/internal/emac"
 )
 
-// Inferer is one execution plane over an immutable model: the common
-// surface of Session and MixedSession. An Inferer serves one goroutine;
-// build one per goroutine via Model.NewInferer.
+// Inferer is one execution plane over an immutable model: the surface of
+// Session, which serves both network kinds. An Inferer serves one
+// goroutine; build one per goroutine via Model.NewInferer.
 type Inferer interface {
 	// Infer runs one input and returns freshly allocated decoded logits.
 	Infer(x []float64) []float64
@@ -24,11 +24,12 @@ type Inferer interface {
 	// have the model's output width), and returns dst. With the session's
 	// internal buffers warm this path allocates nothing.
 	InferInto(dst []float64, x []float64) []float64
-	// InferBatchInto runs a whole flush of inputs through the fused
-	// batched layer kernels, decoding the logits into the flat
-	// sample-major dst (len(xs) × the model's output width), and returns
-	// dst. Results are bit-identical to per-sample InferInto; with the
-	// session's planes warm this path allocates nothing.
+	// InferBatchInto runs a whole flush of inputs through the tiled pass
+	// (each layer's fused kernel, or its EMAC bank where the arithmetic
+	// has none), decoding the logits into the flat sample-major dst
+	// (len(xs) × the model's output width), and returns dst. Results are
+	// bit-identical to per-sample InferInto; with the session's planes
+	// warm this path allocates nothing.
 	InferBatchInto(dst []float64, xs [][]float64) []float64
 	// Predict returns the argmax class for one input.
 	Predict(x []float64) int
@@ -67,10 +68,10 @@ type Model interface {
 	String() string
 }
 
-// compile-time checks that both network kinds satisfy the interfaces.
+// compile-time checks that both network kinds are Models and Session is
+// an Inferer.
 var (
 	_ Model   = (*Network)(nil)
 	_ Model   = (*MixedNetwork)(nil)
 	_ Inferer = (*Session)(nil)
-	_ Inferer = (*MixedSession)(nil)
 )

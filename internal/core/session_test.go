@@ -12,19 +12,9 @@ import (
 	"repro/internal/emac"
 )
 
-// serialLogits runs the whole test split through one fresh session.
-func serialLogits(n *Network, xs [][]float64) [][]float64 {
-	s := n.NewSession()
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = s.Infer(x)
-	}
-	return out
-}
-
 // TestSessionsConcurrentBitIdentical: one shared Network, 12 goroutines,
 // one session each, every goroutine sweeps the full test set; every
-// logit must be bit-identical to the serial reference for every arm.
+// logit must be bit-identical to the MAC-bank oracle for every arm.
 func TestSessionsConcurrentBitIdentical(t *testing.T) {
 	net, test := trainedIris(t)
 	for _, a := range []emac.Arithmetic{
@@ -32,7 +22,8 @@ func TestSessionsConcurrentBitIdentical(t *testing.T) {
 		emac.Float32Arith{}, // MAC path: no kernel, per-neuron EMACs
 	} {
 		q := Quantize(net, a)
-		want := serialLogits(q, test.X)
+		want := oracleLogits(q, test.X)
+		od := q.OutputDim()
 		const goroutines = 12
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -43,9 +34,9 @@ func TestSessionsConcurrentBitIdentical(t *testing.T) {
 				for i, x := range test.X {
 					got := s.Infer(x)
 					for j := range got {
-						if got[j] != want[i][j] {
+						if got[j] != want[i*od+j] {
 							t.Errorf("%s goroutine %d sample %d logit %d: %v != %v",
-								a.Name(), g, i, j, got[j], want[i][j])
+								a.Name(), g, i, j, got[j], want[i*od+j])
 							return
 						}
 					}
@@ -64,11 +55,8 @@ func TestMixedSessionsConcurrent(t *testing.T) {
 	m := QuantizeMixed(net, []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4),
 	})
-	ref := m.NewSession()
-	want := make([][]float64, len(test.X))
-	for i, x := range test.X {
-		want[i] = ref.Infer(x)
-	}
+	want := oracleLogits(m, test.X)
+	od := m.OutputDim()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -78,8 +66,8 @@ func TestMixedSessionsConcurrent(t *testing.T) {
 			for i, x := range test.X {
 				got := s.Infer(x)
 				for j := range got {
-					if got[j] != want[i][j] {
-						t.Errorf("sample %d logit %d: %v != %v", i, j, got[j], want[i][j])
+					if got[j] != want[i*od+j] {
+						t.Errorf("sample %d logit %d: %v != %v", i, j, got[j], want[i*od+j])
 						return
 					}
 				}
@@ -89,26 +77,60 @@ func TestMixedSessionsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDefaultWrappersMatchSessions: the Network-level convenience methods
-// are thin wrappers over a default session and must agree with an
-// explicit one, including the accuracy sweep.
+// TestDefaultWrappersMatchSessions: the Network- and MixedNetwork-level
+// convenience methods are thin wrappers over a default session and must
+// agree with an explicit one, including the accuracy sweep.
 func TestDefaultWrappersMatchSessions(t *testing.T) {
 	net, test := trainedIris(t)
-	q := Quantize(net, emac.NewPosit(8, 0))
-	s := q.NewSession()
-	for i, x := range test.X {
-		a, b := q.Infer(x), s.Infer(x)
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("sample %d: wrapper %v != session %v", i, a, b)
+	for _, m := range []Model{
+		Quantize(net, emac.NewPosit(8, 0)),
+		QuantizeMixed(net, []emac.Arithmetic{emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4)}),
+	} {
+		w, s := m.(defaultWrappers), m.NewInferer()
+		for i, x := range test.X {
+			a, b := w.Infer(x), s.Infer(x)
+			for j := range a {
+				if a[j] != b[j] {
+					t.Fatalf("%v sample %d: wrapper %v != session %v", m, i, a, b)
+				}
 			}
 		}
+		if wa, sa := w.Accuracy(test), s.Accuracy(test); wa != sa {
+			t.Fatalf("%v: wrapper accuracy %v != session accuracy %v", m, wa, sa)
+		}
 	}
-	if qa, sa := q.Accuracy(test), s.Accuracy(test); qa != sa {
-		t.Fatalf("wrapper accuracy %v != session accuracy %v", qa, sa)
-	}
-	if s.Network() != q {
-		t.Fatal("session does not report its network")
+}
+
+// TestNewSessionPanicsOnMisChainedNetwork: a layer whose fan-in differs
+// from its predecessor's width panics when a session is built, before
+// any pass could read stale plane entries.
+func TestNewSessionPanicsOnMisChainedNetwork(t *testing.T) {
+	net, _ := trainedIris(t)
+	for _, m := range []Model{
+		Quantize(net, emac.NewPosit(8, 0)),
+		QuantizeMixed(net, []emac.Arithmetic{emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4)}),
+	} {
+		var ls []*Layer
+		switch n := m.(type) {
+		case *Network:
+			ls = n.Layers
+		case *MixedNetwork:
+			ls = n.Layers
+		}
+		// Drop the middle layer's last neuron: the readout layer still
+		// expects the old width.
+		mid := *ls[1]
+		mid.Out--
+		mid.W, mid.B = mid.W[:mid.Out], mid.B[:mid.Out]
+		ls[1] = &mid
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%v: NewSession accepted a mis-chained network", m)
+				}
+			}()
+			m.NewInferer()
+		}()
 	}
 }
 
@@ -128,18 +150,19 @@ func TestSessionStateIsolation(t *testing.T) {
 	}
 }
 
-// TestStreamInferMatchesSessions: the cycle-level simulator owns its own
-// execution plane and must still match per-input session inference.
+// TestStreamInferMatchesSessions: the cycle-level simulator runs the
+// default session's layers at b=1 and must match the MAC-bank oracle.
 func TestStreamInferMatchesSessions(t *testing.T) {
 	net, test := trainedIris(t)
 	q := Quantize(net, emac.NewFloatN(8, 4))
 	inputs := test.X[:16]
 	outs, _, _ := q.StreamInfer(inputs, false)
-	want := serialLogits(q, inputs)
+	want := oracleLogits(q, inputs)
+	od := q.OutputDim()
 	for i := range outs {
 		for j := range outs[i] {
-			if outs[i][j] != want[i][j] {
-				t.Fatalf("stream sample %d logit %d: %v != %v", i, j, outs[i][j], want[i][j])
+			if outs[i][j] != want[i*od+j] {
+				t.Fatalf("stream sample %d logit %d: %v != %v", i, j, outs[i][j], want[i*od+j])
 			}
 		}
 	}

@@ -46,7 +46,8 @@ func (s layerState) String() string {
 // the FSM bookkeeping plus the layer's execution plane (borrowed from the
 // network's default session — the simulator shares Infer's
 // single-goroutine contract, and reusing the session keeps repeated
-// StreamInfer calls from re-decoding the weights).
+// StreamInfer calls from re-decoding the weights). The layer computes
+// through the session's tiled pass at b=1.
 type simLayer struct {
 	layer *Layer
 	exec  *execLayer
@@ -140,7 +141,12 @@ func (n *Network) StreamInfer(inputs [][]float64, trace bool) ([][]float64, Stre
 		}
 		// Feed a new input into layer 0 if it is free.
 		if nextInput < len(inputs) && layers[0].state == layerIdle {
-			layers[0].accept(n.QuantizeInput(inputs[nextInput]), nextInput)
+			// Standardized with the session's copy of Stand, so the
+			// whole pass reads one copy.
+			x := inputs[nextInput]
+			in := make([]emac.Code, len(x))
+			quantizeInto(in, x, sess.ariths[0], sess.stand)
+			layers[0].accept(in, nextInput)
 			layers[0].state = layerBusy
 			record(cycle, 0, layerBusy, nextInput)
 			nextInput++
@@ -152,7 +158,7 @@ func (n *Network) StreamInfer(inputs [][]float64, trace bool) ([][]float64, Stre
 			}
 			sl.step++
 			if sl.step >= sl.layer.In+depth {
-				sl.compute(n, li)
+				sl.compute(sess, li)
 				sl.state = layerDone
 				record(cycle, li, layerDone, sl.tag)
 			}
@@ -190,20 +196,17 @@ func (sl *simLayer) accept(input []emac.Code, tag int) {
 	sl.step = 0
 }
 
-// compute runs the layer's execution plane over the loaded input (the
+// compute runs the layer's execution plane over the loaded input as a
+// one-sample flush, then the session's activation for a hidden layer (the
 // numeric work all happens when the FSM says the layer has finished
 // consuming; the per-cycle Step calls are semantically identical, so we
-// batch them). The output is latched into a fresh slice because the exec
-// layer's activation buffer is reused on the layer's next firing, which
-// can happen while the successor still holds this output.
-func (sl *simLayer) compute(n *Network, li int) {
-	raw := sl.exec.forward(sl.input)
-	out := make([]emac.Code, len(raw))
-	for j, c := range raw {
-		if li < len(n.Layers)-1 {
-			c = n.activate(c)
-		}
-		out[j] = c
+// batch them). The output is latched into a fresh slice because the
+// successor may still hold the previous one when the layer fires again.
+func (sl *simLayer) compute(s *Session, li int) {
+	out := make([]emac.Code, sl.layer.Out)
+	sl.exec.forwardBatch(sl.input, out, 1)
+	if li < len(s.layers)-1 {
+		s.activate(li, out)
 	}
 	sl.output = out
 }

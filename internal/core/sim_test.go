@@ -41,6 +41,31 @@ func TestStreamInferMatchesInfer(t *testing.T) {
 	}
 }
 
+// TestStreamInferReadsSessionCopy: the default session copies Stand when
+// it is built, and StreamInfer quantises through that copy as well as
+// computing through the session, so a later change to the field moves
+// neither half of the pass.
+func TestStreamInferReadsSessionCopy(t *testing.T) {
+	net, _ := trainedIris(t)
+	rawTrain, rawTest := datasets.IrisSplit(datasets.IrisSeed)
+	q := Quantize(net, emac.NewPosit(8, 0))
+	q.Stand = datasets.FitStandardizer(rawTrain)
+	inputs := rawTest.X[:10]
+	want := make([][]float64, len(inputs))
+	for i, x := range inputs {
+		want[i] = q.Infer(x) // builds the default session
+	}
+	q.Stand = nil
+	outs, _, _ := q.StreamInfer(inputs, false)
+	for i := range inputs {
+		for j := range want[i] {
+			if outs[i][j] != want[i][j] {
+				t.Fatalf("input %d logit %d: stream %g vs session %g", i, j, outs[i][j], want[i][j])
+			}
+		}
+	}
+}
+
 func TestStreamLatencyMatchesAnalyticalModel(t *testing.T) {
 	net, test := trainedIris(t)
 	q := Quantize(net, emac.NewPosit(8, 0))

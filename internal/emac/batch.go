@@ -25,10 +25,10 @@ package emac
 //     nonzero when half or more are zero in both; they qualify while
 //     in·2^(2n−2) < 2^31 keeps every lane sum exact.
 //
-// Configurations beyond that (posit(16,2), posit32, wide float/fixed
-// registers) loop their per-sample kernel, so a BatchLayerKernel exists
-// whenever a LayerKernel does and results are always bit-identical to
-// per-sample Forward calls.
+// Configurations beyond that (posit(16,2), posit32, wider float and
+// fixed registers, the truncated-quire ablation) have no kernel: their
+// builders decline, and core runs those layers on the MAC bank, which
+// stays the reference every kernel is bit-identical to.
 
 import (
 	"repro/internal/fixedpoint"
@@ -39,18 +39,17 @@ import (
 // BatchLayerKernel is a whole-flush batched layer datapath.
 // ForwardBatchStrided computes out[s*Out+j] = Result(bias[j] + Σ_i
 // W[j][i]·act[s*In+i]) for every sample s of a flat sample-major flush
-// (len(act) = b·in, len(out) = b·out), bit-identical to calling
-// LayerKernel.Forward once per sample. Kernels reuse internal scratch and
-// are not safe for concurrent use.
+// (len(act) = b·in, len(out) = b·out), bit-identical to driving one MAC
+// per neuron through each sample. Kernels reuse internal scratch and are
+// not safe for concurrent use.
 type BatchLayerKernel interface {
 	ForwardBatchStrided(act, out []Code, b int)
 }
 
 // BatchKernelBuilder is implemented by arithmetics that offer a batched
 // layer datapath. NewBatchLayerKernel returns ok == false when this
-// configuration has no kernel at all (callers fall back to per-neuron
-// MACs, per sample); w is row-major [out][in] and must not be mutated
-// afterwards.
+// configuration has no kernel (callers fall back to per-neuron MACs, per
+// sample); w is row-major [out][in] and must not be mutated afterwards.
 type BatchKernelBuilder interface {
 	NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool)
 }
@@ -61,27 +60,9 @@ type fusedBatchKernel func(act, out []Code, b int)
 
 func (f fusedBatchKernel) ForwardBatchStrided(act, out []Code, b int) { f(act, out, b) }
 
-// loopBatchKernel is the scalar fallback: a per-sample LayerKernel
-// driven once per sample. It keeps the BatchLayerKernel contract
-// available for every configuration that has a per-sample kernel, with
-// trivially identical results.
-type loopBatchKernel struct {
-	lk      LayerKernel
-	in, out int
-}
-
-func (k *loopBatchKernel) ForwardBatchStrided(act, out []Code, b int) {
-	if b < 0 || len(act) != b*k.in || len(out) != b*k.out {
-		panic("emac: batch kernel size mismatch")
-	}
-	for s := 0; s < b; s++ {
-		k.lk.Forward(act[s*k.in:(s+1)*k.in], out[s*k.out:(s+1)*k.out])
-	}
-}
-
 // NewBatchLayerKernel implements BatchKernelBuilder: the fused posit
-// datapath when the quire fits two words, else a loop over the
-// per-sample kernel. The truncated-quire ablation has no kernel tier.
+// datapath when the quire fits two words. The truncated-quire ablation
+// has no kernel tier.
 func (p PositArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool) {
 	if p.QuireDrop > 0 || len(w) == 0 || len(w[0]) == 0 {
 		return nil, false
@@ -101,16 +82,12 @@ func (p PositArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 	if k, ok := posit.NewBatchDenseKernel(p.F, pw, pb); ok {
 		return fusedBatchKernel(func(act, out []Code, b int) { posit.ForwardBatch(k, act, out, b) }), true
 	}
-	lk, ok := p.NewLayerKernel(w, b)
-	if !ok {
-		return nil, false
-	}
-	return &loopBatchKernel{lk: lk, in: len(w[0]), out: len(w)}, true
+	return nil, false
 }
 
 // NewBatchLayerKernel implements BatchKernelBuilder: the fused float
-// term-table datapath when the register fits one word, else a loop over
-// the per-sample kernel.
+// term-table datapath when the format is at most 8 bits wide and the
+// register fits one word.
 func (p FloatArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool) {
 	if len(w) == 0 || len(w[0]) == 0 {
 		return nil, false
@@ -130,16 +107,12 @@ func (p FloatArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 	if k, ok := minifloat.NewBatchDenseKernel(p.F, fw, fb); ok {
 		return fusedBatchKernel(func(act, out []Code, b int) { minifloat.ForwardBatch(k, act, out, b) }), true
 	}
-	lk, ok := p.NewLayerKernel(w, b)
-	if !ok {
-		return nil, false
-	}
-	return &loopBatchKernel{lk: lk, in: len(w[0]), out: len(w)}, true
+	return nil, false
 }
 
 // NewBatchLayerKernel implements BatchKernelBuilder: the fused
-// signed-lane datapath when the register and lane bounds allow, else a
-// loop over the per-sample kernel.
+// signed-lane datapath when the format is at most 8 bits wide and the
+// register and lane bounds allow.
 func (p FixedArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool) {
 	if len(w) == 0 || len(w[0]) == 0 {
 		return nil, false
@@ -159,11 +132,7 @@ func (p FixedArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 	if k, ok := fixedpoint.NewBatchDenseKernel(p.F, fw, fb, p.RoundNearest); ok {
 		return fusedBatchKernel(func(act, out []Code, b int) { fixedpoint.ForwardBatch(k, act, out, b) }), true
 	}
-	lk, ok := p.NewLayerKernel(w, b)
-	if !ok {
-		return nil, false
-	}
-	return &loopBatchKernel{lk: lk, in: len(w[0]), out: len(w)}, true
+	return nil, false
 }
 
 // compile-time checks: the three hardware arms offer batched kernels.

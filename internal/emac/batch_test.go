@@ -1,9 +1,10 @@
 package emac
 
-// Cross-arm batch-kernel tests: every BatchKernelBuilder must produce
-// results bit-identical to driving its per-sample LayerKernel once per
-// sample — fused term-table/window/signed-lane datapaths and loop fallbacks
-// alike.
+// Cross-arm batch-kernel tests: every fused datapath a BatchKernelBuilder
+// offers — term tables, exact windows and signed lanes — must produce
+// results bit-identical to stepping the arm's per-neuron MACs through
+// each sample, on the Code plane the core package drives. Configurations
+// without a fused datapath must decline, so core runs them on the MACs.
 
 import (
 	"math"
@@ -12,21 +13,69 @@ import (
 	"repro/internal/rng"
 )
 
-// batchAriths are the configurations under test: the fused datapaths
-// (posit term tables for posit(8,0)/(8,1); posit exact windows for the
-// two-word registers of posit(8,2), posit(12,1) and posit(16,1); float
-// term tables for float(8,4) and float(6,2); fixed signed lanes for
-// fixed(8,4), fixed(8,1) and fixed(8,4) RNE) plus configurations that
-// must take the loop fallback (posit(16,2), whose register exceeds 128
-// bits; 12-bit float and fixed).
+func randomLayer(a Arithmetic, in, out int, seed uint64) (w [][]Code, b []Code) {
+	r := rng.New(seed)
+	w = make([][]Code, out)
+	b = make([]Code, out)
+	for j := range w {
+		row := make([]Code, in)
+		for i := range row {
+			row[i] = a.Quantize(r.NormMS(0, 1))
+		}
+		w[j] = row
+		b[j] = a.Quantize(r.NormMS(0, 0.5))
+	}
+	return w, b
+}
+
+// macForward is the reference every kernel is held to: one MAC per
+// neuron, reset to its bias and stepped through every sample of a flat
+// sample-major flush.
+func macForward(a Arithmetic, w [][]Code, b []Code, act []Code) []Code {
+	in, out := len(w[0]), len(w)
+	batch := len(act) / in
+	dst := make([]Code, batch*out)
+	macs := make([]MAC, out)
+	for j := range macs {
+		macs[j] = a.NewMAC(in)
+	}
+	for s := 0; s < batch; s++ {
+		for j, mac := range macs {
+			mac.Reset(b[j])
+			for i, c := range act[s*in : (s+1)*in] {
+				mac.Step(w[j][i], c)
+			}
+			dst[s*out+j] = mac.Result()
+		}
+	}
+	return dst
+}
+
+// batchAriths are the fused datapaths under test: posit term tables for
+// posit(8,0)/(8,1); posit exact windows for the two-word registers of
+// posit(8,2), posit(12,1) and posit(16,1); float term tables for
+// float(8,4) and float(6,2); fixed signed lanes for fixed(8,4),
+// fixed(8,1) and fixed(8,4) RNE.
 func batchAriths() []Arithmetic {
 	rneFixed := NewFixed(8, 4)
 	rneFixed.RoundNearest = true
 	return []Arithmetic{
 		NewPosit(8, 0), NewPosit(8, 1), NewPosit(8, 2), NewPosit(12, 1),
-		NewPosit(16, 1), NewPosit(16, 2),
-		NewFloatN(8, 4), NewFloatN(6, 2), NewFloatN(12, 5),
-		NewFixed(8, 4), NewFixed(8, 1), NewFixed(12, 6), rneFixed,
+		NewPosit(16, 1),
+		NewFloatN(8, 4), NewFloatN(6, 2),
+		NewFixed(8, 4), NewFixed(8, 1), rneFixed,
+	}
+}
+
+// macAriths are configurations with no fused datapath, which core runs
+// on the MAC bank: posit(16,2), whose register exceeds 128 bits; 12- and
+// 16-bit float and fixed; the truncated-quire ablation.
+func macAriths() []Arithmetic {
+	drop := NewPosit(8, 0)
+	drop.QuireDrop = 2
+	return []Arithmetic{
+		NewPosit(16, 2), NewFloatN(12, 5), NewFloatN(16, 5),
+		NewFixed(12, 6), NewFixed(16, 8), drop,
 	}
 }
 
@@ -50,42 +99,15 @@ func codePatterns(a Arithmetic, r *rng.Source, max int) []Code {
 
 // TestBatchKernelExhaustiveSweep sweeps every (weight, activation)
 // operand pair of each 8-bit arm through a 1×1 layer: one ForwardBatch
-// flush carrying the whole code space must match per-sample Forward
-// bit-for-bit. Wide formats get a random subset (the posit window tier,
-// and the loop fallback elsewhere).
+// flush carrying the whole code space must match the MAC bit-for-bit.
+// Wide formats (the posit window tier) get a random subset.
 func TestBatchKernelExhaustiveSweep(t *testing.T) {
 	r := rng.New(3)
 	for _, a := range batchAriths() {
-		bb, ok := a.(BatchKernelBuilder)
-		if !ok {
-			t.Fatalf("%s: no BatchKernelBuilder", a.Name())
-		}
-		kb := a.(KernelBuilder)
 		pats := codePatterns(a, r, 64)
 		for _, bias := range []Code{a.Quantize(0), a.Quantize(0.375), a.Quantize(-1)} {
 			for _, wc := range pats {
-				w, b := [][]Code{{wc}}, []Code{bias}
-				bk, ok := bb.NewBatchLayerKernel(w, b)
-				if !ok {
-					t.Fatalf("%s: no batch kernel", a.Name())
-				}
-				lk, ok := kb.NewLayerKernel(w, b)
-				if !ok {
-					t.Fatalf("%s: no layer kernel", a.Name())
-				}
-				nb := len(pats)
-				act := make([]Code, nb)
-				copy(act, pats)
-				got := make([]Code, nb)
-				bk.ForwardBatchStrided(act, got, nb)
-				want := make([]Code, 1)
-				for s, ac := range pats {
-					lk.Forward([]Code{ac}, want)
-					if got[s] != want[0] {
-						t.Fatalf("%s bias %#x w %#x a %#x: batch %#x, per-sample %#x",
-							a.Name(), bias, wc, ac, got[s], want[0])
-					}
-				}
+				checkBatchFlush(t, a, [][]Code{{wc}}, []Code{bias}, pats)
 			}
 		}
 	}
@@ -199,7 +221,7 @@ func TestBatchKernelWarmFlushAllocFree(t *testing.T) {
 }
 
 // checkBatchFlush runs one flush through a's batch kernel and each sample
-// through its per-sample kernel, requiring identical outputs.
+// through a's per-neuron MACs, requiring identical outputs.
 func checkBatchFlush(t *testing.T, a Arithmetic, w [][]Code, b []Code, act []Code) {
 	t.Helper()
 	in, out := len(w[0]), len(w)
@@ -207,99 +229,72 @@ func checkBatchFlush(t *testing.T, a Arithmetic, w [][]Code, b []Code, act []Cod
 	if !ok {
 		t.Fatalf("%s: no batch kernel", a.Name())
 	}
-	lk, ok := a.(KernelBuilder).NewLayerKernel(w, b)
-	if !ok {
-		t.Fatalf("%s: no layer kernel", a.Name())
-	}
 	batch := len(act) / in
 	got := make([]Code, batch*out)
 	bk.ForwardBatchStrided(act, got, batch)
-	want := make([]Code, out)
-	for s := 0; s < batch; s++ {
-		lk.Forward(act[s*in:(s+1)*in], want)
-		for j := range want {
-			if got[s*out+j] != want[j] {
-				t.Fatalf("%s %dx%d b=%d: sample %d row %d: batch %#x, per-sample %#x",
-					a.Name(), out, in, batch, s, j, got[s*out+j], want[j])
-			}
+	for i, ref := range macForward(a, w, b, act) {
+		if got[i] != ref {
+			t.Fatalf("%s %dx%d b=%d: sample %d row %d: batch %#x, mac %#x",
+				a.Name(), out, in, batch, i/out, i%out, got[i], ref)
 		}
 	}
 }
 
-// TestBatchKernelMatchesLayerKernel checks realistic random layers for
-// every arm through the strided entry point, with flush sizes crossing
-// the scratch-growth boundary and the posit window tier's tile edge.
-func TestBatchKernelMatchesLayerKernel(t *testing.T) {
+// TestLayerKernelMatchesMACs: for every fused arm, the layer kernel over
+// one-sample flushes — what InferInto runs per layer — and a bank of
+// per-neuron MACs must agree bit-for-bit on random activation streams.
+func TestLayerKernelMatchesMACs(t *testing.T) {
+	const in, out = 30, 16
+	for _, a := range batchAriths() {
+		w, b := randomLayer(a, in, out, 101)
+		r := rng.New(202)
+		act := make([]Code, in)
+		for trial := 0; trial < 100; trial++ {
+			for i := range act {
+				act[i] = a.Quantize(r.NormMS(0, 1))
+			}
+			checkBatchFlush(t, a, w, b, act)
+		}
+	}
+}
+
+// TestBatchKernelMatchesMACs checks realistic random layers for every
+// arm through the strided entry point, with flush sizes crossing the
+// scratch-growth boundary and the posit window tier's tile edge.
+func TestBatchKernelMatchesMACs(t *testing.T) {
 	r := rng.New(17)
 	for _, a := range batchAriths() {
-		bb := a.(BatchKernelBuilder)
-		kb := a.(KernelBuilder)
 		const in, out = 30, 16
 		w, b := randomLayer(a, in, out, 99)
-		bk, ok := bb.NewBatchLayerKernel(w, b)
-		if !ok {
-			t.Fatalf("%s: no batch kernel", a.Name())
-		}
-		lk, ok := kb.NewLayerKernel(w, b)
-		if !ok {
-			t.Fatalf("%s: no layer kernel", a.Name())
-		}
 		for _, batch := range []int{1, 2, 7, 32, 65, 130} {
 			act := make([]Code, batch*in)
 			for i := range act {
 				act[i] = a.Quantize(r.NormMS(0, 1))
 			}
-			got := make([]Code, batch*out)
-			bk.ForwardBatchStrided(act, got, batch)
-			want := make([]Code, out)
-			for s := 0; s < batch; s++ {
-				lk.Forward(act[s*in:(s+1)*in], want)
-				for j := range want {
-					if got[s*out+j] != want[j] {
-						t.Fatalf("%s b=%d: sample %d row %d: %#x vs %#x",
-							a.Name(), batch, s, j, got[s*out+j], want[j])
-					}
-				}
-			}
+			checkBatchFlush(t, a, w, b, act)
 		}
 	}
 }
 
-// TestBatchKernelTiers pins which configurations of each arm take a
-// fused datapath and which loop the per-sample kernel.
+// TestBatchKernelTiers pins which configurations have a fused datapath
+// and which decline it and run the MAC bank.
 func TestBatchKernelTiers(t *testing.T) {
-	rneFixed := NewFixed(8, 4)
-	rneFixed.RoundNearest = true
-	for _, tc := range []struct {
-		a     Arithmetic
-		fused bool
-	}{
-		{NewPosit(8, 0), true},
-		{NewPosit(8, 2), true},
-		{NewPosit(12, 1), true},
-		{NewPosit(16, 1), true},
-		{NewPosit(16, 2), false},
-		{NewFloatN(8, 4), true},
-		{NewFloatN(6, 2), true},
-		{NewFloatN(12, 5), false},
-		{NewFixed(8, 4), true},
-		{rneFixed, true},
-		{NewFixed(8, 1), true},
-		{NewFixed(12, 6), false},
-	} {
-		w, b := randomLayer(tc.a, 30, 16, 99)
-		bk, ok := tc.a.(BatchKernelBuilder).NewBatchLayerKernel(w, b)
-		if !ok {
-			t.Fatalf("%s: no batch kernel", tc.a.Name())
+	for _, a := range batchAriths() {
+		w, b := randomLayer(a, 30, 16, 99)
+		if _, ok := a.(BatchKernelBuilder).NewBatchLayerKernel(w, b); !ok {
+			t.Fatalf("%s: no fused batch kernel", a.Name())
 		}
-		if _, loop := bk.(*loopBatchKernel); loop == tc.fused {
-			t.Fatalf("%s: loop fallback = %v, want %v", tc.a.Name(), loop, !tc.fused)
+	}
+	for _, a := range macAriths() {
+		w, b := randomLayer(a, 30, 16, 99)
+		if _, ok := a.(BatchKernelBuilder).NewBatchLayerKernel(w, b); ok {
+			t.Fatalf("%s: a batch kernel where the MAC bank was expected", a.Name())
 		}
 	}
 }
 
-// TestBatchKernelDeclines: configurations with no kernel tier at all
-// must also decline the batch tier.
+// TestBatchKernelDeclines: the truncated-quire ablation has no kernel
+// tier at any shape.
 func TestBatchKernelDeclines(t *testing.T) {
 	drop := NewPosit(8, 0)
 	drop.QuireDrop = 2
@@ -307,18 +302,29 @@ func TestBatchKernelDeclines(t *testing.T) {
 	if _, ok := drop.NewBatchLayerKernel(w, b); ok {
 		t.Fatal("truncated-quire posit must have no batch kernel")
 	}
-	if _, ok := drop.NewBatchLayerKernel(nil, nil); ok {
-		t.Fatal("empty shape must decline")
-	}
+}
+
+// TestFloat32HasNoKernel: the float32 baseline is deliberately a naive
+// sequential MAC; it must not grow a batched fast path.
+func TestFloat32HasNoKernel(t *testing.T) {
 	if _, ok := any(Float32Arith{}).(BatchKernelBuilder); ok {
 		t.Fatal("float32 baseline must not offer a batch kernel")
+	}
+}
+
+// TestKernelDeclinesDegenerateShapes: empty layers fall back cleanly.
+func TestKernelDeclinesDegenerateShapes(t *testing.T) {
+	for _, a := range []Arithmetic{NewPosit(8, 0), NewFloatN(8, 4), NewFixed(8, 4)} {
+		if _, ok := a.(BatchKernelBuilder).NewBatchLayerKernel(nil, nil); ok {
+			t.Errorf("%s: kernel accepted an empty layer", a.Name())
+		}
 	}
 }
 
 // FuzzBatchStrided fuzzes the strided batch layout: arbitrary bytes
 // become a flush of activations for a fixed 5-wide layer in each arm
 // (one byte per 8-bit code, two per 16-bit code), and the fused result
-// must match the per-sample kernel bit-for-bit.
+// must match the arm's MACs bit-for-bit.
 func FuzzBatchStrided(f *testing.F) {
 	f.Add(uint8(1), []byte{0x00, 0x80, 0xFF, 0x7F, 0x01})
 	f.Add(uint8(3), []byte("deep positron strided"))
@@ -344,8 +350,9 @@ func FuzzBatchStrided(f *testing.F) {
 	const in, out = 5, 3
 	type arm struct {
 		a  Arithmetic
+		w  [][]Code
+		b  []Code
 		bk BatchLayerKernel
-		lk LayerKernel
 	}
 	var arms []arm
 	for _, a := range []Arithmetic{NewPosit(8, 0), NewFloatN(8, 4), NewFixed(8, 4), NewPosit(16, 1)} {
@@ -354,8 +361,7 @@ func FuzzBatchStrided(f *testing.F) {
 		if !ok {
 			f.Fatalf("%s: no batch kernel", a.Name())
 		}
-		lk, _ := a.(KernelBuilder).NewLayerKernel(w, b)
-		arms = append(arms, arm{a, bk, lk})
+		arms = append(arms, arm{a, w, b, bk})
 	}
 	f.Fuzz(func(t *testing.T, b uint8, data []byte) {
 		batch := int(b % 33)
@@ -376,14 +382,10 @@ func FuzzBatchStrided(f *testing.F) {
 			}
 			got := make([]Code, batch*out)
 			ar.bk.ForwardBatchStrided(act, got, batch)
-			want := make([]Code, out)
-			for s := 0; s < batch; s++ {
-				ar.lk.Forward(act[s*in:(s+1)*in], want)
-				for j := range want {
-					if got[s*out+j] != want[j] {
-						t.Fatalf("%s sample %d row %d: batch %#x, per-sample %#x",
-							ar.a.Name(), s, j, got[s*out+j], want[j])
-					}
+			for i, ref := range macForward(ar.a, ar.w, ar.b, act) {
+				if got[i] != ref {
+					t.Fatalf("%s sample %d row %d: batch %#x, mac %#x",
+						ar.a.Name(), i/out, i%out, got[i], ref)
 				}
 			}
 		}

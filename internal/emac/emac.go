@@ -36,27 +36,6 @@ type MAC interface {
 	Result() Code
 }
 
-// LayerKernel is a whole-layer batched datapath: pre-decoded parameters,
-// activations decoded once per call, one reused exact accumulator. It
-// computes out[j] = Result(bias[j] + Σ_i W[j][i]·act[i]) with results
-// bit-identical to driving one MAC per neuron, but without per-step
-// interface dispatch or per-MAC decode. Kernels reuse internal scratch
-// and are not safe for concurrent use.
-type LayerKernel interface {
-	// Forward fills out with the rounded MAC results for act. No
-	// activation function is applied.
-	Forward(act, out []Code)
-}
-
-// KernelBuilder is implemented by arithmetics that offer a pre-decoded
-// batched fast path. NewLayerKernel returns ok == false when this
-// particular configuration has no fast path (callers fall back to
-// per-neuron MACs); w is row-major [out][in] and must not be mutated
-// afterwards.
-type KernelBuilder interface {
-	NewLayerKernel(w [][]Code, b []Code) (LayerKernel, bool)
-}
-
 // Arithmetic abstracts one number system at one parameterisation.
 type Arithmetic interface {
 	// Name identifies the arm, e.g. "posit(8,0)".
@@ -124,53 +103,6 @@ func (p PositArith) NewMAC(k int) MAC {
 	return &positMAC{f: p.F, q: posit.NewQuire(p.F, k)}
 }
 
-// NewLayerKernel implements KernelBuilder: the posit fast path pre-decodes
-// weights and biases once and accumulates on a reused inline-register
-// quire. The truncated-quire ablation stays on the reference MAC path.
-func (p PositArith) NewLayerKernel(w [][]Code, b []Code) (LayerKernel, bool) {
-	if p.QuireDrop > 0 || len(w) == 0 || len(w[0]) == 0 {
-		return nil, false
-	}
-	pw := make([][]posit.Posit, len(w))
-	for j, row := range w {
-		pr := make([]posit.Posit, len(row))
-		for i, c := range row {
-			pr[i] = p.F.FromBits(uint64(c))
-		}
-		pw[j] = pr
-	}
-	pb := make([]posit.Posit, len(b))
-	for j, c := range b {
-		pb[j] = p.F.FromBits(uint64(c))
-	}
-	return newBitsLayerKernel(posit.NewDenseKernel(p.F, pw, pb).ForwardBits, len(w[0]), len(w)), true
-}
-
-// bitsLayerKernel adapts a package-level ForwardBits kernel (posit, float
-// or fixed DenseKernel) to the Code plane, reusing uint64 scratch so the
-// adaptation itself allocates nothing per call.
-type bitsLayerKernel struct {
-	forward  func(act, out []uint64)
-	act, out []uint64
-}
-
-func newBitsLayerKernel(forward func(act, out []uint64), in, out int) *bitsLayerKernel {
-	return &bitsLayerKernel{forward: forward, act: make([]uint64, in), out: make([]uint64, out)}
-}
-
-func (lk *bitsLayerKernel) Forward(act, out []Code) {
-	if len(act) != len(lk.act) || len(out) != len(lk.out) {
-		panic("emac: layer kernel size mismatch")
-	}
-	for i, c := range act {
-		lk.act[i] = uint64(c)
-	}
-	lk.forward(lk.act, lk.out)
-	for j, bits := range lk.out {
-		out[j] = Code(bits)
-	}
-}
-
 type positMAC struct {
 	f posit.Format
 	q *posit.Quire
@@ -235,32 +167,6 @@ func (p FloatArith) NewMAC(k int) MAC {
 	return &floatMAC{f: p.F, a: minifloat.NewAccumulator(p.F, k)}
 }
 
-// NewLayerKernel implements KernelBuilder: the float fast path unpacks
-// weights and biases once (sign/significand/scale, subnormals resolved)
-// and accumulates rows on one reused eq.-(3) wide register.
-func (p FloatArith) NewLayerKernel(w [][]Code, b []Code) (LayerKernel, bool) {
-	if len(w) == 0 || len(w[0]) == 0 {
-		return nil, false
-	}
-	fw := make([][]minifloat.Float, len(w))
-	for j, row := range w {
-		fr := make([]minifloat.Float, len(row))
-		for i, c := range row {
-			fr[i] = p.F.FromBits(uint64(c))
-		}
-		fw[j] = fr
-	}
-	fb := make([]minifloat.Float, len(b))
-	for j, c := range b {
-		fb[j] = p.F.FromBits(uint64(c))
-	}
-	k, ok := minifloat.NewDenseKernel(p.F, fw, fb)
-	if !ok {
-		return nil, false
-	}
-	return newBitsLayerKernel(k.ForwardBits, len(w[0]), len(w)), true
-}
-
 type floatMAC struct {
 	f minifloat.Format
 	a *minifloat.Accumulator
@@ -317,34 +223,6 @@ func (p FixedArith) NewMAC(k int) MAC {
 	a := fixedpoint.NewAccumulator(p.F, k)
 	a.RoundNearest = p.RoundNearest
 	return &fixedMAC{f: p.F, a: a}
-}
-
-// NewLayerKernel implements KernelBuilder: the fixed fast path
-// sign-extends weights once, pre-shifts biases to the product scale and
-// accumulates each row in a single int64 register (the constructor
-// refuses configurations whose eq.-(3) register would not fit — callers
-// fall back to the per-neuron MAC path).
-func (p FixedArith) NewLayerKernel(w [][]Code, b []Code) (LayerKernel, bool) {
-	if len(w) == 0 || len(w[0]) == 0 {
-		return nil, false
-	}
-	fw := make([][]fixedpoint.Fixed, len(w))
-	for j, row := range w {
-		fr := make([]fixedpoint.Fixed, len(row))
-		for i, c := range row {
-			fr[i] = p.F.FromBits(uint64(c))
-		}
-		fw[j] = fr
-	}
-	fb := make([]fixedpoint.Fixed, len(b))
-	for j, c := range b {
-		fb[j] = p.F.FromBits(uint64(c))
-	}
-	k, ok := fixedpoint.NewDenseKernel(p.F, fw, fb, p.RoundNearest)
-	if !ok {
-		return nil, false
-	}
-	return newBitsLayerKernel(k.ForwardBits, len(w[0]), len(w)), true
 }
 
 type fixedMAC struct {

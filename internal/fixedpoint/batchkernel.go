@@ -16,10 +16,12 @@ import "repro/internal/bitutil"
 // Both dot products come back as L = int64(int32(acc)) and
 // H = (acc−L)>>32. That is exact while every lane sum stays below 2^31
 // in magnitude; each term is at most 2^(2n−2) in magnitude, so the
-// constructor requires in·2^(2n−2) < 2^31. The readout (bias, sign-wrap
-// to the eq.-(3) width, shift, clip) is byte-for-byte the per-sample
-// kernel's, so results are bit-identical — the equivalence tests sweep
-// this exhaustively.
+// constructor requires in·2^(2n−2) < 2^31. int64 arithmetic is exact
+// modulo 2^64, so sign-wrapping each sum to the eq.-(3) register width
+// reproduces the wide register's residue bit for bit; the readout (bias,
+// sign-wrap, shift, clip) is then Accumulator.Result's, so results are
+// bit-identical to driving an Accumulator per sample — the equivalence
+// tests sweep this exhaustively.
 type BatchDenseKernel struct {
 	f            Format
 	in, out      int
@@ -104,7 +106,7 @@ func (k *BatchDenseKernel) Format() Format { return k.f }
 
 // finish applies the per-sample readout to one dot product: bias,
 // sign-wrap to the register width, shift back to the stored scale
-// (truncate or RNE) and clip — exactly the per-sample kernel's epilogue.
+// (truncate or RNE) and clip — exactly Accumulator.Result.
 func (k *BatchDenseKernel) finish(j int, dot int64) uint64 {
 	acc := k.bq[j] + dot
 	acc = acc << k.wrap >> k.wrap

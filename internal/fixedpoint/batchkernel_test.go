@@ -6,6 +6,11 @@ import (
 	"repro/internal/rng"
 )
 
+// Equivalence tests for the signed-lane batch kernel: it must be
+// bit-identical to the per-neuron Accumulator reference over the entire
+// operand space of the paper's 8-bit formats (both rounding arms),
+// exhaustively for every small format, and on random multi-term layers.
+
 func randFixed(f Format, n int, r *rng.Source) []Fixed {
 	out := make([]Fixed, n)
 	for i := range out {
@@ -14,9 +19,30 @@ func randFixed(f Format, n int, r *rng.Source) []Fixed {
 	return out
 }
 
+// macForward is the reference the kernel is held to: one Accumulator per
+// row, driven through ResetToBias/MulAdd/Result for every sample of a flat
+// sample-major flush.
+func macForward(f Format, w [][]Fixed, b []Fixed, act []uint64, rne bool) []uint64 {
+	in, out := len(w[0]), len(w)
+	batch := len(act) / in
+	dst := make([]uint64, batch*out)
+	a := NewAccumulator(f, in)
+	a.RoundNearest = rne
+	for s := 0; s < batch; s++ {
+		for j := range w {
+			a.ResetToBias(b[j])
+			for i, x := range act[s*in : (s+1)*in] {
+				a.MulAdd(w[j][i], f.FromBits(x))
+			}
+			dst[s*out+j] = a.Result().Bits()
+		}
+	}
+	return dst
+}
+
 // TestBatchDenseKernelMatchesPerSample checks random layers in both
-// rounding modes against the per-sample kernel, odd and even batch sizes
-// included (the odd tail takes the single-lane path).
+// rounding modes against per-sample accumulators, odd and even batch
+// sizes included (the odd tail takes the single-lane path).
 func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 	r := rng.New(11)
 	for _, tc := range []struct{ n, q uint }{{4, 2}, {8, 4}, {8, 7}, {8, 0}, {6, 3}} {
@@ -29,31 +55,12 @@ func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 					w[j] = randFixed(f, in, r)
 				}
 				b := randFixed(f, out, r)
-				bk, ok := NewBatchDenseKernel(f, w, b, rne)
-				if !ok {
-					t.Fatalf("%v: no batch kernel for in=%d", f, in)
-				}
-				sk, ok := NewDenseKernel(f, w, b, rne)
-				if !ok {
-					t.Fatalf("%v: no per-sample kernel", f)
-				}
 				batch := 1 + r.Intn(9)
 				act := make([]uint64, batch*in)
 				for i := range act {
 					act[i] = r.Uint64()
 				}
-				got := make([]uint64, batch*out)
-				ForwardBatch(bk, act, got, batch)
-				want := make([]uint64, out)
-				for s := 0; s < batch; s++ {
-					sk.ForwardBits(act[s*in:(s+1)*in], want)
-					for j, wb := range want {
-						if got[s*out+j] != wb {
-							t.Fatalf("%v rne=%v in=%d: sample %d row %d: batch %#x, per-sample %#x",
-								f, rne, in, s, j, got[s*out+j], wb)
-						}
-					}
-				}
+				checkBatchFlush(t, f, w, b, act, rne)
 			}
 		}
 	}
@@ -65,30 +72,15 @@ func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 func TestBatchDenseKernelExhaustive(t *testing.T) {
 	f := MustFormat(8, 4)
 	count := int(f.Count())
+	act := make([]uint64, count)
+	for ab := range act {
+		act[ab] = uint64(ab)
+	}
 	for _, bias := range []uint64{0, 0x7F, 0x80, 0x2A} {
 		for _, rne := range []bool{false, true} {
 			bv := []Fixed{f.FromBits(bias)}
 			for wb := 0; wb < count; wb++ {
-				w := [][]Fixed{{f.FromBits(uint64(wb))}}
-				bk, ok := NewBatchDenseKernel(f, w, bv, rne)
-				if !ok {
-					t.Fatal("no batch kernel for 1x1 Q(8,4)")
-				}
-				sk, _ := NewDenseKernel(f, w, bv, rne)
-				act := make([]uint64, count)
-				for ab := range act {
-					act[ab] = uint64(ab)
-				}
-				got := make([]uint64, count)
-				ForwardBatch(bk, act, got, count)
-				want := make([]uint64, 1)
-				for ab := 0; ab < count; ab++ {
-					sk.ForwardBits(act[ab:ab+1], want)
-					if got[ab] != want[0] {
-						t.Fatalf("bias %#x rne=%v w %#x a %#x: batch %#x, per-sample %#x",
-							bias, rne, wb, ab, got[ab], want[0])
-					}
-				}
+				checkBatchFlush(t, f, [][]Fixed{{f.FromBits(uint64(wb))}}, bv, act, rne)
 			}
 		}
 	}
@@ -129,7 +121,7 @@ func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
 }
 
 // checkBatchFlush runs one flush through the batch kernel and each sample
-// through the per-sample kernel, requiring identical outputs.
+// through per-row accumulators, requiring identical outputs.
 func checkBatchFlush(t *testing.T, f Format, w [][]Fixed, b []Fixed, act []uint64, rne bool) {
 	t.Helper()
 	in, out := len(w[0]), len(w)
@@ -137,21 +129,93 @@ func checkBatchFlush(t *testing.T, f Format, w [][]Fixed, b []Fixed, act []uint6
 	if !ok {
 		t.Fatalf("%v: no batch kernel for %dx%d", f, out, in)
 	}
-	sk, ok := NewDenseKernel(f, w, b, rne)
-	if !ok {
-		t.Fatalf("%v: no per-sample kernel for %dx%d", f, out, in)
-	}
 	batch := len(act) / in
 	got := make([]uint64, batch*out)
 	ForwardBatch(bk, act, got, batch)
-	want := make([]uint64, out)
-	for s := 0; s < batch; s++ {
-		sk.ForwardBits(act[s*in:(s+1)*in], want)
-		for j, wb := range want {
-			if got[s*out+j] != wb {
-				t.Fatalf("%v %dx%d rne=%v b=%d: sample %d row %d (act %#x): batch %#x, per-sample %#x",
-					f, out, in, rne, batch, s, j, act[s*in:(s+1)*in], got[s*out+j], wb)
+	for i, wb := range macForward(f, w, b, act, rne) {
+		if s, j := i/out, i%out; got[i] != wb {
+			t.Fatalf("%v %dx%d rne=%v b=%d: sample %d row %d (act %#x): batch %#x, accumulator %#x",
+				f, out, in, rne, batch, s, j, act[s*in:(s+1)*in], got[i], wb)
+		}
+	}
+}
+
+// sweepPairs runs every (weight, activation) pattern pair of f through one
+// flush: a fan-in-1 layer whose row j holds weight pattern j, over a flush
+// holding every activation pattern, against the accumulator.
+func sweepPairs(t *testing.T, f Format, bias Fixed, rne bool) {
+	t.Helper()
+	count := int(f.Count())
+	w := make([][]Fixed, count)
+	b := make([]Fixed, count)
+	act := make([]uint64, count)
+	for j := range w {
+		w[j] = []Fixed{f.FromBits(uint64(j))}
+		b[j] = bias
+		act[j] = uint64(j)
+	}
+	checkBatchFlush(t, f, w, b, act, rne)
+}
+
+// TestKernelExhaustive8Bit: every (weight, activation) pair of the
+// paper's fixed(8,q) formats through the kernel vs the MAC reference,
+// with zero, saturated and mid-scale biases, truncation and RNE arms.
+func TestKernelExhaustive8Bit(t *testing.T) {
+	f := MustFormat(8, 4)
+	biases := []Fixed{f.Zero(), f.Max(), f.Min(), f.FromFloat64(0.8125)}
+	for _, bias := range biases {
+		for _, rne := range []bool{false, true} {
+			sweepPairs(t, f, bias, rne)
+		}
+	}
+	// Extreme fraction splits at n = 8, one bias each.
+	for _, q := range []uint{1, 7} {
+		fq := MustFormat(8, q)
+		sweepPairs(t, fq, fq.FromFloat64(-0.5), false)
+		sweepPairs(t, fq, fq.FromFloat64(0.25), true)
+	}
+}
+
+// TestKernelExhaustiveSmall: all (w, x) pairs of every format with
+// n <= 6, every q, both rounding arms, one nonzero bias.
+func TestKernelExhaustiveSmall(t *testing.T) {
+	for n := uint(2); n <= 6; n++ {
+		for q := uint(1); q < n; q++ {
+			f := MustFormat(n, q)
+			bias := f.FromFloat64(-0.75)
+			for _, rne := range []bool{false, true} {
+				sweepPairs(t, f, bias, rne)
 			}
+		}
+	}
+}
+
+// TestKernelRandomLayers: multi-term rows (the register carries real
+// accumulation, not just one product) against per-neuron accumulators,
+// across the fraction splits of the widths the kernel accepts. Wider
+// formats have no kernel (TestBatchDenseKernelGates) and run the MAC
+// bank.
+func TestKernelRandomLayers(t *testing.T) {
+	r := rng.New(77)
+	for _, cfg := range []struct{ n, q uint }{{8, 4}, {8, 2}, {7, 3}} {
+		f := MustFormat(cfg.n, cfg.q)
+		const in, out, batch = 30, 16, 50
+		w := make([][]Fixed, out)
+		b := make([]Fixed, out)
+		for j := range w {
+			row := make([]Fixed, in)
+			for i := range row {
+				row[i] = f.FromBits(r.Uint64() & (f.Count() - 1))
+			}
+			w[j] = row
+			b[j] = f.FromBits(r.Uint64() & (f.Count() - 1))
+		}
+		for _, rne := range []bool{false, true} {
+			act := make([]uint64, batch*in)
+			for i := range act {
+				act[i] = r.Uint64() & (f.Count() - 1)
+			}
+			checkBatchFlush(t, f, w, b, act, rne)
 		}
 	}
 }
@@ -161,7 +225,7 @@ func checkBatchFlush(t *testing.T, f Format, w [][]Fixed, b []Fixed, act []uint6
 // could reach 2^31 in magnitude (in·2^(2n−2) >= 2^31). At the largest
 // fan-in the lane gate admits, the extreme lane sum — every weight and
 // activation at −2^(n−1), so every term is +2^(2n−2) — must still match
-// the per-sample kernel in both lanes and in an odd tail.
+// the accumulator in both lanes and in an odd tail.
 func TestBatchDenseKernelGates(t *testing.T) {
 	for _, wide := range []Format{MustFormat(16, 8), MustFormat(9, 4)} {
 		w := [][]Fixed{{wide.Zero()}}

@@ -11,9 +11,10 @@ package minifloat
 // negative sum sets the sign bit. It qualifies only when the format is
 // narrow enough to enumerate (n <= 8) and the eq.-(3) register for the
 // fan-in fits one int64, in which the kernel's sums wrap as the register
-// does. NewBatchDenseKernel reports ok == false otherwise. Results are
-// bit-identical to DenseKernel.ForwardBits per sample, verified by the
-// exhaustive equivalence tests.
+// does. NewBatchDenseKernel reports ok == false otherwise, and the layer
+// runs on per-neuron Accumulators. Results are bit-identical to driving
+// an Accumulator through ResetToBias/MulAdd/Result per sample, verified
+// by the exhaustive equivalence tests.
 
 import (
 	"math/bits"
@@ -22,6 +23,29 @@ import (
 	"repro/internal/bitutil"
 	"repro/internal/termtile"
 )
+
+// fdec is one pre-decoded operand: value = (-1)^neg × sig × 2^lsb.
+// Zero is sig == 0; NaN/Inf carry special (and sig == 0 so a special
+// operand contributes nothing if it ever reaches an accumulation loop).
+type fdec struct {
+	sig     uint64
+	lsb     int32
+	neg     bool
+	special bool
+}
+
+// predecodeFloat unpacks one raw pattern.
+func predecodeFloat(f Format, bits uint64) fdec {
+	x := f.FromBits(bits)
+	if x.IsNaN() || x.IsInf() {
+		return fdec{special: true}
+	}
+	if x.IsZero() {
+		return fdec{}
+	}
+	d := x.decode()
+	return fdec{sig: d.sig, lsb: int32(d.sf - int(d.sigW) + 1), neg: d.sign}
+}
 
 var (
 	termTabMu sync.Mutex
@@ -67,8 +91,8 @@ func (f Format) termTables() *termtile.Tables {
 			if ad.special || ad.sig == 0 {
 				continue
 			}
-			// The per-sample kernel's term: exact significand product at
-			// the register's fraction depth. The shift is non-negative
+			// The Accumulator's term: exact significand product at the
+			// register's fraction depth. The shift is non-negative
 			// (a product's LSB scale is at least -fb) and the term fits
 			// int64 because a single product fits the eq.-(3) register,
 			// which the constructor caps at 64 bits.

@@ -9,6 +9,11 @@ import (
 	"repro/internal/rng"
 )
 
+// Equivalence tests for the term-table batch kernel: it must be
+// bit-identical to the per-neuron Accumulator reference over the entire
+// operand space (NaN/Inf/subnormal patterns included) of the 8-bit
+// formats it accepts, and on random multi-term layers.
+
 func randFloats(f Format, n int, r *rng.Source) []Float {
 	out := make([]Float, n)
 	for i := range out {
@@ -17,8 +22,48 @@ func randFloats(f Format, n int, r *rng.Source) []Float {
 	return out
 }
 
+// macForward is the reference the kernel is held to: one Accumulator per
+// row, driven through ResetToBias/MulAdd/Result for every sample of a flat
+// sample-major flush.
+func macForward(f Format, w [][]Float, b []Float, act []uint64) []uint64 {
+	in, out := len(w[0]), len(w)
+	batch := len(act) / in
+	dst := make([]uint64, batch*out)
+	a := NewAccumulator(f, in)
+	for s := 0; s < batch; s++ {
+		for j := range w {
+			a.ResetToBias(b[j])
+			for i, x := range act[s*in : (s+1)*in] {
+				a.MulAdd(w[j][i], f.FromBits(x))
+			}
+			dst[s*out+j] = a.Result().Bits()
+		}
+	}
+	return dst
+}
+
+// checkBatchFlush runs one flush through the batch kernel and each sample
+// through per-row accumulators, requiring identical outputs.
+func checkBatchFlush(t *testing.T, f Format, w [][]Float, b []Float, act []uint64) {
+	t.Helper()
+	in, out := len(w[0]), len(w)
+	bk, ok := NewBatchDenseKernel(f, w, b)
+	if !ok {
+		t.Fatalf("%v: no batch kernel for %dx%d", f, out, in)
+	}
+	batch := len(act) / in
+	got := make([]uint64, batch*out)
+	ForwardBatch(bk, act, got, batch)
+	for i, wb := range macForward(f, w, b, act) {
+		if s, j := i/out, i%out; got[i] != wb {
+			t.Fatalf("%v %dx%d b=%d: sample %d row %d (bias %#x, act %#x): batch %#x, accumulator %#x",
+				f, out, in, batch, s, j, b[j].Bits(), act[s*in:(s+1)*in], got[i], wb)
+		}
+	}
+}
+
 // TestBatchDenseKernelMatchesPerSample checks random layers (NaN/Inf
-// patterns included) against the per-sample kernel for several paper
+// patterns included) against per-sample accumulators for several paper
 // formats.
 func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 	r := rng.New(13)
@@ -34,64 +79,30 @@ func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 				w[j] = randFloats(f, in, r)
 			}
 			b := randFloats(f, out, r)
-			bk, ok := NewBatchDenseKernel(f, w, b)
-			if !ok {
-				t.Fatalf("%v: no batch kernel for in=%d", f, in)
-			}
-			sk, ok := NewDenseKernel(f, w, b)
-			if !ok {
-				t.Fatalf("%v: no per-sample kernel", f)
-			}
 			batch := 1 + r.Intn(9)
 			act := make([]uint64, batch*in)
 			for i := range act {
 				act[i] = r.Uint64() & f.Mask()
 			}
-			got := make([]uint64, batch*out)
-			ForwardBatch(bk, act, got, batch)
-			want := make([]uint64, out)
-			for s := 0; s < batch; s++ {
-				sk.ForwardBits(act[s*in:(s+1)*in], want)
-				for j, wb := range want {
-					if got[s*out+j] != wb {
-						t.Fatalf("%v in=%d: sample %d row %d: batch %#x, per-sample %#x",
-							f, in, s, j, got[s*out+j], wb)
-					}
-				}
-			}
+			checkBatchFlush(t, f, w, b, act)
 		}
 	}
 }
 
 // TestBatchDenseKernelExhaustive sweeps every (weight, activation) 8-bit
 // pattern pair through a 1×1 float(4,3) layer for several bias classes
-// (zero, subnormal, normal, NaN) against the per-sample kernel.
+// (zero, subnormal, normal, NaN) against the accumulator.
 func TestBatchDenseKernelExhaustive(t *testing.T) {
 	f := MustFormat(4, 3)
 	count := 1 << f.N()
+	act := make([]uint64, count)
+	for ab := range act {
+		act[ab] = uint64(ab)
+	}
 	for _, bias := range []uint64{0, 0x01, 0x42, f.NaN().Bits()} {
 		bv := []Float{f.FromBits(bias)}
 		for wb := 0; wb < count; wb++ {
-			w := [][]Float{{f.FromBits(uint64(wb))}}
-			bk, ok := NewBatchDenseKernel(f, w, bv)
-			if !ok {
-				t.Fatal("no batch kernel for 1x1 float(4,3)")
-			}
-			sk, _ := NewDenseKernel(f, w, bv)
-			act := make([]uint64, count)
-			for ab := range act {
-				act[ab] = uint64(ab)
-			}
-			got := make([]uint64, count)
-			ForwardBatch(bk, act, got, count)
-			want := make([]uint64, 1)
-			for ab := 0; ab < count; ab++ {
-				sk.ForwardBits(act[ab:ab+1], want)
-				if got[ab] != want[0] {
-					t.Fatalf("bias %#x w %#x a %#x: batch %#x, per-sample %#x",
-						bias, wb, ab, got[ab], want[0])
-				}
-			}
+			checkBatchFlush(t, f, [][]Float{{f.FromBits(uint64(wb))}}, bv, act)
 		}
 	}
 }
@@ -118,24 +129,7 @@ func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
 			for ab := 0; ab < count; ab++ {
 				act[ab*gap*in+ab%in] = uint64(ab)
 			}
-			bk, ok := NewBatchDenseKernel(f, w, bv)
-			if !ok {
-				t.Fatalf("%v: no batch kernel", f)
-			}
-			sk, _ := NewDenseKernel(f, w, bv)
-			batch := len(act) / in
-			got := make([]uint64, batch*count)
-			ForwardBatch(bk, act, got, batch)
-			want := make([]uint64, count)
-			for s := 0; s < batch; s++ {
-				sk.ForwardBits(act[s*in:(s+1)*in], want)
-				for j, wb := range want {
-					if got[s*count+j] != wb {
-						t.Fatalf("%v bias %#x w %#x act %#x: batch %#x, per-sample %#x",
-							f, bias, j, act[s*in:(s+1)*in], got[s*count+j], wb)
-					}
-				}
-			}
+			checkBatchFlush(t, f, w, bv, act)
 		}
 	}
 }
@@ -151,6 +145,81 @@ func TestBatchDenseKernelGates(t *testing.T) {
 	wide := MustFormat(5, 10)             // 16-bit: too wide to enumerate
 	if _, ok := NewBatchDenseKernel(wide, [][]Float{{wide.Zero()}}, []Float{wide.Zero()}); ok {
 		t.Fatal("16-bit float must have no term-table batch kernel")
+	}
+	// float(8) with we=5 spans 2^-16..2^16: its register is 66 bits even
+	// at fan-in 1, so its layers run the MAC bank.
+	f52 := MustFormat(5, 2)
+	if _, ok := NewBatchDenseKernel(f52, [][]Float{{f52.Zero()}}, []Float{f52.Zero()}); ok {
+		t.Fatalf("%v: register of %d bits must have no batch kernel", f52, AccumSize(f52, 1))
+	}
+}
+
+// sweepPairs runs every (weight, activation) pattern pair of f through one
+// flush: a fan-in-1 layer whose row j holds weight pattern j, over a flush
+// holding every activation pattern, against the accumulator.
+func sweepPairs(t *testing.T, f Format, bias Float) {
+	t.Helper()
+	count := int(f.Count())
+	w := make([][]Float, count)
+	b := make([]Float, count)
+	act := make([]uint64, count)
+	for j := range w {
+		w[j] = []Float{f.FromBits(uint64(j))}
+		b[j] = bias
+		act[j] = uint64(j)
+	}
+	checkBatchFlush(t, f, w, b, act)
+}
+
+// TestKernelExhaustive8Bit: every (weight, activation) pair — NaN, Inf,
+// subnormals and all — of the paper's float(8,4) format and the we=2
+// split at n = 8, against the MAC reference, for zero, saturated,
+// subnormal and special biases. (The we=5 split has no kernel; see
+// TestBatchDenseKernelGates.)
+func TestKernelExhaustive8Bit(t *testing.T) {
+	f := MustFormat(4, 3) // float(8): we=4, wf=3 — the Table II arm
+	biases := []Float{
+		f.Zero(), f.Max(), f.Max().Neg(), f.One(),
+		f.FromBits(1), // smallest subnormal
+		f.NaN(), f.Inf(1),
+	}
+	for _, bias := range biases {
+		sweepPairs(t, f, bias)
+	}
+	fe := MustFormat(2, 5)
+	sweepPairs(t, fe, fe.FromFloat64(-0.375))
+}
+
+// TestKernelExhaustiveSmall: all pairs of every format with n <= 6 and a
+// nonzero bias.
+func TestKernelExhaustiveSmall(t *testing.T) {
+	for we := uint(2); we <= 4; we++ {
+		for wf := uint(1); 1+we+wf <= 6; wf++ {
+			f := MustFormat(we, wf)
+			sweepPairs(t, f, f.FromFloat64(0.75))
+		}
+	}
+}
+
+// TestKernelRandomLayers: multi-term rows against per-neuron
+// accumulators, random patterns including specials, for the 8-bit splits
+// the kernel accepts. 16-bit formats have no kernel
+// (TestBatchDenseKernelGates) and run the MAC bank.
+func TestKernelRandomLayers(t *testing.T) {
+	r := rng.New(78)
+	for _, cfg := range []struct{ we, wf uint }{{4, 3}, {2, 5}} {
+		f := MustFormat(cfg.we, cfg.wf)
+		const in, out, batch = 30, 16, 50
+		w := make([][]Float, out)
+		for j := range w {
+			w[j] = randFloats(f, in, r)
+		}
+		b := randFloats(f, out, r)
+		act := make([]uint64, batch*in)
+		for i := range act {
+			act[i] = r.Uint64() & f.Mask()
+		}
+		checkBatchFlush(t, f, w, b, act)
 	}
 }
 

@@ -27,10 +27,10 @@ package posit
 //     register with accSigned128 and rounds through Quire.Result.
 //
 // Either way the sum is exact and rounded once, so results are
-// bit-identical to DenseKernel.ForwardBits per sample, which the
-// equivalence tests verify. Wider registers (posit(16,2), posit32) have
-// no batched tier: NewBatchDenseKernel reports ok == false and callers
-// loop the per-sample kernel.
+// bit-identical to driving a Quire through ResetToBias/MulAdd/Result per
+// sample, which the equivalence tests verify. Wider registers
+// (posit(16,2), posit32) have no batched tier: NewBatchDenseKernel
+// reports ok == false and callers run per-neuron quires.
 
 import (
 	"math/bits"
@@ -89,10 +89,9 @@ func (f Format) termTables() *termtile.Tables {
 			if ad.cls != pdReal {
 				continue
 			}
-			// Exactly the per-sample single-word tier's term: the
-			// significand product shifted to the quire's fraction depth,
-			// signed by the XOR mask (two's complement in uint64 is the
-			// int64 bit pattern).
+			// The exact product's term: the significand product shifted
+			// to the quire's fraction depth, signed by the XOR mask (two's
+			// complement in uint64 is the int64 bit pattern).
 			v := wd.sig * ad.sig << uint(fb+int(wd.adj)+int(ad.adj))
 			sm := wd.sgn ^ ad.sgn
 			row[ab] = int64((v ^ sm) - sm)

@@ -17,12 +17,33 @@ func randPosits(f Format, n int, r *rng.Source) []Posit {
 	return out
 }
 
+// quireForward is the reference the kernels are held to: one Quire per
+// row, driven through ResetToBias/MulAdd/Result for every sample of a flat
+// sample-major flush.
+func quireForward(f Format, w [][]Posit, b []Posit, act []uint64) []uint64 {
+	in, out := len(w[0]), len(w)
+	batch := len(act) / in
+	dst := make([]uint64, batch*out)
+	q := NewQuire(f, in)
+	for s := 0; s < batch; s++ {
+		for j := range w {
+			q.ResetToBias(b[j])
+			for i, x := range act[s*in : (s+1)*in] {
+				q.MulAdd(w[j][i], f.FromBits(x))
+			}
+			dst[s*out+j] = q.Result().bits
+		}
+	}
+	return dst
+}
+
 // TestBatchDenseKernelMatchesPerSample drives random layers of every
-// gated small format through both kernels and requires bit-identical
-// outputs, NaR patterns included.
+// gated small format, and of posit(8,2) and posit(12,1) on the window
+// tier, through the batch kernel and per-sample quires and requires
+// bit-identical outputs, NaR patterns included.
 func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 	r := rng.New(7)
-	for _, tc := range []struct{ n, es uint }{{5, 0}, {6, 1}, {7, 0}, {8, 0}, {8, 1}} {
+	for _, tc := range []struct{ n, es uint }{{5, 0}, {6, 1}, {7, 0}, {8, 0}, {8, 1}, {8, 2}, {12, 1}} {
 		f := MustFormat(tc.n, tc.es)
 		for trial := 0; trial < 4; trial++ {
 			in, out := 1+int(r.Uint64()%24), 1+int(r.Uint64()%12)
@@ -31,62 +52,30 @@ func TestBatchDenseKernelMatchesPerSample(t *testing.T) {
 				w[j] = randPosits(f, in, r)
 			}
 			b := randPosits(f, out, r)
-			bk, ok := NewBatchDenseKernel(f, w, b)
-			if !ok {
-				t.Fatalf("%v: no batch kernel for in=%d", f, in)
-			}
-			sk := NewDenseKernel(f, w, b)
 			batch := 1 + int(r.Uint64()%9)
 			act := make([]uint64, batch*in)
 			for i := range act {
 				act[i] = uint64(r.Uint64()) & f.Mask()
 			}
-			got := make([]uint64, batch*out)
-			ForwardBatch(bk, act, got, batch)
-			want := make([]uint64, out)
-			for s := 0; s < batch; s++ {
-				sk.ForwardBits(act[s*in:(s+1)*in], want)
-				for j, wbits := range want {
-					if got[s*out+j] != wbits {
-						t.Fatalf("%v in=%d out=%d: sample %d row %d: batch %#x, per-sample %#x",
-							f, in, out, s, j, got[s*out+j], wbits)
-					}
-				}
-			}
+			checkBatchFlush(t, f, w, b, act)
 		}
 	}
 }
 
 // TestBatchDenseKernelExhaustive sweeps every (weight, activation)
 // 8-bit pattern pair through a 1×1 layer with every bias class (zero,
-// real, NaR) and checks the batch path against the per-sample kernel —
-// the batch analogue of the kernel equivalence sweeps.
+// real, NaR) and checks the batch path against the quire.
 func TestBatchDenseKernelExhaustive(t *testing.T) {
 	f := MustFormat(8, 0)
 	count := int(uint64(1) << f.n)
+	act := make([]uint64, count)
+	for ab := range act {
+		act[ab] = uint64(ab)
+	}
 	for _, bias := range []uint64{0, 0x37, f.signBit()} {
 		bv := []Posit{{f: f, bits: bias}}
 		for wb := 0; wb < count; wb++ {
-			w := [][]Posit{{{f: f, bits: uint64(wb)}}}
-			bk, ok := NewBatchDenseKernel(f, w, bv)
-			if !ok {
-				t.Fatal("no batch kernel for 1x1 posit(8,0)")
-			}
-			sk := NewDenseKernel(f, w, bv)
-			act := make([]uint64, count)
-			for ab := range act {
-				act[ab] = uint64(ab)
-			}
-			got := make([]uint64, count)
-			ForwardBatch(bk, act, got, count)
-			want := make([]uint64, 1)
-			for ab := 0; ab < count; ab++ {
-				sk.ForwardBits(act[ab:ab+1], want)
-				if got[ab] != want[0] {
-					t.Fatalf("bias %#x w %#x a %#x: batch %#x, per-sample %#x",
-						bias, wb, ab, got[ab], want[0])
-				}
-			}
+			checkBatchFlush(t, f, [][]Posit{{{f: f, bits: uint64(wb)}}}, bv, act)
 		}
 	}
 }
@@ -118,7 +107,7 @@ func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
 }
 
 // checkBatchFlush runs one flush through the batch kernel and each sample
-// through the per-sample kernel, requiring identical outputs.
+// through per-row quires, requiring identical outputs.
 func checkBatchFlush(t *testing.T, f Format, w [][]Posit, b []Posit, act []uint64) {
 	t.Helper()
 	in, out := len(w[0]), len(w)
@@ -126,18 +115,14 @@ func checkBatchFlush(t *testing.T, f Format, w [][]Posit, b []Posit, act []uint6
 	if !ok {
 		t.Fatalf("%v: no batch kernel for %dx%d", f, out, in)
 	}
-	sk := NewDenseKernel(f, w, b)
 	batch := len(act) / in
 	got := make([]uint64, batch*out)
 	ForwardBatch(bk, act, got, batch)
-	want := make([]uint64, out)
-	for s := 0; s < batch; s++ {
-		sk.ForwardBits(act[s*in:(s+1)*in], want)
-		for j, wbits := range want {
-			if got[s*out+j] != wbits {
-				t.Fatalf("%v %dx%d b=%d: sample %d row %d (w %#x, bias %#x, act %#x): batch %#x, per-sample %#x",
-					f, out, in, batch, s, j, w[j][0].bits, b[j].bits, act[s*in:(s+1)*in], got[s*out+j], wbits)
-			}
+	want := quireForward(f, w, b, act)
+	for i, wbits := range want {
+		if s, j := i/out, i%out; got[i] != wbits {
+			t.Fatalf("%v %dx%d b=%d: sample %d row %d (w %#x, bias %#x, act %#x): batch %#x, quire %#x",
+				f, out, in, batch, s, j, w[j][0].bits, b[j].bits, act[s*in:(s+1)*in], got[i], wbits)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package posit
 
 // Window-tier tests: BatchDenseKernel layers whose eq.-(4) register is
 // wider than one word or whose format is too wide for term tables must
-// match DenseKernel.ForwardBits bit for bit, through the exact int64
-// window and the two-word fallback alike, NaR included.
+// match per-row quires bit for bit, through the exact int64 window and
+// the two-word fallback alike, NaR included.
 
 import (
 	"math"
@@ -29,26 +29,22 @@ var windowGens = []valueGen{
 	{"onehot", func(f Format, r *rng.Source) Posit { return f.FromFloat64(float64(r.Intn(2))) }},
 }
 
-// checkBatchAgainstDense runs one flush through the batch kernel and the
-// per-sample kernel and fails on the first differing output.
-func checkBatchAgainstDense(t *testing.T, label string, f Format, w [][]Posit, b []Posit, act []uint64, batch int) {
+// checkBatchAgainstQuire runs one flush through the batch kernel and
+// per-row quires and fails on the first differing output.
+func checkBatchAgainstQuire(t *testing.T, label string, f Format, w [][]Posit, b []Posit, act []uint64, batch int) {
 	t.Helper()
 	bk, ok := NewBatchDenseKernel(f, w, b)
 	if !ok {
 		t.Fatalf("%s: no batch kernel for %v in=%d", label, f, len(w[0]))
 	}
-	sk := NewDenseKernel(f, w, b)
 	in, out := len(w[0]), len(w)
 	got := make([]uint64, batch*out)
 	ForwardBatch(bk, act, got, batch)
-	want := make([]uint64, out)
-	for s := 0; s < batch; s++ {
-		sk.ForwardBits(act[s*in:(s+1)*in], want)
-		for j, wbits := range want {
-			if got[s*out+j] != wbits {
-				t.Fatalf("%s %v in=%d out=%d b=%d: sample %d row %d: batch %#x, per-sample %#x",
-					label, f, in, out, batch, s, j, got[s*out+j], wbits)
-			}
+	want := quireForward(f, w, b, act[:batch*in])
+	for i, wbits := range want {
+		if got[i] != wbits {
+			t.Fatalf("%s %v in=%d out=%d b=%d: sample %d row %d: batch %#x, quire %#x",
+				label, f, in, out, batch, i/out, i%out, got[i], wbits)
 		}
 	}
 }
@@ -98,7 +94,7 @@ func TestBatchDenseKernelWindowMatchesPerSample(t *testing.T) {
 						for i := range act {
 							act[i] = ag.draw(c.f, r).bits
 						}
-						checkBatchAgainstDense(t, wg.name+"×"+ag.name, c.f, w, b, act, batch)
+						checkBatchAgainstQuire(t, wg.name+"×"+ag.name, c.f, w, b, act, batch)
 					}
 				}
 			}
@@ -130,7 +126,7 @@ func TestBatchDenseKernelWindowExhaustive16(t *testing.T) {
 	}
 	for _, bias := range []Posit{f.Zero(), f.FromFloat64(-0.3125), f.NaR()} {
 		for _, wv := range weights {
-			checkBatchAgainstDense(t, "exhaustive", f, [][]Posit{{wv}}, []Posit{bias}, act, len(act))
+			checkBatchAgainstQuire(t, "exhaustive", f, [][]Posit{{wv}}, []Posit{bias}, act, len(act))
 		}
 	}
 }
@@ -172,7 +168,7 @@ func TestBatchDenseKernelWindowSplitFlush(t *testing.T) {
 			act[s*in+i] = v.bits
 		}
 	}
-	checkBatchAgainstDense(t, "split", f, w, b, act, batch)
+	checkBatchAgainstQuire(t, "split", f, w, b, act, batch)
 }
 
 // TestBatchDenseKernelWindowEdge walks the window width across the int64
@@ -190,7 +186,7 @@ func TestBatchDenseKernelWindowEdge(t *testing.T) {
 		w := [][]Posit{{x, x, x, f.MinPos()}}
 		nx := x.Neg().bits
 		act := []uint64{pat, pat, pat, 0, nx, nx, nx, 0, m, m, m, m}
-		checkBatchAgainstDense(t, "edge", f, w, []Posit{f.Zero()}, act, 3)
+		checkBatchAgainstQuire(t, "edge", f, w, []Posit{f.Zero()}, act, 3)
 	}
 }
 

@@ -339,28 +339,6 @@ func (q *Quire) mulAddPre(w, a *pdec) {
 	}
 }
 
-// addPre is AddPosit on a pre-decoded operand.
-func (q *Quire) addPre(a *pdec) {
-	if a.cls != pdReal {
-		if a.cls == pdNaR {
-			q.nar = true
-			return
-		}
-		q.adds++
-		return
-	}
-	q.adds++
-	sig, shift, ok := q.place(a.sig, int(a.adj))
-	if !ok {
-		return
-	}
-	if a.sgn != 0 {
-		q.subShifted(sig, shift)
-	} else {
-		q.addShifted(sig, shift)
-	}
-}
-
 // SubPosit accumulates -p.
 func (q *Quire) SubPosit(p Posit) { q.AddPosit(p.Neg()) }
 

@@ -203,47 +203,6 @@ func TestDotProductFastVsGeneric(t *testing.T) {
 	}
 }
 
-// TestDenseKernelMatchesMAC: the pre-decoded layer kernel against
-// per-neuron ResetToBias/MulAdd/Result quires, with NaR and zero codes
-// salted into weights, biases and activations.
-func TestDenseKernelMatchesMAC(t *testing.T) {
-	r := rng.New(0xDE15E)
-	for _, f := range []Format{MustFormat(8, 0), MustFormat(8, 2), MustFormat(8, 3), MustFormat(6, 1), MustFormat(12, 1), MustFormat(16, 2), MustFormat(10, 3), MustFormat(12, 3)} {
-		for trial := 0; trial < 60; trial++ {
-			in := 1 + r.Intn(24)
-			out := 1 + r.Intn(12)
-			w := make([][]Posit, out)
-			b := make([]Posit, out)
-			for j := range w {
-				row := make([]Posit, in)
-				for i := range row {
-					row[i] = f.FromBits(r.Uint64() & f.Mask())
-				}
-				w[j] = row
-				b[j] = f.FromBits(r.Uint64() & f.Mask())
-			}
-			k := NewDenseKernel(f, w, b)
-			act := make([]Posit, in)
-			for i := range act {
-				act[i] = f.FromBits(r.Uint64() & f.Mask())
-			}
-			dst := make([]Posit, out)
-			k.Forward(act, dst)
-			q := NewQuire(f, in)
-			for j := 0; j < out; j++ {
-				q.ResetToBias(b[j])
-				for i := 0; i < in; i++ {
-					q.MulAdd(w[j][i], act[i])
-				}
-				if ref := q.Result(); dst[j].Bits() != ref.Bits() {
-					t.Fatalf("%s in=%d out=%d row %d: kernel %#x != MAC %#x",
-						f, in, out, j, dst[j].Bits(), ref.Bits())
-				}
-			}
-		}
-	}
-}
-
 // TestMatrixKernelsMatchReference: MulVec/Mul against per-element quire
 // loops, covering all three routing cases — table tier (8,1), tabled but
 // wide register (12,2: 3-word quire), and untabled wide format (16,1).

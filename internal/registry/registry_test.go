@@ -244,6 +244,29 @@ func TestLoadBytes(t *testing.T) {
 	}
 }
 
+// TestLoadBytesRejectsInvalidSigmoid: an uploaded JSON artifact whose
+// sigmoid flag no session can apply — on a mixed network, empty or not,
+// or on a uniform one over fixed point — fails to parse, so nothing
+// reaches the store.
+func TestLoadBytesRejectsInvalidSigmoid(t *testing.T) {
+	r := New(WithRuntimeOptions(engine.WithWorkers(1)))
+	defer r.Close()
+	for name, body := range map[string]string{
+		"empty mixed": `{"version":1,"kind":"mixed","sigmoid":true}`,
+		"mixed": `{"version":1,"kind":"mixed","ariths":[{"family":"posit","n":8},{"family":"posit","n":8}],"sigmoid":true,
+			"layers":[{"in":2,"out":2,"w":[[64,64],[64,64]],"b":[0,0]},{"in":2,"out":1,"w":[[64,64]],"b":[0]}]}`,
+		"fixed": `{"version":1,"kind":"uniform","arith":{"family":"fixed","n":8,"q":4},"sigmoid":true,
+			"layers":[{"in":2,"out":2,"w":[[16,16],[16,16]],"b":[0,0]},{"in":2,"out":1,"w":[[16,16]],"b":[0]}]}`,
+	} {
+		if err := r.LoadBytes(name, []byte(body)); err == nil {
+			t.Errorf("%s: sigmoid artifact loaded", name)
+		}
+	}
+	if st := r.StoreStats(); st.Objects != 0 || st.Puts != 0 {
+		t.Fatalf("rejected artifacts reached the store: %+v", st)
+	}
+}
+
 func TestStats(t *testing.T) {
 	r := New(
 		WithRuntimeOptions(engine.WithWorkers(2)),

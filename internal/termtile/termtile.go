@@ -18,7 +18,7 @@
 //
 // An arm supplies only its Tables, each row's weight patterns, its bias
 // terms and its register width; results are bit-identical to the arm's
-// per-sample kernel.
+// MAC (Quire or Accumulator) per sample.
 package termtile
 
 import "repro/internal/bitutil"

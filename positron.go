@@ -174,7 +174,10 @@ func Accuracy32(net *MLP, ds *Dataset) float64 { return nn.Accuracy32(net, ds) }
 
 // --- Deep Positron ---
 
-// DeepPositron is a quantised network running on EMACs.
+// DeepPositron is a quantised network running on EMACs. Its Infer,
+// Predict, Accuracy and StreamInfer share a default session built on
+// first use, which (like every Session) copies Sigmoid and Stand then:
+// set those fields before the first call.
 type DeepPositron = core.Network
 
 // MixedPrecision is a Deep Positron variant with one arithmetic per layer
@@ -203,8 +206,8 @@ func QuantizeMixed(net *MLP, ariths []Arithmetic) *MixedPrecision {
 // code.
 type Model = core.Model
 
-// Inferer is one per-goroutine execution plane over a Model: the common
-// surface of Session and MixedSession (Infer, allocation-free InferInto,
+// Inferer is one per-goroutine execution plane over a Model: the surface
+// of Session (Infer, allocation-free InferInto and InferBatchInto,
 // Predict, Accuracy).
 type Inferer = core.Inferer
 
@@ -232,14 +235,14 @@ func SearchPerLayerFixed(net *MLP, test *Dataset, n uint) (*MixedPrecision, []ui
 
 // --- inference sessions and the batch engine ---
 
-// Session is the per-goroutine execution plane for a DeepPositron: EMAC
-// banks, pre-decoded layer kernels and activation scratch. The network
-// itself is immutable, so any number of sessions (one per goroutine,
-// via DeepPositron.NewSession) can share it.
+// Session is the per-goroutine execution plane for a DeepPositron or a
+// MixedPrecision network: each layer's fused kernel, or its EMAC bank
+// where the layer's format has none, and the activation planes. The
+// network itself is immutable, so any number of sessions (one per
+// goroutine, via NewSession) can share it. A session copies the
+// network's standardizer and sigmoid flag when it is built; later
+// changes to those fields reach only sessions built after them.
 type Session = core.Session
-
-// MixedSession is the execution plane for a MixedPrecision network.
-type MixedSession = core.MixedSession
 
 // Runtime is the serving-grade inference plane: a worker pool in which
 // every worker owns one shared-nothing Inferer over one immutable Model
