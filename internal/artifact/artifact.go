@@ -118,7 +118,11 @@ func Parse(data []byte) (core.Model, error) {
 	if IsBinary(data) {
 		return Decode(data)
 	}
-	return core.ParseModel(data)
+	net, err := core.ParseModel(data)
+	if err != nil {
+		return nil, err // not a nil *Network inside a non-nil Model
+	}
+	return net, nil
 }
 
 // Load reads an artifact file in either format.

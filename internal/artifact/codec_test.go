@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -32,6 +33,15 @@ func loadCoreGolden(t *testing.T, name string) (core.Model, []byte) {
 		t.Fatal(err)
 	}
 	return m, data
+}
+
+// ambiguousArithBodies are JSON artifacts carrying the descriptors of
+// both kinds at once: a uniform one with "ariths" and a mixed one with
+// "arith". The binary format cannot express either, and the JSON parser
+// rejects both.
+var ambiguousArithBodies = []string{
+	`{"version":1,"kind":"uniform","arith":{"family":"posit","n":8},"ariths":[{"family":"fixed","n":8,"q":4}],"layers":[{"in":1,"out":1,"w":[[64]],"b":[0]}]}`,
+	`{"version":1,"kind":"mixed","arith":{"family":"posit","n":8},"ariths":[{"family":"fixed","n":8,"q":4}],"layers":[{"in":1,"out":1,"w":[[64]],"b":[0]}]}`,
 }
 
 // goldenInputs mirrors the core golden-test input generator (seed 44),
@@ -240,6 +250,22 @@ func TestEncodeRejectsInvalidSigmoid(t *testing.T) {
 		net.Sigmoid = true
 		if _, err := Encode(net); err == nil {
 			t.Errorf("%s: sigmoid network encoded", a.Name())
+		}
+	}
+	p8 := emac.NewPosit(8, 0)
+	mixed := core.QuantizeMixed(src, []emac.Arithmetic{p8, p8})
+	mixed.Sigmoid = true
+	if _, err := Encode(mixed); !errors.Is(err, core.ErrMixedSigmoid) {
+		t.Errorf("mixed sigmoid network: Encode = %v, want ErrMixedSigmoid", err)
+	}
+}
+
+// TestParseErrorReturnsNilModel: a rejected JSON artifact comes back as
+// a nil Model, not a nil *core.Network inside a non-nil interface.
+func TestParseErrorReturnsNilModel(t *testing.T) {
+	for _, body := range ambiguousArithBodies {
+		if m, err := Parse([]byte(body)); err == nil || m != nil {
+			t.Fatalf("Parse = %#v, %v; want nil Model and an error", m, err)
 		}
 	}
 }

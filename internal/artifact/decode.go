@@ -260,13 +260,11 @@ func Decode(data []byte) (core.Model, error) {
 		return nil, corruptf("%d trailing bytes", r.remaining())
 	}
 
+	net := &core.Network{Sigmoid: flags&flagSigmoid != 0, Stand: stand, Layers: layers}
 	if kind == kindMixed {
-		return &core.MixedNetwork{LayerAriths: ariths, Stand: stand, Layers: layers}, nil
+		net.LayerAriths = ariths
+	} else {
+		net.Arith = ariths[0]
 	}
-	return &core.Network{
-		Arith:   ariths[0],
-		Sigmoid: flags&flagSigmoid != 0,
-		Stand:   stand,
-		Layers:  layers,
-	}, nil
+	return net, nil
 }

@@ -7,81 +7,29 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/emac"
 )
 
 // Encode lowers a model into its canonical binary artifact. The output
 // is deterministic: section order, little-endian words and power-of-two
 // word widths are all fixed by the format, so equal models encode to
-// equal bytes (the property the content hash relies on).
+// equal bytes (the property the content hash relies on). Only a
+// *core.Network has an artifact; any other Model fails with
+// ErrUnsupported.
 func Encode(m core.Model) ([]byte, error) {
-	switch net := m.(type) {
-	case *core.Network:
-		spec, err := core.DescribeArith(net.Arith)
-		if err != nil {
-			return nil, err
-		}
-		return encode(kindUniform, net.Sigmoid, []core.ArithSpec{spec},
-			[]emac.Arithmetic{net.Arith}, net.Layers, net.Stand)
-	case *core.MixedNetwork:
-		if len(net.LayerAriths) != len(net.Layers) {
-			return nil, fmt.Errorf("artifact: mixed network has %d arithmetics for %d layers",
-				len(net.LayerAriths), len(net.Layers))
-		}
-		specs := make([]core.ArithSpec, len(net.LayerAriths))
-		for i, a := range net.LayerAriths {
-			s, err := core.DescribeArith(a)
-			if err != nil {
-				return nil, err
-			}
-			specs[i] = s
-		}
-		return encode(kindMixed, false, specs, net.LayerAriths, net.Layers, net.Stand)
-	default:
+	net, ok := m.(*core.Network)
+	if !ok {
 		return nil, fmt.Errorf("%w: model type %T", ErrUnsupported, m)
 	}
-}
-
-// descriptorBytes is one arith descriptor record: family, n, the
-// family's second parameter (es/we/q), quireDrop.
-const descriptorBytes = 4
-
-// specRecord lowers a validated spec into its 4-byte record. The second
-// parameter slot is family-dependent; float32 uses neither.
-func specRecord(s core.ArithSpec) ([descriptorBytes]byte, error) {
-	var fam, param uint
-	switch s.Family {
-	case "posit":
-		fam, param = famPosit, s.ES
-	case "float":
-		fam, param = famFloat, s.WE
-	case "fixed":
-		fam, param = famFixed, s.Q
-	case "float32":
-		fam, param = famFloat32, 0
-	default:
-		return [descriptorBytes]byte{}, fmt.Errorf("artifact: unknown arithmetic family %q", s.Family)
+	specs, err := net.ArithSpecs()
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range []uint{s.N, param, s.QuireDrop} {
-		if v > 0xFF {
-			return [descriptorBytes]byte{}, fmt.Errorf("artifact: arithmetic parameter %d exceeds one byte", v)
-		}
-	}
-	return [descriptorBytes]byte{byte(fam), byte(s.N), byte(param), byte(s.QuireDrop)}, nil
-}
-
-func encode(kind byte, sigmoid bool, specs []core.ArithSpec, ariths []emac.Arithmetic,
-	layers []*core.Layer, stand *datasets.Standardizer) ([]byte, error) {
+	layers, stand := net.Layers, net.Stand
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("artifact: model has no layers")
 	}
-	arithAt := func(i int) emac.Arithmetic {
-		if kind == kindMixed {
-			return ariths[i]
-		}
-		return ariths[0]
-	}
+	ariths := net.Ariths()
 
 	// Size the body exactly: descriptors, shapes, standardizer, words.
 	size := int64(len(specs)*descriptorBytes + len(layers)*8)
@@ -95,7 +43,7 @@ func encode(kind byte, sigmoid bool, specs []core.ArithSpec, ariths []emac.Arith
 	}
 	wsizes := make([]int, len(layers))
 	for i, l := range layers {
-		ws, err := wordSize(arithAt(i).BitWidth())
+		ws, err := wordSize(ariths[i].BitWidth())
 		if err != nil {
 			return nil, err
 		}
@@ -109,13 +57,13 @@ func encode(kind byte, sigmoid bool, specs []core.ArithSpec, ariths []emac.Arith
 	buf := make([]byte, headerSize, headerSize+size)
 	copy(buf, magic[:])
 	binary.LittleEndian.PutUint16(buf[4:], Version)
-	buf[6] = kind
+	buf[6] = kindUniform
+	if net.LayerAriths != nil {
+		buf[6] = kindMixed
+	}
 	var flags byte
-	if sigmoid {
-		if err := core.CheckSigmoid(ariths[0]); err != nil {
-			return nil, err
-		}
-		flags |= flagSigmoid
+	if net.Sigmoid {
+		flags |= flagSigmoid // ArithSpecs applied the Sigmoid rule
 	}
 	if stand != nil {
 		flags |= flagStandardizer
@@ -179,4 +127,32 @@ func encode(kind byte, sigmoid bool, specs []core.ArithSpec, ariths []emac.Arith
 	}
 	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[headerSize:]))
 	return buf, nil
+}
+
+// descriptorBytes is one arith descriptor record: family, n, the
+// family's second parameter (es/we/q), quireDrop.
+const descriptorBytes = 4
+
+// specRecord lowers a validated spec into its 4-byte record. The second
+// parameter slot is family-dependent; float32 uses neither.
+func specRecord(s core.ArithSpec) ([descriptorBytes]byte, error) {
+	var fam, param uint
+	switch s.Family {
+	case "posit":
+		fam, param = famPosit, s.ES
+	case "float":
+		fam, param = famFloat, s.WE
+	case "fixed":
+		fam, param = famFixed, s.Q
+	case "float32":
+		fam, param = famFloat32, 0
+	default:
+		return [descriptorBytes]byte{}, fmt.Errorf("artifact: unknown arithmetic family %q", s.Family)
+	}
+	for _, v := range []uint{s.N, param, s.QuireDrop} {
+		if v > 0xFF {
+			return [descriptorBytes]byte{}, fmt.Errorf("artifact: arithmetic parameter %d exceeds one byte", v)
+		}
+	}
+	return [descriptorBytes]byte{byte(fam), byte(s.N), byte(param), byte(s.QuireDrop)}, nil
 }

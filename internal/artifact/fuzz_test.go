@@ -48,6 +48,9 @@ func FuzzParseArtifact(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(magic[:])
 	f.Add([]byte(`{"version":1,"kind":"mixed","sigmoid":true}`)) // flag on no layers
+	for _, body := range ambiguousArithBodies {
+		f.Add([]byte(body))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Parse(data)

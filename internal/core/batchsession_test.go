@@ -55,7 +55,7 @@ func TestMixedInferBatchIntoMatchesPerSample(t *testing.T) {
 	m := QuantizeMixed(net, []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4),
 	})
-	checkRoutes(t, "mixed", m, repeatSplit(test, irisRepeat), irisBatches, 0)
+	checkRoutes(t, "mixed", m, repeatSplit(test, irisRepeat), irisBatches, 64)
 }
 
 // TestInferBatchIntoAllocFree: after one warmup flush, InferBatchInto and
@@ -99,11 +99,11 @@ func TestInferBatchIntoSigmoid(t *testing.T) {
 // hidden layers so activations and conversions run at two boundaries),
 // and returns them with the Mushroom test split's 2708 samples. The
 // MAC-bank arms run the Iris routes (TestInferBatchIntoMatchesPerSample).
-func tileNets(t *testing.T) (map[string]Model, *datasets.Dataset) {
+func tileNets(t *testing.T) (map[string]*Network, *datasets.Dataset) {
 	t.Helper()
 	_, test := datasets.MushroomSplit(datasets.MushroomSeed + 1)
 	src := nn.NewMLP([]int{datasets.MushroomOneHotDim(), 32, 16, 2}, rng.New(43))
-	nets := map[string]Model{}
+	nets := map[string]*Network{}
 	for _, a := range []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4),
 		emac.NewPosit(16, 1), // fused exact-window tier
@@ -141,7 +141,7 @@ func TestInferBatchIntoBadDstPanicsFirst(t *testing.T) {
 	xs := test.X
 	for _, name := range []string{"posit(8,0)", "mixed"} {
 		m := nets[name]
-		s := m.NewInferer().(*Session)
+		s := m.NewSession()
 		dst := make([]float64, 300*m.OutputDim()-1)
 		for i := range dst {
 			dst[i] = -7
@@ -173,7 +173,7 @@ func TestInferBatchIntoTileBounded(t *testing.T) {
 	xs := test.X
 	for _, name := range []string{"posit(8,0)", "posit(16,1)", "mixed"} {
 		m := nets[name]
-		s := m.NewInferer().(*Session)
+		s := m.NewSession()
 		dst := make([]float64, len(xs)*m.OutputDim())
 		s.InferBatchInto(dst, xs)
 		widest := 0

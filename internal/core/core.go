@@ -8,19 +8,21 @@
 // number systems at identical bit width.
 //
 // The package separates the model plane from the execution plane:
-// Network/MixedNetwork/Layer hold only the immutable quantised
-// parameters (the bitstream a Deep Positron deployment would flash), so
-// one network can be shared by any number of goroutines; all mutable
-// state — each layer's fused kernel or EMAC bank and the activation
-// planes — lives in per-goroutine Session objects (see session.go), one
-// session type for both network kinds. Network.Infer and friends remain
-// as thin wrappers over a lazily-built default session for
-// single-goroutine callers.
+// Network and Layer hold only the immutable quantised parameters (the
+// bitstream a Deep Positron deployment would flash), so one network can
+// be shared by any number of goroutines. A Network carries one
+// arithmetic per layer: a uniform network names a single one, a mixed
+// network one per layer. All mutable state — each layer's fused kernel
+// or EMAC bank and the activation planes — lives in per-goroutine
+// Session objects (see session.go). Network.Infer and friends remain as
+// thin wrappers over a lazily-built default session for single-goroutine
+// callers.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/datasets"
 	"repro/internal/emac"
@@ -38,13 +40,23 @@ type Layer struct {
 	B []emac.Code
 }
 
-// Network is a Deep Positron instance: the immutable model plane.
+// Network is a Deep Positron instance: the immutable model plane. Every
+// layer owns its EMAC array and local memory, so every layer may run its
+// own arithmetic; at a boundary where the format changes, activations
+// are re-encoded into the next layer's format by a format-conversion
+// unit (decode → round), the same single rounding the EMAC output stage
+// performs.
 type Network struct {
-	Arith  emac.Arithmetic
-	Layers []*Layer
+	// Arith is the single arithmetic of a uniform network. It is nil on a
+	// mixed network.
+	Arith emac.Arithmetic
+	// LayerAriths, when non-nil, makes the network mixed: it holds one
+	// arithmetic per layer, and Arith is unused.
+	LayerAriths []emac.Arithmetic
+	Layers      []*Layer
 	// Sigmoid selects the posit fast-sigmoid activation instead of ReLU
-	// on hidden layers (extension; requires a posit arithmetic with es=0,
-	// see CheckSigmoid).
+	// on hidden layers (extension; requires a uniform network over a
+	// posit arithmetic with es=0, see CheckSigmoid).
 	Sigmoid bool
 	// Stand, when non-nil, is a per-feature standardizer folded into the
 	// deployment artifact: sessions standardize raw inputs with it before
@@ -65,12 +77,34 @@ var ErrMixedSigmoid = errors.New("core: the Sigmoid activation is uniform-only; 
 
 // CheckSigmoid reports whether a uniform network over arithmetic a may
 // carry the Sigmoid flag. The fast sigmoid is a bit trick on es=0 posits
-// only, so a must be one. The artifact decoders and encoders and
-// NewSession all apply this one rule (and ErrMixedSigmoid for mixed
-// artifacts).
+// only, so a must be one.
 func CheckSigmoid(a emac.Arithmetic) error {
 	if pa, ok := a.(emac.PositArith); !ok || !pa.F.FastSigmoidValid() {
 		return fmt.Errorf("core: Sigmoid activation requires a posit arithmetic with es=0, got %s", a.Name())
+	}
+	return nil
+}
+
+// checkSigmoid applies the Sigmoid rule to the network: ErrMixedSigmoid
+// on a mixed network, CheckSigmoid on a uniform one. NewSession,
+// UnmarshalJSON and both artifact encoders (through ArithSpecs) apply
+// it; the binary decoder applies the same rule to the header it reads.
+func (n *Network) checkSigmoid() error {
+	switch {
+	case !n.Sigmoid:
+		return nil
+	case n.LayerAriths != nil:
+		return ErrMixedSigmoid
+	default:
+		return CheckSigmoid(n.Arith)
+	}
+}
+
+// checkArity reports a mixed network whose arithmetics do not match its
+// layers one for one.
+func (n *Network) checkArity() error {
+	if n.LayerAriths != nil && len(n.LayerAriths) != len(n.Layers) {
+		return fmt.Errorf("core: mixed network has %d arithmetics for %d layers", len(n.LayerAriths), len(n.Layers))
 	}
 	return nil
 }
@@ -79,10 +113,26 @@ func CheckSigmoid(a emac.Arithmetic) error {
 // Every weight and bias is rounded once; activations are quantised on the
 // fly by the EMAC result rounding, exactly as in the hardware.
 func Quantize(src *nn.Network, a emac.Arithmetic) *Network {
-	net := &Network{Arith: a}
-	for _, l := range src.Layers {
-		ql := &Layer{In: l.In, Out: l.Out}
-		ql.W = make([][]emac.Code, l.Out)
+	return &Network{Arith: a, Layers: quantizeLayers(src, repeatArith(a, len(src.Layers)))}
+}
+
+// QuantizeMixed lowers a trained float64 network with one arithmetic per
+// layer into a mixed network. len(ariths) must equal the number of
+// layers. The network stays mixed even when every entry is the same.
+func QuantizeMixed(src *nn.Network, ariths []emac.Arithmetic) *Network {
+	if len(ariths) != len(src.Layers) {
+		panic(fmt.Sprintf("core: %d arithmetics for %d layers", len(ariths), len(src.Layers)))
+	}
+	return &Network{LayerAriths: ariths, Layers: quantizeLayers(src, ariths)}
+}
+
+// quantizeLayers rounds every weight and bias of layer i once into
+// ariths[i].
+func quantizeLayers(src *nn.Network, ariths []emac.Arithmetic) []*Layer {
+	layers := make([]*Layer, len(src.Layers))
+	for li, l := range src.Layers {
+		a := ariths[li]
+		ql := &Layer{In: l.In, Out: l.Out, W: make([][]emac.Code, l.Out), B: make([]emac.Code, l.Out)}
 		for j, row := range l.W {
 			qrow := make([]emac.Code, l.In)
 			for i, w := range row {
@@ -90,21 +140,21 @@ func Quantize(src *nn.Network, a emac.Arithmetic) *Network {
 			}
 			ql.W[j] = qrow
 		}
-		ql.B = make([]emac.Code, l.Out)
 		for j, b := range l.B {
 			ql.B[j] = a.Quantize(b)
 		}
-		net.Layers = append(net.Layers, ql)
+		layers[li] = ql
 	}
-	return net
+	return layers
 }
 
-// QuantizeInput converts a raw feature vector into activation codes,
-// applying the folded standardizer first when one is present.
-func (n *Network) QuantizeInput(x []float64) []emac.Code {
-	codes := make([]emac.Code, len(x))
-	quantizeInto(codes, x, n.Arith, n.Stand)
-	return codes
+// repeatArith returns a repeated k times.
+func repeatArith(a emac.Arithmetic, k int) []emac.Arithmetic {
+	out := make([]emac.Arithmetic, k)
+	for i := range out {
+		out[i] = a
+	}
+	return out
 }
 
 // session returns the lazily-built default session.
@@ -131,8 +181,14 @@ func (n *Network) Accuracy(ds *datasets.Dataset) float64 { return n.session().Ac
 // NewInferer builds an independent execution plane (Model interface).
 func (n *Network) NewInferer() Inferer { return n.NewSession() }
 
-// Kind identifies the artifact kind (Model interface).
-func (n *Network) Kind() string { return "uniform" }
+// Kind identifies the artifact kind (Model interface): "mixed" when
+// LayerAriths is set, "uniform" otherwise.
+func (n *Network) Kind() string {
+	if n.LayerAriths != nil {
+		return kindMixed
+	}
+	return kindUniform
+}
 
 // InputDim is the feature width the network consumes.
 func (n *Network) InputDim() int { return n.Layers[0].In }
@@ -143,20 +199,21 @@ func (n *Network) OutputDim() int { return n.Layers[len(n.Layers)-1].Out }
 // NumLayers is the layer count.
 func (n *Network) NumLayers() int { return len(n.Layers) }
 
-// Ariths returns the (single) arithmetic repeated for every layer.
+// Ariths returns the arithmetic of every layer: a copy of LayerAriths on
+// a mixed network, Arith repeated on a uniform one.
 func (n *Network) Ariths() []emac.Arithmetic {
-	out := make([]emac.Arithmetic, len(n.Layers))
-	for i := range out {
-		out[i] = n.Arith
+	if n.LayerAriths != nil {
+		return append([]emac.Arithmetic(nil), n.LayerAriths...)
 	}
-	return out
+	return repeatArith(n.Arith, len(n.Layers))
 }
 
 // ArithNames returns the per-layer arithmetic descriptors.
 func (n *Network) ArithNames() []string {
-	out := make([]string, len(n.Layers))
-	for i := range out {
-		out[i] = n.Arith.Name()
+	ariths := n.Ariths()
+	out := make([]string, len(ariths))
+	for i, a := range ariths {
+		out[i] = a.Name()
 	}
 	return out
 }
@@ -190,18 +247,24 @@ func (n *Network) Cycles() int {
 const pipelineDepth = 4
 
 // MemoryBits returns the on-chip parameter storage the network needs:
-// every weight and bias at the arithmetic's bit width (the paper's local
+// every weight and bias at its layer's bit width (the paper's local
 // memory blocks).
 func (n *Network) MemoryBits() int {
-	params := 0
-	for _, l := range n.Layers {
-		params += l.In*l.Out + l.Out
+	total := 0
+	for li, a := range n.Ariths() {
+		l := n.Layers[li]
+		total += (l.In*l.Out + l.Out) * int(a.BitWidth())
 	}
-	return params * int(n.Arith.BitWidth())
+	return total
 }
 
-// String renders like "DeepPositron[posit(8,0): 30-16-8-2]".
+// String renders a uniform network like
+// "DeepPositron[posit(8,0): 30-16-8-2]" and a mixed one like
+// "DeepPositron[posit(8,0)|posit(6,1)|posit(8,0)]".
 func (n *Network) String() string {
+	if n.LayerAriths != nil {
+		return "DeepPositron[" + strings.Join(n.ArithNames(), "|") + "]"
+	}
 	s := fmt.Sprintf("DeepPositron[%s:", n.Arith.Name())
 	if len(n.Layers) > 0 {
 		s += fmt.Sprintf(" %d", n.Layers[0].In)

@@ -78,7 +78,8 @@ func TestEMACNeuronMatchesQuire(t *testing.T) {
 	a := emac.NewPosit(8, 1)
 	q := Quantize(net, a)
 	layer := q.Layers[0]
-	x := q.QuantizeInput(test.X[0])
+	x := make([]emac.Code, layer.In)
+	quantizeInto(x, test.X[0], a, nil)
 	// neuron 0 by hand, exactly
 	exact := dyadic.FromFloat64(a.Decode(layer.B[0]))
 	for i, c := range x {

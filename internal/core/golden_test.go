@@ -39,7 +39,7 @@ func goldenUniform() *Network {
 
 // goldenMixed is a deterministic mixed-precision model using one arm per
 // number system — posit, minifloat and fixed point in one artifact.
-func goldenMixed() *MixedNetwork {
+func goldenMixed() *Network {
 	src := nn.NewMLP([]int{4, 8, 6, 3}, rng.New(43))
 	net := QuantizeMixed(src, []emac.Arithmetic{
 		emac.NewPosit(8, 1), emac.NewFloatN(8, 4), emac.NewFixed(8, 4),
@@ -67,8 +67,8 @@ func goldenInputs(n int) [][]float64 {
 
 // checkGolden compares the model's Save output against the committed
 // golden file (rewriting it under -update), then reloads the golden file
-// through LoadModel and verifies bit-identical logits.
-func checkGolden(t *testing.T, m Model, name string) {
+// through Load and verifies bit-identical logits.
+func checkGolden(t *testing.T, m *Network, name string) {
 	t.Helper()
 	golden := filepath.Join("testdata", name)
 	tmp := filepath.Join(t.TempDir(), name)
@@ -91,7 +91,7 @@ func checkGolden(t *testing.T, m Model, name string) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: artifact bytes diverge from golden file (format change? bump ArtifactVersion and -update)", name)
 	}
-	loaded, err := LoadModel(golden)
+	loaded, err := Load(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,9 @@ func TestMixedSaveLoadRoundTripAllArms(t *testing.T) {
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(path)
+	mixed, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	mixed, ok := loaded.(*MixedNetwork)
-	if !ok {
-		t.Fatalf("LoadModel returned %T for a mixed artifact", loaded)
 	}
 	if len(mixed.LayerAriths) != 3 {
 		t.Fatalf("layer arithmetics lost: %v", mixed.ArithNames())
@@ -166,24 +162,22 @@ func TestLoadModelDispatch(t *testing.T) {
 	if err := goldenMixed().Save(mp); err != nil {
 		t.Fatal(err)
 	}
-	u, err := LoadModel(up)
+	// One loader reads either kind, and the kind survives: a uniform
+	// artifact loads with Arith set and no LayerAriths, a mixed one the
+	// other way round.
+	u, err := Load(up)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := u.(*Network); !ok {
-		t.Fatalf("uniform artifact loaded as %T", u)
+	if u.Kind() != "uniform" || u.Arith == nil || u.LayerAriths != nil {
+		t.Fatalf("uniform artifact loaded as kind %q, Arith %v, LayerAriths %v", u.Kind(), u.Arith, u.LayerAriths)
 	}
-	m, err := LoadModel(mp)
+	m, err := Load(mp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.(*MixedNetwork); !ok {
-		t.Fatalf("mixed artifact loaded as %T", m)
-	}
-	// The uniform loader must refuse a mixed artifact rather than
-	// misread it.
-	if _, err := Load(mp); err == nil {
-		t.Fatal("core.Load accepted a mixed artifact")
+	if m.Kind() != "mixed" || m.Arith != nil || len(m.LayerAriths) != 3 {
+		t.Fatalf("mixed artifact loaded as kind %q, Arith %v, LayerAriths %v", m.Kind(), m.Arith, m.LayerAriths)
 	}
 }
 
@@ -198,22 +192,19 @@ func TestArtifactVersionRejection(t *testing.T) {
 	}
 	future := write("future.json",
 		`{"version":99,"kind":"uniform","arith":{"family":"posit","n":8},"layers":[{"in":1,"out":1,"w":[[0]],"b":[0]}]}`)
-	if _, err := LoadModel(future); err == nil || !strings.Contains(err.Error(), "version 99") {
+	if _, err := Load(future); err == nil || !strings.Contains(err.Error(), "version 99") {
 		t.Fatalf("future version accepted (err = %v)", err)
-	}
-	if _, err := Load(future); err == nil {
-		t.Fatal("Load accepted a future version")
 	}
 	badKind := write("kind.json",
 		`{"version":1,"kind":"hybrid","arith":{"family":"posit","n":8},"layers":[{"in":1,"out":1,"w":[[0]],"b":[0]}]}`)
-	if _, err := LoadModel(badKind); err == nil {
+	if _, err := Load(badKind); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	// Mixed artifacts did not exist before versioning: a version-0 file
 	// claiming to be mixed is corrupt.
 	legacyMixed := write("legacymixed.json",
 		`{"kind":"mixed","ariths":[{"family":"posit","n":8}],"layers":[{"in":1,"out":1,"w":[[0]],"b":[0]}]}`)
-	if _, err := LoadModel(legacyMixed); err == nil {
+	if _, err := Load(legacyMixed); err == nil {
 		t.Fatal("version-0 mixed artifact accepted")
 	}
 }
@@ -232,11 +223,8 @@ func TestLegacyUnversionedArtifactStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.Arith.Name() != "posit(8,1)" || net.NumLayers() != 2 || net.Standardizer() != nil {
+	if net.Kind() != "uniform" || net.Arith.Name() != "posit(8,1)" || net.NumLayers() != 2 || net.Standardizer() != nil {
 		t.Fatalf("legacy artifact misread: %v", net)
-	}
-	if m, err := LoadModel(path); err != nil || m.Kind() != "uniform" {
-		t.Fatalf("LoadModel legacy: %v %v", m, err)
 	}
 }
 
@@ -247,7 +235,7 @@ func TestStandardizerValidation(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadModel(path); err == nil {
+		if _, err := Load(path); err == nil {
 			t.Errorf("%s: invalid standardizer accepted", name)
 		}
 	}

@@ -25,29 +25,6 @@ import (
 // ArtifactVersion is the artifact format this build writes.
 const ArtifactVersion = 1
 
-// arithDescriptor names an Arithmetic in the model file.
-type arithDescriptor struct {
-	Family string `json:"family"` // "posit" | "float" | "fixed" | "float32"
-	N      uint   `json:"n,omitempty"`
-	ES     uint   `json:"es,omitempty"`
-	WE     uint   `json:"we,omitempty"`
-	Q      uint   `json:"q,omitempty"`
-	// QuireDrop preserves the truncated-quire ablation setting.
-	QuireDrop uint `json:"quireDrop,omitempty"`
-}
-
-func describeArith(a emac.Arithmetic) (arithDescriptor, error) {
-	s, err := DescribeArith(a)
-	if err != nil {
-		return arithDescriptor{}, err
-	}
-	return arithDescriptor{Family: s.Family, N: s.N, ES: s.ES, WE: s.WE, Q: s.Q, QuireDrop: s.QuireDrop}, nil
-}
-
-func (d arithDescriptor) build() (emac.Arithmetic, error) {
-	return ArithSpec{Family: d.Family, N: d.N, ES: d.ES, WE: d.WE, Q: d.Q, QuireDrop: d.QuireDrop}.Build()
-}
-
 type layerJSON struct {
 	In  int        `json:"in"`
 	Out int        `json:"out"`
@@ -66,12 +43,12 @@ type artifactJSON struct {
 	Version int    `json:"version,omitempty"`
 	Kind    string `json:"kind,omitempty"` // "uniform" | "mixed"; "" in legacy files
 	// Arith is the single arithmetic of a uniform network.
-	Arith *arithDescriptor `json:"arith,omitempty"`
+	Arith *ArithSpec `json:"arith,omitempty"`
 	// Ariths are the per-layer arithmetics of a mixed network.
-	Ariths  []arithDescriptor `json:"ariths,omitempty"`
-	Sigmoid bool              `json:"sigmoid,omitempty"`
-	Stand   *standJSON        `json:"standardizer,omitempty"`
-	Layers  []layerJSON       `json:"layers"`
+	Ariths  []ArithSpec `json:"ariths,omitempty"`
+	Sigmoid bool        `json:"sigmoid,omitempty"`
+	Stand   *standJSON  `json:"standardizer,omitempty"`
+	Layers  []layerJSON `json:"layers"`
 }
 
 const (
@@ -117,9 +94,9 @@ func encodeLayers(layers []*Layer) []layerJSON {
 	return out
 }
 
-// decodeLayers validates and rebuilds parameter memories; arithFor
-// supplies the arithmetic governing layer i's code width.
-func decodeLayers(ljs []layerJSON, arithFor func(i int) emac.Arithmetic) ([]*Layer, error) {
+// decodeLayers validates and rebuilds parameter memories; ariths[i] is
+// the arithmetic governing layer i's code width.
+func decodeLayers(ljs []layerJSON, ariths []emac.Arithmetic) ([]*Layer, error) {
 	if len(ljs) == 0 {
 		return nil, fmt.Errorf("core: model has no layers")
 	}
@@ -133,7 +110,7 @@ func decodeLayers(ljs []layerJSON, arithFor func(i int) emac.Arithmetic) ([]*Lay
 			return nil, fmt.Errorf("core: layer %d input %d does not match previous output %d", li, lj.In, prevOut)
 		}
 		prevOut = lj.Out
-		arith := arithFor(li)
+		arith := ariths[li]
 		mask := ^uint64(0)
 		if w := arith.BitWidth(); w < 64 {
 			mask = (uint64(1) << w) - 1
@@ -190,31 +167,34 @@ func decodeStand(sj *standJSON, inputDim int) (*datasets.Standardizer, error) {
 	return &datasets.Standardizer{Mean: sj.Mean, Std: sj.Std}, nil
 }
 
-// MarshalJSON implements json.Marshaler for the quantised network
-// (version-1 uniform artifact).
+// MarshalJSON implements json.Marshaler: a version-1 artifact of the
+// network's kind, with one arithmetic descriptor for a uniform network
+// and one per layer for a mixed one.
 func (n *Network) MarshalJSON() ([]byte, error) {
-	desc, err := describeArith(n.Arith)
+	specs, err := n.ArithSpecs()
 	if err != nil {
 		return nil, err
 	}
-	if n.Sigmoid {
-		if err := CheckSigmoid(n.Arith); err != nil {
-			return nil, err
-		}
-	}
 	out := artifactJSON{
 		Version: ArtifactVersion,
-		Kind:    kindUniform,
-		Arith:   &desc,
+		Kind:    n.Kind(),
 		Sigmoid: n.Sigmoid,
 		Stand:   encodeStand(n.Stand),
 		Layers:  encodeLayers(n.Layers),
+	}
+	if n.LayerAriths != nil {
+		out.Ariths = specs
+	} else {
+		out.Arith = &specs[0]
 	}
 	return json.Marshal(out)
 }
 
 // UnmarshalJSON implements json.Unmarshaler with structural validation.
-// It accepts version-1 uniform artifacts and legacy pre-versioning files.
+// It accepts version-1 artifacts of either kind and legacy
+// pre-versioning files (uniform). An artifact must carry the descriptors
+// of its own kind only: a uniform one with "ariths" or a mixed one with
+// "arith" is ambiguous and rejected.
 func (n *Network) UnmarshalJSON(data []byte) error {
 	var in artifactJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -223,22 +203,42 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	if err := in.checkEnvelope(); err != nil {
 		return err
 	}
+	net := Network{Sigmoid: in.Sigmoid}
+	var ariths []emac.Arithmetic // one per artifact layer
 	if in.Kind == kindMixed {
-		return fmt.Errorf("core: artifact is a mixed network; load it with LoadModel or MixedNetwork")
-	}
-	if in.Arith == nil {
-		return fmt.Errorf("core: uniform artifact missing arithmetic descriptor")
-	}
-	arith, err := in.Arith.build()
-	if err != nil {
-		return err
-	}
-	if in.Sigmoid {
-		if err := CheckSigmoid(arith); err != nil {
+		if in.Arith != nil {
+			return fmt.Errorf("core: mixed artifact carries a uniform arithmetic descriptor")
+		}
+		if len(in.Ariths) != len(in.Layers) {
+			return fmt.Errorf("core: mixed artifact has %d arithmetics for %d layers",
+				len(in.Ariths), len(in.Layers))
+		}
+		ariths = make([]emac.Arithmetic, len(in.Ariths))
+		for i, spec := range in.Ariths {
+			a, err := spec.Build()
+			if err != nil {
+				return err
+			}
+			ariths[i] = a
+		}
+		net.LayerAriths = ariths
+	} else {
+		if in.Ariths != nil {
+			return fmt.Errorf("core: uniform artifact carries per-layer arithmetic descriptors")
+		}
+		if in.Arith == nil {
+			return fmt.Errorf("core: uniform artifact missing arithmetic descriptor")
+		}
+		a, err := in.Arith.Build()
+		if err != nil {
 			return err
 		}
+		net.Arith, ariths = a, repeatArith(a, len(in.Layers))
 	}
-	layers, err := decodeLayers(in.Layers, func(int) emac.Arithmetic { return arith })
+	if err := net.checkSigmoid(); err != nil {
+		return err
+	}
+	layers, err := decodeLayers(in.Layers, ariths)
 	if err != nil {
 		return err
 	}
@@ -246,142 +246,43 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*n = Network{Arith: arith, Sigmoid: in.Sigmoid, Stand: stand, Layers: layers}
+	net.Layers, net.Stand = layers, stand
+	*n = net
 	return nil
 }
 
-// MarshalJSON implements json.Marshaler for the mixed network (version-1
-// mixed artifact with one arithmetic descriptor per layer).
-func (n *MixedNetwork) MarshalJSON() ([]byte, error) {
-	if len(n.LayerAriths) != len(n.Layers) {
-		return nil, fmt.Errorf("core: mixed network has %d arithmetics for %d layers",
-			len(n.LayerAriths), len(n.Layers))
-	}
-	descs := make([]arithDescriptor, len(n.LayerAriths))
-	for i, a := range n.LayerAriths {
-		d, err := describeArith(a)
-		if err != nil {
-			return nil, err
-		}
-		descs[i] = d
-	}
-	out := artifactJSON{
-		Version: ArtifactVersion,
-		Kind:    kindMixed,
-		Ariths:  descs,
-		Stand:   encodeStand(n.Stand),
-		Layers:  encodeLayers(n.Layers),
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler for mixed artifacts.
-func (n *MixedNetwork) UnmarshalJSON(data []byte) error {
-	var in artifactJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	if err := in.checkEnvelope(); err != nil {
-		return err
-	}
-	if in.Kind != kindMixed {
-		return fmt.Errorf("core: artifact is not a mixed network (kind %q)", in.Kind)
-	}
-	if in.Sigmoid {
-		return ErrMixedSigmoid
-	}
-	if len(in.Ariths) != len(in.Layers) {
-		return fmt.Errorf("core: mixed artifact has %d arithmetics for %d layers",
-			len(in.Ariths), len(in.Layers))
-	}
-	ariths := make([]emac.Arithmetic, len(in.Ariths))
-	for i, d := range in.Ariths {
-		a, err := d.build()
-		if err != nil {
-			return err
-		}
-		ariths[i] = a
-	}
-	layers, err := decodeLayers(in.Layers, func(i int) emac.Arithmetic { return ariths[i] })
-	if err != nil {
-		return err
-	}
-	stand, err := decodeStand(in.Stand, layers[0].In)
-	if err != nil {
-		return err
-	}
-	*n = MixedNetwork{LayerAriths: ariths, Stand: stand, Layers: layers}
-	return nil
-}
-
-// Save writes the quantised model as a versioned JSON artifact.
-func (n *Network) Save(path string) error { return saveJSON(n, path) }
-
-// Save writes the mixed quantised model as a versioned JSON artifact.
-func (n *MixedNetwork) Save(path string) error { return saveJSON(n, path) }
-
-// saveJSON writes the artifact atomically (temp file + rename in the
-// target directory): artifacts are the unit of deployment, and a trainer
-// killed mid-save must never leave a truncated file where positrond (or
-// the artifact store) will load it.
-func saveJSON(m json.Marshaler, path string) error {
-	data, err := json.MarshalIndent(m, "", " ")
+// Save writes the quantised model as a versioned JSON artifact,
+// atomically (temp file + rename in the target directory): artifacts are
+// the unit of deployment, and a trainer killed mid-save must never leave
+// a truncated file where positrond (or the artifact store) will load it.
+func (n *Network) Save(path string) error {
+	data, err := json.MarshalIndent(n, "", " ")
 	if err != nil {
 		return err
 	}
 	return fsutil.WriteFileAtomic(path, data, 0o644)
 }
 
-// Load reads a uniform quantised model saved by Network.Save.
+// Load reads a quantised model of either kind saved by Network.Save.
 func Load(path string) (*Network, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	net := new(Network)
-	if err := json.Unmarshal(data, net); err != nil {
+	net, err := ParseModel(data)
+	if err != nil {
 		return nil, fmt.Errorf("core: loading %s: %w", path, err)
 	}
 	return net, nil
 }
 
-// LoadModel reads any versioned artifact — uniform or mixed — and
-// returns it behind the Model interface. This is the deployment loader:
-// serving code does not need to know which precision layout an artifact
-// uses.
-func LoadModel(path string) (Model, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := ParseModel(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading %s: %w", path, err)
-	}
-	return m, nil
-}
-
-// ParseModel decodes a versioned artifact from raw JSON bytes — the
-// in-memory counterpart of LoadModel, used when an artifact arrives over
-// the wire (e.g. a model uploaded to a serving registry) rather than
-// from disk.
-func ParseModel(data []byte) (Model, error) {
-	var envelope struct {
-		Version int    `json:"version"`
-		Kind    string `json:"kind"`
-	}
-	if err := json.Unmarshal(data, &envelope); err != nil {
-		return nil, err
-	}
-	if envelope.Kind == kindMixed {
-		net := new(MixedNetwork)
-		if err := json.Unmarshal(data, net); err != nil {
-			return nil, err
-		}
-		return net, nil
-	}
+// ParseModel decodes a versioned artifact of either kind from raw JSON
+// bytes — the in-memory counterpart of Load, used when an artifact
+// arrives over the wire (e.g. a model uploaded to a serving registry)
+// rather than from disk.
+func ParseModel(data []byte) (*Network, error) {
 	net := new(Network)
-	if err := json.Unmarshal(data, net); err != nil {
+	if err := net.UnmarshalJSON(data); err != nil {
 		return nil, err
 	}
 	return net, nil

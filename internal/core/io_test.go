@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,13 +114,48 @@ func TestParseModelRejectsInvalidSigmoid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("posit(8,0) sigmoid artifact: %v", err)
 	}
-	if !m.(*Network).Sigmoid {
+	if !m.Sigmoid {
 		t.Fatal("sigmoid flag lost")
 	}
 	q := Quantize(nn.NewMLP([]int{2, 2, 1}, rng.New(3)), emac.NewFixed(8, 4))
 	q.Sigmoid = true
 	if _, err := q.MarshalJSON(); err == nil {
 		t.Error("fixed(8,4) sigmoid network serialised")
+	}
+}
+
+// TestMixedSigmoidRefused: a mixed network built in memory with the
+// Sigmoid flag set is refused where it would be used or written —
+// NewSession panics and MarshalJSON fails, both with ErrMixedSigmoid.
+func TestMixedSigmoidRefused(t *testing.T) {
+	p8 := emac.NewPosit(8, 0)
+	m := QuantizeMixed(nn.NewMLP([]int{2, 2, 1}, rng.New(3)), []emac.Arithmetic{p8, p8})
+	m.Sigmoid = true
+	if _, err := m.MarshalJSON(); !errors.Is(err, ErrMixedSigmoid) {
+		t.Errorf("MarshalJSON = %v, want ErrMixedSigmoid", err)
+	}
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, ErrMixedSigmoid) {
+			t.Errorf("NewSession panicked with %v, want ErrMixedSigmoid", err)
+		}
+	}()
+	m.NewSession()
+}
+
+// ambiguousArithBodies carry the descriptors of both kinds at once; the
+// parser rejects each rather than silently dropping one set.
+var ambiguousArithBodies = map[string]string{
+	"uniform with ariths": `{"version":1,"kind":"uniform","arith":{"family":"posit","n":8},"ariths":[{"family":"fixed","n":8,"q":4}],
+		"layers":[{"in":1,"out":1,"w":[[64]],"b":[0]}]}`,
+	"mixed with arith": `{"version":1,"kind":"mixed","arith":{"family":"posit","n":8},"ariths":[{"family":"fixed","n":8,"q":4}],
+		"layers":[{"in":1,"out":1,"w":[[64]],"b":[0]}]}`,
+}
+
+func TestParseModelRejectsAmbiguousAriths(t *testing.T) {
+	for name, body := range ambiguousArithBodies {
+		if m, err := ParseModel([]byte(body)); err == nil {
+			t.Errorf("%s: parsed as %v", name, m)
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 package core
 
-// The model-plane abstraction. Network (uniform precision) and
-// MixedNetwork (per-layer precision) are two parameterisations of the
-// same accelerator architecture; Model is the surface the execution
+// The model-plane abstraction. Network is the one model type: every
+// layer carries its own arithmetic, uniform precision being the case
+// where every layer's is the same. Model is the surface the execution
 // plane, the serialiser and the serving stack program against, so a
-// batch engine or an HTTP daemon works identically over either. The
-// paper's precision-adaptable EMACs are exactly why this split exists:
-// which formats a deployment picked is a property of the artifact, not
-// of the serving code.
+// batch engine or an HTTP daemon works identically over either kind,
+// and tests can substitute doubles for it. The paper's
+// precision-adaptable EMACs are why the kind is a property of the
+// artifact, not of the serving code.
 
 import (
 	"repro/internal/datasets"
@@ -39,7 +39,7 @@ type Inferer interface {
 
 // Model is the immutable model plane shared by any number of Inferers:
 // topology, quantised parameters, the arithmetic of every layer and the
-// optional input standardizer. *Network and *MixedNetwork implement it.
+// optional input standardizer. *Network implements it.
 type Model interface {
 	// NewInferer builds an independent execution plane. Any number of
 	// Inferers may run concurrently over one Model.
@@ -68,10 +68,8 @@ type Model interface {
 	String() string
 }
 
-// compile-time checks that both network kinds are Models and Session is
-// an Inferer.
+// compile-time checks that Network is a Model and Session an Inferer.
 var (
 	_ Model   = (*Network)(nil)
-	_ Model   = (*MixedNetwork)(nil)
 	_ Inferer = (*Session)(nil)
 )

@@ -19,16 +19,9 @@ import (
 
 // oracleLogits computes the reference logits of every input, flat and
 // sample-major.
-func oracleLogits(m Model, xs [][]float64) []float64 {
-	var layers []*Layer
-	sigmoid := false
-	switch n := m.(type) {
-	case *Network:
-		layers, sigmoid = n.Layers, n.Sigmoid
-	case *MixedNetwork:
-		layers = n.Layers
-	}
-	ariths, st := m.Ariths(), m.Standardizer()
+func oracleLogits(m *Network, xs [][]float64) []float64 {
+	layers, sigmoid := m.Layers, m.Sigmoid
+	ariths, st := m.Ariths(), m.Stand
 	macs := make([][]emac.MAC, len(layers))
 	for li, l := range layers {
 		macs[li] = make([]emac.MAC, l.Out)
@@ -101,20 +94,12 @@ func oracleAccuracy(want []float64, od int, ds *datasets.Dataset) float64 {
 	return float64(correct) / float64(ds.Len())
 }
 
-// defaultWrappers are the Network and MixedNetwork convenience methods
-// over their default sessions.
-type defaultWrappers interface {
-	Infer(x []float64) []float64
-	Predict(x []float64) int
-	Accuracy(ds *datasets.Dataset) float64
-}
-
 // checkRoutes runs every route into m's sessions over ds against the
 // oracle: Infer and InferInto per sample; InferBatchInto at each flush
 // size in batches (a prefix of ds) on one session; a session's and the
-// default wrappers' Infer, Predict and Accuracy; and, for a uniform
-// network, StreamInfer over the first streamN inputs.
-func checkRoutes(t *testing.T, name string, m Model, ds *datasets.Dataset, batches []int, streamN int) {
+// default wrappers' Infer, Predict and Accuracy; and StreamInfer over the
+// first streamN inputs.
+func checkRoutes(t *testing.T, name string, m *Network, ds *datasets.Dataset, batches []int, streamN int) {
 	t.Helper()
 	od := m.OutputDim()
 	want := oracleLogits(m, ds.X)
@@ -133,20 +118,19 @@ func checkRoutes(t *testing.T, name string, m Model, ds *datasets.Dataset, batch
 		out := flush.InferBatchInto(make([]float64, b*od), ds.X[:b])
 		sameLogits(t, fmt.Sprintf("%s InferBatchInto b=%d", name, b), out, want[:b*od], od)
 	}
-	w := m.(defaultWrappers)
 	for i, x := range ds.X {
-		copy(got[i*od:], w.Infer(x))
-		if p := w.Predict(x); p != nn.Argmax(want[i*od:(i+1)*od]) {
+		copy(got[i*od:], m.Infer(x))
+		if p := m.Predict(x); p != nn.Argmax(want[i*od:(i+1)*od]) {
 			t.Fatalf("%s wrapper Predict sample %d: %d, oracle %d", name, i, p, nn.Argmax(want[i*od:(i+1)*od]))
 		}
 	}
 	sameLogits(t, name+" wrapper Infer", got, want, od)
 	acc := oracleAccuracy(want, od, ds)
-	if sa, wa := s.Accuracy(ds), w.Accuracy(ds); sa != acc || wa != acc {
+	if sa, wa := s.Accuracy(ds), m.Accuracy(ds); sa != acc || wa != acc {
 		t.Fatalf("%s Accuracy: session %v, wrapper %v, oracle %v", name, sa, wa, acc)
 	}
-	if n, ok := m.(*Network); ok && streamN > 0 {
-		outs, _, _ := n.StreamInfer(ds.X[:streamN], false)
+	if streamN > 0 {
+		outs, _, _ := m.StreamInfer(ds.X[:streamN], false)
 		for i := range outs {
 			copy(got[i*od:], outs[i])
 		}

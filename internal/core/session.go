@@ -1,7 +1,7 @@
 package core
 
 // The execution plane. A Session owns every piece of mutable inference
-// state for one Network or MixedNetwork — each layer's fused kernel or
+// state for one Network, uniform or mixed — each layer's fused kernel or
 // EMAC bank and the tiled pass's activation planes — mirroring the
 // nn.Scratch pattern: one Session serves one goroutine, and any number of
 // sessions can share one immutable model. Single-sample inference is the
@@ -47,8 +47,8 @@ func newExecLayer(l *Layer, a emac.Arithmetic) execLayer {
 	return e
 }
 
-// Session is the per-goroutine execution state for one Network or
-// MixedNetwork. Sessions are cheap relative to a dataset sweep
+// Session is the per-goroutine execution state for one Network, uniform
+// or mixed. Sessions are cheap relative to a dataset sweep
 // (construction pre-decodes the weights once per layer) and are not safe
 // for concurrent use; the model they execute is never written through
 // them. A session copies the model's standardizer and sigmoid flag when
@@ -70,38 +70,28 @@ type Session struct {
 	one [1][]float64
 }
 
-// newSession builds the execution state for layers under their per-layer
-// arithmetics. It panics when a layer's fan-in differs from its
-// predecessor's width: the tiled pass slices its planes by each layer's
-// In, so a mis-chained network would read stale plane entries.
-func newSession(layers []*Layer, ariths []emac.Arithmetic, st *datasets.Standardizer, sigmoid bool) *Session {
-	s := &Session{layers: make([]execLayer, len(layers)), ariths: ariths, stand: st, sigmoid: sigmoid}
-	for i, l := range layers {
-		if i > 0 && l.In != layers[i-1].Out {
-			panic(fmt.Sprintf("core: layer %d expects %d inputs, got %d", i, l.In, layers[i-1].Out))
-		}
-		s.layers[i] = newExecLayer(l, ariths[i])
-	}
-	return s
-}
-
 // NewSession builds an independent execution plane for the network. Any
 // number of sessions may run concurrently over the same Network. It
-// panics when the network's layers do not chain or its Sigmoid flag is
-// set on an arithmetic that has no fast sigmoid (see CheckSigmoid).
+// panics when a mixed network's arithmetics do not match its layers one
+// for one, when its Sigmoid flag breaks the rule checkSigmoid applies, or
+// when a layer's fan-in differs from its predecessor's width: the tiled
+// pass slices its planes by each layer's In, so a mis-chained network
+// would read stale plane entries.
 func (n *Network) NewSession() *Session {
-	if n.Sigmoid {
-		if err := CheckSigmoid(n.Arith); err != nil {
-			panic(err)
-		}
+	if err := n.checkArity(); err != nil {
+		panic(err)
 	}
-	return newSession(n.Layers, n.Ariths(), n.Stand, n.Sigmoid)
-}
-
-// NewSession builds an independent execution plane for the mixed network.
-// It panics when the network's layers do not chain.
-func (n *MixedNetwork) NewSession() *Session {
-	return newSession(n.Layers, n.LayerAriths, n.Stand, false)
+	if err := n.checkSigmoid(); err != nil {
+		panic(err)
+	}
+	s := &Session{layers: make([]execLayer, len(n.Layers)), ariths: n.Ariths(), stand: n.Stand, sigmoid: n.Sigmoid}
+	for i, l := range n.Layers {
+		if i > 0 && l.In != n.Layers[i-1].Out {
+			panic(fmt.Sprintf("core: layer %d expects %d inputs, got %d", i, l.In, n.Layers[i-1].Out))
+		}
+		s.layers[i] = newExecLayer(l, s.ariths[i])
+	}
+	return s
 }
 
 // Infer runs one input through the model and returns the decoded output

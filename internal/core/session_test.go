@@ -77,25 +77,25 @@ func TestMixedSessionsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDefaultWrappersMatchSessions: the Network- and MixedNetwork-level
-// convenience methods are thin wrappers over a default session and must
-// agree with an explicit one, including the accuracy sweep.
+// TestDefaultWrappersMatchSessions: the Network-level convenience
+// methods are thin wrappers over a default session and must agree with
+// an explicit one, including the accuracy sweep, on either kind.
 func TestDefaultWrappersMatchSessions(t *testing.T) {
 	net, test := trainedIris(t)
-	for _, m := range []Model{
+	for _, m := range []*Network{
 		Quantize(net, emac.NewPosit(8, 0)),
 		QuantizeMixed(net, []emac.Arithmetic{emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4)}),
 	} {
-		w, s := m.(defaultWrappers), m.NewInferer()
+		s := m.NewSession()
 		for i, x := range test.X {
-			a, b := w.Infer(x), s.Infer(x)
+			a, b := m.Infer(x), s.Infer(x)
 			for j := range a {
 				if a[j] != b[j] {
 					t.Fatalf("%v sample %d: wrapper %v != session %v", m, i, a, b)
 				}
 			}
 		}
-		if wa, sa := w.Accuracy(test), s.Accuracy(test); wa != sa {
+		if wa, sa := m.Accuracy(test), s.Accuracy(test); wa != sa {
 			t.Fatalf("%v: wrapper accuracy %v != session accuracy %v", m, wa, sa)
 		}
 	}
@@ -106,17 +106,11 @@ func TestDefaultWrappersMatchSessions(t *testing.T) {
 // any pass could read stale plane entries.
 func TestNewSessionPanicsOnMisChainedNetwork(t *testing.T) {
 	net, _ := trainedIris(t)
-	for _, m := range []Model{
+	for _, m := range []*Network{
 		Quantize(net, emac.NewPosit(8, 0)),
 		QuantizeMixed(net, []emac.Arithmetic{emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4)}),
 	} {
-		var ls []*Layer
-		switch n := m.(type) {
-		case *Network:
-			ls = n.Layers
-		case *MixedNetwork:
-			ls = n.Layers
-		}
+		ls := m.Layers
 		// Drop the middle layer's last neuron: the readout layer still
 		// expects the old width.
 		mid := *ls[1]
@@ -129,9 +123,26 @@ func TestNewSessionPanicsOnMisChainedNetwork(t *testing.T) {
 					t.Fatalf("%v: NewSession accepted a mis-chained network", m)
 				}
 			}()
-			m.NewInferer()
+			m.NewSession()
 		}()
 	}
+}
+
+// TestArityMismatchRefused: a mixed network whose arithmetics do not
+// match its layers one for one has no session and no artifact.
+func TestArityMismatchRefused(t *testing.T) {
+	net, _ := trainedIris(t)
+	m := QuantizeMixed(net, []emac.Arithmetic{emac.NewPosit(8, 0), emac.NewFixed(8, 4), emac.NewFloatN(8, 4)})
+	m.LayerAriths = m.LayerAriths[:2]
+	if _, err := m.MarshalJSON(); err == nil {
+		t.Error("MarshalJSON accepted 2 arithmetics for 3 layers")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSession accepted 2 arithmetics for 3 layers")
+		}
+	}()
+	m.NewSession()
 }
 
 // TestSessionStateIsolation: interleaving inferences across two sessions

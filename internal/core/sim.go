@@ -84,8 +84,9 @@ type StreamStats struct {
 // schedule statistics and (optionally, when trace is true) the FSM
 // transition log. The numerical results are identical to calling Infer
 // per input — the simulator only reorders *when* work happens, never
-// what is computed. Like Infer, it drives the default session and is not
-// safe for concurrent use.
+// what is computed — on a uniform or a mixed network alike: the format
+// conversion at a mixed boundary runs when the layer fires. Like Infer,
+// it drives the default session and is not safe for concurrent use.
 func (n *Network) StreamInfer(inputs [][]float64, trace bool) ([][]float64, StreamStats, []TraceEvent) {
 	if len(inputs) == 0 {
 		return nil, StreamStats{}, nil
@@ -121,7 +122,7 @@ func (n *Network) StreamInfer(inputs [][]float64, trace bool) ([][]float64, Stre
 				// readout layer: emit the network output
 				logits := make([]float64, len(sl.output))
 				for j, c := range sl.output {
-					logits[j] = n.Arith.Decode(c)
+					logits[j] = sess.ariths[li].Decode(c)
 				}
 				outputs[sl.tag] = logits
 				outCycles = append(outCycles, cycle)

@@ -10,17 +10,46 @@ import (
 // family plus the format parameters that family uses. It is the single
 // source of truth both artifact codecs (JSON v1 and the binary format)
 // lower arithmetics into, so the two formats cannot drift on what an
-// arithmetic *is*. Build validates through the error-returning format
+// arithmetic *is*; its JSON form is the v1 artifact's arithmetic
+// descriptor. Build validates through the error-returning format
 // constructors — specs come from artifacts, which come from outside the
 // program.
 type ArithSpec struct {
-	Family string // "posit" | "float" | "fixed" | "float32"
-	N      uint   // storage width (posit/float/fixed)
-	ES     uint   // posit exponent field width
-	WE     uint   // minifloat exponent width
-	Q      uint   // fixed-point fraction bits
+	Family string `json:"family"`       // "posit" | "float" | "fixed" | "float32"
+	N      uint   `json:"n,omitempty"`  // storage width (posit/float/fixed)
+	ES     uint   `json:"es,omitempty"` // posit exponent field width
+	WE     uint   `json:"we,omitempty"` // minifloat exponent width
+	Q      uint   `json:"q,omitempty"`  // fixed-point fraction bits
 	// QuireDrop preserves the truncated-quire ablation setting.
-	QuireDrop uint
+	QuireDrop uint `json:"quireDrop,omitempty"`
+}
+
+// ArithSpecs validates the network for an artifact and returns the
+// arithmetic specs the artifact records: one per layer for a mixed
+// network, the single arithmetic of a uniform one. Both artifact encoders
+// lower a network through it, so they refuse the same networks: a mixed
+// network whose arithmetics do not match its layers, a Sigmoid flag no
+// session could apply, and arithmetics the formats do not know.
+func (n *Network) ArithSpecs() ([]ArithSpec, error) {
+	if err := n.checkArity(); err != nil {
+		return nil, err
+	}
+	if err := n.checkSigmoid(); err != nil {
+		return nil, err
+	}
+	ariths := n.LayerAriths
+	if ariths == nil {
+		ariths = []emac.Arithmetic{n.Arith}
+	}
+	specs := make([]ArithSpec, len(ariths))
+	for i, a := range ariths {
+		s, err := DescribeArith(a)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = s
+	}
+	return specs, nil
 }
 
 // DescribeArith lowers an arithmetic into its spec. It fails on

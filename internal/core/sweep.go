@@ -97,3 +97,44 @@ func BestPerFamily(src *nn.Network, test *datasets.Dataset, n uint) FamilyBest {
 		Fixed: Best(src, test, fixeds),
 	}
 }
+
+// SearchPerLayerFixed performs one pass of coordinate descent over
+// per-layer fixed-point fraction widths at total width n: start from the
+// best global q, then re-optimise each layer's q holding the others
+// fixed. A single shared Q-format must compromise between layers whose
+// activations live at different scales; per-layer q removes that
+// compromise (the global-q collapse on WBC is the paper's Table II
+// fixed-point story). It returns the mixed network and the chosen q per
+// layer.
+func SearchPerLayerFixed(src *nn.Network, test *datasets.Dataset, n uint) (*Network, []uint) {
+	_, _, fixeds := Candidates(n)
+	globalBest := Best(src, test, fixeds)
+	globalQ := globalBest.Arith.(emac.FixedArith).F.Q()
+
+	qs := make([]uint, len(src.Layers))
+	for i := range qs {
+		qs[i] = globalQ
+	}
+	build := func(qs []uint) *Network {
+		ariths := make([]emac.Arithmetic, len(qs))
+		for i, q := range qs {
+			ariths[i] = emac.NewFixed(n, q)
+		}
+		return QuantizeMixed(src, ariths)
+	}
+	bestAcc := build(qs).Accuracy(test)
+	for li := range qs {
+		for q := uint(1); q < n; q++ {
+			if q == qs[li] {
+				continue
+			}
+			trial := append([]uint(nil), qs...)
+			trial[li] = q
+			if acc := build(trial).Accuracy(test); acc > bestAcc {
+				bestAcc = acc
+				qs = trial
+			}
+		}
+	}
+	return build(qs), qs
+}

@@ -7,6 +7,7 @@ package emac
 // without a fused datapath must decline, so core runs them on the MACs.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -390,4 +391,59 @@ func FuzzBatchStrided(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPositCarryHeadroom drives each posit register to its carry bound:
+// a ±maxpos bias plus k same-sign maxpos² products, at k = 2^j and
+// 2^j ± 1 up to 257. The MAC and, where the format has one, the fused
+// kernel must equal the exact internal/dyadic sum rounded once — a
+// register short of ⌈log2 k⌉ carry bits would wrap instead.
+func TestPositCarryHeadroom(t *testing.T) {
+	var ks []int
+	for j := 0; j <= 8; j++ {
+		for _, k := range []int{1<<j - 1, 1 << j, 1<<j + 1} {
+			if k > 0 && (len(ks) == 0 || k > ks[len(ks)-1]) {
+				ks = append(ks, k)
+			}
+		}
+	}
+	for _, f := range [][2]uint{{5, 0}, {6, 1}, {7, 2}, {8, 0}, {8, 1}, {8, 2}, {12, 1}, {16, 1}, {16, 2}} {
+		a := NewPosit(f[0], f[1])
+		for _, neg := range []bool{false, true} {
+			m := a.F.MaxPos()
+			if neg {
+				m = m.Neg()
+			}
+			dm, _ := m.Dyadic()
+			dmax, _ := a.F.MaxPos().Dyadic()
+			mc, maxc := Code(m.Bits()), Code(a.F.MaxPos().Bits())
+			for _, k := range ks {
+				exact := dm
+				w, act := make([]Code, k), make([]Code, k)
+				for i := range w {
+					w[i], act[i] = mc, maxc
+					exact = exact.Add(dm.Mul(dmax))
+				}
+				want := Code(a.F.FromDyadic(exact).Bits())
+				name := fmt.Sprintf("%s k=%d negative=%v", a.Name(), k, neg)
+				mac := a.NewMAC(k)
+				mac.Reset(mc)
+				for i := range w {
+					mac.Step(w[i], act[i])
+				}
+				if got := mac.Result(); got != want {
+					t.Errorf("%s: MAC %#x, exact sum rounded once %#x", name, got, want)
+				}
+				kern, ok := a.NewBatchLayerKernel([][]Code{w}, []Code{mc})
+				if !ok {
+					continue // posit(16,2) runs the MAC bank
+				}
+				out := make([]Code, 1)
+				kern.ForwardBatchStrided(act, out, 1)
+				if out[0] != want {
+					t.Errorf("%s: fused kernel %#x, exact sum rounded once %#x", name, out[0], want)
+				}
+			}
+		}
+	}
 }

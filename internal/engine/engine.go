@@ -35,35 +35,16 @@ var ErrClosed = errors.New("engine: runtime closed")
 // input must cost one request, never the daemon.
 var ErrPanic = errors.New("engine: inference panicked")
 
-// Result is one completed streaming inference.
-type Result struct {
-	// ID is the caller's identifier from Submit.
-	ID int
-	// Logits are the decoded output logits (nil when Err is set).
-	Logits []float64
-	// Class is the argmax class (lowest index wins ties); -1 when Err is
-	// set.
-	Class int
-	// Err reports an inference that failed inside the worker (a
-	// recovered model-kernel panic, wrapping ErrPanic).
-	Err error
-}
-
-// task is one unit of work. For a streaming task, x is the input and
-// dst (optional) is where the logits go: when dst is non-nil the worker
-// decodes into it (the allocation-free shared-output path), otherwise it
-// allocates the logits. When xs is non-nil the task is one fused batch
-// chunk instead: the worker runs the whole chunk through the inferer's
-// batched kernels in one InferBatchInto call, decoding into the flat
-// dstFlat window (len(xs) × output width). deliver is called exactly
-// once either way, with err set when the inference panicked.
+// task is one fused batch chunk: the worker runs the whole chunk xs
+// through the inferer's batched kernels in one InferBatchInto call,
+// decoding into the flat dstFlat window (len(xs) × output width). id is
+// the chunk's first input index. deliver is called exactly once, with
+// err set when the inference panicked.
 type task struct {
 	id      int
-	x       []float64
-	dst     []float64
 	xs      [][]float64
 	dstFlat []float64
-	deliver func(id int, logits []float64, err error)
+	deliver func(id int, err error)
 }
 
 // config collects the functional options.
@@ -83,7 +64,7 @@ type Option func(*config)
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithQueueDepth sets the job-queue capacity; n <= 0 selects twice the
-// worker count (the default). Deeper queues let bursty Submit traffic
+// worker count (the default). Deeper queues let bursty batch traffic
 // ride ahead of the pool at the cost of buffered latency.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
 
@@ -96,8 +77,7 @@ func WithWarmTables() Option { return func(c *config) { c.warmTables = true } }
 // buffer that is reused across calls, making steady-state dataset sweeps
 // allocation-free end to end. The returned slices are valid only until
 // the next InferBatch call; shared-output batches are serialised
-// internally. Streaming Submit results are unaffected (every Result owns
-// its logits).
+// internally.
 func WithSharedOutputs() Option { return func(c *config) { c.sharedOut = true } }
 
 // WithFlushPipeline sets the number of flush-slot result planes a
@@ -118,7 +98,6 @@ type Runtime struct {
 	model   core.Model
 	workers int
 	jobs    chan task
-	results chan Result
 
 	wg sync.WaitGroup // workers
 
@@ -139,7 +118,7 @@ type Runtime struct {
 	sharedWG      sync.WaitGroup
 	sharedErrMu   sync.Mutex
 	sharedErr     error
-	sharedDeliver func(id int, logits []float64, err error)
+	sharedDeliver func(id int, err error)
 
 	// flush pipeline: flushDepth leasable result planes (see
 	// AcquireFlushSlot). nil when the runtime is not shared-output.
@@ -181,7 +160,6 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 		model:     model,
 		workers:   cfg.workers,
 		jobs:      make(chan task, cfg.queueDepth),
-		results:   make(chan Result, cfg.queueDepth),
 		sharedOut: cfg.sharedOut,
 	}
 	if cfg.sharedOut {
@@ -189,7 +167,7 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 		r.planes = make(chan *FlushSlot, cfg.flushDepth)
 		for i := 0; i < cfg.flushDepth; i++ {
 			s := &FlushSlot{r: r}
-			s.deliver = func(id int, _ []float64, err error) {
+			s.deliver = func(id int, err error) {
 				if err != nil {
 					s.errMu.Lock()
 					if s.err == nil {
@@ -202,7 +180,7 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 			r.planes <- s
 		}
 	}
-	r.sharedDeliver = func(id int, _ []float64, err error) {
+	r.sharedDeliver = func(id int, err error) {
 		if err != nil {
 			r.sharedErrMu.Lock()
 			if r.sharedErr == nil {
@@ -228,31 +206,25 @@ func (r *Runtime) worker() {
 	defer r.wg.Done()
 	s := r.model.NewInferer()
 	for t := range r.jobs {
-		logits, err := runTask(s, t)
+		err := runTask(s, t)
 		if err != nil {
 			r.panics.Add(1)
 			s = r.model.NewInferer()
 		}
-		t.deliver(t.id, logits, err)
+		t.deliver(t.id, err)
 	}
 }
 
-// runTask executes one task — a fused batch chunk or one streaming
-// inference — converting a panic into an error.
-func runTask(s core.Inferer, t task) (logits []float64, err error) {
+// runTask executes one fused batch chunk, converting a panic into an
+// error.
+func runTask(s core.Inferer, t task) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			logits, err = nil, fmt.Errorf("%w: %v", ErrPanic, p)
+			err = fmt.Errorf("%w: %v", ErrPanic, p)
 		}
 	}()
-	if t.xs != nil {
-		s.InferBatchInto(t.dstFlat, t.xs)
-		return nil, nil
-	}
-	if t.dst != nil {
-		return s.InferInto(t.dst, t.x), nil
-	}
-	return s.Infer(t.x), nil
+	s.InferBatchInto(t.dstFlat, t.xs)
+	return nil
 }
 
 // Model returns the model plane the runtime serves.
@@ -265,8 +237,8 @@ func (r *Runtime) Workers() int { return r.workers }
 // (WithQueueDepth, default twice the worker count).
 func (r *Runtime) QueueCap() int { return cap(r.jobs) }
 
-// QueueLen returns the current job-queue occupancy: inferences submitted
-// but not yet picked up by a worker. Together with QueueCap it is the
+// QueueLen returns the current job-queue occupancy: batch chunks
+// submitted but not yet picked up by a worker. Together with QueueCap it is the
 // backpressure signal an admission layer reads to shed load instead of
 // letting requests queue without bound.
 func (r *Runtime) QueueLen() int { return len(r.jobs) }
@@ -354,7 +326,7 @@ func (r *Runtime) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, 
 		errMu    sync.Mutex
 		firstErr error
 	)
-	deliver := func(id int, _ []float64, err error) {
+	deliver := func(id int, err error) {
 		if err != nil {
 			errMu.Lock()
 			if firstErr == nil {
@@ -442,7 +414,7 @@ type FlushSlot struct {
 	wg      sync.WaitGroup
 	errMu   sync.Mutex
 	err     error
-	deliver func(id int, logits []float64, err error)
+	deliver func(id int, err error)
 }
 
 // FlushPipelineDepth returns the number of flush-slot result planes (0
@@ -606,38 +578,10 @@ func (r *Runtime) Accuracy(ctx context.Context, ds *datasets.Dataset) (float64, 
 	return float64(correct) / float64(ds.Len()), nil
 }
 
-// Submit enqueues one streaming inference; its Result (tagged with id)
-// arrives on the Results channel in completion order. Submit blocks while
-// the queue is saturated — callers must drain Results concurrently — and
-// unblocks with ctx.Err when the context is cancelled first. After Close
-// it returns ErrClosed.
-func (r *Runtime) Submit(ctx context.Context, id int, x []float64) error {
-	if err := r.checkInput(x); err != nil {
-		return err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return ErrClosed
-	}
-	return r.enqueue(ctx, task{id: id, x: x, deliver: r.deliverResult})
-}
-
-// deliverResult is the streaming delivery path (one shared func value so
-// Submit allocates no closure per call).
-func (r *Runtime) deliverResult(id int, logits []float64, err error) {
-	if err != nil {
-		r.results <- Result{ID: id, Class: -1, Err: err}
-		return
-	}
-	r.results <- Result{ID: id, Logits: logits, Class: nn.Argmax(logits)}
-}
-
-// Close stops accepting work, waits for every in-flight inference and
-// closes the Results channel — results submitted before Close are never
-// dropped. Close is idempotent and safe to call concurrently with
-// Submit/InferBatch: late producers observe ErrClosed. Callers streaming
-// with Submit must keep draining Results until it closes.
+// Close stops accepting work and waits for every in-flight batch chunk:
+// a batch submitted before Close completes in full. Close is idempotent
+// and safe to call concurrently with InferBatch: late callers observe
+// ErrClosed.
 func (r *Runtime) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -650,10 +594,5 @@ func (r *Runtime) Close() error {
 	// with closed == false, and the write lock above waited them out.
 	close(r.jobs)
 	r.wg.Wait()
-	close(r.results)
 	return nil
 }
-
-// Results returns the streaming output channel. It is closed by Close
-// after every in-flight inference has delivered.
-func (r *Runtime) Results() <-chan Result { return r.results }

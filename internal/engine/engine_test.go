@@ -87,48 +87,6 @@ func TestAccuracyMatchesCore(t *testing.T) {
 	}
 }
 
-func TestStreaming(t *testing.T) {
-	net, ds := fixture(emac.NewFixed(8, 4), 100)
-	want := make([][]float64, len(ds.X))
-	s := net.NewSession()
-	for i, x := range ds.X {
-		want[i] = s.Infer(x)
-	}
-	rt := startRuntime(t, net, 4)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	seen := make([]bool, len(ds.X))
-	go func() {
-		defer wg.Done()
-		for res := range rt.Results() {
-			if seen[res.ID] {
-				t.Errorf("duplicate result id %d", res.ID)
-			}
-			seen[res.ID] = true
-			for j := range res.Logits {
-				if res.Logits[j] != want[res.ID][j] {
-					t.Errorf("id %d logit %d: %v != %v", res.ID, j, res.Logits[j], want[res.ID][j])
-				}
-			}
-			if res.Class != nn.Argmax(want[res.ID]) {
-				t.Errorf("id %d class %d", res.ID, res.Class)
-			}
-		}
-	}()
-	for i, x := range ds.X {
-		if err := rt.Submit(context.Background(), i, x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rt.Close() // drains in-flight work, closes Results
-	wg.Wait()
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("result %d never arrived", i)
-		}
-	}
-}
-
 func TestConcurrentBatches(t *testing.T) {
 	net, ds := fixture(emac.NewFloatN(8, 4), 60)
 	s := net.NewSession()
@@ -168,8 +126,5 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := rt.Close(); err != nil { // a second close is a no-op
 		t.Fatal(err)
-	}
-	if _, ok := <-rt.Results(); ok {
-		t.Fatal("results channel open after Close")
 	}
 }

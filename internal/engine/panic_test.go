@@ -102,29 +102,3 @@ func TestSharedOutputBatchSurfacesPanic(t *testing.T) {
 		t.Fatalf("clean shared batch corrupted: %v", out)
 	}
 }
-
-func TestStreamingResultCarriesPanic(t *testing.T) {
-	rt, err := NewRuntime(panicModel{}, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Submit(context.Background(), 1, []float64{-1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Submit(context.Background(), 2, []float64{9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	_ = rt.Close()
-	var sawErr, sawOK bool
-	for res := range rt.Results() {
-		switch res.ID {
-		case 1:
-			sawErr = errors.Is(res.Err, ErrPanic) && res.Class == -1 && res.Logits == nil
-		case 2:
-			sawOK = res.Err == nil && res.Logits[0] == 9
-		}
-	}
-	if !sawErr || !sawOK {
-		t.Fatalf("streaming panic demux wrong: sawErr=%v sawOK=%v", sawErr, sawOK)
-	}
-}

@@ -1,9 +1,10 @@
 package engine
 
-// Runtime contract tests: lifecycle (close drains, submit-after-close
-// errors), context cancellation, mixed-precision serving and the
+// Runtime contract tests: lifecycle (close drains, calls after close
+// error), context cancellation, mixed-precision serving and the
 // shared-output batch path. CI runs this file under -race, which is the
-// point of the lifecycle tests — they hammer Submit/Close concurrently.
+// point of the lifecycle tests — they hammer InferBatch/Close
+// concurrently.
 
 import (
 	"context"
@@ -22,7 +23,7 @@ import (
 
 // mixedFixture builds a mixed-precision network (one arm per family) and
 // a synthetic dataset.
-func mixedFixture(samples int) (*core.MixedNetwork, *datasets.Dataset) {
+func mixedFixture(samples int) (*core.Network, *datasets.Dataset) {
 	src := nn.NewMLP([]int{12, 16, 8, 3}, rng.New(5))
 	net := core.QuantizeMixed(src, []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4),
@@ -73,9 +74,6 @@ func TestSubmitAfterCloseErrorsNotPanics(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Submit(context.Background(), 0, ds.X[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
-	}
 	if _, err := rt.InferBatch(context.Background(), ds.X); !errors.Is(err, ErrClosed) {
 		t.Fatalf("InferBatch after Close = %v, want ErrClosed", err)
 	}
@@ -85,41 +83,49 @@ func TestSubmitAfterCloseErrorsNotPanics(t *testing.T) {
 }
 
 // TestCloseDrainsInFlightStreaming closes the runtime while many
-// goroutines are still submitting: every submission that was accepted
-// must produce exactly one result before Results closes, and late
-// submissions must observe ErrClosed rather than panic. Run under -race
-// this is the lifecycle stress the old Engine forbade ("do not call
-// Close concurrently with Submit").
+// goroutines are still running batches: every call returns either its
+// full results, bit-identical to a serial session, or ErrClosed — never
+// a partial batch, never a panic. Run under -race this is the lifecycle
+// stress of closing concurrently with producers.
 func TestCloseDrainsInFlightStreaming(t *testing.T) {
 	net, ds := fixture(emac.NewFixed(8, 4), 64)
+	od := net.OutputDim()
+	want := net.NewSession().InferBatchInto(make([]float64, len(ds.X)*od), ds.X)
 	rt, err := NewRuntime(net, WithWorkers(4), WithQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var accepted, rejected, received atomic.Int64
-	var consumers sync.WaitGroup
-	consumers.Add(1)
-	go func() {
-		defer consumers.Done()
-		for range rt.Results() {
-			received.Add(1)
-		}
-	}()
+	const perProducer = 50
+	var accepted, rejected atomic.Int64
 	var producers sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		producers.Add(1)
 		go func(g int) {
 			defer producers.Done()
-			for i := 0; i < 200; i++ {
-				err := rt.Submit(context.Background(), g*1000+i, ds.X[i%len(ds.X)])
+			for i := 0; i < perProducer; i++ {
+				start := (g + i) % len(ds.X)
+				out, err := rt.InferBatch(context.Background(), ds.X[start:])
 				switch {
 				case err == nil:
 					accepted.Add(1)
 				case errors.Is(err, ErrClosed):
 					rejected.Add(1)
+					continue
 				default:
-					t.Errorf("Submit: %v", err)
+					t.Errorf("InferBatch: %v", err)
 					return
+				}
+				if len(out) != len(ds.X)-start {
+					t.Errorf("%d results for %d inputs", len(out), len(ds.X)-start)
+					return
+				}
+				for k := range out {
+					for j, v := range out[k] {
+						if v != want[(start+k)*od+j] {
+							t.Errorf("sample %d logit %d: %v != %v", start+k, j, v, want[(start+k)*od+j])
+							return
+						}
+					}
 				}
 			}
 		}(g)
@@ -129,12 +135,14 @@ func TestCloseDrainsInFlightStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	producers.Wait()
-	consumers.Wait() // Results closed — all deliveries done
-	if got, want := received.Load(), accepted.Load(); got != want {
-		t.Fatalf("received %d results for %d accepted submissions", got, want)
+	if t.Failed() {
+		return
+	}
+	if got := accepted.Load() + rejected.Load(); got != 8*perProducer {
+		t.Fatalf("%d calls returned, want %d", got, 8*perProducer)
 	}
 	if accepted.Load() == 0 {
-		t.Fatal("no submission was accepted before Close")
+		t.Fatal("no batch was accepted before Close")
 	}
 }
 
@@ -157,37 +165,62 @@ func TestInferBatchObservesCancellation(t *testing.T) {
 	}
 }
 
-// TestSubmitObservesCancellation saturates the queue (no consumer
-// draining Results) and verifies a blocked Submit unblocks with the
-// context error.
+// gatedModel is panicModel with inferers that announce each batch on
+// entered and then hold it until gate closes: a deterministic way to
+// keep the pool busy.
+type gatedModel struct {
+	panicModel
+	entered, gate chan struct{}
+}
+
+func (m gatedModel) NewInferer() core.Inferer { return gatedInferer{entered: m.entered, gate: m.gate} }
+
+type gatedInferer struct {
+	panicInferer
+	entered, gate chan struct{}
+}
+
+func (g gatedInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.panicInferer.InferBatchInto(dst, xs)
+}
+
+// TestSubmitObservesCancellation saturates the runtime — its one worker
+// held inside a batch, its one queue slot taken by a second — and
+// verifies that an InferBatch blocked submitting its chunk unblocks with
+// the context error.
 func TestSubmitObservesCancellation(t *testing.T) {
-	net, ds := fixture(emac.NewPosit(8, 0), 4)
-	rt, err := NewRuntime(net, WithWorkers(1), WithQueueDepth(1))
+	m := gatedModel{entered: make(chan struct{}, 2), gate: make(chan struct{})}
+	rt, err := NewRuntime(m, WithWorkers(1), WithQueueDepth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	x := [][]float64{{1, 2}}
+	var held sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			if _, err := rt.InferBatch(context.Background(), x); err != nil {
+				t.Errorf("held batch: %v", err)
+			}
+		}()
+	}
+	<-m.entered // the worker holds one batch
+	for rt.QueueLen() < rt.QueueCap() {
+		time.Sleep(100 * time.Microsecond) // the other fills the queue
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	var submitErr error
-	for i := 0; i < 1000; i++ {
-		if submitErr = rt.Submit(ctx, i, ds.X[0]); submitErr != nil {
-			break
-		}
+	if _, err := rt.InferBatch(ctx, x); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("saturated InferBatch = %v, want context.DeadlineExceeded", err)
 	}
-	if !errors.Is(submitErr, context.DeadlineExceeded) {
-		t.Fatalf("saturated Submit = %v, want context.DeadlineExceeded", submitErr)
-	}
-	// Drain and close cleanly.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range rt.Results() {
-		}
-	}()
+	close(m.gate)
+	held.Wait()
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
 }
 
 func TestRuntimeServesMixedModels(t *testing.T) {
@@ -272,9 +305,6 @@ func TestRuntimeRejectsMisshapenInput(t *testing.T) {
 	defer rt.Close()
 	if _, err := rt.InferBatch(context.Background(), [][]float64{make([]float64, 5)}); err == nil {
 		t.Fatal("misshapen batch accepted")
-	}
-	if err := rt.Submit(context.Background(), 0, make([]float64, 5)); err == nil {
-		t.Fatal("misshapen submission accepted")
 	}
 }
 

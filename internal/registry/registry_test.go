@@ -267,6 +267,25 @@ func TestLoadBytesRejectsInvalidSigmoid(t *testing.T) {
 	}
 }
 
+// TestLoadBytesRejectsAmbiguousAriths: an uploaded JSON artifact that
+// carries the arithmetic descriptors of both kinds — "ariths" on a
+// uniform artifact, "arith" on a mixed one — fails to parse instead of
+// serving whichever set its kind selects, so nothing reaches the store.
+func TestLoadBytesRejectsAmbiguousAriths(t *testing.T) {
+	r := New(WithRuntimeOptions(engine.WithWorkers(1)))
+	defer r.Close()
+	for _, kind := range []string{"uniform", "mixed"} {
+		body := `{"version":1,"kind":"` + kind + `","arith":{"family":"posit","n":8},"ariths":[{"family":"fixed","n":8,"q":4}],
+			"layers":[{"in":1,"out":1,"w":[[64]],"b":[0]}]}`
+		if err := r.LoadBytes(kind, []byte(body)); err == nil {
+			t.Errorf("%s artifact with both descriptors loaded", kind)
+		}
+	}
+	if st := r.StoreStats(); st.Objects != 0 || st.Puts != 0 {
+		t.Fatalf("rejected artifacts reached the store: %+v", st)
+	}
+}
+
 func TestStats(t *testing.T) {
 	r := New(
 		WithRuntimeOptions(engine.WithWorkers(2)),

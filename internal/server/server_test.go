@@ -44,7 +44,7 @@ func irisModel(t *testing.T) (core.Model, *datasets.Dataset) {
 	if err := q.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.LoadModel(path)
+	m, err := core.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func mixedModel(t *testing.T) core.Model {
 	if err := mixed.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.LoadModel(path)
+	m, err := core.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}

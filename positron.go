@@ -10,13 +10,13 @@
 //     three formats behind one Arithmetic interface.
 //   - Deep Positron: quantised feed-forward inference built from EMACs,
 //     plus float64 training to produce the networks.
-//   - Serving: the Model interface (uniform and mixed-precision networks
-//     behind versioned JSON and binary artifacts, content-addressed by
-//     SHA-256 into a pluggable store) and the context-aware
-//     worker-pool Runtime; cmd/positrond serves any artifact over HTTP,
-//     and the Router tier fronts many positrond replicas with circuit
-//     breakers, retries and health-aware proxying (chaos-tested via the
-//     deterministic FaultInjector).
+//   - Serving: the Model interface (one network type, uniform or
+//     per-layer mixed precision, behind versioned JSON and binary
+//     artifacts, content-addressed by SHA-256 into a pluggable store) and
+//     the context-aware worker-pool Runtime; cmd/positrond serves any
+//     artifact over HTTP, and the Router tier fronts many positrond
+//     replicas with circuit breakers, retries and health-aware proxying
+//     (chaos-tested via the deterministic FaultInjector).
 //   - Evaluation: the analytic Virtex-7 hardware model and harnesses
 //     regenerating every table and figure of the paper.
 //
@@ -174,15 +174,14 @@ func Accuracy32(net *MLP, ds *Dataset) float64 { return nn.Accuracy32(net, ds) }
 
 // --- Deep Positron ---
 
-// DeepPositron is a quantised network running on EMACs. Its Infer,
-// Predict, Accuracy and StreamInfer share a default session built on
-// first use, which (like every Session) copies Sigmoid and Stand then:
-// set those fields before the first call.
+// DeepPositron is a quantised network running on EMACs, with one
+// arithmetic per layer: a uniform network (QuantizeNetwork) names one
+// arithmetic in Arith, a mixed one (QuantizeMixed) one per layer in
+// LayerAriths, with format-conversion units at the boundaries. Its
+// Infer, Predict, Accuracy and StreamInfer share a default session built
+// on first use, which (like every Session) copies Sigmoid and Stand
+// then: set those fields before the first call.
 type DeepPositron = core.Network
-
-// MixedPrecision is a Deep Positron variant with one arithmetic per layer
-// (format-conversion units at layer boundaries).
-type MixedPrecision = core.MixedNetwork
 
 // StreamStats summarises a cycle-level streaming run (latency, initiation
 // interval, throughput).
@@ -191,13 +190,13 @@ type StreamStats = core.StreamStats
 // QuantizeNetwork lowers a trained MLP into the target arithmetic.
 func QuantizeNetwork(net *MLP, a Arithmetic) *DeepPositron { return core.Quantize(net, a) }
 
-// QuantizeMixed lowers a trained MLP with one arithmetic per layer.
-func QuantizeMixed(net *MLP, ariths []Arithmetic) *MixedPrecision {
+// QuantizeMixed lowers a trained MLP with one arithmetic per layer into
+// a mixed network.
+func QuantizeMixed(net *MLP, ariths []Arithmetic) *DeepPositron {
 	return core.QuantizeMixed(net, ariths)
 }
 
-// Model is the unified model plane implemented by both *DeepPositron
-// (uniform precision) and *MixedPrecision (per-layer precision):
+// Model is the model plane *DeepPositron implements, uniform or mixed:
 // topology, per-layer arithmetic descriptors, the optional folded input
 // standardizer, session construction (NewInferer) and versioned
 // Save/Load. Everything downstream — the Runtime, the positrond HTTP
@@ -211,32 +210,27 @@ type Model = core.Model
 // Predict, Accuracy).
 type Inferer = core.Inferer
 
-// LoadModel reads any versioned model artifact — uniform or mixed — and
-// returns it behind the Model interface. The artifact records its
-// version; files from newer format revisions are rejected with an error.
-func LoadModel(path string) (Model, error) { return core.LoadModel(path) }
+// LoadModel reads a versioned JSON model artifact of either kind saved
+// with DeepPositron.Save — the deployment artifact (format descriptors
+// plus raw weight/bias codes). The artifact records its version; files
+// from newer format revisions are rejected with an error.
+func LoadModel(path string) (*DeepPositron, error) { return core.Load(path) }
 
 // ParseArithmetic parses a human-readable arithmetic spec: "posit(n,es)",
 // "float(n,we)", "fixed(n,q)" or "float32".
 func ParseArithmetic(spec string) (Arithmetic, error) { return core.ParseArith(spec) }
 
-// LoadDeepPositron reads a uniform-precision quantised model saved with
-// DeepPositron.Save — the deployment artifact (format descriptor plus raw
-// weight/bias codes). Use LoadModel when the artifact may be mixed
-// precision.
-func LoadDeepPositron(path string) (*DeepPositron, error) { return core.Load(path) }
-
 // SearchPerLayerFixed optimises per-layer fixed-point fraction widths by
 // coordinate descent at total width n, returning the mixed network and
 // the chosen q per layer.
-func SearchPerLayerFixed(net *MLP, test *Dataset, n uint) (*MixedPrecision, []uint) {
+func SearchPerLayerFixed(net *MLP, test *Dataset, n uint) (*DeepPositron, []uint) {
 	return core.SearchPerLayerFixed(net, test, n)
 }
 
 // --- inference sessions and the batch engine ---
 
-// Session is the per-goroutine execution plane for a DeepPositron or a
-// MixedPrecision network: each layer's fused kernel, or its EMAC bank
+// Session is the per-goroutine execution plane for a DeepPositron,
+// uniform or mixed: each layer's fused kernel, or its EMAC bank
 // where the layer's format has none, and the activation planes. The
 // network itself is immutable, so any number of sessions (one per
 // goroutine, via NewSession) can share it. A session copies the
@@ -248,9 +242,8 @@ type Session = core.Session
 // every worker owns one shared-nothing Inferer over one immutable Model
 // (uniform or mixed precision alike). Its methods observe context
 // cancellation and return errors instead of panicking: InferBatch(ctx),
-// PredictBatch(ctx), Accuracy(ctx), Submit(ctx, id, x) and Close — after
-// which late submissions get ErrRuntimeClosed, and in-flight results are
-// never dropped.
+// PredictBatch(ctx), Accuracy(ctx) and Close — after which late calls
+// get ErrRuntimeClosed, while batches already in flight complete.
 type Runtime = engine.Runtime
 
 // RuntimeOption configures a Runtime at construction (functional
@@ -532,9 +525,6 @@ func ParseFaultRule(s string) (FaultRule, error) { return faults.ParseRule(s) }
 func NewFaultInjector(seed uint64, rules ...FaultRule) *FaultInjector {
 	return faults.New(seed, rules...)
 }
-
-// EngineResult is one completed streaming inference (ID, logits, class).
-type EngineResult = engine.Result
 
 // SweepResult is one evaluated low-precision configuration.
 type SweepResult = core.Result

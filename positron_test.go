@@ -141,8 +141,8 @@ func TestFacadeServingPath(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Submit(context.Background(), 0, test.X[0]); !errors.Is(err, ErrRuntimeClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrRuntimeClosed", err)
+	if _, err := rt.InferBatch(context.Background(), test.X); !errors.Is(err, ErrRuntimeClosed) {
+		t.Fatalf("InferBatch after Close = %v, want ErrRuntimeClosed", err)
 	}
 }
 
