@@ -568,16 +568,18 @@ func main() {
 		peer.Close()
 	}
 	// FlushPipeline: sustained-load serving throughput through the
-	// micro-batcher over a shared-output runtime — 16 client goroutines
-	// streaming single-sample inferences into a 200µs window (max batch
-	// 8), serialised flushes (depth 1, the pre-pipeline behaviour) vs the
-	// two-plane pipeline (depth 2: flush N computes while flush N−1's
-	// readers drain and N+1 accumulates). ns/op is per sample. In -check
-	// mode each arm takes the best of 3 runs and pipelined must be at
-	// least as fast as serialised; on a single-CPU host pipelining is
-	// work-conserving (the ratio's ideal is 1.0), so a small
-	// scheduler-noise allowance applies there while multicore hosts —
-	// where the overlap is real — are held to the strict >=1x.
+	// default (work-conserving) micro-batcher over a shared-output
+	// runtime — 4 clients streaming 64-sample explicit batches out of the
+	// 256-sample plane through Batcher.InferBatch, each batch leasing its
+	// own flush slot — serialised flushes (depth 1) vs the two-plane
+	// pipeline (depth 2: one batch computes while another's logits are
+	// copied out). ns/op is per sample. In -check mode each arm takes the
+	// best of 3 runs and pipelined must be at least as fast as
+	// serialised; on a single-CPU host pipelining is work-conserving (the
+	// ratio's ideal is 1.0), so a small scheduler-noise allowance applies
+	// there while multicore hosts — where the overlap is real — are held
+	// to the strict >=1x.
+	const flushClients, flushBatch = 4, 64
 	flushBench := func(name string, depth int) Result {
 		rt, err := engine.NewRuntime(dp,
 			engine.WithSharedOutputs(), engine.WithFlushPipeline(depth))
@@ -585,7 +587,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchsnap:", err)
 			os.Exit(1)
 		}
-		bt := registry.NewBatcher(rt, 200*time.Microsecond, 8, nil)
+		bt := registry.NewBatcher(rt, registry.DefaultMaxBatch, nil)
 		ctx := context.Background()
 		res := measure(name, func(b *testing.B) {
 			var (
@@ -594,16 +596,20 @@ func main() {
 				errOnce  sync.Once
 				firstErr error
 			)
-			for g := 0; g < 16; g++ {
+			for g := 0; g < flushClients; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					for {
-						i := next.Add(1) - 1
-						if i >= int64(b.N) {
+						// b.N counts samples: each claim is one batch of up
+						// to flushBatch of them, the last one trimmed.
+						i := int(next.Add(flushBatch) - flushBatch)
+						if i >= b.N {
 							return
 						}
-						if _, err := bt.Infer(ctx, batch[i%int64(len(batch))]); err != nil {
+						lo := i % len(batch)
+						n := min(flushBatch, b.N-i)
+						if _, err := bt.InferBatch(ctx, batch[lo:lo+n]); err != nil {
 							errOnce.Do(func() { firstErr = err })
 							return
 						}

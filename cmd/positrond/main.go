@@ -8,8 +8,7 @@
 //	positrond -model iris.json                         # one model
 //	positrond -model iris=iris.json -model wbc=wbc.json \
 //	          -default iris -max-batch 64 \
-//	          -flush-pipeline 2 -max-inflight 256 -cost-aware \
-//	          -request-timeout 2s
+//	          -flush-pipeline 2 -max-inflight 256 -request-timeout 2s
 //
 // -flush-pipeline sets the per-model flush-pipeline depth: that many
 // result planes per runtime, so the fused batch kernels compute flush N
@@ -17,11 +16,9 @@
 // serialises flushes end to end). The micro-batcher is work-conserving:
 // a single inference flushes at once while a plane is free, and only
 // requests queued behind busy planes share a batch of up to -max-batch.
-// -batch-window > 0 opts into holding requests for a coalescing window
-// instead. -cost-aware makes the
-// -max-inflight admission gate count samples instead of requests: an
-// explicit batch of n inputs claims n units, so mixed single/batch
-// traffic sheds in proportion to the compute it asks for.
+// -max-inflight caps the requests admitted per model at once, a single
+// inference and an explicit batch alike; beyond it requests are shed
+// with HTTP 429.
 //
 // Each -model flag is either name=path or a bare path (the name is then
 // derived from the file name: models/Iris.quant.json -> "Iris"). Both
@@ -60,7 +57,7 @@
 //
 //	positrond -route 127.0.0.1:8081,127.0.0.1:8082 -addr :8080 \
 //	          -retries 2 -breaker-threshold 3 -breaker-cooldown 2s \
-//	          -probe-interval 1s -hedge 20ms
+//	          -probe-interval 1s
 //
 // Deterministic fault injection (for chaos drills; see internal/faults
 // for the rule grammar) wraps whichever plane is serving:
@@ -175,16 +172,12 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "per-model inference worker count (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "per-model job queue depth (0 = 2x workers)")
-	batchWindow := flag.Duration("batch-window", registry.DefaultBatchWindow,
-		"micro-batching window. 0 (the default) is work-conserving: a single inference flushes at once while a flush plane is free, and only requests queued behind busy planes share a batch. > 0 also holds a lone request up to this long so concurrent ones arriving within it share its batch")
 	maxBatch := flag.Int("max-batch", registry.DefaultMaxBatch,
-		"largest coalesced batch: a window flushes early at this size, and a finishing flush takes up at most this many queued requests")
+		"largest coalesced batch: a single inference flushes at once while a flush plane is free, and a finishing flush takes up at most this many of the requests queued behind busy planes")
 	flushPipeline := flag.Int("flush-pipeline", registry.DefaultFlushPipeline,
 		"flush-pipeline depth: result planes per model, so flush N computes while flush N-1 demuxes and N+1 accumulates (1 serialises flushes)")
 	maxInFlight := flag.Int("max-inflight", 0,
-		"per-model cap on concurrently admitted inference requests; beyond it requests are shed with HTTP 429 (0 = unlimited)")
-	costAware := flag.Bool("cost-aware", false,
-		"weigh the -max-inflight admission gate by sample count: an explicit batch of n inputs claims n units instead of 1")
+		"per-model cap on concurrently admitted inference requests, a single inference and an explicit batch counting one each; beyond it requests are shed with HTTP 429 (0 = unlimited)")
 	requestTimeout := flag.Duration("request-timeout", 0,
 		"per-request deadline covering batching and queueing; exceeded requests get HTTP 503 instead of hanging (0 = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second,
@@ -206,7 +199,6 @@ func main() {
 	retries := flag.Int("retries", 2, "router: extra attempts after a retriable failure (0 disables)")
 	retryBackoff := flag.Duration("retry-backoff", 10*time.Millisecond, "router: exponential-backoff base for the full-jitter retry delay")
 	retryBackoffMax := flag.Duration("retry-backoff-max", 250*time.Millisecond, "router: cap on the retry backoff delay")
-	hedge := flag.Duration("hedge", 0, "router: hedge idempotent requests that have not answered after this delay (0 disables)")
 
 	// Fault injection (chaos drills), applies to either mode.
 	flag.Var(&faultSpecs, "fault",
@@ -235,7 +227,6 @@ func main() {
 			retries:          *retries,
 			backoffBase:      *retryBackoff,
 			backoffMax:       *retryBackoffMax,
-			hedge:            *hedge,
 			shutdownTimeout:  *shutdownTimeout,
 		}, faultRules, *faultSeed)
 		return
@@ -259,14 +250,10 @@ func main() {
 			engine.WithQueueDepth(*queue),
 			engine.WithWarmTables(),
 		),
-		registry.WithBatchWindow(*batchWindow),
 		registry.WithMaxBatch(*maxBatch),
 		registry.WithFlushPipeline(*flushPipeline),
 		registry.WithMaxInFlight(*maxInFlight),
 		registry.WithRequestTimeout(*requestTimeout),
-	}
-	if *costAware {
-		regOpts = append(regOpts, registry.WithCostAwareAdmission())
 	}
 	// Store composition: local tiers first (mem, optionally mem-over-disk),
 	// then the read-only peer-fetch tier as the slowest layer — a local
@@ -329,9 +316,9 @@ func main() {
 		if stat.Name == def {
 			marker = "*"
 		}
-		fmt.Printf("positrond: %s %-20s %s (%s, %d features -> %d classes, %d workers, window %s, max batch %d, sha256:%.12s)\n",
+		fmt.Printf("positrond: %s %-20s %s (%s, %d features -> %d classes, %d workers, max batch %d, sha256:%.12s)\n",
 			marker, stat.Name, stat.Model, stat.Kind, stat.InputDim, stat.OutputDim,
-			stat.Workers, stat.BatchWindow, stat.MaxBatch, stat.ContentHash)
+			stat.Workers, stat.MaxBatch, stat.ContentHash)
 	}
 	if *storeDir != "" {
 		st := reg.StoreStats()
@@ -347,12 +334,8 @@ func main() {
 		fmt.Printf("positrond: flush pipeline depth %d per model\n", *flushPipeline)
 	}
 	if *maxInFlight > 0 || *requestTimeout > 0 {
-		mode := "per request"
-		if *costAware {
-			mode = "per sample (cost-aware)"
-		}
-		fmt.Printf("positrond: admission control: max in-flight %d (0 = unlimited, %s), request timeout %s\n",
-			*maxInFlight, mode, *requestTimeout)
+		fmt.Printf("positrond: admission control: max in-flight %d (0 = unlimited), request timeout %s\n",
+			*maxInFlight, *requestTimeout)
 	}
 	if len(faultRules) > 0 {
 		fmt.Printf("positrond: fault injection ACTIVE (%d rule(s), seed %d)\n", len(faultRules), *faultSeed)
@@ -410,7 +393,6 @@ type routerConfig struct {
 	retries          int
 	backoffBase      time.Duration
 	backoffMax       time.Duration
-	hedge            time.Duration
 	shutdownTimeout  time.Duration
 }
 
@@ -429,7 +411,6 @@ func runRouter(route, addr string, cfg routerConfig, faultRules []faults.Rule, f
 		router.WithBreakerCooldown(cfg.breakerCooldown),
 		router.WithMaxRetries(cfg.retries),
 		router.WithBackoff(cfg.backoffBase, cfg.backoffMax),
-		router.WithHedgeDelay(cfg.hedge),
 	)
 	if err != nil {
 		fatal(err)
@@ -446,9 +427,9 @@ func runRouter(route, addr string, cfg routerConfig, faultRules []faults.Rule, f
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 
 	fmt.Printf("positrond: routing across %d replica(s): %s\n", len(addrs), strings.Join(addrs, ", "))
-	fmt.Printf("positrond: breaker threshold %d cooldown %s, retries %d (backoff %s..%s), probe every %s, hedge %s\n",
+	fmt.Printf("positrond: breaker threshold %d cooldown %s, retries %d (backoff %s..%s), probe every %s\n",
 		cfg.breakerThreshold, cfg.breakerCooldown, cfg.retries, cfg.backoffBase, cfg.backoffMax,
-		cfg.probeInterval, cfg.hedge)
+		cfg.probeInterval)
 	if len(faultRules) > 0 {
 		fmt.Printf("positrond: fault injection ACTIVE (%d rule(s), seed %d)\n", len(faultRules), faultSeed)
 	}

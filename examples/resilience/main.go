@@ -137,7 +137,6 @@ func main() {
 func startReplica(artifactPath string, inj *positron.FaultInjector) (url string, stop func()) {
 	reg := positron.NewRegistry(
 		positron.WithRuntimeOptions(positron.WithWorkers(2), positron.WithWarmTables()),
-		positron.WithBatchWindow(0),
 	)
 	if err := reg.LoadPath("iris", artifactPath); err != nil {
 		panic(err)

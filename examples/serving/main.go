@@ -70,7 +70,6 @@ func main() {
 	// bounds how long an admitted request may sit in the queues.
 	reg := positron.NewRegistry(
 		positron.WithRuntimeOptions(positron.WithWorkers(4), positron.WithWarmTables()),
-		positron.WithBatchWindow(2*time.Millisecond),
 		positron.WithMaxBatch(32),
 		positron.WithMaxInFlight(8),
 		positron.WithRequestTimeout(2*time.Second),

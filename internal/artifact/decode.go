@@ -121,7 +121,7 @@ func Decode(data []byte) (core.Model, error) {
 			spec.Family, spec.Q = "fixed", uint(rec[2])
 		case famFloat32:
 			spec.Family = "float32"
-			if rec[1] != 0 || rec[2] != 0 {
+			if rec[2] != 0 {
 				return nil, corruptf("float32 descriptor carries parameters")
 			}
 		default:

@@ -10,9 +10,15 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/emac"
+	"repro/internal/nn"
+	"repro/internal/rng"
 )
 
 func FuzzParseArtifact(f *testing.F) {
@@ -44,6 +50,18 @@ func FuzzParseArtifact(f *testing.F) {
 		mut = bytes.Clone(bin)
 		binary.LittleEndian.PutUint32(mut[12:], 0) // broken CRC
 		f.Add(mut)
+	}
+	// A quireDrop byte on a family without a quire drop, with the CRC
+	// recomputed: the descriptor must be rejected, not decoded into a
+	// model that re-encodes to other bytes.
+	for _, a := range []emac.Arithmetic{emac.NewFloatN(8, 4), emac.NewFixed(8, 4), emac.Float32Arith{}} {
+		bin, err := Encode(core.Quantize(nn.NewMLP([]int{2, 2, 1}, rng.New(3)), a))
+		if err != nil {
+			f.Fatal(err)
+		}
+		bin[headerSize+3] = 1 // the first descriptor's quireDrop
+		binary.LittleEndian.PutUint32(bin[12:], crc32.ChecksumIEEE(bin[headerSize:]))
+		f.Add(bin)
 	}
 	f.Add([]byte(nil))
 	f.Add(magic[:])

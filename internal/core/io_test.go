@@ -159,6 +159,41 @@ func TestParseModelRejectsAmbiguousAriths(t *testing.T) {
 	}
 }
 
+// TestParseModelRejectsUnusedParameters: an arithmetic descriptor that
+// sets a parameter its family does not use (es or quireDrop outside
+// posit, we outside float, q outside fixed, n on float32) is rejected,
+// in a uniform and a mixed artifact alike, instead of loading as the
+// arithmetic its other parameters name. The same descriptors without
+// the stray parameter parse.
+func TestParseModelRejectsUnusedParameters(t *testing.T) {
+	const layers = `"layers":[{"in":1,"out":1,"w":[[16]],"b":[0]}]`
+	for valid, strays := range map[string][]string{
+		`"family":"posit","n":8`:        {`"we":5,"q":3`, `"we":5`, `"q":3`},
+		`"family":"float","n":8,"we":4`: {`"es":1`, `"q":3`, `"quireDrop":2`},
+		`"family":"fixed","n":8,"q":4`:  {`"es":1`, `"we":4`, `"quireDrop":2`},
+		`"family":"float32"`:            {`"n":32`, `"es":1`, `"we":8`, `"q":3`, `"quireDrop":2`},
+	} {
+		for _, stray := range append([]string{""}, strays...) {
+			arith := "{" + valid + "}"
+			if stray != "" {
+				arith = "{" + valid + "," + stray + "}"
+			}
+			for _, body := range []string{
+				`{"version":1,"kind":"uniform","arith":` + arith + `,` + layers + `}`,
+				`{"version":1,"kind":"mixed","ariths":[` + arith + `],` + layers + `}`,
+			} {
+				m, err := ParseModel([]byte(body))
+				switch {
+				case stray == "" && err != nil:
+					t.Errorf("%s: %v", body, err)
+				case stray != "" && err == nil:
+					t.Errorf("%s: parsed as %v", body, m)
+				}
+			}
+		}
+	}
+}
+
 func TestSaveRejectsCustomArith(t *testing.T) {
 	net, _ := trainedIris(t)
 	q := Quantize(net, emac.NewPosit(8, 0))

@@ -70,8 +70,26 @@ func DescribeArith(a emac.Arithmetic) (ArithSpec, error) {
 }
 
 // Build constructs the arithmetic the spec names, validating every
-// parameter.
+// parameter. A parameter the family does not use must be zero: dropped
+// silently, it would load as another arithmetic than the artifact names
+// and re-encode to other bytes.
 func (s ArithSpec) Build() (emac.Arithmetic, error) {
+	used := ArithSpec{Family: s.Family, N: s.N}
+	switch s.Family {
+	case "posit":
+		used.ES, used.QuireDrop = s.ES, s.QuireDrop
+	case "float":
+		used.WE = s.WE
+	case "fixed":
+		used.Q = s.Q
+	case "float32":
+		used.N = 0
+	default:
+		return nil, fmt.Errorf("core: unknown arithmetic family %q", s.Family)
+	}
+	if s != used {
+		return nil, fmt.Errorf("core: %s spec %+v sets a parameter its family does not use", s.Family, s)
+	}
 	switch s.Family {
 	case "posit":
 		return newPositArith(s.N, s.ES, s.QuireDrop)
@@ -79,9 +97,7 @@ func (s ArithSpec) Build() (emac.Arithmetic, error) {
 		return newFloatArith(s.N, s.WE)
 	case "fixed":
 		return newFixedArith(s.N, s.Q)
-	case "float32":
-		return emac.Float32Arith{}, nil
 	default:
-		return nil, fmt.Errorf("core: unknown arithmetic family %q", s.Family)
+		return emac.Float32Arith{}, nil
 	}
 }

@@ -37,14 +37,67 @@ var ErrPanic = errors.New("engine: inference panicked")
 
 // task is one fused batch chunk: the worker runs the whole chunk xs
 // through the inferer's batched kernels in one InferBatchInto call,
-// decoding into the flat dstFlat window (len(xs) × output width). id is
-// the chunk's first input index. deliver is called exactly once, with
-// err set when the inference panicked.
+// decoding into the flat dst window (len(xs) × output width). id is the
+// chunk's first input index. The worker reports the chunk to d exactly
+// once, with an error when the inference panicked.
 type task struct {
-	id      int
-	xs      [][]float64
-	dstFlat []float64
-	deliver func(id int, err error)
+	id  int
+	xs  [][]float64
+	dst []float64
+	d   *drain
+}
+
+// drain tracks one batch's submitted chunks: how many are outstanding,
+// and the first error any of them reported.
+type drain struct {
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error
+}
+
+// done records one delivered chunk.
+func (d *drain) done(id int, err error) {
+	if err != nil {
+		d.mu.Lock()
+		if d.err == nil {
+			d.err = fmt.Errorf("engine: batch chunk at input %d: %w", id, err)
+		}
+		d.mu.Unlock()
+	}
+	d.wg.Done()
+}
+
+// wait blocks until every submitted chunk is delivered, then returns and
+// clears the first chunk error. wg.Wait orders every done write before
+// the read, and a drain serves one batch at a time, so the reset cannot
+// race the next batch.
+func (d *drain) wait() error {
+	d.wg.Wait()
+	err := d.err
+	d.err = nil
+	return err
+}
+
+// plane is a flat logits buffer and its per-sample row views, grown to
+// the largest batch it has held.
+type plane struct {
+	buf  []float64
+	rows [][]float64
+}
+
+// size fits the plane to n samples of od logits and returns its rows.
+func (p *plane) size(n, od int) [][]float64 {
+	if cap(p.buf) < n*od {
+		p.buf = make([]float64, n*od)
+	}
+	if cap(p.rows) < n {
+		p.rows = make([][]float64, n)
+	}
+	rows := p.rows[:n]
+	for i := range rows {
+		rows[i] = p.buf[i*od : (i+1)*od : (i+1)*od]
+	}
+	return rows
 }
 
 // config collects the functional options.
@@ -110,15 +163,11 @@ type Runtime struct {
 	// failed with ErrPanic; the worker survived).
 	panics atomic.Int64
 
-	// shared-output batch state (sharedBatch serialises those batches).
-	sharedOut     bool
-	sharedMu      sync.Mutex
-	sharedBuf     []float64
-	sharedHdrs    [][]float64
-	sharedWG      sync.WaitGroup
-	sharedErrMu   sync.Mutex
-	sharedErr     error
-	sharedDeliver func(id int, err error)
+	// shared is the private flush slot a shared-output runtime's
+	// InferBatch, PredictBatch and Accuracy run in, one batch at a time
+	// under sharedMu. nil without WithSharedOutputs.
+	sharedMu sync.Mutex
+	shared   *FlushSlot
 
 	// flush pipeline: flushDepth leasable result planes (see
 	// AcquireFlushSlot). nil when the runtime is not shared-output.
@@ -157,38 +206,17 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 		cfg.flushDepth = 1
 	}
 	r := &Runtime{
-		model:     model,
-		workers:   cfg.workers,
-		jobs:      make(chan task, cfg.queueDepth),
-		sharedOut: cfg.sharedOut,
+		model:   model,
+		workers: cfg.workers,
+		jobs:    make(chan task, cfg.queueDepth),
 	}
 	if cfg.sharedOut {
+		r.shared = &FlushSlot{r: r}
 		r.flushDepth = cfg.flushDepth
 		r.planes = make(chan *FlushSlot, cfg.flushDepth)
 		for i := 0; i < cfg.flushDepth; i++ {
-			s := &FlushSlot{r: r}
-			s.deliver = func(id int, err error) {
-				if err != nil {
-					s.errMu.Lock()
-					if s.err == nil {
-						s.err = fmt.Errorf("engine: batch chunk at input %d: %w", id, err)
-					}
-					s.errMu.Unlock()
-				}
-				s.wg.Done()
-			}
-			r.planes <- s
+			r.planes <- &FlushSlot{r: r}
 		}
-	}
-	r.sharedDeliver = func(id int, err error) {
-		if err != nil {
-			r.sharedErrMu.Lock()
-			if r.sharedErr == nil {
-				r.sharedErr = fmt.Errorf("engine: batch chunk at input %d: %w", id, err)
-			}
-			r.sharedErrMu.Unlock()
-		}
-		r.sharedWG.Done()
 	}
 	r.wg.Add(cfg.workers)
 	for w := 0; w < cfg.workers; w++ {
@@ -211,7 +239,7 @@ func (r *Runtime) worker() {
 			r.panics.Add(1)
 			s = r.model.NewInferer()
 		}
-		t.deliver(t.id, err)
+		t.d.done(t.id, err)
 	}
 }
 
@@ -223,7 +251,7 @@ func runTask(s core.Inferer, t task) (err error) {
 			err = fmt.Errorf("%w: %v", ErrPanic, p)
 		}
 	}()
-	s.InferBatchInto(t.dstFlat, t.xs)
+	s.InferBatchInto(t.dst, t.xs)
 	return nil
 }
 
@@ -246,7 +274,7 @@ func (r *Runtime) QueueLen() int { return len(r.jobs) }
 // SharedOutputs reports whether the runtime was built with
 // WithSharedOutputs — callers then own the serialisation and copy-out of
 // InferBatch results.
-func (r *Runtime) SharedOutputs() bool { return r.sharedOut }
+func (r *Runtime) SharedOutputs() bool { return r.shared != nil }
 
 // Panics returns how many inferences have panicked inside workers since
 // construction. Each one failed its own request with ErrPanic while the
@@ -279,15 +307,40 @@ func (r *Runtime) enqueue(ctx context.Context, t task) error {
 	}
 }
 
-// batchChunk returns the fused-chunk size for a batch of n samples:
-// ceil(n / workers), so one batch spreads over the whole pool while
-// each worker runs its share as a single fused InferBatchInto call.
-func (r *Runtime) batchChunk(n int) int {
-	c := (n + r.workers - 1) / r.workers
-	if c < 1 {
-		c = 1
+// run is the one batch loop behind every entry point. It checks xs,
+// fits p to its logits, splits it into one fused chunk per worker —
+// ceil(n / workers) samples, so a batch spreads over the whole pool
+// while each worker runs its share as a single InferBatchInto call —
+// submits the chunks, and waits for d to drain. Cancelling ctx stops
+// submission and returns ctx.Err after every already-submitted chunk
+// has drained, so no worker is left writing into p.
+func (r *Runtime) run(ctx context.Context, p *plane, d *drain, xs [][]float64) ([][]float64, error) {
+	for i, x := range xs {
+		if err := r.checkInput(x); err != nil {
+			return nil, fmt.Errorf("engine: batch input %d: %w", i, err)
+		}
 	}
-	return c
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.closed {
+		return nil, ErrClosed
+	}
+	od := r.model.OutputDim()
+	rows := p.size(len(xs), od)
+	chunk := max((len(xs)+r.workers-1)/r.workers, 1)
+	for start := 0; start < len(xs); start += chunk {
+		end := min(start+chunk, len(xs))
+		d.wg.Add(1)
+		if err := r.enqueue(ctx, task{id: start, xs: xs[start:end], dst: p.buf[start*od : end*od], d: d}); err != nil {
+			d.wg.Done()
+			_ = d.wait() // a delivered chunk's panic loses to the ctx error
+			return nil, err
+		}
+	}
+	if err := d.wait(); err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // InferBatch splits the batch into one fused chunk per worker and runs
@@ -300,103 +353,20 @@ func (r *Runtime) batchChunk(n int) int {
 // left writing into the batch. Under WithSharedOutputs the returned
 // slices are valid only until the next InferBatch call.
 func (r *Runtime) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	for i, x := range xs {
-		if err := r.checkInput(x); err != nil {
-			return nil, fmt.Errorf("engine: batch input %d: %w", i, err)
-		}
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, ErrClosed
-	}
-	if r.sharedOut {
+	if r.shared != nil {
 		r.sharedMu.Lock()
 		defer r.sharedMu.Unlock()
-		return r.inferBatchShared(ctx, xs)
 	}
-	od := r.model.OutputDim()
-	buf := make([]float64, len(xs)*od)
-	out := make([][]float64, len(xs))
-	for i := range out {
-		out[i] = buf[i*od : (i+1)*od : (i+1)*od]
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	deliver := func(id int, err error) {
-		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("engine: batch chunk at input %d: %w", id, err)
-			}
-			errMu.Unlock()
-		}
-		wg.Done()
-	}
-	chunk := r.batchChunk(len(xs))
-	for start := 0; start < len(xs); start += chunk {
-		end := start + chunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		wg.Add(1)
-		t := task{id: start, xs: xs[start:end], dstFlat: buf[start*od : end*od], deliver: deliver}
-		if err := r.enqueue(ctx, t); err != nil {
-			wg.Done()
-			wg.Wait() // drain already-submitted work before returning
-			return nil, err
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return r.batch(ctx, xs)
 }
 
-// inferBatchShared is the allocation-free InferBatch arm: logits land in
-// a runtime-owned flat buffer reused across calls. Caller holds r.mu for
-// reading and r.sharedMu (the latter until it has finished consuming the
-// returned slices).
-func (r *Runtime) inferBatchShared(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	od := r.model.OutputDim()
-	if need := len(xs) * od; cap(r.sharedBuf) < need {
-		r.sharedBuf = make([]float64, need)
+// batch runs xs in the runtime's private slot (the caller holds
+// sharedMu) or, without shared outputs, into a fresh caller-owned plane.
+func (r *Runtime) batch(ctx context.Context, xs [][]float64) ([][]float64, error) {
+	if r.shared != nil {
+		return r.shared.InferBatch(ctx, xs)
 	}
-	if cap(r.sharedHdrs) < len(xs) {
-		r.sharedHdrs = make([][]float64, len(xs))
-	}
-	hdrs := r.sharedHdrs[:len(xs)]
-	buf := r.sharedBuf[:len(xs)*od]
-	for i := range hdrs {
-		hdrs[i] = buf[i*od : (i+1)*od : (i+1)*od]
-	}
-	chunk := r.batchChunk(len(xs))
-	for start := 0; start < len(xs); start += chunk {
-		end := start + chunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		r.sharedWG.Add(1)
-		t := task{id: start, xs: xs[start:end], dstFlat: buf[start*od : end*od], deliver: r.sharedDeliver}
-		if err := r.enqueue(ctx, t); err != nil {
-			r.sharedWG.Done()
-			r.sharedWG.Wait()
-			r.sharedErr = nil // delivered chunks may have panicked; the ctx error wins
-			return nil, err
-		}
-	}
-	r.sharedWG.Wait()
-	// sharedWG.Wait orders every sharedDeliver write before this read, and
-	// the caller holds sharedMu, so the reset cannot race the next batch.
-	if err := r.sharedErr; err != nil {
-		r.sharedErr = nil
-		return nil, err
-	}
-	return hdrs, nil
+	return r.run(ctx, &plane{}, &drain{}, xs)
 }
 
 // FlushSlot is one leased result plane of a shared-output runtime's
@@ -405,16 +375,12 @@ func (r *Runtime) inferBatchShared(ctx context.Context, xs [][]float64) ([][]flo
 // plane belongs to the holder alone, so a second slot's InferBatch can
 // compute while this slot's results are still being read — the
 // serving-plane analogue of the paper's accelerator keeping its EMAC
-// pipeline full across windows. A FlushSlot is single-owner: its
+// pipeline full across flushes. A FlushSlot is single-owner: its
 // methods must not be called concurrently.
 type FlushSlot struct {
-	r       *Runtime
-	buf     []float64
-	hdrs    [][]float64
-	wg      sync.WaitGroup
-	errMu   sync.Mutex
-	err     error
-	deliver func(id int, err error)
+	r *Runtime
+	p plane
+	d drain
 }
 
 // FlushPipelineDepth returns the number of flush-slot result planes (0
@@ -471,52 +437,7 @@ func (s *FlushSlot) Release() { s.r.planes <- s }
 // Cancelling ctx stops submission and returns ctx.Err after every
 // already-submitted chunk has drained.
 func (s *FlushSlot) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	r := s.r
-	for i, x := range xs {
-		if err := r.checkInput(x); err != nil {
-			return nil, fmt.Errorf("engine: batch input %d: %w", i, err)
-		}
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, ErrClosed
-	}
-	od := r.model.OutputDim()
-	if need := len(xs) * od; cap(s.buf) < need {
-		s.buf = make([]float64, need)
-	}
-	if cap(s.hdrs) < len(xs) {
-		s.hdrs = make([][]float64, len(xs))
-	}
-	hdrs := s.hdrs[:len(xs)]
-	buf := s.buf[:len(xs)*od]
-	for i := range hdrs {
-		hdrs[i] = buf[i*od : (i+1)*od : (i+1)*od]
-	}
-	chunk := r.batchChunk(len(xs))
-	for start := 0; start < len(xs); start += chunk {
-		end := start + chunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		s.wg.Add(1)
-		t := task{id: start, xs: xs[start:end], dstFlat: buf[start*od : end*od], deliver: s.deliver}
-		if err := r.enqueue(ctx, t); err != nil {
-			s.wg.Done()
-			s.wg.Wait()
-			s.err = nil // delivered chunks may have panicked; the ctx error wins
-			return nil, err
-		}
-	}
-	s.wg.Wait()
-	// wg.Wait orders every deliver write before this read, and the slot
-	// is single-owner, so the reset cannot race the slot's next batch.
-	if err := s.err; err != nil {
-		s.err = nil
-		return nil, err
-	}
-	return hdrs, nil
+	return s.r.run(ctx, &s.p, &s.d, xs)
 }
 
 // PredictBatch runs every input through the pool and returns the argmax
@@ -526,26 +447,11 @@ func (s *FlushSlot) InferBatch(ctx context.Context, xs [][]float64) ([][]float64
 // shared logits buffer while still holding its lock, so concurrent
 // PredictBatch and Accuracy calls never read another batch's logits.
 func (r *Runtime) PredictBatch(ctx context.Context, xs [][]float64) ([]int, error) {
-	if !r.sharedOut {
-		logits, err := r.InferBatch(ctx, xs)
-		if err != nil {
-			return nil, err
-		}
-		return argmaxAll(logits), nil
+	if r.shared != nil {
+		r.sharedMu.Lock()
+		defer r.sharedMu.Unlock()
 	}
-	for i, x := range xs {
-		if err := r.checkInput(x); err != nil {
-			return nil, fmt.Errorf("engine: batch input %d: %w", i, err)
-		}
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, ErrClosed
-	}
-	r.sharedMu.Lock()
-	defer r.sharedMu.Unlock()
-	logits, err := r.inferBatchShared(ctx, xs)
+	logits, err := r.batch(ctx, xs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,8 @@
 // Package faults is a deterministic fault-injection layer for the
 // serving plane: an HTTP middleware that, driven by a seeded PRNG,
 // delays, fails or drops requests according to declarative rules. It
-// exists so the resilience tier (internal/router: retries, circuit
-// breakers, hedging) is testable in-process and in CI without real
+// exists so the resilience tier (internal/router: retries and circuit
+// breakers) is testable in-process and in CI without real
 // network chaos — the same rule string that a unit test parses can be
 // handed to positrond's -fault flag to turn a live replica into a
 // misbehaving one.

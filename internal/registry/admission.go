@@ -9,12 +9,8 @@ package registry
 // bounds concurrently admitted requests (WithMaxInFlight) and puts a
 // deadline on each admitted one (WithRequestTimeout); requests beyond
 // the bound are rejected immediately with ErrOverloaded, which the HTTP
-// layer maps to 429 + Retry-After.
-//
-// The gate is weighted: under WithCostAwareAdmission an explicit client
-// batch consumes len(xs) capacity units instead of 1, so a 256-sample
-// batch and 256 single requests cost the same and mixed traffic sheds
-// proportionally to the compute it asks for, not the connection count.
+// layer maps to 429 + Retry-After. Every request claims one unit, a
+// single sample and an explicit batch alike.
 
 import (
 	"context"
@@ -33,8 +29,8 @@ var ErrOverloaded = errors.New("registry: model overloaded")
 // registry's per-request deadline before its inference completes.
 var ErrRequestTimeout = errors.New("registry: request timed out")
 
-// gate is a weighted non-blocking semaphore: a request claims n units or
-// is rejected outright (shed, never queued).
+// gate is a non-blocking semaphore: a request claims one unit or is
+// rejected outright (shed, never queued).
 type gate struct {
 	mu       sync.Mutex
 	capacity int
@@ -43,21 +39,21 @@ type gate struct {
 
 func newGate(capacity int) *gate { return &gate{capacity: capacity} }
 
-// tryAcquire claims n units if they fit under the cap.
-func (g *gate) tryAcquire(n int) bool {
+// tryAcquire claims one unit if it fits under the cap.
+func (g *gate) tryAcquire() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.used+n > g.capacity {
+	if g.used >= g.capacity {
 		return false
 	}
-	g.used += n
+	g.used++
 	return true
 }
 
-// release returns n units. Must mirror a successful tryAcquire(n).
-func (g *gate) release(n int) {
+// release returns one unit. Must mirror a successful tryAcquire.
+func (g *gate) release() {
 	g.mu.Lock()
-	g.used -= n
+	g.used--
 	g.mu.Unlock()
 }
 
@@ -69,35 +65,25 @@ func (g *gate) Cap() int {
 	return g.capacity
 }
 
-// admit claims cost admission units without blocking. On success it
+// admit claims one admission unit without blocking. On success it
 // returns the release func (call exactly once, after the request
 // finishes); at the cap it records the rejection and fails with
-// ErrOverloaded. A cost larger than the whole gate is clamped to the
-// capacity — an oversized batch can still run on an idle model (claiming
-// the entire gate while it does) instead of being unservable at any
-// load.
-func (e *entry) admit(name string, cost int) (func(), error) {
+// ErrOverloaded.
+func (e *entry) admit(name string) (func(), error) {
 	if e.gate == nil {
 		e.metrics.ObserveAdmit()
 		return e.metrics.ObserveDone, nil
 	}
-	if cost < 1 {
-		cost = 1
-	}
-	if cost > e.gate.Cap() {
-		cost = e.gate.Cap()
-	}
-	if !e.gate.tryAcquire(cost) {
+	if !e.gate.tryAcquire() {
 		e.metrics.ObserveRejected()
 		return nil, fmt.Errorf("%w: %q at max in-flight %d", ErrOverloaded, name, e.gate.Cap())
 	}
 	e.metrics.ObserveAdmit()
-	claimed := cost
 	return func() {
-		// Gauge down before the units free: the next admission's
+		// Gauge down before the unit frees: the next admission's
 		// ObserveAdmit must not race the gauge above the cap.
 		e.metrics.ObserveDone()
-		e.gate.release(claimed)
+		e.gate.release()
 	}, nil
 }
 
@@ -129,7 +115,7 @@ func (e *entry) mapErr(name string, parent context.Context, err error) error {
 // model's micro-batcher. This is what the HTTP layer calls; Batcher()
 // remains available for callers that own their backpressure.
 func (h *Handle) Infer(ctx context.Context, x []float64) ([]float64, error) {
-	release, err := h.e.admit(h.name, 1)
+	release, err := h.e.admit(h.name)
 	if err != nil {
 		return nil, err
 	}
@@ -143,17 +129,10 @@ func (h *Handle) Infer(ctx context.Context, x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// InferBatch is the admission-controlled explicit-batch entry point. By
-// default one client batch counts as one in-flight request whatever its
-// size; under WithCostAwareAdmission it claims len(xs) admission units,
-// so batch traffic competes for capacity in proportion to the samples it
-// carries.
+// InferBatch is the admission-controlled explicit-batch entry point: one
+// client batch counts as one in-flight request whatever its size.
 func (h *Handle) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	cost := 1
-	if h.e.costAware {
-		cost = len(xs)
-	}
-	release, err := h.e.admit(h.name, cost)
+	release, err := h.e.admit(h.name)
 	if err != nil {
 		return nil, err
 	}
@@ -167,14 +146,9 @@ func (h *Handle) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, e
 	return out, nil
 }
 
-// MaxInFlight returns the model's admission capacity in units (0 =
-// unlimited): concurrent requests by default, concurrent samples under
-// cost-aware admission.
+// MaxInFlight returns the model's admission capacity in concurrent
+// requests (0 = unlimited).
 func (h *Handle) MaxInFlight() int { return h.e.gate.Cap() }
-
-// CostAware reports whether explicit batches are admitted by sample
-// count.
-func (h *Handle) CostAware() bool { return h.e.costAware }
 
 // RequestTimeout returns the model's per-request deadline (0 = none).
 func (h *Handle) RequestTimeout() time.Duration { return h.e.timeout }

@@ -11,17 +11,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
-// newAdmissionRegistry loads one posit8 model into a registry built with
-// the given extra options and returns a pinned handle (released in
-// cleanup).
-func newAdmissionRegistry(t *testing.T, opts ...Option) *Handle {
+// newHandle loads model into a registry built with the given extra
+// options and returns a pinned handle (released in cleanup).
+func newHandle(t *testing.T, model core.Model, opts ...Option) *Handle {
 	t.Helper()
 	r := New(append([]Option{WithRuntimeOptions(engine.WithWorkers(2))}, opts...)...)
 	t.Cleanup(func() { r.Close() })
-	if err := r.Load("m", posit8Model(31)); err != nil {
+	if err := r.Load("m", model); err != nil {
 		t.Fatal(err)
 	}
 	h, err := r.Acquire("m")
@@ -32,16 +32,37 @@ func newAdmissionRegistry(t *testing.T, opts ...Option) *Handle {
 	return h
 }
 
+// newAdmissionRegistry is newHandle over one posit8 model.
+func newAdmissionRegistry(t *testing.T, opts ...Option) *Handle {
+	t.Helper()
+	return newHandle(t, posit8Model(31), opts...)
+}
+
+// newParkingRegistry is newAdmissionRegistry over a gated model whose
+// flush planes are all pinned: one lone call per plane, sent straight to
+// the batcher so it claims no admission unit, flushes at once and blocks
+// in the model. A request admitted afterwards parks in the pending
+// queue, holding its unit, until it is cancelled or open releases the
+// gate (cleanup calls open before the registry closes).
+func newParkingRegistry(t *testing.T, opts ...Option) (h *Handle, open func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	h = newHandle(t, &gatedModel{Model: posit8Model(31), gate: gate}, opts...)
+	open = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open)
+	depth := h.Runtime().FlushPipelineDepth()
+	for i := 0; i < depth; i++ {
+		go h.Batcher().Infer(context.Background(), testInput(i))
+	}
+	waitFor(t, "pinning every plane", func() bool { return h.Runtime().FlushSlotsInUse() == depth })
+	return h, open
+}
+
 // TestAdmissionRejectsAtCap: with max in-flight 1 and a request parked
-// in the (never-flushing) batcher, a second request is shed immediately
-// with ErrOverloaded, and the rejected counter and in-flight gauge
-// record it.
+// behind pinned flush planes, a second request is shed immediately with
+// ErrOverloaded, and the rejected counter and in-flight gauge record it.
 func TestAdmissionRejectsAtCap(t *testing.T) {
-	h := newAdmissionRegistry(t,
-		WithMaxInFlight(1),
-		WithBatchWindow(time.Hour), // the parked request never flushes on its own
-		WithMaxBatch(1000),
-	)
+	h, _ := newParkingRegistry(t, WithMaxInFlight(1))
 	if h.MaxInFlight() != 1 {
 		t.Fatalf("MaxInFlight = %d, want 1", h.MaxInFlight())
 	}
@@ -92,7 +113,6 @@ func TestAdmissionRejectsAtCap(t *testing.T) {
 func TestAdmissionBurstBitIdentity(t *testing.T) {
 	h := newAdmissionRegistry(t,
 		WithMaxInFlight(2),
-		WithBatchWindow(10*time.Millisecond),
 		WithMaxBatch(8),
 	)
 	ref := h.Model().NewInferer()
@@ -148,15 +168,11 @@ func TestAdmissionBurstBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutFires: a request stuck behind a never-flushing
-// window fails with ErrRequestTimeout at the configured deadline instead
-// of hanging forever, and the timed-out counter records it.
+// TestRequestTimeoutFires: a request stuck behind pinned flush planes
+// fails with ErrRequestTimeout at the configured deadline instead of
+// hanging forever, and the timed-out counter records it.
 func TestRequestTimeoutFires(t *testing.T) {
-	h := newAdmissionRegistry(t,
-		WithRequestTimeout(30*time.Millisecond),
-		WithBatchWindow(time.Hour),
-		WithMaxBatch(1000),
-	)
+	h, _ := newParkingRegistry(t, WithRequestTimeout(30*time.Millisecond))
 	if h.RequestTimeout() != 30*time.Millisecond {
 		t.Fatalf("RequestTimeout = %v", h.RequestTimeout())
 	}
@@ -181,18 +197,14 @@ func TestRequestTimeoutFires(t *testing.T) {
 // is cancelled gets context.Canceled back, not ErrRequestTimeout, even
 // with a registry deadline configured.
 func TestRequestTimeoutKeepsCallerCancellation(t *testing.T) {
-	h := newAdmissionRegistry(t,
-		WithRequestTimeout(time.Hour),
-		WithBatchWindow(time.Hour),
-		WithMaxBatch(1000),
-	)
+	h, _ := newParkingRegistry(t, WithRequestTimeout(time.Hour))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := h.Infer(ctx, testInput(3))
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the request parking", func() bool { return h.Batcher().Queued() == 1 })
 	cancel()
 	select {
 	case err := <-done:
@@ -210,7 +222,7 @@ func TestRequestTimeoutKeepsCallerCancellation(t *testing.T) {
 // TestAdmissionUnlimitedByDefault: without WithMaxInFlight the gate
 // admits everything and only the gauge moves.
 func TestAdmissionUnlimitedByDefault(t *testing.T) {
-	h := newAdmissionRegistry(t, WithBatchWindow(time.Millisecond), WithMaxBatch(4))
+	h := newAdmissionRegistry(t, WithMaxBatch(4))
 	if h.MaxInFlight() != 0 {
 		t.Fatalf("MaxInFlight = %d, want 0 (unlimited)", h.MaxInFlight())
 	}
@@ -238,11 +250,7 @@ func TestAdmissionUnlimitedByDefault(t *testing.T) {
 // TestHandleInferBatchAdmission: an explicit batch counts as one
 // in-flight request and is shed whole at the cap.
 func TestHandleInferBatchAdmission(t *testing.T) {
-	h := newAdmissionRegistry(t,
-		WithMaxInFlight(1),
-		WithBatchWindow(time.Hour),
-		WithMaxBatch(1000),
-	)
+	h, open := newParkingRegistry(t, WithMaxInFlight(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	parked := make(chan error, 1)
@@ -263,6 +271,7 @@ func TestHandleInferBatchAdmission(t *testing.T) {
 	}
 	cancel()
 	<-parked
+	open()
 
 	// With the slot free the same batch is admitted and served.
 	deadline = time.Now().Add(5 * time.Second)

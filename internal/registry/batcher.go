@@ -8,7 +8,7 @@ package registry
 // request that finds a free flush plane flushes at once, alone. Only
 // requests arriving while every plane is busy queue, and each finishing
 // flush takes up to maxBatch of them as the next flush — batch size
-// follows load, not a clock. A window > 0 opts into timer coalescing.
+// follows load, not a clock.
 //
 // Every flush leases one of the runtime's D result planes
 // (engine.AcquireFlushSlot), so flush N+1 computes while flush N's
@@ -27,11 +27,6 @@ import (
 
 // ErrBatcherClosed is returned by Batcher calls after Close.
 var ErrBatcherClosed = errors.New("registry: batcher closed")
-
-// DefaultBatchWindow is the coalescing window used when none is
-// configured: 0, the work-conserving batcher, which never holds a
-// request back while a flush plane is free.
-const DefaultBatchWindow = 0
 
 // DefaultMaxBatch bounds a coalesced flush when no limit is configured.
 const DefaultMaxBatch = 64
@@ -65,17 +60,15 @@ type call struct {
 // pipeline.
 type Batcher struct {
 	rt       *engine.Runtime
-	window   time.Duration
 	maxBatch int
 	depth    int
 	metrics  *Metrics
 	inDim    int
 	outDim   int
 
-	// mu guards the pending queue, the window timer, running and closed.
+	// mu guards the pending queue, running and closed.
 	mu      sync.Mutex
 	pending []*call
-	timer   *time.Timer
 	closed  bool
 
 	// running counts work-conserving flushes in progress. Calls queue
@@ -91,14 +84,13 @@ type Batcher struct {
 
 // NewBatcher wraps a runtime with a micro-batcher. The runtime must be
 // built with engine.WithSharedOutputs: every flush leases one of its
-// flush slots, and over any other runtime every inference fails. window
-// <= 0 or maxBatch <= 1 selects the work-conserving batcher; window > 0
-// coalesces the calls arriving within it. metrics may be nil.
-func NewBatcher(rt *engine.Runtime, window time.Duration, maxBatch int, metrics *Metrics) *Batcher {
+// flush slots, and over any other runtime every inference fails. A
+// finishing flush takes up at most maxBatch queued calls (maxBatch <= 1
+// flushes every call alone). metrics may be nil.
+func NewBatcher(rt *engine.Runtime, maxBatch int, metrics *Metrics) *Batcher {
 	m := rt.Model()
 	return &Batcher{
 		rt:       rt,
-		window:   window,
 		maxBatch: maxBatch,
 		depth:    max(rt.FlushPipelineDepth(), 1),
 		metrics:  metrics,
@@ -109,15 +101,6 @@ func NewBatcher(rt *engine.Runtime, window time.Duration, maxBatch int, metrics 
 
 // Runtime returns the wrapped runtime.
 func (b *Batcher) Runtime() *engine.Runtime { return b.rt }
-
-// Window returns the coalescing window (0 for the work-conserving
-// batcher).
-func (b *Batcher) Window() time.Duration {
-	if b.window <= 0 || b.maxBatch <= 1 {
-		return 0
-	}
-	return b.window
-}
 
 // MaxBatch returns the coalesced-flush size bound.
 func (b *Batcher) MaxBatch() int { return b.maxBatch }
@@ -159,14 +142,12 @@ func (b *Batcher) beginOp() error {
 	return nil
 }
 
-// Infer runs one sample. With a window, the Infer calls arriving within
-// it (or until maxBatch is reached) share one runtime batch; without
-// one, the call flushes at once if a flush plane is free and otherwise
-// joins the batch the next finishing flush takes up. Results are
-// demultiplexed per caller and are bit-identical to an unbatched call,
-// because each inference in a batch is independent. Cancelling ctx
-// abandons the wait (the flush may still compute the result; it is
-// discarded). The returned slice is caller-owned.
+// Infer runs one sample. The call flushes at once if a flush plane is
+// free and otherwise joins the batch the next finishing flush takes up.
+// Results are demultiplexed per caller and are bit-identical to an
+// unbatched call, because each inference in a batch is independent.
+// Cancelling ctx abandons the wait (the flush may still compute the
+// result; it is discarded). The returned slice is caller-owned.
 func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
 	if err := b.checkInput(x); err != nil {
 		return nil, err
@@ -178,29 +159,15 @@ func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
 		b.mu.Unlock()
 		return nil, ErrBatcherClosed
 	}
-	switch {
-	case b.Window() == 0 && b.running < b.depth:
+	if b.running < b.depth {
 		// A free plane: flush this call alone, on this goroutine.
 		b.running++
 		b.flights.Add(1)
 		b.mu.Unlock()
 		b.conserve(ctx, []*call{c})
-	case b.Window() == 0:
+	} else {
 		// Every plane is busy: a finishing flush takes this call up.
 		b.pending = append(b.pending, c)
-		b.mu.Unlock()
-	case len(b.pending)+1 >= b.maxBatch:
-		b.pending = append(b.pending, c)
-		batch := b.takeLocked()
-		b.flights.Add(1)
-		b.mu.Unlock()
-		b.run(context.Background(), batch) // flush rides this caller's goroutine
-		b.flights.Done()
-	default:
-		b.pending = append(b.pending, c)
-		if len(b.pending) == 1 {
-			b.timer = time.AfterFunc(b.window, b.flush)
-		}
 		b.mu.Unlock()
 	}
 
@@ -296,32 +263,6 @@ func (b *Batcher) compute(ctx context.Context, xs [][]float64, coalesced bool) (
 	return hdrs, start, nil
 }
 
-// takeLocked detaches the pending queue and disarms the window timer.
-// Caller holds b.mu.
-func (b *Batcher) takeLocked() []*call {
-	batch := b.pending
-	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return batch
-}
-
-// flush is the window-timer callback.
-func (b *Batcher) flush() {
-	b.mu.Lock()
-	batch := b.takeLocked()
-	if len(batch) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	b.flights.Add(1)
-	b.mu.Unlock()
-	b.run(context.Background(), batch)
-	b.flights.Done()
-}
-
 // run executes one flush and demultiplexes results to the waiting
 // callers. Calls whose own context is already done are dropped before
 // the runtime sees the batch — the caller returned at cancellation but
@@ -368,25 +309,15 @@ func (b *Batcher) failAll(live []*call, err error) {
 	}
 }
 
-// Close stops accepting new work, flushes any pending calls, and waits
-// for every in-flight flush to finish — so no caller is left waiting and
-// the owner may close the runtime immediately afterwards without failing
-// a mid-pipeline flush. Calls queued behind running work-conserving
-// flushes leave with those flushes' chain; a window's pending calls
-// flush here. It does not close the underlying runtime (the registry
-// owns that ordering). Idempotent.
+// Close stops accepting new work and waits for every in-flight flush to
+// finish — so no caller is left waiting and the owner may close the
+// runtime immediately afterwards without failing a mid-pipeline flush.
+// Calls queue only behind running flushes, so every queued call leaves
+// with those flushes' chain. It does not close the underlying runtime
+// (the registry owns that ordering). Idempotent.
 func (b *Batcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
 	b.closed = true
-	var batch []*call
-	if b.running == 0 {
-		batch = b.takeLocked()
-	}
 	b.mu.Unlock()
-	b.run(context.Background(), batch)
 	b.flights.Wait()
 }

@@ -12,7 +12,7 @@ import (
 
 // newTestBatcher builds a shared-output runtime (as the registry does)
 // plus a reference runtime-free inferer for ground truth.
-func newTestBatcher(t *testing.T, window time.Duration, maxBatch int) (*Batcher, *Metrics) {
+func newTestBatcher(t *testing.T, maxBatch int) (*Batcher, *Metrics) {
 	t.Helper()
 	model := posit8Model(11)
 	rt, err := engine.NewRuntime(model, engine.WithWorkers(2), engine.WithSharedOutputs())
@@ -21,51 +21,37 @@ func newTestBatcher(t *testing.T, window time.Duration, maxBatch int) (*Batcher,
 	}
 	t.Cleanup(func() { rt.Close() })
 	m := &Metrics{}
-	return NewBatcher(rt, window, maxBatch, m), m
+	return NewBatcher(rt, maxBatch, m), m
 }
 
 // TestBatcherBitIdentity is the tentpole exactness contract: results
 // demultiplexed from coalesced micro-batches are bit-identical to
-// per-request InferBatch calls on a fresh runtime.
+// unbatched single-sample calls.
 func TestBatcherBitIdentity(t *testing.T) {
-	b, m := newTestBatcher(t, 200*time.Millisecond, 8)
-
-	// Ground truth: the same model through unbatched single-sample calls.
-	ref := b.Runtime().Model().NewInferer()
+	// 2 calls pin both planes and 30 queue behind them: 32 requests, and
+	// with maxBatch 8 the finishing flushes must coalesce the queue.
 	const n = 32
-	want := make([][]float64, n)
-	for i := range want {
-		want[i] = ref.Infer(testInput(i))
-	}
-
-	got := make([][]float64, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = b.Infer(context.Background(), testInput(i))
-		}(i)
-	}
+	_, m, ref, open, wg, outs, errs := queueBehindPinnedPlanes(t, 2, 8, n-2)
+	open()
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("request %d: %d logits, want %d", i, len(got[i]), len(want[i]))
+		want := ref.Infer(testInput(i))
+		if len(outs[i]) != len(want) {
+			t.Fatalf("request %d: %d logits, want %d", i, len(outs[i]), len(want))
 		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
+		for j := range want {
+			if outs[i][j] != want[j] {
 				t.Fatalf("request %d logit %d: batched %v != unbatched %v",
-					i, j, got[i][j], want[i][j])
+					i, j, outs[i][j], want[j])
 			}
 		}
 	}
 
-	// 32 concurrent requests with maxBatch 8 and a 200ms window must
-	// coalesce: at least one flush carried more than one sample.
+	// At least one flush carried more than one sample, and none more
+	// than maxBatch.
 	snap := m.Snapshot()
 	if snap.Requests != n {
 		t.Fatalf("requests = %d, want %d", snap.Requests, n)
@@ -82,7 +68,7 @@ func TestBatcherBitIdentity(t *testing.T) {
 // batcher (serialised + copied out of the shared runtime buffer) is also
 // bit-identical, and two interleaved batches never corrupt each other.
 func TestBatcherExplicitBatchMatches(t *testing.T) {
-	b, _ := newTestBatcher(t, time.Millisecond, 8)
+	b, _ := newTestBatcher(t, 8)
 	ref := b.Runtime().Model().NewInferer()
 
 	const n = 16
@@ -127,45 +113,40 @@ func TestBatcherRequiresSharedRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rt.Close() })
-	for _, window := range []time.Duration{0, 50 * time.Millisecond} {
-		m := &Metrics{}
-		b := NewBatcher(rt, window, 8, m)
-		const n = 4
-		errs := make(chan error, n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				_, err := b.Infer(context.Background(), testInput(i))
-				errs <- err
-			}(i)
-		}
-		for i := 0; i < n; i++ {
-			select {
-			case err := <-errs:
-				if err == nil {
-					t.Fatalf("window %v: single inference served over an unshared runtime", window)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("window %v: single inference hung over an unshared runtime", window)
+	m := &Metrics{}
+	b := NewBatcher(rt, 8, m)
+	const n = 4
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			_, err := b.Infer(context.Background(), testInput(i))
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("single inference served over an unshared runtime")
 			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("single inference hung over an unshared runtime")
 		}
-		if _, err := b.InferBatch(context.Background(), [][]float64{testInput(0)}); err == nil {
-			t.Fatalf("window %v: batch served over an unshared runtime", window)
-		}
-		b.Close()
-		if snap := m.Snapshot(); snap.Batches != 0 {
-			t.Fatalf("window %v: failed inferences recorded flushes: %+v", window, snap)
-		}
+	}
+	if _, err := b.InferBatch(context.Background(), [][]float64{testInput(0)}); err == nil {
+		t.Fatal("batch served over an unshared runtime")
+	}
+	b.Close()
+	if snap := m.Snapshot(); snap.Batches != 0 {
+		t.Fatalf("failed inferences recorded flushes: %+v", snap)
 	}
 }
 
-// TestBatcherPassthrough: at window 0 a lone request finds a free plane
-// and flushes at once as a batch of one — no timer armed, nothing left
-// queued, and the flush is not counted as coalesced.
+// TestBatcherPassthrough: a lone request finds a free plane and flushes
+// at once as a batch of one — nothing left queued or running, and the
+// flush is not counted as coalesced.
 func TestBatcherPassthrough(t *testing.T) {
-	b, m := newTestBatcher(t, 0, 8)
-	if b.Window() != 0 {
-		t.Fatalf("Window = %v, want 0", b.Window())
-	}
+	b, m := newTestBatcher(t, 8)
 	out, err := b.Infer(context.Background(), testInput(1))
 	if err != nil || len(out) != 3 {
 		t.Fatalf("lone request: %v, %v", out, err)
@@ -177,10 +158,10 @@ func TestBatcherPassthrough(t *testing.T) {
 		}
 	}
 	b.mu.Lock()
-	timer, pending, running := b.timer, len(b.pending), b.running
+	pending, running := len(b.pending), b.running
 	b.mu.Unlock()
-	if timer != nil || pending != 0 || running != 0 {
-		t.Fatalf("after a lone request: timer %v, pending %d, running %d", timer, pending, running)
+	if pending != 0 || running != 0 {
+		t.Fatalf("after a lone request: pending %d, running %d", pending, running)
 	}
 	snap := m.Snapshot()
 	if snap.Batches != 1 || snap.Requests != 1 || snap.BatchSizeHist["1"] != 1 ||
@@ -190,7 +171,7 @@ func TestBatcherPassthrough(t *testing.T) {
 }
 
 func TestBatcherBadInput(t *testing.T) {
-	b, _ := newTestBatcher(t, time.Millisecond, 8)
+	b, _ := newTestBatcher(t, 8)
 	if _, err := b.Infer(context.Background(), []float64{1, 2}); err == nil {
 		t.Fatal("wrong-width input accepted")
 	}
@@ -203,14 +184,14 @@ func TestBatcherBadInput(t *testing.T) {
 // request waits in the pending queue returns promptly; batch-mates are
 // unaffected.
 func TestBatcherCallerCancellation(t *testing.T) {
-	b, _ := newTestBatcher(t, time.Hour, 1000) // flush effectively never fires on its own
+	b, _, _, open, wg, _, _ := queueBehindPinnedPlanes(t, 2, 1000, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := b.Infer(ctx, testInput(0))
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the call joining the pending queue", func() bool { return b.Queued() == 1 })
 	cancel()
 	select {
 	case err := <-done:
@@ -220,7 +201,9 @@ func TestBatcherCallerCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled caller stuck")
 	}
-	b.Close() // flushes the abandoned call; must not hang or panic
+	open()
+	wg.Wait()
+	b.Close() // the abandoned call left with the pinned flushes' chain; must not hang or panic
 }
 
 // TestBatcherCancelledExcludedFromFlush: a caller that cancels while
@@ -228,7 +211,8 @@ func TestBatcherCallerCancellation(t *testing.T) {
 // runtime batch carries only live calls, so abandoned requests neither
 // consume EMAC compute nor skew the batch-size histogram.
 func TestBatcherCancelledExcludedFromFlush(t *testing.T) {
-	b, m := newTestBatcher(t, time.Hour, 3) // flush only when 3 calls pend
+	const depth = 2
+	b, m, _, open, pins, _, _ := queueBehindPinnedPlanes(t, depth, 3, 0) // a flush takes up to 3 queued calls
 
 	// Park a call, then cancel it. The caller returns; its entry stays
 	// in the pending queue until the next flush.
@@ -238,25 +222,14 @@ func TestBatcherCancelledExcludedFromFlush(t *testing.T) {
 		_, err := b.Infer(ctx, testInput(0))
 		parked <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("call never joined the pending queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the call joining the pending queue", func() bool { return b.Queued() == 1 })
 	cancel()
 	if err := <-parked; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled caller: %v", err)
 	}
 
-	// Two live calls push pending to maxBatch 3 and trigger the flush.
+	// Two live calls queue beside it; the first finishing pinned flush
+	// takes all three up.
 	var wg sync.WaitGroup
 	wg.Add(2)
 	for i := 1; i <= 2; i++ {
@@ -267,14 +240,18 @@ func TestBatcherCancelledExcludedFromFlush(t *testing.T) {
 			}
 		}(i)
 	}
+	waitFor(t, "the live calls joining the pending queue", func() bool { return b.Queued() == 3 })
+	open()
 	wg.Wait()
+	pins.Wait()
 
+	// The pinning calls flushed alone; beside them ran exactly one flush.
 	snap := m.Snapshot()
-	if snap.Requests != 2 {
-		t.Fatalf("requests = %d, want 2 (cancelled call must not count)", snap.Requests)
+	if snap.Requests != depth+2 {
+		t.Fatalf("requests = %d, want %d (cancelled call must not count)", snap.Requests, depth+2)
 	}
-	if snap.Batches != 1 || snap.MaxCoalesced != 2 {
-		t.Fatalf("flush shape: %+v, want one coalesced batch of 2", snap)
+	if snap.Batches != depth+1 || snap.MaxCoalesced != 2 {
+		t.Fatalf("flush shape: %+v, want one coalesced batch of 2 beside %d lone flushes", snap, depth)
 	}
 	if snap.BatchSizeHist["2"] != 1 || snap.BatchSizeHist["3-4"] != 0 {
 		t.Fatalf("histogram skewed by cancelled call: %v", snap.BatchSizeHist)
@@ -285,8 +262,8 @@ func TestBatcherCancelledExcludedFromFlush(t *testing.T) {
 // abandoned, the flush never reaches the runtime — no phantom batch is
 // recorded (the ObserveFlush(0) bug) and Close does not hang.
 func TestBatcherAllCancelledFlushSkipsRuntime(t *testing.T) {
-	b, m := newTestBatcher(t, time.Hour, 1000)
-	const n = 4
+	const depth, n = 2, 4
+	b, m, _, open, pins, _, _ := queueBehindPinnedPlanes(t, depth, 1000, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -299,32 +276,22 @@ func TestBatcherAllCancelledFlushSkipsRuntime(t *testing.T) {
 			}
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		pend := len(b.pending)
-		b.mu.Unlock()
-		if pend == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("calls never joined the pending queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the calls joining the pending queue", func() bool { return b.Queued() == n })
 	cancel()
 	wg.Wait()
-	b.Close() // flushes the all-cancelled queue
+	open() // a finishing pinned flush takes up the all-cancelled queue
+	pins.Wait()
+	b.Close()
 	snap := m.Snapshot()
-	if snap.Batches != 0 || snap.Requests != 0 || len(snap.BatchSizeHist) != 0 {
-		t.Fatalf("all-cancelled flush recorded a phantom batch: %+v", snap)
+	if snap.Batches != depth || snap.Requests != depth || len(snap.BatchSizeHist) != 1 {
+		t.Fatalf("all-cancelled flush recorded a phantom batch beside the %d lone flushes: %+v", depth, snap)
 	}
 }
 
 // TestBatcherEmptyBatchRejected: a zero-sample explicit batch errors
 // before it reaches the runtime.
 func TestBatcherEmptyBatchRejected(t *testing.T) {
-	b, m := newTestBatcher(t, time.Millisecond, 8)
+	b, m := newTestBatcher(t, 8)
 	for _, xs := range [][][]float64{nil, {}} {
 		if _, err := b.InferBatch(context.Background(), xs); err == nil {
 			t.Fatalf("empty batch %v accepted", xs)
@@ -335,45 +302,36 @@ func TestBatcherEmptyBatchRejected(t *testing.T) {
 	}
 }
 
-// TestBatcherClose: pending calls are flushed (not dropped) on Close,
-// and new work is rejected afterwards.
+// TestBatcherClose: a call queued behind busy planes is flushed (not
+// dropped) before Close returns, and new work is rejected afterwards.
 func TestBatcherClose(t *testing.T) {
-	b, _ := newTestBatcher(t, time.Hour, 1000)
-	ref := b.Runtime().Model().NewInferer()
-	want := ref.Infer(testInput(3))
+	b, _, ref, open, wg, outs, errs := queueBehindPinnedPlanes(t, 2, 1000, 1)
+	want := ref.Infer(testInput(2))
 
-	done := make(chan []float64, 1)
+	closed := make(chan struct{})
 	go func() {
-		out, err := b.Infer(context.Background(), testInput(3))
-		if err != nil {
-			t.Error(err)
-		}
-		done <- out
+		b.Close()
+		close(closed)
 	}()
-	// Wait for the call to join the pending queue before closing.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	waitFor(t, "Close starting", func() bool {
 		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("call never joined the pending queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b.Close()
+		defer b.mu.Unlock()
+		return b.closed
+	})
+	open()
 	select {
-	case out := <-done:
-		for j := range want {
-			if out[j] != want[j] {
-				t.Fatalf("flushed-on-close logit %d: %v != %v", j, out[j], want[j])
-			}
-		}
+	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("pending call not flushed by Close")
+		t.Fatal("Close hung with a call queued")
+	}
+	wg.Wait()
+	if errs[2] != nil {
+		t.Fatal(errs[2])
+	}
+	for j := range want {
+		if outs[2][j] != want[j] {
+			t.Fatalf("queued-at-close logit %d: %v != %v", j, outs[2][j], want[j])
+		}
 	}
 	if _, err := b.Infer(context.Background(), testInput(4)); !errors.Is(err, ErrBatcherClosed) {
 		t.Fatalf("infer after close: %v", err)

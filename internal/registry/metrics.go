@@ -64,7 +64,7 @@ type Metrics struct {
 	computeN    int
 
 	// maxPipeline is the deepest flush-slot occupancy observed at any
-	// flush start — > 1 proves windows really overlapped.
+	// flush start — > 1 proves flushes really overlapped.
 	maxPipeline int
 
 	// EWMAs (in ns) behind RetryHint: how long requests currently wait
@@ -130,7 +130,7 @@ func (m *Metrics) ObserveCompute(d time.Duration) {
 }
 
 // ObservePipelineDepth records the flush-slot occupancy seen at a flush
-// start; the running max proves (or disproves) that windows overlap.
+// start; the running max proves (or disproves) that flushes overlap.
 func (m *Metrics) ObservePipelineDepth(depth int) {
 	if m == nil {
 		return
@@ -246,7 +246,7 @@ type Snapshot struct {
 	ComputeP50Ms   float64 `json:"compute_p50_ms"`
 	ComputeP99Ms   float64 `json:"compute_p99_ms"`
 	// MaxPipelineDepth is the deepest flush-slot occupancy observed at a
-	// flush start — > 1 proves flush windows actually overlapped.
+	// flush start — > 1 proves flushes actually overlapped.
 	MaxPipelineDepth int `json:"max_pipeline_depth"`
 	// RetryHintMs is the current load-derived Retry-After suggestion
 	// (unclamped; 0 until traffic has been observed).

@@ -1,6 +1,6 @@
 package registry
 
-// Flush-pipeline and cost-aware-admission coverage. The slowModel double
+// Flush-pipeline and admission coverage. The slowModel double
 // stretches every fused batch call by a fixed delay, so two explicit
 // batches fired together are deterministically in flight at once — the
 // pipeline-depth gauge must observe >= 2 leased planes — while results
@@ -61,14 +61,28 @@ func (g *gatedInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
 	return g.Inferer.InferBatchInto(dst, xs)
 }
 
-// queueBehindPinnedPlanes builds a work-conserving batcher (window 0)
-// over a gated model with depth planes, pins every plane with one lone
-// call each, then queues n more singles behind them. It returns the
-// batcher, its metrics, the undecorated reference inferer, the gate, and
-// the callers' results and errors, which are complete once wg is done.
-func queueBehindPinnedPlanes(t *testing.T, depth, maxBatch, n int) (b *Batcher, m *Metrics, ref core.Inferer, gate chan struct{}, wg *sync.WaitGroup, outs [][]float64, errs []error) {
+// waitFor polls ok until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, ok func() bool) {
 	t.Helper()
-	gate = make(chan struct{})
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// queueBehindPinnedPlanes builds a batcher over a gated model with depth
+// planes, pins every plane with one lone call each, then queues n more
+// singles behind them. It returns the batcher, its metrics, the
+// undecorated reference inferer, open (which releases the gate; cleanup
+// calls it before closing the batcher, so a failed test cannot leave a
+// flush parked), and the callers' results and errors, which are complete
+// once wg is done.
+func queueBehindPinnedPlanes(t *testing.T, depth, maxBatch, n int) (b *Batcher, m *Metrics, ref core.Inferer, open func(), wg *sync.WaitGroup, outs [][]float64, errs []error) {
+	t.Helper()
+	gate := make(chan struct{})
 	model := &gatedModel{Model: posit8Model(49), gate: gate}
 	rt, err := engine.NewRuntime(model,
 		engine.WithWorkers(depth), engine.WithSharedOutputs(), engine.WithFlushPipeline(depth))
@@ -77,7 +91,10 @@ func queueBehindPinnedPlanes(t *testing.T, depth, maxBatch, n int) (b *Batcher, 
 	}
 	t.Cleanup(func() { rt.Close() })
 	m = &Metrics{}
-	b = NewBatcher(rt, 0, maxBatch, m)
+	b = NewBatcher(rt, maxBatch, m)
+	t.Cleanup(b.Close)
+	open = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open)
 	ref = model.Model.NewInferer()
 	outs = make([][]float64, depth+n)
 	errs = make([]error, depth+n)
@@ -89,29 +106,19 @@ func queueBehindPinnedPlanes(t *testing.T, depth, maxBatch, n int) (b *Batcher, 
 			outs[i], errs[i] = b.Infer(context.Background(), testInput(i))
 		}()
 	}
-	waitFor := func(what string, ok func() bool) {
-		deadline := time.Now().Add(5 * time.Second)
-		for !ok() {
-			if time.Now().After(deadline) {
-				close(gate)
-				t.Fatalf("%s never happened", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	for i := 0; i < depth; i++ {
 		infer(i)
 	}
-	waitFor("pinning every plane", func() bool { return rt.FlushSlotsInUse() == depth })
+	waitFor(t, "pinning every plane", func() bool { return rt.FlushSlotsInUse() == depth })
 	for i := depth; i < depth+n; i++ {
 		infer(i)
 	}
-	waitFor("queueing behind the pinned planes", func() bool {
+	waitFor(t, "queueing behind the pinned planes", func() bool {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		return len(b.pending) == n && b.running == depth
 	})
-	return b, m, ref, gate, wg, outs, errs
+	return b, m, ref, open, wg, outs, errs
 }
 
 // checkServed asserts every caller got a result bit-identical to a
@@ -138,9 +145,8 @@ func checkServed(t *testing.T, ref core.Inferer, outs [][]float64, errs []error)
 // session. The pinning calls flushed at once, alone and uncoalesced.
 func TestWorkConservingCoalescesBehindBusyPlanes(t *testing.T) {
 	const depth, maxBatch, n = 2, 4, 10
-	b, m, ref, gate, wg, outs, errs := queueBehindPinnedPlanes(t, depth, maxBatch, n)
-	defer b.Close()
-	close(gate)
+	b, m, ref, open, wg, outs, errs := queueBehindPinnedPlanes(t, depth, maxBatch, n)
+	open()
 	wg.Wait()
 	checkServed(t, ref, outs, errs)
 
@@ -170,37 +176,26 @@ func TestWorkConservingCoalescesBehindBusyPlanes(t *testing.T) {
 // ⌈N/maxBatch⌉ further flushes — nothing hangs, nothing phantom.
 func TestCloseWithCallersQueuedBehindBusyPlanes(t *testing.T) {
 	const depth, maxBatch, n = 2, 3, 8
-	b, m, ref, gate, wg, outs, errs := queueBehindPinnedPlanes(t, depth, maxBatch, n)
+	b, m, ref, open, wg, outs, errs := queueBehindPinnedPlanes(t, depth, maxBatch, n)
 	closed := make(chan struct{})
 	go func() {
 		b.Close()
 		close(closed)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "Close starting", func() bool {
 		b.mu.Lock()
-		closing := b.closed
-		b.mu.Unlock()
-		if closing {
-			break
-		}
-		if time.Now().After(deadline) {
-			close(gate)
-			t.Fatal("Close never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer b.mu.Unlock()
+		return b.closed
+	})
 	if _, err := b.Infer(context.Background(), testInput(99)); !errors.Is(err, ErrBatcherClosed) {
-		close(gate)
 		t.Fatalf("infer while closing = %v, want ErrBatcherClosed", err)
 	}
 	select {
 	case <-closed:
-		close(gate)
 		t.Fatal("Close returned with flushes still pinned")
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(gate)
+	open()
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
@@ -217,33 +212,15 @@ func TestCloseWithCallersQueuedBehindBusyPlanes(t *testing.T) {
 	}
 }
 
-// newPipelineRegistry loads one slow posit8 model into a registry built
-// with the given options and returns its pinned handle.
-func newPipelineRegistry(t *testing.T, delay time.Duration, opts ...Option) *Handle {
-	t.Helper()
-	r := New(append([]Option{WithRuntimeOptions(engine.WithWorkers(2))}, opts...)...)
-	t.Cleanup(func() { r.Close() })
-	if err := r.Load("m", &slowModel{Model: posit8Model(47), delay: delay}); err != nil {
-		t.Fatal(err)
-	}
-	h, err := r.Acquire("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.Release)
-	return h
-}
-
 // TestPipelinedBitIdentityAtDepth2 drives the flush pipeline to depth
 // >= 2 — concurrent explicit batches each lease their own result plane
-// while coalesced windows flow between them — and asserts every result
+// while singles flush between them — and asserts every result
 // is bit-identical to an unbatched serial session. This is the tentpole
 // exactness contract: overlap must never leak one flush's plane into
 // another's results.
 func TestPipelinedBitIdentityAtDepth2(t *testing.T) {
-	h := newPipelineRegistry(t, 10*time.Millisecond,
+	h := newHandle(t, &slowModel{Model: posit8Model(47), delay: 10 * time.Millisecond},
 		WithFlushPipeline(2),
-		WithBatchWindow(time.Millisecond),
 		WithMaxBatch(4),
 	)
 	if d := h.Runtime().FlushPipelineDepth(); d != 2 {
@@ -311,7 +288,8 @@ func TestPipelinedBitIdentityAtDepth2(t *testing.T) {
 		t.Fatalf("requests = %d, want %d", snap.Requests, singles+batches*batchSize)
 	}
 	// The latency split observed both halves: requests waited (for a
-	// window or a plane) and flushes computed for >= the injected delay.
+	// plane or a flush to take them up) and flushes computed for >= the
+	// injected delay.
 	if snap.ComputeP50Ms < 10 {
 		t.Fatalf("compute p50 = %vms, want >= the 10ms injected delay", snap.ComputeP50Ms)
 	}
@@ -333,11 +311,11 @@ func TestCloseMidPipelineDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &Metrics{}
-	b := NewBatcher(rt, time.Hour, 3, m) // coalesced windows flush only via Close
-	ref := model.Model.NewInferer()      // the undecorated plane: same bits, no sleep
+	b := NewBatcher(rt, 3, m)
+	ref := model.Model.NewInferer() // the undecorated plane: same bits, no sleep
 
-	// Two explicit batches occupy both planes; one coalesced call parks
-	// in the pending queue awaiting the (never-firing) window timer.
+	// Two explicit batches occupy both planes; one single call's flush
+	// waits for a plane.
 	const batchSize = 4
 	var wg sync.WaitGroup
 	results := make([][][]float64, 2)
@@ -360,22 +338,12 @@ func TestCloseMidPipelineDrains(t *testing.T) {
 		defer close(parked)
 		parkedOut, parkedErr = b.Infer(context.Background(), testInput(300))
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		pend := len(b.pending)
-		b.mu.Unlock()
-		if pend == 1 && rt.FlushSlotsInUse() == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline never filled: pending=%d in use=%d", pend, rt.FlushSlotsInUse())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the pipeline filling", func() bool {
+		return b.Flushing() == 1 && rt.FlushSlotsInUse() == 2
+	})
 
-	// Tear down in the registry's order: batcher (flushes the parked
-	// call, waits out in-flight flushes), then the runtime.
+	// Tear down in the registry's order: batcher (waits out in-flight
+	// flushes, the parked call's included), then the runtime.
 	b.Close()
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
@@ -410,8 +378,8 @@ func TestCloseMidPipelineDrains(t *testing.T) {
 		}
 	}
 
-	// Exactly 3 flushes ran (two explicit, one close-time); nothing
-	// phantom was recorded during teardown.
+	// Exactly 3 flushes ran (two explicit, one single); nothing phantom
+	// was recorded during teardown.
 	snap := m.Snapshot()
 	if snap.Batches != 3 || snap.Requests != 2*batchSize+1 {
 		t.Fatalf("flush accounting after Close: %+v, want 3 batches / %d requests", snap, 2*batchSize+1)
@@ -463,88 +431,13 @@ func TestMetricsQueueComputeSplit(t *testing.T) {
 	}
 }
 
-// TestCostAwareAdmissionWeighsBatches: under WithCostAwareAdmission an
-// explicit batch claims len(xs) admission units — parked singles plus a
-// batch that would overflow the gate are shed with the rejected counter
-// moving, an in-budget batch passes, and an oversized batch clamps to
-// the whole gate instead of becoming unservable.
-func TestCostAwareAdmissionWeighsBatches(t *testing.T) {
+// TestAdmissionMixedBurst fires singles and explicit batches at a small
+// gate concurrently: accounting balances (served + rejected = fired, the
+// rejected counter matches observed sheds), served results are
+// bit-identical to a serial session, and the gauge drains to zero.
+func TestAdmissionMixedBurst(t *testing.T) {
 	h := newAdmissionRegistry(t,
 		WithMaxInFlight(4),
-		WithCostAwareAdmission(),
-		WithBatchWindow(time.Hour), // parked singles hold their units
-		WithMaxBatch(1000),
-	)
-	if !h.CostAware() {
-		t.Fatal("CostAware = false")
-	}
-	if h.MaxInFlight() != 4 {
-		t.Fatalf("MaxInFlight = %d, want 4", h.MaxInFlight())
-	}
-
-	// Park two singles: 2 of 4 units held.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	parked := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			_, err := h.Infer(ctx, testInput(i))
-			parked <- err
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for h.Metrics().Snapshot().InFlight != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("parked singles never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	three := [][]float64{testInput(10), testInput(11), testInput(12)}
-	if _, err := h.InferBatch(context.Background(), three); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("3-sample batch over a 2/4 gate: %v, want ErrOverloaded", err)
-	}
-	if snap := h.Metrics().Snapshot(); snap.Rejected != 1 {
-		t.Fatalf("rejected = %d after cost-aware shed, want 1", snap.Rejected)
-	}
-	two := [][]float64{testInput(13), testInput(14)}
-	if out, err := h.InferBatch(context.Background(), two); err != nil || len(out) != 2 {
-		t.Fatalf("2-sample batch within budget: %v, %v", out, err)
-	}
-
-	// Free the singles; a batch larger than the whole gate clamps to the
-	// gate and runs.
-	cancel()
-	<-parked
-	<-parked
-	deadline = time.Now().Add(5 * time.Second)
-	for h.Metrics().Snapshot().InFlight != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("units never freed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	nine := make([][]float64, 9)
-	for i := range nine {
-		nine[i] = testInput(20 + i)
-	}
-	if out, err := h.InferBatch(context.Background(), nine); err != nil || len(out) != 9 {
-		t.Fatalf("oversized batch on an idle gate: %v, %v", out, err)
-	}
-	if snap := h.Metrics().Snapshot(); snap.InFlight != 0 {
-		t.Fatalf("in-flight gauge = %d after oversized batch drained", snap.InFlight)
-	}
-}
-
-// TestCostAwareMixedBurst fires singles and explicit batches at a small
-// cost-aware gate concurrently: accounting balances (served + rejected =
-// fired, the rejected counter matches observed sheds), served results
-// are bit-identical to a serial session, and the gauge drains to zero.
-func TestCostAwareMixedBurst(t *testing.T) {
-	h := newAdmissionRegistry(t,
-		WithMaxInFlight(4),
-		WithCostAwareAdmission(),
-		WithBatchWindow(5*time.Millisecond),
 		WithMaxBatch(8),
 	)
 	ref := h.Model().NewInferer()

@@ -49,12 +49,10 @@ var ErrRegistryClosed = errors.New("registry: closed")
 // into a Registry.
 type config struct {
 	rtOpts      []engine.Option
-	window      time.Duration
 	maxBatch    int
 	maxInFlight int
 	reqTimeout  time.Duration
 	flushDepth  int
-	costAware   bool
 	store       store.Store
 }
 
@@ -70,28 +68,16 @@ func WithRuntimeOptions(opts ...engine.Option) Option {
 	return func(c *config) { c.rtOpts = append(c.rtOpts, opts...) }
 }
 
-// WithBatchWindow sets the micro-batching coalescing window for every
-// model: single-sample inferences arriving within the window share one
-// runtime batch. d <= 0 selects the work-conserving batcher, which
-// flushes a request at once while a flush plane is free and coalesces
-// only the requests queued behind busy planes. The default is
-// DefaultBatchWindow (0).
-func WithBatchWindow(d time.Duration) Option {
-	return func(c *config) { c.window = d }
-}
-
-// WithMaxBatch bounds a coalesced flush: when the pending queue reaches
-// n the batch flushes immediately instead of waiting out the window, and
-// a finishing work-conserving flush takes up at most n queued requests.
-// n <= 1 flushes every request alone. The default is DefaultMaxBatch.
+// WithMaxBatch bounds a coalesced flush: a finishing flush takes up at
+// most n of the requests queued behind busy flush planes. n <= 1
+// flushes every request alone. The default is DefaultMaxBatch.
 func WithMaxBatch(n int) Option {
 	return func(c *config) { c.maxBatch = n }
 }
 
 // WithMaxInFlight caps the concurrently admitted inference requests per
-// model (each Handle.Infer or Handle.InferBatch counts once, for its
-// whole lifetime including micro-batcher queueing; under
-// WithCostAwareAdmission an explicit batch counts len(xs) instead). A
+// model (each Handle.Infer or Handle.InferBatch counts once, whatever
+// its size, for its whole lifetime including micro-batcher queueing). A
 // request arriving at the cap is rejected immediately with
 // ErrOverloaded — shed, not silently queued — which the HTTP layer maps
 // to 429. n <= 0 (the default) leaves admission unlimited.
@@ -107,15 +93,6 @@ func WithMaxInFlight(n int) Option {
 // d <= 0 resets to DefaultFlushPipeline.
 func WithFlushPipeline(d int) Option {
 	return func(c *config) { c.flushDepth = d }
-}
-
-// WithCostAwareAdmission makes the admission gate weigh explicit batches
-// by sample count: Handle.InferBatch claims len(xs) of the
-// WithMaxInFlight capacity instead of 1, so mixed single/batch traffic
-// sheds in proportion to the compute requested. Oversized batches clamp
-// to the full capacity rather than becoming unservable.
-func WithCostAwareAdmission() Option {
-	return func(c *config) { c.costAware = true }
 }
 
 // WithStore sets the content-addressed artifact store behind the
@@ -155,13 +132,11 @@ type entry struct {
 	hash     artifact.Hash
 	artBytes int64
 
-	// admission gate: gate bounds concurrently admitted work in weighted
-	// units (nil = unlimited; costAware weighs explicit batches by sample
-	// count), timeout bounds one admitted request end to end (0 = none).
-	// See admission.go.
-	gate      *gate
-	costAware bool
-	timeout   time.Duration
+	// admission gate: gate bounds concurrently admitted requests (nil =
+	// unlimited), timeout bounds one admitted request end to end (0 =
+	// none). See admission.go.
+	gate    *gate
+	timeout time.Duration
 
 	bound    int  // names currently bound to this entry
 	refs     int  // in-flight handles
@@ -177,8 +152,9 @@ type binding struct {
 	loaded time.Time
 }
 
-// close tears down one entry: the batcher first (flushes stragglers,
-// rejects new work), then the runtime (drains in-flight inferences).
+// close tears down one entry: the batcher first (rejects new work,
+// waits out its flushes), then the runtime (drains in-flight
+// inferences).
 // Called at most once, with refs == 0 and bound == 0.
 func (e *entry) close() {
 	e.batcher.Close()
@@ -202,7 +178,7 @@ type Registry struct {
 // New returns an empty registry. Options set the runtime and batching
 // configuration applied to every model loaded afterwards.
 func New(opts ...Option) *Registry {
-	cfg := config{window: DefaultBatchWindow, maxBatch: DefaultMaxBatch}
+	cfg := config{maxBatch: DefaultMaxBatch}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -447,14 +423,13 @@ func (r *Registry) loadEntry(name string, key, hash artifact.Hash, artBytes int6
 		key:      key,
 		model:    model,
 		rt:       rt,
-		batcher:  NewBatcher(rt, r.cfg.window, r.cfg.maxBatch, metrics),
+		batcher:  NewBatcher(rt, r.cfg.maxBatch, metrics),
 		metrics:  metrics,
 		hash:     hash,
 		artBytes: artBytes,
 		timeout:  r.cfg.reqTimeout,
 		done:     make(chan struct{}),
 	}
-	e.costAware = r.cfg.costAware
 	if r.cfg.maxInFlight > 0 {
 		e.gate = newGate(r.cfg.maxInFlight)
 	}
@@ -652,10 +627,9 @@ type ModelStat struct {
 	ArtifactBytes int64  `json:"artifact_bytes"`
 	// Aliases counts the names currently bound to this model's entry
 	// (same content hash → shared runtime); 1 when this name is alone.
-	Aliases     int    `json:"aliases"`
-	Workers     int    `json:"workers"`
-	BatchWindow string `json:"batch_window"`
-	MaxBatch    int    `json:"max_batch"`
+	Aliases  int `json:"aliases"`
+	Workers  int `json:"workers"`
+	MaxBatch int `json:"max_batch"`
 	// FlushPipeline is the runtime's flush-slot plane count;
 	// PipelineInUse samples how many planes are leased right now,
 	// BatchFlushing how many work-conserving flushes are in progress
@@ -666,12 +640,11 @@ type ModelStat struct {
 	PipelineInUse int `json:"pipeline_in_use"`
 	BatchFlushing int `json:"batch_flushing"`
 	BatchQueued   int `json:"batch_queued"`
-	// MaxInFlight is the admission capacity in units (0 = unlimited);
-	// CostAwareAdmission marks those units as samples rather than
-	// requests; RequestTimeout is the per-request deadline ("0s" = none).
-	MaxInFlight        int    `json:"max_in_flight"`
-	CostAwareAdmission bool   `json:"cost_aware_admission"`
-	RequestTimeout     string `json:"request_timeout"`
+	// MaxInFlight is the admission capacity in requests (0 =
+	// unlimited); RequestTimeout is the per-request deadline ("0s" =
+	// none).
+	MaxInFlight    int    `json:"max_in_flight"`
+	RequestTimeout string `json:"request_timeout"`
 	// QueueLen/QueueCap sample the runtime job queue — the backpressure
 	// signal behind admission control.
 	QueueLen int `json:"queue_len"`
@@ -697,33 +670,31 @@ func statFor(name string, b *binding, aliases int) ModelStat {
 		contentHash = e.hash.String()
 	}
 	return ModelStat{
-		Name:               name,
-		Model:              m.String(),
-		Kind:               m.Kind(),
-		InputDim:           m.InputDim(),
-		OutputDim:          m.OutputDim(),
-		Layers:             m.NumLayers(),
-		Arithmetics:        m.ArithNames(),
-		MemoryBits:         m.MemoryBits(),
-		Standardized:       m.Standardizer() != nil,
-		ContentHash:        contentHash,
-		ArtifactBytes:      e.artBytes,
-		Aliases:            aliases,
-		Workers:            e.rt.Workers(),
-		BatchWindow:        e.batcher.Window().String(),
-		MaxBatch:           e.batcher.MaxBatch(),
-		FlushPipeline:      e.rt.FlushPipelineDepth(),
-		PipelineInUse:      e.rt.FlushSlotsInUse(),
-		BatchFlushing:      e.batcher.Flushing(),
-		BatchQueued:        e.batcher.Queued(),
-		MaxInFlight:        e.gate.Cap(),
-		CostAwareAdmission: e.costAware,
-		RequestTimeout:     e.timeout.String(),
-		QueueLen:           e.rt.QueueLen(),
-		QueueCap:           e.rt.QueueCap(),
-		Panics:             e.rt.Panics(),
-		LoadedAt:           b.loaded.UTC().Format(time.RFC3339),
-		Metrics:            e.metrics.Snapshot(),
+		Name:           name,
+		Model:          m.String(),
+		Kind:           m.Kind(),
+		InputDim:       m.InputDim(),
+		OutputDim:      m.OutputDim(),
+		Layers:         m.NumLayers(),
+		Arithmetics:    m.ArithNames(),
+		MemoryBits:     m.MemoryBits(),
+		Standardized:   m.Standardizer() != nil,
+		ContentHash:    contentHash,
+		ArtifactBytes:  e.artBytes,
+		Aliases:        aliases,
+		Workers:        e.rt.Workers(),
+		MaxBatch:       e.batcher.MaxBatch(),
+		FlushPipeline:  e.rt.FlushPipelineDepth(),
+		PipelineInUse:  e.rt.FlushSlotsInUse(),
+		BatchFlushing:  e.batcher.Flushing(),
+		BatchQueued:    e.batcher.Queued(),
+		MaxInFlight:    e.gate.Cap(),
+		RequestTimeout: e.timeout.String(),
+		QueueLen:       e.rt.QueueLen(),
+		QueueCap:       e.rt.QueueCap(),
+		Panics:         e.rt.Panics(),
+		LoadedAt:       b.loaded.UTC().Format(time.RFC3339),
+		Metrics:        e.metrics.Snapshot(),
 	}
 }
 

@@ -66,31 +66,25 @@ func TestLoadAcquireUnload(t *testing.T) {
 }
 
 // TestSharedOutputsTracksBatching: every entry rides the shared-output
-// (0 allocs/op) runtime path with a flush pipeline, whether it batches
-// on a window or work-conserves at window 0.
+// (0 allocs/op) runtime path with a flush pipeline.
 func TestSharedOutputsTracksBatching(t *testing.T) {
-	for _, window := range []time.Duration{0, time.Millisecond} {
-		r := New(WithRuntimeOptions(engine.WithWorkers(1)), WithBatchWindow(window))
-		t.Cleanup(func() { r.Close() })
-		if err := r.Load("m", posit8Model(20)); err != nil {
-			t.Fatal(err)
-		}
-		h, err := r.Acquire("m")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Released before the registry closes, even on failure: a held
-		// handle would block Close on the entry's drain.
-		t.Cleanup(h.Release)
-		if !h.Runtime().SharedOutputs() {
-			t.Fatalf("window %v: runtime not shared-output", window)
-		}
-		if d := h.Runtime().FlushPipelineDepth(); d != DefaultFlushPipeline {
-			t.Fatalf("window %v: FlushPipelineDepth = %d, want %d", window, d, DefaultFlushPipeline)
-		}
-		if h.Batcher().Window() != window {
-			t.Fatalf("Window = %v, want %v", h.Batcher().Window(), window)
-		}
+	r := New(WithRuntimeOptions(engine.WithWorkers(1)))
+	t.Cleanup(func() { r.Close() })
+	if err := r.Load("m", posit8Model(20)); err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Released before the registry closes, even on failure: a held
+	// handle would block Close on the entry's drain.
+	t.Cleanup(h.Release)
+	if !h.Runtime().SharedOutputs() {
+		t.Fatal("runtime not shared-output")
+	}
+	if d := h.Runtime().FlushPipelineDepth(); d != DefaultFlushPipeline {
+		t.Fatalf("FlushPipelineDepth = %d, want %d", d, DefaultFlushPipeline)
 	}
 }
 
@@ -166,7 +160,6 @@ func TestUnloadWaitsForHandles(t *testing.T) {
 func TestConcurrentLifecycle(t *testing.T) {
 	r := New(
 		WithRuntimeOptions(engine.WithWorkers(1)),
-		WithBatchWindow(100*time.Microsecond),
 		WithMaxBatch(4),
 	)
 	defer r.Close()
@@ -289,7 +282,6 @@ func TestLoadBytesRejectsAmbiguousAriths(t *testing.T) {
 func TestStats(t *testing.T) {
 	r := New(
 		WithRuntimeOptions(engine.WithWorkers(2)),
-		WithBatchWindow(3*time.Millisecond),
 		WithMaxBatch(16),
 	)
 	defer r.Close()
@@ -305,7 +297,7 @@ func TestStats(t *testing.T) {
 	}
 	s := stats[0]
 	if s.Kind != "uniform" || s.InputDim != 4 || s.OutputDim != 3 || s.Workers != 2 ||
-		s.MaxBatch != 16 || s.BatchWindow != "3ms" {
+		s.MaxBatch != 16 {
 		t.Fatalf("stat: %+v", s)
 	}
 

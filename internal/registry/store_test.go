@@ -343,7 +343,7 @@ func TestUnloadThenGCFreesDiskBytes(t *testing.T) {
 // -race: GC sweeps run concurrently with load/unload churn must never
 // remove a blob that a loaded (or in-flight-loading) model references.
 func TestGCNeverSweepsPinnedConcurrent(t *testing.T) {
-	r := New(WithRuntimeOptions(engine.WithWorkers(1)), WithBatchWindow(0))
+	r := New(WithRuntimeOptions(engine.WithWorkers(1)))
 	defer r.Close()
 
 	const goroutines = 4

@@ -10,8 +10,6 @@ import "sync/atomic"
 type metrics struct {
 	proxied     atomic.Int64 // requests that reached a replica and returned to the client
 	retries     atomic.Int64 // extra attempts after a retriable failure
-	hedges      atomic.Int64 // hedge attempts launched
-	hedgeWins   atomic.Int64 // hedges whose response beat the primary
 	unavailable atomic.Int64 // fast 503s: no replica available (all open/down/draining)
 	exhausted   atomic.Int64 // 503s after the retry budget ran out
 	badGateway  atomic.Int64 // 502s: non-retriable transport failure
@@ -21,8 +19,6 @@ type metrics struct {
 type RouterCounters struct {
 	Proxied     int64 `json:"proxied"`
 	Retries     int64 `json:"retries"`
-	Hedges      int64 `json:"hedges"`
-	HedgeWins   int64 `json:"hedge_wins"`
 	Unavailable int64 `json:"unavailable"`
 	Exhausted   int64 `json:"exhausted"`
 	BadGateway  int64 `json:"bad_gateway"`
@@ -32,8 +28,6 @@ func (m *metrics) counters() RouterCounters {
 	return RouterCounters{
 		Proxied:     m.proxied.Load(),
 		Retries:     m.retries.Load(),
-		Hedges:      m.hedges.Load(),
-		HedgeWins:   m.hedgeWins.Load(),
 		Unavailable: m.unavailable.Load(),
 		Exhausted:   m.exhausted.Load(),
 		BadGateway:  m.badGateway.Load(),

@@ -6,15 +6,13 @@
 // with least-queue-depth spill ([Router.pick]); retriable failures
 // (connection refused/reset, 503, probe timeout — never 4xx, never a
 // non-idempotent request that may have reached the replica) are retried
-// with exponential backoff and full jitter; idempotent requests can be
-// hedged against the tail. When every replica for a model is open the
-// router degrades gracefully: a fast 503 with Retry-After instead of a
-// pile-up of connection timeouts.
+// with exponential backoff and full jitter. When every replica for a
+// model is open the router degrades gracefully: a fast 503 with
+// Retry-After instead of a pile-up of connection timeouts.
 package router
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,7 +30,7 @@ import (
 
 const (
 	// maxRequestBytes bounds the buffered request body (buffering is what
-	// makes retries and hedges safe to replay).
+	// makes retries safe to replay).
 	maxRequestBytes = 32 << 20
 	// maxResponseBytes bounds buffered upstream responses and probe bodies.
 	maxResponseBytes = 32 << 20
@@ -48,7 +46,6 @@ type Router struct {
 	maxRetries    int
 	backoffBase   time.Duration
 	backoffMax    time.Duration
-	hedgeDelay    time.Duration
 	cooldown      time.Duration
 
 	rngMu sync.Mutex
@@ -72,7 +69,6 @@ type config struct {
 	maxRetries    int
 	backoffBase   time.Duration
 	backoffMax    time.Duration
-	hedgeDelay    time.Duration
 	seed          uint64
 	transport     http.RoundTripper
 	noProbes      bool
@@ -140,18 +136,6 @@ func WithBackoff(base, max time.Duration) Option {
 	}
 }
 
-// WithHedgeDelay enables hedged requests: when an idempotent request
-// has not answered after d, a second attempt is fired at another
-// replica and the first response wins. 0 (the default) disables
-// hedging.
-func WithHedgeDelay(d time.Duration) Option {
-	return func(c *config) {
-		if d >= 0 {
-			c.hedgeDelay = d
-		}
-	}
-}
-
 // WithSeed seeds the router's deterministic jitter source (default 1).
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
@@ -200,7 +184,6 @@ func New(addrs []string, opts ...Option) (*Router, error) {
 		maxRetries:    cfg.maxRetries,
 		backoffBase:   cfg.backoffBase,
 		backoffMax:    cfg.backoffMax,
-		hedgeDelay:    cfg.hedgeDelay,
 		cooldown:      cfg.cooldown,
 		rng:           rng.New(cfg.seed),
 		stop:          make(chan struct{}),
@@ -272,10 +255,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // outcome is one attempt's result: a buffered upstream response, or the
 // transport error that prevented one. cancelled marks attempts whose
-// context was cut (client gone, or a hedge that lost) — those say
-// nothing about the replica and are never recorded against it.
+// context was cut (the client went away) — those say nothing about the
+// replica and are never recorded against it.
 type outcome struct {
-	rep       *replica
 	resp      *bufferedResponse
 	err       error
 	cancelled bool
@@ -290,7 +272,7 @@ type bufferedResponse struct {
 }
 
 // proxy forwards one client request with bounded retries, full-jitter
-// backoff, optional hedging, and graceful degradation.
+// backoff, and graceful degradation.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
 	if err != nil {
@@ -320,13 +302,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 		}
 		tried[rep] = true
 
-		var out outcome
-		if attempt == 0 && idem && rt.hedgeDelay > 0 && len(rt.replicas) > 1 {
-			out = rt.hedgedAttempt(r, body, model, rep, tried)
-		} else {
-			out = rt.attempt(r.Context(), r, body, rep)
-		}
-
+		out := rt.attempt(r, body, rep)
 		switch {
 		case out.cancelled:
 			return // client disconnected; nothing sensible to write
@@ -346,7 +322,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 			// Success — including upstream 4xx/5xx other than 503, which
 			// are the replica's verdict on the request, not a fault.
 			rt.metrics.proxied.Add(1)
-			rt.writeBuffered(w, out.resp, out.rep)
+			rt.writeBuffered(w, out.resp, rep)
 			return
 		}
 	}
@@ -386,33 +362,35 @@ func (rt *Router) degrade(w http.ResponseWriter, lastResp *bufferedResponse, las
 
 // attempt sends one buffered request to one replica and buffers the
 // response. It records the outcome against the replica's breaker unless
-// the context was cancelled (a cancelled attempt proves nothing).
-func (rt *Router) attempt(ctx context.Context, r *http.Request, body []byte, rep *replica) outcome {
+// the client's context was cancelled (a cancelled attempt proves
+// nothing).
+func (rt *Router) attempt(r *http.Request, body []byte, rep *replica) outcome {
+	ctx := r.Context()
 	rep.requests.Add(1)
 	req, err := http.NewRequestWithContext(ctx, r.Method,
 		rep.base.String()+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
-		return outcome{rep: rep, err: err}
+		return outcome{err: err}
 	}
 	copyHeader(req.Header, r.Header)
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return outcome{rep: rep, err: err, cancelled: true}
+			return outcome{err: err, cancelled: true}
 		}
 		rep.failures.Add(1)
 		rep.br.RecordFailure()
-		return outcome{rep: rep, err: err}
+		return outcome{err: err}
 	}
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		if ctx.Err() != nil {
-			return outcome{rep: rep, err: err, cancelled: true}
+			return outcome{err: err, cancelled: true}
 		}
 		rep.failures.Add(1)
 		rep.br.RecordFailure()
-		return outcome{rep: rep, err: fmt.Errorf("reading upstream response: %w", err)}
+		return outcome{err: fmt.Errorf("reading upstream response: %w", err)}
 	}
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		rep.failures.Add(1)
@@ -420,54 +398,11 @@ func (rt *Router) attempt(ctx context.Context, r *http.Request, body []byte, rep
 	} else {
 		rep.br.RecordSuccess()
 	}
-	return outcome{rep: rep, resp: &bufferedResponse{
+	return outcome{resp: &bufferedResponse{
 		status: resp.StatusCode,
 		header: resp.Header.Clone(),
 		body:   respBody,
 	}}
-}
-
-// hedgedAttempt races the primary attempt against a hedge fired after
-// hedgeDelay at a different replica. The first good response wins and
-// the loser's context is cancelled; failures fall through to the normal
-// retry loop.
-func (rt *Router) hedgedAttempt(r *http.Request, body []byte, model string, primary *replica, tried map[*replica]bool) outcome {
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	results := make(chan outcome, 2) // both attempts can always deliver
-	pending := 1
-	hedged := false
-	go func() { results <- rt.attempt(ctx, r, body, primary) }()
-	timer := time.NewTimer(rt.hedgeDelay)
-	defer timer.Stop()
-	var last outcome
-	for {
-		select {
-		case <-timer.C:
-			if sec := rt.pick(model, tried); sec != nil {
-				tried[sec] = true
-				rt.metrics.hedges.Add(1)
-				hedged = true
-				pending++
-				go func() { results <- rt.attempt(ctx, r, body, sec) }()
-			}
-		case out := <-results:
-			pending--
-			good := out.err == nil && out.resp != nil && out.resp.status != http.StatusServiceUnavailable
-			if good {
-				if hedged && out.rep != primary {
-					rt.metrics.hedgeWins.Add(1)
-				}
-				return out
-			}
-			last = out
-			if pending == 0 {
-				// Both (or the only) attempts failed: stop hedging and let
-				// the retry loop take over.
-				return last
-			}
-		}
-	}
 }
 
 // sleepBackoff waits the full-jitter delay before retry k, returning

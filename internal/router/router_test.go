@@ -390,38 +390,6 @@ func TestProbeFailureOpensBreaker(t *testing.T) {
 	}
 }
 
-func TestHedgedRequestWins(t *testing.T) {
-	release := make(chan struct{})
-	slow := newFakeReplica(func(n int, w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-			return
-		}
-		ok200(n, w, r)
-	})
-	fast := newFakeReplica(ok200)
-	defer slow.ts.Close()
-	defer fast.ts.Close()
-	defer close(release)
-
-	rt := newTestRouter(t, []string{slow.ts.URL, fast.ts.URL},
-		WithHedgeDelay(20*time.Millisecond))
-	model := modelPreferring(t, rt, slow.ts.URL)
-
-	resp := inferVia(t, rt, model)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Positron-Replica"); got != fast.ts.URL {
-		t.Fatalf("served by %q, want hedge winner %q", got, fast.ts.URL)
-	}
-	m := rt.Metrics().Router
-	if m.Hedges != 1 || m.HedgeWins != 1 {
-		t.Fatalf("hedges/wins = %d/%d, want 1/1", m.Hedges, m.HedgeWins)
-	}
-}
-
 func TestRouterOwnEndpoints(t *testing.T) {
 	rep := newFakeReplica(ok200)
 	defer rep.ts.Close()

@@ -9,17 +9,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/registry"
 )
 
 func TestCoalescedHTTPBytesMatchFusedFlush(t *testing.T) {
-	_, ts, m, test := newTestServer(t,
-		registry.WithBatchWindow(50*time.Millisecond), registry.WithMaxBatch(8))
+	ts, gm, open, m, test := newGatedServer(t, registry.WithMaxBatch(8))
 
 	// Ground truth: the exact response envelope a serial per-sample
 	// session would yield, serialised the same way the handler does.
@@ -37,25 +34,19 @@ func TestCoalescedHTTPBytesMatchFusedFlush(t *testing.T) {
 	}
 
 	got := make([][]byte, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			body, err := json.Marshal(inferRequest{Input: test.X[i%len(test.X)]})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			resp, raw := postJSON(t, ts.URL+"/v1/infer", string(body))
-			if resp.StatusCode != 200 {
-				t.Errorf("request %d: status %d (%s)", i, resp.StatusCode, raw)
-				return
-			}
-			got[i] = raw
-		}(i)
-	}
-	wg.Wait()
+	burstBehindPins(t, ts, gm, open, n, func(i int) {
+		body, err := json.Marshal(inferRequest{Input: test.X[i%len(test.X)]})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, raw := postJSON(t, ts.URL+"/v1/infer", string(body))
+		if resp.StatusCode != 200 {
+			t.Errorf("request %d: status %d (%s)", i, resp.StatusCode, raw)
+			return
+		}
+		got[i] = raw
+	})
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("request %d response bytes diverge from serial session:\n got %s\nwant %s",
@@ -86,7 +77,7 @@ func TestCoalescedHTTPBytesMatchFusedFlush(t *testing.T) {
 // (which goes straight to Runtime.InferBatch's chunked fused path) and
 // checks byte identity the same way.
 func TestExplicitHTTPBatchMatchesFusedFlush(t *testing.T) {
-	_, ts, m, test := newTestServer(t, registry.WithBatchWindow(time.Millisecond))
+	_, ts, m, test := newTestServer(t)
 
 	const n = 24
 	xs := test.X[:n]

@@ -44,13 +44,11 @@ func (s *slowInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
 }
 
 // newPipelineServer serves one slow iris model through a depth-2 flush
-// pipeline with a tight window, so windows queue behind each other and
-// overlap.
+// pipeline, so flushes queue behind each other and overlap.
 func newPipelineServer(t *testing.T) (*httptest.Server, core.Model, *datasets.Dataset) {
 	t.Helper()
 	m, test := irisModel(t)
 	reg := registry.New(
-		registry.WithBatchWindow(time.Millisecond),
 		registry.WithMaxBatch(4),
 		registry.WithFlushPipeline(2),
 	)
@@ -107,7 +105,7 @@ func TestPipelinedHTTPBytesMatchSerial(t *testing.T) {
 		}(i)
 	}
 	// A few explicit batches alongside the singles keep both planes
-	// leased while windows demux.
+	// leased while flushes demux.
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func() {

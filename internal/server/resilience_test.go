@@ -201,7 +201,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 // worker and subsequent requests survive, and the per-model panics
 // counter ticks.
 func TestInferencePanicIs500NotCrash(t *testing.T) {
-	reg := registry.New(registry.WithBatchWindow(0)) // direct path: no coalescing
+	reg := registry.New()
 	if err := reg.Load("boom", poisonModel{}); err != nil {
 		t.Fatal(err)
 	}

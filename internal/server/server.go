@@ -1,7 +1,7 @@
 // Package server implements the positrond HTTP inference API: a JSON
 // front-end over a multi-model registry. Each loaded model owns a
 // worker-pool Runtime and a dynamic micro-batcher; single-sample
-// requests arriving within the batching window share one runtime batch.
+// requests queued behind busy flush planes share one runtime batch.
 //
 //	GET    /healthz                 liveness probe (503 once shutdown
 //	                                has begun — the drain signal the
@@ -602,15 +602,11 @@ type inferResponse struct {
 // retryAfter suggests a whole-seconds backoff for shed or timed-out
 // requests, derived from observed load: the model's queue-wait EWMA plus
 // one observed flush interval (Metrics.RetryHint) — roughly when a freed
-// admission unit plausibly reaches a retry — floored at one batch window
-// for cold models. Clamped to [1s, 30s]: the header does not admit
-// sub-second values, and past 30s the hint is telling the client the
-// model is wedged, not busy.
+// admission unit plausibly reaches a retry. Clamped to [1s, 30s]: the
+// header does not admit sub-second values, and past 30s the hint is
+// telling the client the model is wedged, not busy.
 func retryAfter(h *registry.Handle) string {
 	d := h.Metrics().RetryHint()
-	if w := h.Batcher().Window(); d < w {
-		d = w
-	}
 	const lo, hi = time.Second, 30 * time.Second
 	switch {
 	case d < lo:

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -76,6 +77,18 @@ func mixedModel(t *testing.T) core.Model {
 func newTestServerDir(t *testing.T, modelDir string, opts ...registry.Option) (*Server, *httptest.Server, core.Model, *datasets.Dataset) {
 	t.Helper()
 	m, test := irisModel(t)
+	s, ts := serveModel(t, m, modelDir, opts...)
+	return s, ts, m, test
+}
+
+func newTestServer(t *testing.T, opts ...registry.Option) (*Server, *httptest.Server, core.Model, *datasets.Dataset) {
+	t.Helper()
+	return newTestServerDir(t, t.TempDir(), opts...)
+}
+
+// serveModel starts a registry-backed server with m loaded as "iris".
+func serveModel(t *testing.T, m core.Model, modelDir string, opts ...registry.Option) (*Server, *httptest.Server) {
+	t.Helper()
 	opts = append([]registry.Option{
 		registry.WithRuntimeOptions(engine.WithWorkers(4)),
 	}, opts...)
@@ -89,12 +102,75 @@ func newTestServerDir(t *testing.T, modelDir string, opts ...registry.Option) (*
 		ts.Close()
 		s.Close()
 	})
-	return s, ts, m, test
+	return s, ts
 }
 
-func newTestServer(t *testing.T, opts ...registry.Option) (*Server, *httptest.Server, core.Model, *datasets.Dataset) {
+// newGatedServer is newTestServer over a gateModel wrapping the Iris
+// model. open releases the gate; cleanup calls it before the server
+// closes, so a failed test cannot leave a flush parked.
+func newGatedServer(t *testing.T, opts ...registry.Option) (ts *httptest.Server, gm *gateModel, open func(), m core.Model, test *datasets.Dataset) {
 	t.Helper()
-	return newTestServerDir(t, t.TempDir(), opts...)
+	m, test = irisModel(t)
+	gm = &gateModel{Model: m, calls: make(chan gateCall), open: make(chan struct{})}
+	_, ts = serveModel(t, gm, t.TempDir(), opts...)
+	open = sync.OnceFunc(func() { close(gm.open) })
+	t.Cleanup(open)
+	return ts, gm, open, m, test
+}
+
+// pinPlanes parks one lone flush on each of the model's flush planes in
+// gm. The pins go straight to the batcher, so they claim no admission
+// unit and carry no deadline; they finish once gm opens.
+func pinPlanes(t *testing.T, ts *httptest.Server, gm *gateModel) {
+	t.Helper()
+	h, err := getServer(t, ts).Registry().Acquire("iris")
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := h.Runtime().FlushPipelineDepth()
+	var pins sync.WaitGroup
+	pins.Add(depth)
+	for i := 0; i < depth; i++ {
+		go func() {
+			defer pins.Done()
+			_, _ = h.Batcher().Infer(context.Background(), make([]float64, h.Model().InputDim()))
+		}()
+	}
+	go func() { pins.Wait(); h.Release() }()
+	for i := 0; i < depth; i++ {
+		select {
+		case <-gm.calls:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a pinning flush never reached the model")
+		}
+	}
+}
+
+// burstBehindPins sends n requests, send(i) for each, that must
+// coalesce: it pins every flush plane, queues the n requests behind the
+// pins, then opens the gate. It returns once every send has returned.
+func burstBehindPins(t *testing.T, ts *httptest.Server, gm *gateModel, open func(), n int, send func(i int)) {
+	t.Helper()
+	pinPlanes(t, ts, gm)
+	reg := getServer(t, ts).Registry()
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			send(i)
+		}(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, err := reg.Stat("iris"); err == nil && st.BatchQueued == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests never queued behind the pinned planes", n)
+		}
+	}
+	open()
+	wg.Wait()
 }
 
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -212,38 +288,29 @@ func TestBatchInferMatchesSession(t *testing.T) {
 // coalesces into shared runtime batches — return logits bit-identical to
 // unbatched session inference.
 func TestCoalescedInferBitIdentity(t *testing.T) {
-	_, ts, m, test := newTestServer(t,
-		registry.WithBatchWindow(50*time.Millisecond),
-		registry.WithMaxBatch(8),
-	)
+	ts, gm, open, m, test := newGatedServer(t, registry.WithMaxBatch(8))
 	const n = 24
-	var wg sync.WaitGroup
 	errs := make([]error, n)
 	got := make([][]float64, n)
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			body, _ := json.Marshal(map[string]any{"input": test.X[i%len(test.X)]})
-			resp, err := http.Post(ts.URL+"/v1/models/iris/infer", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			var out struct {
-				Result struct {
-					Logits []float64 `json:"logits"`
-				} `json:"result"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				errs[i] = err
-				return
-			}
-			got[i] = out.Result.Logits
-		}(i)
-	}
-	wg.Wait()
+	burstBehindPins(t, ts, gm, open, n, func(i int) {
+		body, _ := json.Marshal(map[string]any{"input": test.X[i%len(test.X)]})
+		resp, err := http.Post(ts.URL+"/v1/models/iris/infer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Result struct {
+				Logits []float64 `json:"logits"`
+			} `json:"result"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			errs[i] = err
+			return
+		}
+		got[i] = out.Result.Logits
+	})
 	// Verify serially with one session (an Inferer serves one goroutine).
 	s := m.NewInferer()
 	for i := 0; i < n; i++ {
@@ -456,27 +523,20 @@ func TestPathLoadsDisabledWithoutModelDir(t *testing.T) {
 }
 
 // TestMetricsEndpoint: after a burst of concurrent single inferences the
-// per-model metrics report the traffic, and under a generous window at
-// least one coalesced batch formed.
+// per-model metrics report the traffic, and with the burst queued behind
+// busy flush planes at least one coalesced batch formed.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts, _, test := newTestServer(t,
-		registry.WithBatchWindow(50*time.Millisecond),
-		registry.WithMaxBatch(8),
-	)
+	ts, gm, open, _, test := newGatedServer(t, registry.WithMaxBatch(8))
 	const n = 16
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			body, _ := json.Marshal(map[string]any{"input": test.X[i%len(test.X)]})
-			resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
-			if err == nil {
-				resp.Body.Close()
-			}
-		}(i)
-	}
-	wg.Wait()
+	burstBehindPins(t, ts, gm, open, n, func(i int) {
+		body, _ := json.Marshal(map[string]any{"input": test.X[i%len(test.X)]})
+		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+		}
+	})
+	// The pins' lone flushes count beside the burst.
+	pins := int64(registry.DefaultFlushPipeline)
 
 	var metrics struct {
 		Models []struct {
@@ -495,11 +555,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("/v1/metrics = %d %+v", resp.StatusCode, metrics)
 	}
 	got := metrics.Models[0]
-	if got.Name != "iris" || got.Metrics.Requests != n {
+	if got.Name != "iris" || got.Metrics.Requests != n+pins {
 		t.Fatalf("metrics: %+v", got)
 	}
 	if got.Metrics.MaxCoalesced <= 1 {
-		t.Fatalf("no coalesced batch formed under a 50ms window with %d concurrent requests: %+v",
+		t.Fatalf("no coalesced batch formed with %d concurrent requests queued: %+v",
 			n, got.Metrics)
 	}
 	if got.Metrics.Batches < 1 || len(got.Metrics.BatchSizeHist) == 0 || got.Metrics.P99Ms <= 0 {
@@ -512,9 +572,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // to unbatched session inference, and /v1/metrics reports the rejected
 // count and in-flight gauge.
 func TestOverloadSheds429(t *testing.T) {
-	_, ts, m, test := newTestServer(t,
+	ts, gm, open, m, test := newGatedServer(t,
 		registry.WithMaxInFlight(1),
-		registry.WithBatchWindow(50*time.Millisecond),
 		registry.WithMaxBatch(64),
 	)
 	s := m.NewInferer()
@@ -529,10 +588,12 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 	results := make([]result, n)
 	var wg sync.WaitGroup
+	finished := make(chan struct{}, n)
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
+			defer func() { finished <- struct{}{} }()
 			x := test.X[i%len(test.X)]
 			results[i].input = x
 			body, _ := json.Marshal(map[string]any{"input": x})
@@ -558,6 +619,22 @@ func TestOverloadSheds429(t *testing.T) {
 			}
 		}(i)
 	}
+	// The first admitted request flushes alone and parks in the model,
+	// holding the one admission unit while the rest of the burst
+	// arrives; it is served once the others have answered.
+	select {
+	case <-gm.calls:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no admitted request reached the model")
+	}
+	for i := 0; i < n-1; i++ {
+		select {
+		case <-finished:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of the other %d requests answered", i, n-1)
+		}
+	}
+	open()
 	wg.Wait()
 
 	var served, shed int
@@ -616,15 +693,12 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout503: an admitted request stuck behind a
-// never-flushing batch window gets 503 + Retry-After at the configured
-// deadline, and the timed-out counter moves.
+// TestRequestTimeout503: an admitted request stuck behind pinned flush
+// planes gets 503 + Retry-After at the configured deadline, and the
+// timed-out counter moves.
 func TestRequestTimeout503(t *testing.T) {
-	_, ts, _, test := newTestServer(t,
-		registry.WithRequestTimeout(30*time.Millisecond),
-		registry.WithBatchWindow(time.Hour),
-		registry.WithMaxBatch(1<<20),
-	)
+	ts, gm, _, _, test := newGatedServer(t, registry.WithRequestTimeout(30*time.Millisecond))
+	pinPlanes(t, ts, gm)
 	body, _ := json.Marshal(map[string]any{"input": test.X[0]})
 	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 	if err != nil {

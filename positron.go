@@ -298,9 +298,10 @@ type RegistryOption = registry.Option
 type ModelHandle = registry.Handle
 
 // Batcher coalesces concurrent single-sample inferences into shared
-// runtime batches (dynamic micro-batching): requests queued behind busy
-// flush planes (or, with a batch window, arriving within it) ride one
-// InferBatch call, with per-caller result demux and cancellation.
+// runtime batches (dynamic micro-batching): a request flushes at once
+// while a flush plane is free, and the requests queued behind busy
+// planes ride one InferBatch call, with per-caller result demux and
+// cancellation.
 // Results are bit-identical to unbatched inference.
 type Batcher = registry.Batcher
 
@@ -328,28 +329,26 @@ var ErrModelOverloaded = registry.ErrOverloaded
 var ErrRequestTimeout = registry.ErrRequestTimeout
 
 // NewRegistry returns an empty serving registry. Options configure every
-// model loaded afterwards: WithBatchWindow, WithMaxBatch,
-// WithRuntimeOptions.
+// model loaded afterwards: WithMaxBatch, WithMaxInFlight,
+// WithRequestTimeout, WithRuntimeOptions, WithArtifactStore. Every model
+// batches work-conservingly: a request flushes at once while a flush
+// plane is free, and only requests queued behind busy planes share a
+// batch.
 func NewRegistry(opts ...RegistryOption) *Registry { return registry.New(opts...) }
-
-// WithBatchWindow sets the micro-batching coalescing window applied to
-// every model in a Registry. d <= 0 (the default) is work-conserving: a
-// request flushes at once while a flush plane is free, and only requests
-// queued behind busy planes share a batch.
-func WithBatchWindow(d time.Duration) RegistryOption { return registry.WithBatchWindow(d) }
 
 // WithMaxBatch bounds a coalesced batch at n samples (n <= 1 disables
 // coalescing).
 func WithMaxBatch(n int) RegistryOption { return registry.WithMaxBatch(n) }
 
 // WithMaxInFlight caps concurrently admitted inference requests per
-// model; a request arriving at the cap fails fast with
+// model, a single inference and an explicit batch counting one each; a
+// request arriving at the cap fails fast with
 // ErrModelOverloaded (HTTP 429 through positrond) instead of queueing
 // without bound. n <= 0 leaves admission unlimited (the default).
 func WithMaxInFlight(n int) RegistryOption { return registry.WithMaxInFlight(n) }
 
-// WithRequestTimeout bounds one admitted request end to end — batching
-// window, runtime queueing and compute; exceeded requests fail with
+// WithRequestTimeout bounds one admitted request end to end — the wait
+// for a flush, runtime queueing and compute; exceeded requests fail with
 // ErrRequestTimeout (HTTP 503 through positrond). d <= 0 disables the
 // deadline (the default).
 func WithRequestTimeout(d time.Duration) RegistryOption { return registry.WithRequestTimeout(d) }
@@ -458,10 +457,9 @@ func NewServer(reg *Registry, defaultModel string, opts ...ServerOption) *Infere
 // Router is the resilient replica-routing tier: an HTTP handler that
 // fronts N positrond replicas with per-replica circuit breakers, active
 // health probing, bounded retries with full-jitter backoff,
-// consistent-hash model affinity with least-queue-depth spill, optional
-// request hedging, and graceful degradation to a fast 503 with
-// Retry-After when no replica is available. cmd/positrond runs one with
-// -route.
+// consistent-hash model affinity with least-queue-depth spill, and
+// graceful degradation to a fast 503 with Retry-After when no replica
+// is available. cmd/positrond runs one with -route.
 type Router = router.Router
 
 // RouterOption configures a Router at construction.
@@ -494,11 +492,6 @@ func WithMaxRetries(n int) RouterOption { return router.WithMaxRetries(n) }
 // WithRetryBackoff sets the exponential-backoff base and cap for the
 // full-jitter retry delay.
 func WithRetryBackoff(base, max time.Duration) RouterOption { return router.WithBackoff(base, max) }
-
-// WithHedgeDelay hedges idempotent requests that have not answered
-// after d with a second attempt at another replica; the first response
-// wins. 0 disables hedging.
-func WithHedgeDelay(d time.Duration) RouterOption { return router.WithHedgeDelay(d) }
 
 // RouterMetrics is the router's /v1/metrics body: router-level counters
 // plus per-replica breaker and probe state.

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // The facade tests exercise the public API exactly as the examples do.
@@ -165,7 +164,6 @@ func TestFacadeRegistryServing(t *testing.T) {
 
 	reg := NewRegistry(
 		WithRuntimeOptions(WithWorkers(2), WithWarmTables()),
-		WithBatchWindow(2*time.Millisecond),
 		WithMaxBatch(16),
 	)
 	defer reg.Close()
