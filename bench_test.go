@@ -324,8 +324,8 @@ func BenchmarkRuntimeBatch(b *testing.B) {
 		name string
 		opts []RuntimeOption
 	}{
-		{"alloc", []RuntimeOption{WithWorkers(4), WithWarmTables()}},
-		{"shared-outputs", []RuntimeOption{WithWorkers(4), WithWarmTables(), WithSharedOutputs()}},
+		{"alloc", []RuntimeOption{WithWorkers(4)}},
+		{"shared-outputs", []RuntimeOption{WithWorkers(4), WithSharedOutputs()}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			rt, err := NewRuntime(dp, mode.opts...)

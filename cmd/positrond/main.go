@@ -25,7 +25,8 @@
 // JSON and binary (.bin, trainer -format bin) artifacts load
 // transparently — the format is sniffed from the bytes. The first
 // -model is the default served by the /v1/infer and /v1/model aliases
-// unless -default names another.
+// unless -default names another. When a model loads, each worker of its
+// runtime builds its kernels and the decode and term tables they read.
 //
 // Every loaded model is fingerprinted (SHA-256 of its canonical binary
 // encoding) into a content-addressed artifact store — the source of
@@ -248,7 +249,6 @@ func main() {
 		registry.WithRuntimeOptions(
 			engine.WithWorkers(*workers),
 			engine.WithQueueDepth(*queue),
-			engine.WithWarmTables(),
 		),
 		registry.WithMaxBatch(*maxBatch),
 		registry.WithFlushPipeline(*flushPipeline),

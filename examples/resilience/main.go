@@ -136,7 +136,7 @@ func main() {
 // optionally wrapped in a fault injector, and returns its base URL.
 func startReplica(artifactPath string, inj *positron.FaultInjector) (url string, stop func()) {
 	reg := positron.NewRegistry(
-		positron.WithRuntimeOptions(positron.WithWorkers(2), positron.WithWarmTables()),
+		positron.WithRuntimeOptions(positron.WithWorkers(2)),
 	)
 	if err := reg.LoadPath("iris", artifactPath); err != nil {
 		panic(err)

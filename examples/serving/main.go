@@ -69,7 +69,7 @@ func main() {
 	// with 429 instead of queueing without bound; the request timeout
 	// bounds how long an admitted request may sit in the queues.
 	reg := positron.NewRegistry(
-		positron.WithRuntimeOptions(positron.WithWorkers(4), positron.WithWarmTables()),
+		positron.WithRuntimeOptions(positron.WithWorkers(4)),
 		positron.WithMaxBatch(32),
 		positron.WithMaxInFlight(8),
 		positron.WithRequestTimeout(2*time.Second),

@@ -9,8 +9,12 @@ package emac
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 
+	"repro/internal/dyadic"
+	"repro/internal/minifloat"
+	"repro/internal/posit"
 	"repro/internal/rng"
 )
 
@@ -393,12 +397,10 @@ func FuzzBatchStrided(f *testing.F) {
 	})
 }
 
-// TestPositCarryHeadroom drives each posit register to its carry bound:
-// a ±maxpos bias plus k same-sign maxpos² products, at k = 2^j and
-// 2^j ± 1 up to 257. The MAC and, where the format has one, the fused
-// kernel must equal the exact internal/dyadic sum rounded once — a
-// register short of ⌈log2 k⌉ carry bits would wrap instead.
-func TestPositCarryHeadroom(t *testing.T) {
+// carryCounts are the accumulation counts the carry-bound tests drive a
+// register with: k = 2^j − 1, 2^j and 2^j + 1 up to 257, on both sides of
+// every step of the ⌈log2 k⌉ carry bits in eqs. (3) and (4).
+func carryCounts() []int {
 	var ks []int
 	for j := 0; j <= 8; j++ {
 		for _, k := range []int{1<<j - 1, 1 << j, 1<<j + 1} {
@@ -407,42 +409,99 @@ func TestPositCarryHeadroom(t *testing.T) {
 			}
 		}
 	}
-	for _, f := range [][2]uint{{5, 0}, {6, 1}, {7, 2}, {8, 0}, {8, 1}, {8, 2}, {12, 1}, {16, 1}, {16, 2}} {
-		a := NewPosit(f[0], f[1])
-		for _, neg := range []bool{false, true} {
-			m := a.F.MaxPos()
-			if neg {
-				m = m.Neg()
+	return ks
+}
+
+// checkCarryBound feeds a bias plus k equal products w·act through a's
+// MAC and, where a has one for the 1×k layer, its fused kernel, for every
+// k in carryCounts. Both must equal want(exact): the exact
+// internal/dyadic sum rounded once. A register short of its carry bits
+// would wrap instead.
+func checkCarryBound(t *testing.T, a Arithmetic, bias, w, act Code, want func(exact dyadic.D) Code) {
+	t.Helper()
+	exactOf := func(c Code) dyadic.D { return dyadic.FromFloat64(a.Decode(c)) }
+	db, prod := exactOf(bias), exactOf(w).Mul(exactOf(act))
+	for _, k := range carryCounts() {
+		exp := want(db.Add(prod.Mul(dyadic.New(int64(k), 0))))
+		name := fmt.Sprintf("%s bias=%#x w=%#x act=%#x k=%d", a.Name(), bias, w, act, k)
+		ws, acts := make([]Code, k), make([]Code, k)
+		mac := a.NewMAC(k)
+		mac.Reset(bias)
+		for i := range ws {
+			ws[i], acts[i] = w, act
+			mac.Step(w, act)
+		}
+		if got := mac.Result(); got != exp {
+			t.Errorf("%s: MAC %#x, exact sum rounded once %#x", name, got, exp)
+		}
+		kern, ok := a.(BatchKernelBuilder).NewBatchLayerKernel([][]Code{ws}, []Code{bias})
+		if !ok {
+			continue // this layer runs the MAC bank
+		}
+		out := make([]Code, 1)
+		kern.ForwardBatchStrided(acts, out, 1)
+		if out[0] != exp {
+			t.Errorf("%s: fused kernel %#x, exact sum rounded once %#x", name, out[0], exp)
+		}
+	}
+}
+
+// TestPositCarryHeadroom drives every posit(n, es) quire, n 5..16 and
+// es 0..2, to its eq.-(4) bound: a ±maxpos bias plus k same-sign maxpos²
+// products, through the Quire and the term or window tier.
+func TestPositCarryHeadroom(t *testing.T) {
+	for n := uint(5); n <= 16; n++ {
+		for es := uint(0); es <= 2; es++ {
+			a := NewPosit(n, es)
+			want := func(exact dyadic.D) Code { return Code(a.F.FromDyadic(exact).Bits()) }
+			mp := a.F.MaxPos()
+			for _, m := range []posit.Posit{mp, mp.Neg()} {
+				checkCarryBound(t, a, Code(m.Bits()), Code(m.Bits()), Code(mp.Bits()), want)
 			}
-			dm, _ := m.Dyadic()
-			dmax, _ := a.F.MaxPos().Dyadic()
-			mc, maxc := Code(m.Bits()), Code(a.F.MaxPos().Bits())
-			for _, k := range ks {
-				exact := dm
-				w, act := make([]Code, k), make([]Code, k)
-				for i := range w {
-					w[i], act[i] = mc, maxc
-					exact = exact.Add(dm.Mul(dmax))
+		}
+	}
+}
+
+// TestFloatCarryHeadroom drives every float register, n 4..16 and
+// we 2..8, to its eq.-(3) bound: a ±max bias plus k same-sign max²
+// products, through the Accumulator and, for n <= 8, the term tier.
+// bfloat16's register is over 256 bits wide.
+func TestFloatCarryHeadroom(t *testing.T) {
+	for n := uint(4); n <= 16; n++ {
+		for we := uint(2); we <= 8 && we+1 < n; we++ {
+			a := NewFloatN(n, we)
+			want := func(exact dyadic.D) Code { return Code(a.F.FromDyadic(exact).Bits()) }
+			mx := a.F.Max()
+			for _, m := range []minifloat.Float{mx, mx.Neg()} {
+				checkCarryBound(t, a, Code(m.Bits()), Code(m.Bits()), Code(mx.Bits()), want)
+			}
+		}
+	}
+}
+
+// TestFixedCarryHeadroom drives every fixed register, n 2..16, to its
+// eq.-(3) bound with the largest product there is, the most negative
+// code squared, and with min·max of the other sign, each over a bias of
+// the same sign, through the Accumulator and the signed-lane kernel where
+// it qualifies, truncating and rounding to nearest.
+func TestFixedCarryHeadroom(t *testing.T) {
+	for n := uint(2); n <= 16; n++ {
+		for _, q := range []uint{0, n / 2, n - 1} {
+			for _, rne := range []bool{false, true} {
+				a := NewFixed(n, q)
+				a.RoundNearest = rne
+				want := func(exact dyadic.D) Code {
+					if rne {
+						return Code(a.F.FromDyadic(exact).Bits())
+					}
+					// The paper's readout: shift right by q with truncation
+					// toward −∞, then clip (FromRaw saturates).
+					r := exact.MulPow2(int(q)).Rat()
+					return Code(a.F.FromRaw(new(big.Int).Div(r.Num(), r.Denom()).Int64()).Bits())
 				}
-				want := Code(a.F.FromDyadic(exact).Bits())
-				name := fmt.Sprintf("%s k=%d negative=%v", a.Name(), k, neg)
-				mac := a.NewMAC(k)
-				mac.Reset(mc)
-				for i := range w {
-					mac.Step(w[i], act[i])
-				}
-				if got := mac.Result(); got != want {
-					t.Errorf("%s: MAC %#x, exact sum rounded once %#x", name, got, want)
-				}
-				kern, ok := a.NewBatchLayerKernel([][]Code{w}, []Code{mc})
-				if !ok {
-					continue // posit(16,2) runs the MAC bank
-				}
-				out := make([]Code, 1)
-				kern.ForwardBatchStrided(act, out, 1)
-				if out[0] != want {
-					t.Errorf("%s: fused kernel %#x, exact sum rounded once %#x", name, out[0], want)
-				}
+				lo, hi := Code(a.F.Min().Bits()), Code(a.F.Max().Bits())
+				checkCarryBound(t, a, hi, lo, lo, want)
+				checkCarryBound(t, a, lo, lo, hi, want)
 			}
 		}
 	}

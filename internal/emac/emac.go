@@ -3,9 +3,11 @@
 // bundles a low-precision number format with its codec and EMAC factory;
 // the three implementations mirror the paper's Figs. 3-5 (fixed, float,
 // posit) and share the same structure: quantised inputs, an exact wide
-// accumulator, and a single rounding at readout. A fourth, deliberately
-// *inexact* float32 arithmetic provides the paper's 32-bit baseline and
-// the "naive MAC" ablation arm.
+// accumulator, and a single rounding at readout. The accumulator is the
+// same register in all three, a wide.Int sized by eq. (3) or eq. (4),
+// and the posit and float MACs round it through its one Readout. A
+// fourth, deliberately *inexact* float32 arithmetic provides the paper's
+// 32-bit baseline and the "naive MAC" ablation arm.
 package emac
 
 import (

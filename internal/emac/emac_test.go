@@ -267,3 +267,28 @@ func TestConvert(t *testing.T) {
 		t.Errorf("saturating conversion: %v", to.Decode(sat))
 	}
 }
+
+// TestMACBankAllocFree: a warm MAC resets, steps and rounds without
+// allocating, in every arm, for every register up to 256 bits
+// (posit(16,2) at fan-in 30 is 233 bits), as the MAC bank runs it.
+func TestMACBankAllocFree(t *testing.T) {
+	r := rng.New(6)
+	for _, a := range []Arithmetic{NewPosit(8, 0), NewFloatN(8, 4), NewFixed(8, 4), NewPosit(16, 1), NewPosit(16, 2), NewFloatN(16, 5), NewFixed(16, 8)} {
+		const in = 30
+		w, x := make([]Code, in), make([]Code, in)
+		for i := range w {
+			w[i], x[i] = a.Quantize(r.NormMS(0, 1)), a.Quantize(r.NormMS(0, 1))
+		}
+		bias := a.Quantize(-0.25)
+		mac := a.NewMAC(in)
+		if allocs := testing.AllocsPerRun(10, func() {
+			mac.Reset(bias)
+			for i := range w {
+				mac.Step(w[i], x[i])
+			}
+			mac.Result()
+		}); allocs != 0 {
+			t.Errorf("%s: a warm MAC allocates %v objects per neuron; want 0", a.Name(), allocs)
+		}
+	}
+}

@@ -21,9 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/emac"
 	"repro/internal/nn"
-	"repro/internal/posit"
 )
 
 // ErrClosed is returned by Runtime methods called after Close.
@@ -104,7 +102,6 @@ func (p *plane) size(n, od int) [][]float64 {
 type config struct {
 	workers    int
 	queueDepth int
-	warmTables bool
 	sharedOut  bool
 	flushDepth int
 }
@@ -121,10 +118,12 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // ride ahead of the pool at the cost of buffered latency.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
 
-// WithWarmTables eagerly builds the posit decode and Mul/Add fast-path
-// tables for every posit layer format before the first inference, so no
-// request pays the lazy table-construction latency.
-func WithWarmTables() Option { return func(c *config) { c.warmTables = true } }
+// WithWarmTables does nothing: each worker's session builds the decode
+// and term tables its kernels read when the runtime starts, and no
+// inference reads posit's scalar Mul/Add tables.
+//
+// Deprecated: kept only for the bench module's callers; pass nothing.
+func WithWarmTables() Option { return func(*config) {} }
 
 // WithSharedOutputs makes InferBatch decode logits into one runtime-owned
 // buffer that is reused across calls, making steady-state dataset sweeps
@@ -194,13 +193,6 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 	}
 	if cfg.queueDepth <= 0 {
 		cfg.queueDepth = 2 * cfg.workers
-	}
-	if cfg.warmTables {
-		for _, a := range model.Ariths() {
-			if pa, ok := a.(emac.PositArith); ok {
-				posit.WarmTables(pa.F)
-			}
-		}
 	}
 	if cfg.flushDepth < 1 {
 		cfg.flushDepth = 1

@@ -230,7 +230,7 @@ func TestRuntimeServesMixedModels(t *testing.T) {
 	for i, x := range ds.X {
 		want[i] = s.Infer(x)
 	}
-	rt, err := NewRuntime(net, WithWorkers(6), WithWarmTables())
+	rt, err := NewRuntime(net, WithWorkers(6))
 	if err != nil {
 		t.Fatal(err)
 	}

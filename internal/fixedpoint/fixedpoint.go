@@ -82,7 +82,8 @@ func (f Format) ULP() float64 { return f.MinPositive() }
 // paper's dynamic-range metric for the fixed format.
 func (f Format) DynamicRangeLog10() float64 { return math.Log10(float64(f.MaxInt())) }
 
-// CeilLog2Ratio returns ceil(log2(max/min)) = ceil(log2(2^(n-1)-1)) = n-1.
+// CeilLog2Ratio returns ceil(log2(max/min)) = ceil(log2(2^(n-1)-1)):
+// n-1, except 0 at n = 2.
 func (f Format) CeilLog2Ratio() uint { return bitutil.Clog2(uint64(f.MaxInt())) }
 
 // String renders like "fixed(8,q=4)".
@@ -292,12 +293,14 @@ func (x Fixed) String() string {
 }
 
 // AccumSize returns the paper's eq. (3) width for the fixed EMAC:
-// wa = ceil(log2 k) + 2(n-1) + 2.
+// wa = ceil(log2 k) + 2(n-1) + 2. The largest product, the most negative
+// code squared, is 2^(2n-2); that is n-1 bits per operand even at n = 2,
+// where ceil(log2(max/min)) is 0.
 func AccumSize(f Format, k int) uint {
 	if k < 1 {
 		panic("fixedpoint: accumulator capacity must be >= 1")
 	}
-	return bitutil.Clog2(uint64(k)) + 2*f.CeilLog2Ratio() + 2
+	return bitutil.Clog2(uint64(k)) + 2*(f.n-1) + 2
 }
 
 // Accumulator is the fixed-point EMAC register (Fig. 3): 2n-bit exact
@@ -306,7 +309,7 @@ func AccumSize(f Format, k int) uint {
 type Accumulator struct {
 	f        Format
 	capacity int
-	acc      *wide.Int
+	acc      wide.Int
 	adds     int
 	// RoundNearest switches the post-shift truncation (paper default)
 	// to round-to-nearest-even.
@@ -316,7 +319,7 @@ type Accumulator struct {
 // NewAccumulator returns an empty accumulator sized by eq. (3).
 func NewAccumulator(f Format, k int) *Accumulator {
 	f.mustValid()
-	return &Accumulator{f: f, capacity: k, acc: wide.New(AccumSize(f, k))}
+	return &Accumulator{f: f, capacity: k, acc: wide.Make(AccumSize(f, k))}
 }
 
 // Format returns the accumulated format.

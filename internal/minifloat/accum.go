@@ -32,12 +32,9 @@ type Accumulator struct {
 	f        Format
 	capacity int
 	fracBits uint // binary point: 2 × (bias - 1 + wf)
-	acc      *wide.Int
-	// mag is the reused readout scratch (|register| during Result), so
-	// steady-state accumulate/readout cycles do not touch the heap.
-	mag  *wide.Int
-	adds int
-	nan  bool
+	acc      wide.Int
+	adds     int
+	nan      bool
 }
 
 // NewAccumulator returns an empty accumulator sized by eq. (3).
@@ -47,7 +44,7 @@ func NewAccumulator(f Format, k int) *Accumulator {
 		f:        f,
 		capacity: k,
 		fracBits: 2 * uint(f.Bias()-1+int(f.wf)),
-		acc:      wide.New(AccumSize(f, k)),
+		acc:      wide.Make(AccumSize(f, k)),
 	}
 }
 
@@ -140,28 +137,11 @@ func (a *Accumulator) Result() Float {
 	if a.nan {
 		return a.f.NaN()
 	}
-	if a.acc.IsZero() {
+	neg, l, sig, sticky := a.acc.Readout()
+	if l == 0 {
 		return a.f.Zero()
 	}
-	if a.mag == nil {
-		a.mag = wide.New(a.acc.Width())
-	}
-	mag := a.mag.Set(a.acc)
-	sign := mag.Sign()
-	if sign {
-		mag.Neg()
-	}
-	l := mag.Len()
-	var count uint = 64
-	if l < count {
-		count = l
-	}
-	sig := mag.Extract(l-count, count)
-	sticky := mag.AnyBelow(l - count)
-	sf := int(l) - 1 - int(a.fracBits)
-	// Guard the short-significand paths: with fewer than wf+3 bits the
-	// value is exact on the grid, so sticky is necessarily false.
-	return a.f.encode(sign, sf, sig, count, sticky)
+	return a.f.encode(neg, int(l)-1-int(a.fracBits), sig, min(l, 64), sticky)
 }
 
 // Dyadic returns the current exact register value (oracle hook).

@@ -392,12 +392,7 @@ func forwardTile[C ~uint64](k *BatchDenseKernel, act, dst []C, ts int) {
 				dst[s*out+j] = C(k.narBits)
 				continue
 			}
-			a0, a1 := dotWide(b0, b1, wrow, ents[start[s]:start[s+1]], fb)
-			q.sw[0] = a0
-			if q.words == 2 {
-				q.sw[1] = a1
-			}
-			q.snorm()
+			q.acc.SetInt128(dotWide(b0, b1, wrow, ents[start[s]:start[s+1]], fb))
 			dst[s*out+j] = C(q.Result().bits)
 		}
 	}

@@ -3,7 +3,10 @@
 // bit-level decode (the paper's Algorithm 1), round-to-nearest-even encode
 // (the tail of Algorithm 2), exact scalar arithmetic, and the quire — the
 // wide Kulisch accumulator of eq. (4) that gives the posit EMAC its
-// "exact multiply-and-accumulate" semantics.
+// "exact multiply-and-accumulate" semantics. The quire's register is a
+// wide.Int, the register every EMAC arm uses; DotProduct and the window
+// tier's two-word fallback accumulate in local words and hand the sum to
+// it for the one rounding.
 //
 // A posit is stored as its raw bit pattern in the low n bits of a uint64.
 // Two patterns are special: all zeros is the real number 0 and

@@ -25,33 +25,22 @@ func QuireSize(f Format, k int) uint {
 	return (uint(1)<<(f.es+2))*(f.n-2) + 2 + bitutil.Clog2(uint64(k))
 }
 
-// regWords is the word count of the inline register fast path: registers
-// up to regWords×64 bits live directly inside the Quire struct (no heap
-// words, no per-word loop bounds from a slice). Every format the paper
-// evaluates fits — posit(8,2) with k = 2^30 needs 128 bits, posit(16,2)
-// needs 226+clog2(k) — so the generic wide.Int register is only reached
-// by 32-bit formats and enormous capacities.
-const regWords = 4
-
 // Quire is the posit Kulisch accumulator: a wide two's-complement
 // fixed-point register into which exact products of posits are added, with
 // a single round-to-nearest-even when the final value is read out. It
 // implements the accumulation loop of the paper's Algorithm 2
 // (lines 11-19) in software, bit-for-bit.
 //
-// Registers of at most 64·regWords bits are stored inline in the struct
-// (the common case: every small-format quire), so a Quire value on the
-// stack accumulates without touching the heap; wider registers fall back
-// to a heap-backed wide.Int. Both paths wrap modulo 2^width, exactly like
-// the synthesized register.
+// The register is a wide.Int, which keeps every register up to 256 bits
+// inside the struct (8-bit formats up to es = 3 and 16-bit ones up to
+// es = 2 at the paper's fan-ins), so a Quire value on the stack
+// accumulates and rounds without touching the heap. It wraps modulo 2^width, exactly like the
+// synthesized register.
 type Quire struct {
 	f        Format
 	capacity int
 	fracBits uint // position of the binary point: 2^(es+1)(n-2)
-	width    uint // register width in bits (eq. (4), minus dropped)
-	words    int  // inline words in use (0 selects the wide fallback)
-	sw       [regWords]uint64
-	acc      *wide.Int // wide fallback register (nil on the inline path)
+	acc      wide.Int
 	adds     int
 	nar      bool
 	// dropped counts fraction bits removed from the bottom of the
@@ -88,18 +77,12 @@ func NewTruncatedQuire(f Format, k int, drop uint) *Quire {
 // NewQuire, used directly by the vector kernels for stack quires).
 func (q *Quire) init(f Format, k int, drop uint) {
 	f.mustValid()
-	width := QuireSize(f, k) - drop
 	*q = Quire{
 		f:        f,
 		capacity: k,
 		fracBits: (uint(1)<<(f.es+1))*(f.n-2) - drop,
-		width:    width,
+		acc:      wide.Make(QuireSize(f, k) - drop),
 		dropped:  drop,
-	}
-	if width <= regWords*64 {
-		q.words = int((width + 63) / 64)
-	} else {
-		q.acc = wide.New(width)
 	}
 }
 
@@ -114,7 +97,7 @@ func (q *Quire) Format() Format { return q.f }
 func (q *Quire) Capacity() int { return q.capacity }
 
 // Width returns the register width in bits (eq. (4)).
-func (q *Quire) Width() uint { return q.width }
+func (q *Quire) Width() uint { return q.acc.Width() }
 
 // Adds returns how many accumulation operations have been performed since
 // the last Reset.
@@ -125,11 +108,7 @@ func (q *Quire) IsNaR() bool { return q.nar }
 
 // Reset clears the accumulator to zero.
 func (q *Quire) Reset() {
-	if q.words > 0 {
-		q.sw = [regWords]uint64{}
-	} else {
-		q.acc.SetZero()
-	}
+	q.acc.SetZero()
 	q.adds = 0
 	q.nar = false
 }
@@ -141,102 +120,6 @@ func (q *Quire) ResetToBias(bias Posit) {
 	q.Reset()
 	q.AddPosit(bias)
 	q.adds = 0
-}
-
-// --- inline register primitives ---
-
-// snorm masks the top inline word so the register stays canonical
-// (wrapping modulo 2^width, like the hardware register and wide.Int).
-func (q *Quire) snorm() {
-	if r := q.width % 64; r != 0 {
-		q.sw[q.words-1] &= bitutil.Mask(r)
-	}
-}
-
-// saddShifted adds v << shift into the inline register (mod 2^width).
-func (q *Quire) saddShifted(v uint64, shift uint) {
-	word := int(shift / 64)
-	if word >= q.words {
-		return // entirely above the register: hardware would drop it
-	}
-	off := shift % 64
-	lo := v << off
-	var hi uint64
-	if off != 0 {
-		hi = v >> (64 - off)
-	}
-	var carry uint64
-	q.sw[word], carry = bits.Add64(q.sw[word], lo, 0)
-	for i := word + 1; i < q.words; i++ {
-		add := carry
-		if i == word+1 {
-			q.sw[i], carry = bits.Add64(q.sw[i], hi, add)
-		} else {
-			if add == 0 {
-				break
-			}
-			q.sw[i], carry = bits.Add64(q.sw[i], 0, add)
-		}
-	}
-	q.snorm()
-}
-
-// ssubShifted subtracts v << shift from the inline register (mod 2^width).
-func (q *Quire) ssubShifted(v uint64, shift uint) {
-	word := int(shift / 64)
-	if word >= q.words {
-		return
-	}
-	off := shift % 64
-	lo := v << off
-	var hi uint64
-	if off != 0 {
-		hi = v >> (64 - off)
-	}
-	var borrow uint64
-	q.sw[word], borrow = bits.Sub64(q.sw[word], lo, 0)
-	for i := word + 1; i < q.words; i++ {
-		sub := borrow
-		if i == word+1 {
-			q.sw[i], borrow = bits.Sub64(q.sw[i], hi, sub)
-		} else {
-			if sub == 0 {
-				break
-			}
-			q.sw[i], borrow = bits.Sub64(q.sw[i], 0, sub)
-		}
-	}
-	q.snorm()
-}
-
-// smallWords returns the inline word count when the register qualifies
-// for the local-accumulator fast tiers (1 or 2 words), and 0 otherwise —
-// including the wide heap fallback (words == 0), which the tiers must
-// never touch. Every fast-tier guard goes through this one predicate so
-// the call sites cannot diverge.
-func (q *Quire) smallWords() int {
-	if q.words >= 1 && q.words <= 2 {
-		return q.words
-	}
-	return 0
-}
-
-// addShifted dispatches v << shift to the active register.
-func (q *Quire) addShifted(v uint64, shift uint) {
-	if q.words > 0 {
-		q.saddShifted(v, shift)
-	} else {
-		q.acc.AddUint64Shifted(v, shift)
-	}
-}
-
-// subShifted dispatches -(v << shift) to the active register.
-func (q *Quire) subShifted(v uint64, shift uint) {
-	if q.words > 0 {
-		q.ssubShifted(v, shift)
-	} else {
-		q.acc.SubUint64Shifted(v, shift)
-	}
 }
 
 // --- accumulation ---
@@ -260,9 +143,9 @@ func (q *Quire) AddPosit(p Posit) {
 		return
 	}
 	if d.sign {
-		q.subShifted(sig, shift)
+		q.acc.SubUint64Shifted(sig, shift)
 	} else {
-		q.addShifted(sig, shift)
+		q.acc.AddUint64Shifted(sig, shift)
 	}
 }
 
@@ -309,33 +192,9 @@ func (q *Quire) MulAdd(w, a Posit) {
 		return
 	}
 	if dw.sign != da.sign {
-		q.subShifted(sig, shift)
+		q.acc.SubUint64Shifted(sig, shift)
 	} else {
-		q.addShifted(sig, shift)
-	}
-}
-
-// mulAddPre is MulAdd on pre-decoded operands: the batched-kernel hot
-// path, with no format checks and no decode (both were hoisted to
-// predecodeInto). Bit-identical to MulAdd on the same operands.
-func (q *Quire) mulAddPre(w, a *pdec) {
-	if w.cls != pdReal || a.cls != pdReal {
-		if w.cls == pdNaR || a.cls == pdNaR {
-			q.nar = true
-			return
-		}
-		q.adds++ // one of them is zero
-		return
-	}
-	q.adds++
-	sig, shift, ok := q.place(w.sig*a.sig, int(w.adj)+int(a.adj))
-	if !ok {
-		return
-	}
-	if w.sgn != a.sgn {
-		q.subShifted(sig, shift)
-	} else {
-		q.addShifted(sig, shift)
+		q.acc.AddUint64Shifted(sig, shift)
 	}
 }
 
@@ -348,127 +207,17 @@ func (q *Quire) Result() Posit {
 	if q.nar {
 		return q.f.NaR()
 	}
-	if q.words > 0 {
-		return q.resultInline()
-	}
-	if q.acc.IsZero() {
-		return q.f.Zero()
-	}
-	mag := q.acc.Clone()
-	sign := mag.Sign()
-	if sign {
-		mag.Neg()
-	}
-	l := mag.Len() // MSB position + 1 (Alg. 2 line 17: LZD)
-	var count uint = 64
-	if l < count {
-		count = l
-	}
-	sig := mag.Extract(l-count, count)
-	sticky := mag.AnyBelow(l - count)
-	sf := int(l) - 1 - int(q.fracBits)
-	return q.f.encode(sign, sf, sig, count, sticky)
-}
-
-// magnitude returns a copy of the inline register as (magnitude, sign):
-// the two's-complement negation applied when the sign bit is set. Shared
-// by the rounding path and the big.Int oracle view so the two can never
-// disagree on the negation.
-func (q *Quire) magnitude() ([regWords]uint64, bool) {
-	mag := q.sw
-	neg := false
-	if r := (q.width - 1) % 64; mag[q.words-1]>>r&1 == 1 {
-		neg = true
-		var carry uint64 = 1
-		for i := 0; i < q.words; i++ {
-			mag[i], carry = bits.Add64(^mag[i], 0, carry)
-		}
-		if r := q.width % 64; r != 0 {
-			mag[q.words-1] &= bitutil.Mask(r)
-		}
-	}
-	return mag, neg
-}
-
-// resultInline is Result for the inline register: the same LZD, extract
-// and sticky steps on the [regWords]uint64 copy, with no heap traffic.
-func (q *Quire) resultInline() Posit {
-	if q.words == 1 {
-		// Single-word register: the magnitude fits a uint64 outright,
-		// so the significand needs no extraction and sticky is empty.
-		v := q.sw[0]
-		sign := v>>(q.width-1)&1 == 1
-		if sign {
-			v = -v & bitutil.Mask(q.width)
-		}
-		if v == 0 {
-			return q.f.Zero()
-		}
-		l := uint(bits.Len64(v))
-		return q.f.encode(sign, int(l)-1-int(q.fracBits), v, l, false)
-	}
-	mag, sign := q.magnitude()
-	// LZD: highest set word
-	l := uint(0)
-	for i := q.words - 1; i >= 0; i-- {
-		if mag[i] != 0 {
-			l = uint(i*64 + bits.Len64(mag[i]))
-			break
-		}
-	}
+	neg, l, sig, sticky := q.acc.Readout() // Alg. 2 line 17: LZD
 	if l == 0 {
 		return q.f.Zero()
 	}
-	var count uint = 64
-	if l < count {
-		count = l
-	}
-	lo := l - count
-	// extract count bits starting at lo (spans at most two words)
-	word, off := lo/64, lo%64
-	sig := mag[word] >> off
-	if off != 0 && int(word+1) < q.words {
-		sig |= mag[word+1] << (64 - off)
-	}
-	if count < 64 {
-		sig &= bitutil.Mask(count)
-	}
-	// sticky: any bit strictly below lo
-	sticky := false
-	for i := uint(0); i < word; i++ {
-		if mag[i] != 0 {
-			sticky = true
-			break
-		}
-	}
-	if !sticky && off != 0 && mag[word]&bitutil.Mask(off) != 0 {
-		sticky = true
-	}
-	sf := int(l) - 1 - int(q.fracBits)
-	return q.f.encode(sign, sf, sig, count, sticky)
-}
-
-// bigValue returns the signed register contents as a big.Int.
-func (q *Quire) bigValue() *big.Int {
-	if q.words == 0 {
-		return q.acc.Big()
-	}
-	mag, neg := q.magnitude()
-	out := new(big.Int)
-	for i := q.words - 1; i >= 0; i-- {
-		out.Lsh(out, 64)
-		out.Or(out, new(big.Int).SetUint64(mag[i]))
-	}
-	if neg {
-		out.Neg(out)
-	}
-	return out
+	return q.f.encode(neg, int(l)-1-int(q.fracBits), sig, min(l, 64), sticky)
 }
 
 // Float64 returns the current exact register value as a float64 (rounded
 // to double, for diagnostics).
 func (q *Quire) Float64() float64 {
-	f := new(big.Float).SetPrec(256).SetInt(q.bigValue())
+	f := new(big.Float).SetPrec(256).SetInt(q.acc.Big())
 	f.SetMantExp(f, -int(q.fracBits)) // value = acc × 2^-fracBits
 	out, _ := f.Float64()
 	return out
@@ -477,14 +226,14 @@ func (q *Quire) Float64() float64 {
 // Dyadic returns the current exact register value as a dyadic rational,
 // used by the oracle tests to check that the quire really is exact.
 func (q *Quire) Dyadic() dyadic.D {
-	return dyadic.FromBig(q.bigValue(), -int(q.fracBits))
+	return dyadic.FromBig(q.acc.Big(), -int(q.fracBits))
 }
 
 // DotProduct computes the exactly-rounded dot product of two posit
-// vectors: Σ w[i]·a[i] with one rounding at the end. For every small
-// format the accumulator is an inline register on the stack and each
-// operand decodes through the format table, so the loop performs no heap
-// allocation at all.
+// vectors: Σ w[i]·a[i] with one rounding at the end. The quire lives on
+// the stack, so registers up to 256 bits cost no heap allocation; wider
+// ones (32-bit formats) allocate their words once per call. Formats with a decode table and a register of at
+// most 128 bits accumulate in local words first.
 func DotProduct(w, a []Posit) Posit {
 	if len(w) != len(a) {
 		panic("posit: DotProduct length mismatch")
@@ -495,10 +244,11 @@ func DotProduct(w, a []Posit) Posit {
 	f := w[0].f
 	var q Quire
 	q.init(f, len(w), 0)
-	if t := f.decTab(); t != nil && q.smallWords() > 0 {
+	if t := f.decTab(); t != nil && q.Width() <= 128 {
 		// Table fast path: fetch the decode table once for the whole
 		// kernel and run the MAC loop directly on packed entries into a
-		// local register — no per-MAC decode call, no function calls, no
+		// local one- or two-word register, handed to the quire for the
+		// readout — no per-MAC decode call, no function calls, no
 		// allocation. Every standard small format lands here (es <= 2
 		// registers fit 128 bits at any realistic k). The bits&m mask
 		// proves the table index in range, eliding the bounds check.
@@ -508,7 +258,8 @@ func DotProduct(w, a []Posit) Posit {
 		fb := int(q.fracBits)
 		m := uint64(len(t) - 1)
 		var narAcc uint32
-		if q.words == 1 {
+		q.adds = len(w)
+		if q.Width() <= 64 {
 			// Single-word tier: the whole register is one uint64
 			// (posit(8,0) needs 34 bits, posit(8,1) 50), so a MAC is
 			// two loads, one multiply, one shift and one add.
@@ -526,9 +277,7 @@ func DotProduct(w, a []Posit) Posit {
 			if narAcc != 0 {
 				return f.NaR()
 			}
-			q.adds = len(w)
-			q.sw[0] = acc
-			q.snorm()
+			q.acc.SetInt128(acc, 0) // the register keeps acc's low width bits
 			return q.Result()
 		}
 		var a0, a1 uint64
@@ -544,9 +293,7 @@ func DotProduct(w, a []Posit) Posit {
 		if narAcc != 0 {
 			return f.NaR()
 		}
-		q.adds = len(w)
-		q.sw[0], q.sw[1] = a0, a1
-		q.snorm()
+		q.acc.SetInt128(a0, a1)
 		return q.Result()
 	}
 	for i := range w {
@@ -601,13 +348,5 @@ func Sum(xs []Posit) Posit {
 
 // String renders the quire state for debugging.
 func (q *Quire) String() string {
-	hex := ""
-	if q.words > 0 {
-		for i := q.words - 1; i >= 0; i-- {
-			hex += fmt.Sprintf("%016x", q.sw[i])
-		}
-	} else {
-		hex = q.acc.HexString()[2:]
-	}
-	return fmt.Sprintf("quire[%s,k=%d,w=%d] 0x%s", q.f, q.capacity, q.width, hex)
+	return fmt.Sprintf("quire[%s,k=%d,w=%d] %s", q.f, q.capacity, q.Width(), q.acc.HexString())
 }

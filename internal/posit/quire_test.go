@@ -308,3 +308,29 @@ func TestTruncatedQuirePanicsOnFullDrop(t *testing.T) {
 	}()
 	NewTruncatedQuire(f, 4, (uint(1)<<1)*(8-2))
 }
+
+// TestQuireResultAllocs: Result reads the register in place, so it never
+// allocates, posit32's 400-bit register included; and DotProduct, whose
+// quire lives on the stack, allocates nothing for registers up to 256
+// bits, through both table tiers and the MulAdd loop.
+func TestQuireResultAllocs(t *testing.T) {
+	r := rng.New(12)
+	for _, f := range []Format{MustFormat(8, 0), MustFormat(12, 1), MustFormat(16, 1), MustFormat(16, 2), MustFormat(32, 2)} {
+		const k = 30
+		w, a := make([]Posit, k), make([]Posit, k)
+		q := NewQuire(f, k)
+		for i := range w {
+			w[i], a[i] = f.FromFloat64(r.NormMS(0, 1)), f.FromFloat64(-r.NormMS(0, 1))
+			q.MulAdd(w[i], a[i])
+		}
+		if allocs := testing.AllocsPerRun(10, func() { q.Result() }); allocs != 0 {
+			t.Errorf("%s (%d bits): Result allocates %v objects; want 0", f, q.Width(), allocs)
+		}
+		if q.Width() > 256 {
+			continue // DotProduct's register words go on the heap
+		}
+		if allocs := testing.AllocsPerRun(10, func() { DotProduct(w, a) }); allocs != 0 {
+			t.Errorf("%s (%d bits): DotProduct allocates %v objects; want 0", f, q.Width(), allocs)
+		}
+	}
+}

@@ -179,9 +179,9 @@ func TestEncodeFastVsRef(t *testing.T) {
 func TestDotProductFastVsGeneric(t *testing.T) {
 	r := rng.New(0xD07)
 	// posit(10,3) and posit(12,3) have decode tables but quires wider
-	// than the inline register (words == 0): they must take the generic
-	// path, not the local-accumulator tiers (regression: the tier guard
-	// once admitted the wide fallback and indexed sw[-1]).
+	// than 256 bits: they must take the MulAdd path, not the
+	// local-accumulator tiers (regression: the tier guard once admitted
+	// a heap register and indexed its inline words at -1).
 	for _, f := range []Format{MustFormat(8, 0), MustFormat(8, 1), MustFormat(8, 2), MustFormat(8, 3), MustFormat(5, 0), MustFormat(12, 2), MustFormat(10, 3), MustFormat(12, 3)} {
 		for trial := 0; trial < 300; trial++ {
 			k := 1 + r.Intn(96)
@@ -204,8 +204,9 @@ func TestDotProductFastVsGeneric(t *testing.T) {
 }
 
 // TestMatrixKernelsMatchReference: MulVec/Mul against per-element quire
-// loops, covering all three routing cases — table tier (8,1), tabled but
-// wide register (12,2: 3-word quire), and untabled wide format (16,1).
+// loops, over each route DotProduct takes — the table tier (8,1), a tabled
+// format whose register is over 128 bits (12,2: 3 words), and an
+// untabled format (16,1).
 func TestMatrixKernelsMatchReference(t *testing.T) {
 	for _, f := range []Format{MustFormat(8, 1), MustFormat(12, 2), MustFormat(16, 1)} {
 		t.Run(f.String(), func(t *testing.T) { testMatrixKernels(t, f) })
@@ -277,20 +278,16 @@ func TestWarmTablesAndMemory(t *testing.T) {
 	}
 }
 
-// TestQuireInlineMatchesWide: the inline small register against the
-// heap-backed wide register on identical accumulation sequences (forcing
-// the wide path through a capacity that pushes the width past the inline
-// ceiling is impractical for small formats, so compare against the
-// dyadic-exact big.Int view instead — plus a direct wide-format run).
+// TestQuireInlineMatchesWide: Result equals FromDyadic of the exact
+// register value on a register stored inside the struct (posit(8,2): 103
+// bits and up) and on one whose words live on the heap (posit(32,5): over
+// 256 bits).
 func TestQuireInlineMatchesWide(t *testing.T) {
 	r := rng.New(0x91DE)
 	f := MustFormat(8, 2)
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + r.Intn(48)
 		qi := NewQuire(f, k)
-		if qi.words == 0 {
-			t.Fatal("posit(8,2) quire should use the inline register")
-		}
 		for i := 0; i < k; i++ {
 			a := f.FromBits(r.Uint64() & f.Mask())
 			b := f.FromBits(r.Uint64() & f.Mask())
@@ -310,12 +307,10 @@ func TestQuireInlineMatchesWide(t *testing.T) {
 			t.Fatalf("inline quire result %#x want %#x", got.Bits(), want.Bits())
 		}
 	}
-	// A genuinely wide register (posit(32,5) blows past 4 words) still
-	// works through the fallback.
 	wf := MustFormat(32, 5)
 	qw := NewQuire(wf, 4)
-	if qw.words != 0 {
-		t.Fatal("posit(32,5) quire should use the wide fallback")
+	if qw.Width() <= 256 {
+		t.Fatalf("posit(32,5) quire is %d bits wide", qw.Width())
 	}
 	one := wf.One()
 	qw.MulAdd(one, one)

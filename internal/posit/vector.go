@@ -129,103 +129,32 @@ func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Col
 
 // MulVec computes y = M·x with one rounding per output element (each row
 // is a quire dot product) — exactly the computation of one Deep Positron
-// layer without bias and activation. Small tabled formats run each row
-// through DotProduct's branchless table tier; wide formats decode every
-// operand once and reuse a single register across rows.
+// layer without bias and activation.
 func (m *Matrix) MulVec(x Vector) Vector {
 	if len(x) != m.Cols {
 		panic("posit: MulVec dimension mismatch")
 	}
-	if m.Rows == 0 {
-		return Vector{}
-	}
-	if m.Cols == 0 {
-		panic("posit: MulVec with zero columns")
-	}
-	f := m.Data[0].Format()
 	out := make(Vector, m.Rows)
-	if rowKernelFast(f, m.Cols) {
-		// Small tabled formats: per-row DotProduct hits the branchless
-		// single/two-word table tier — call-free MACs, stack register,
-		// zero allocations per row.
-		for i := 0; i < m.Rows; i++ {
-			out[i] = DotProduct(m.Row(i), x)
-		}
-		return out
-	}
-	// Wide formats: decode each operand once for the whole product.
-	dx := make([]pdec, len(x))
-	predecodeInto(dx, x, f)
-	dr := make([]pdec, m.Cols)
-	var q Quire
-	q.init(f, m.Cols, 0)
-	for i := 0; i < m.Rows; i++ {
-		q.Reset()
-		predecodeInto(dr, m.Row(i), f)
-		for k := range dr {
-			q.mulAddPre(&dr[k], &dx[k])
-		}
-		out[i] = q.Result()
+	for i := range out {
+		out[i] = DotProduct(m.Row(i), x)
 	}
 	return out
 }
 
-// rowKernelFast reports whether per-row DotProduct takes the branchless
-// table tier for format f at fan-in k — in which case it beats any
-// pre-decoded mulAddPre loop and the matrix kernels delegate to it.
-func rowKernelFast(f Format, k int) bool {
-	if f.decTab() == nil {
-		return false
-	}
-	var q Quire
-	q.init(f, k, 0)
-	return q.smallWords() > 0
-}
-
-// Mul computes C = A·B with one rounding per element of C, using the
-// same two-tier strategy as MulVec.
+// Mul computes C = A·B with one rounding per element of C: each is the
+// DotProduct of a row of A and a column of B.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
 	if m.Cols != b.Rows {
 		panic("posit: Mul dimension mismatch")
 	}
-	if m.Rows == 0 || b.Cols == 0 {
-		return &Matrix{Rows: m.Rows, Cols: b.Cols, Data: []Posit{}}
-	}
-	if m.Cols == 0 {
-		panic("posit: Mul with zero inner dimension")
-	}
-	f := m.Data[0].Format()
 	c := &Matrix{Rows: m.Rows, Cols: b.Cols, Data: make([]Posit, m.Rows*b.Cols)}
-	if rowKernelFast(f, m.Cols) {
-		// Gather each column of b once, then every output is a
-		// branchless-tier DotProduct (see MulVec).
-		col := make([]Posit, b.Rows)
-		for j := 0; j < b.Cols; j++ {
-			for k := 0; k < b.Rows; k++ {
-				col[k] = b.At(k, j)
-			}
-			for i := 0; i < m.Rows; i++ {
-				c.Data[i*b.Cols+j] = DotProduct(m.Row(i), col)
-			}
+	col := make([]Posit, b.Rows)
+	for j := 0; j < b.Cols; j++ {
+		for k := range col {
+			col[k] = b.At(k, j)
 		}
-		return c
-	}
-	// Wide formats: both operands decode once for the whole product
-	// (every element of A is reused Cols(B) times and vice versa).
-	da := make([]pdec, len(m.Data))
-	predecodeInto(da, m.Data, f)
-	db := make([]pdec, len(b.Data))
-	predecodeInto(db, b.Data, f)
-	var q Quire
-	q.init(f, m.Cols, 0)
-	for i := 0; i < m.Rows; i++ {
-		row := da[i*m.Cols : (i+1)*m.Cols]
-		for j := 0; j < b.Cols; j++ {
-			q.Reset()
-			for k := range row {
-				q.mulAddPre(&row[k], &db[k*b.Cols+j])
-			}
-			c.Data[i*b.Cols+j] = q.Result()
+		for i := 0; i < m.Rows; i++ {
+			c.Data[i*b.Cols+j] = DotProduct(m.Row(i), col)
 		}
 	}
 	return c

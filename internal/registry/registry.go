@@ -59,8 +59,8 @@ type config struct {
 // Option configures a Registry at construction.
 type Option func(*config)
 
-// WithRuntimeOptions sets the engine options (worker count, queue depth,
-// warm tables) applied to every per-model runtime the registry builds.
+// WithRuntimeOptions sets the engine options (worker count, queue depth)
+// applied to every per-model runtime the registry builds.
 // engine.WithSharedOutputs and engine.WithFlushPipeline are implied: the
 // batcher leases a result plane per flush and copies results out, so
 // every flush rides the allocation-free batch path.

@@ -40,7 +40,11 @@ func TestCoalescedHTTPBytesMatchFusedFlush(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		resp, raw := postJSON(t, ts.URL+"/v1/infer", string(body))
+		resp, raw, err := post(ts.URL+"/v1/infer", string(body))
+		if err != nil {
+			t.Errorf("request %d: %v", i, err)
+			return
+		}
 		if resp.StatusCode != 200 {
 			t.Errorf("request %d: status %d (%s)", i, resp.StatusCode, raw)
 			return

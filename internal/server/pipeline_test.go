@@ -96,7 +96,11 @@ func TestPipelinedHTTPBytesMatchSerial(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			resp, raw := postJSON(t, ts.URL+"/v1/infer", string(body))
+			resp, raw, err := post(ts.URL+"/v1/infer", string(body))
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
 			if resp.StatusCode != 200 {
 				t.Errorf("request %d: status %d (%s)", i, resp.StatusCode, raw)
 				return
@@ -115,7 +119,12 @@ func TestPipelinedHTTPBytesMatchSerial(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if resp, raw := postJSON(t, ts.URL+"/v1/infer", string(body)); resp.StatusCode != 200 {
+			resp, raw, err := post(ts.URL+"/v1/infer", string(body))
+			if err != nil {
+				t.Errorf("explicit batch: %v", err)
+				return
+			}
+			if resp.StatusCode != 200 {
 				t.Errorf("explicit batch: status %d (%s)", resp.StatusCode, raw)
 			}
 		}()

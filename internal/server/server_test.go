@@ -175,16 +175,26 @@ func burstBehindPins(t *testing.T, ts *httptest.Server, gm *gateModel, open func
 
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	resp, raw, err := post(url, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// post is postJSON for request goroutines, where t.Fatal would end only
+// the goroutine: it returns the error for the caller to report.
+func post(url, body string) (*http.Response, []byte, error) {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	return resp, buf.Bytes()
+	return resp, buf.Bytes(), nil
 }
 
 func getJSON(t *testing.T, url string, out any) *http.Response {

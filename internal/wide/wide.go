@@ -1,13 +1,17 @@
-// Package wide implements fixed-width two's-complement integers of
-// arbitrary bit width backed by []uint64 words. This is the register file
-// behind every exact multiply-and-accumulate unit in the repository: the
-// paper's fixed-point accumulator (Fig. 3), the float EMAC's wide
-// fixed-point register (Fig. 4) and the posit quire (Fig. 5, eq. (4)) are
-// all instances of this type at different widths.
+// Package wide implements the one exact register behind every
+// multiply-and-accumulate unit in the repository: a fixed-width
+// two's-complement integer. The paper's fixed-point accumulator (Fig. 3),
+// the float EMAC's wide fixed-point register (Fig. 4) and the posit quire
+// (Fig. 5, eq. (4)) are all instances of Int at different widths. The
+// posit and float EMACs round through the one Readout; the fixed EMAC's
+// truncating shift reads its register with Extract.
 //
-// All operations wrap modulo 2^width, exactly as the synthesized register
-// would, and widths are fixed at construction: there is no reallocation
-// during accumulation, mirroring hardware.
+// Registers of up to 256 bits keep their words inside the struct, so a
+// register in a stack value or a preallocated MAC accumulates and reads
+// out without touching the heap; wider ones hold a slice allocated once
+// at construction. All operations wrap modulo 2^width, exactly as the
+// synthesized register would, and widths are fixed at construction:
+// there is no reallocation during accumulation, mirroring hardware.
 package wide
 
 import (
@@ -18,313 +22,112 @@ import (
 	"repro/internal/bitutil"
 )
 
-// Int is a width-bit two's-complement integer. The zero value is unusable;
-// construct with New. Words store the value little-endian; bits above width
-// inside the top word are kept zeroed (canonical form) so equality is
-// word-wise comparison.
+// inlineWords is the word count a register stores inside the struct: the
+// quires of 8-bit formats up to es = 3 and 16-bit ones up to es = 2 fit
+// at the paper's fan-ins (posit(16,2) needs 226 + ⌈log2 k⌉ bits).
+const inlineWords = 4
+
+// Int is a width-bit two's-complement integer. The zero value is
+// unusable; construct with Make. Words store the value little-endian;
+// bits above width inside the top word are kept zeroed (canonical form).
+// Copying an Int copies an inline register but shares a heap one.
 type Int struct {
 	width uint
-	w     []uint64
+	n     int                 // words in use, ⌈width/64⌉
+	mask  uint64              // the valid bits of the top word
+	in    [inlineWords]uint64 // the words of a register up to 256 bits
+	heap  []uint64            // the words of a wider one (nil otherwise)
 }
 
-// New returns a zero-valued integer of the given bit width (width >= 1).
-func New(width uint) *Int {
+// Make returns a zero-valued integer of the given bit width (width >= 1).
+func Make(width uint) Int {
 	if width == 0 {
 		panic("wide: width must be >= 1")
 	}
-	return &Int{width: width, w: make([]uint64, (width+63)/64)}
+	x := Int{width: width, n: int((width + 63) / 64), mask: bitutil.Mask((width-1)%64 + 1)}
+	if x.n > inlineWords {
+		x.heap = make([]uint64, x.n)
+	}
+	return x
+}
+
+// words returns the register's words.
+func (x *Int) words() []uint64 {
+	if x.heap != nil {
+		return x.heap
+	}
+	return x.in[:x.n]
 }
 
 // Width returns the bit width.
 func (x *Int) Width() uint { return x.width }
 
-// Words returns the number of 64-bit words backing x.
-func (x *Int) Words() int { return len(x.w) }
-
-// topMask is the mask of valid bits in the most significant word.
-func (x *Int) topMask() uint64 {
-	r := x.width % 64
-	if r == 0 {
-		return ^uint64(0)
-	}
-	return bitutil.Mask(r)
-}
-
-// normalize clears the unused bits of the top word.
-func (x *Int) normalize() {
-	x.w[len(x.w)-1] &= x.topMask()
-}
-
-// Clone returns a deep copy of x.
-func (x *Int) Clone() *Int {
-	c := &Int{width: x.width, w: make([]uint64, len(x.w))}
-	copy(c.w, x.w)
-	return c
-}
-
-// Set copies y into x. Widths must match.
-func (x *Int) Set(y *Int) *Int {
-	x.mustMatch(y)
-	copy(x.w, y.w)
-	return x
+// sign reports whether the two's-complement value is negative.
+func (x *Int) sign() bool {
+	return x.words()[x.n-1]>>((x.width-1)%64)&1 == 1
 }
 
 // SetZero clears x to zero.
-func (x *Int) SetZero() *Int {
-	for i := range x.w {
-		x.w[i] = 0
-	}
-	return x
+func (x *Int) SetZero() {
+	x.in = [inlineWords]uint64{}
+	clear(x.heap)
 }
 
-// IsZero reports whether x == 0.
-func (x *Int) IsZero() bool {
-	for _, v := range x.w {
-		if v != 0 {
-			return false
+// SetInt128 sets x to the two's-complement value hi:lo, sign-extended or
+// wrapped to the width: how a kernel that accumulated in one or two
+// machine words hands its exact sum over for the readout.
+func (x *Int) SetInt128(lo, hi uint64) {
+	w := x.words()
+	w[0] = lo
+	if len(w) > 1 {
+		w[1] = hi
+		fill := uint64(int64(hi) >> 63)
+		for i := 2; i < len(w); i++ {
+			w[i] = fill
 		}
 	}
-	return true
-}
-
-// Sign reports the sign bit of x: true when the two's-complement value is
-// negative.
-func (x *Int) Sign() bool {
-	return bitutil.Bit(x.w[len(x.w)-1], (x.width-1)%64) == 1
-}
-
-// SetInt64 sets x to the sign-extended value v.
-func (x *Int) SetInt64(v int64) *Int {
-	fill := uint64(0)
-	if v < 0 {
-		fill = ^uint64(0)
-	}
-	x.w[0] = uint64(v)
-	for i := 1; i < len(x.w); i++ {
-		x.w[i] = fill
-	}
-	x.normalize()
-	return x
-}
-
-// Bit returns bit i of x (0 <= i < width).
-func (x *Int) Bit(i uint) uint64 {
-	if i >= x.width {
-		panic(fmt.Sprintf("wide: Bit index %d out of range for width %d", i, x.width))
-	}
-	return bitutil.Bit(x.w[i/64], i%64)
-}
-
-// SetBit sets bit i of x to b (0 or 1).
-func (x *Int) SetBit(i uint, b uint64) *Int {
-	if i >= x.width {
-		panic(fmt.Sprintf("wide: SetBit index %d out of range for width %d", i, x.width))
-	}
-	mask := uint64(1) << (i % 64)
-	if b&1 == 1 {
-		x.w[i/64] |= mask
-	} else {
-		x.w[i/64] &^= mask
-	}
-	return x
-}
-
-func (x *Int) mustMatch(y *Int) {
-	if x.width != y.width {
-		panic(fmt.Sprintf("wide: width mismatch %d vs %d", x.width, y.width))
-	}
-}
-
-// Add sets x = x + y (mod 2^width) and returns x.
-func (x *Int) Add(y *Int) *Int {
-	x.mustMatch(y)
-	var carry uint64
-	for i := range x.w {
-		x.w[i], carry = bits.Add64(x.w[i], y.w[i], carry)
-	}
-	x.normalize()
-	return x
-}
-
-// Sub sets x = x - y (mod 2^width) and returns x.
-func (x *Int) Sub(y *Int) *Int {
-	x.mustMatch(y)
-	var borrow uint64
-	for i := range x.w {
-		x.w[i], borrow = bits.Sub64(x.w[i], y.w[i], borrow)
-	}
-	x.normalize()
-	return x
-}
-
-// Neg sets x = -x (mod 2^width) and returns x. This is the hardware
-// two's-complement step used on lines 11 and 16 of Algorithm 2.
-func (x *Int) Neg() *Int {
-	var carry uint64 = 1
-	for i := range x.w {
-		x.w[i], carry = bits.Add64(^x.w[i], 0, carry)
-	}
-	x.normalize()
-	return x
+	w[len(w)-1] &= x.mask
 }
 
 // AddUint64Shifted adds v << shift into x (mod 2^width). v is treated as
 // unsigned. This is the core "shift to fixed-point position then add"
 // operation of every EMAC (Alg. 2 lines 13–14).
-func (x *Int) AddUint64Shifted(v uint64, shift uint) *Int {
-	if v == 0 {
-		return x
+func (x *Int) AddUint64Shifted(v uint64, shift uint) {
+	w := x.words()
+	k := int(shift / 64)
+	if k >= len(w) {
+		return // entirely above the register: hardware drops it
 	}
-	word := int(shift / 64)
-	off := shift % 64
-	if word >= len(x.w) {
-		return x // entirely above the register: hardware would drop it
+	lo, hi := shifted(v, shift%64)
+	var c uint64
+	w[k], c = bits.Add64(w[k], lo, 0)
+	for i := k + 1; i < len(w) && hi|c != 0; i++ {
+		w[i], c = bits.Add64(w[i], hi, c)
+		hi = 0
 	}
-	lo := v << off
-	var hi uint64
-	if off != 0 {
-		hi = v >> (64 - off)
-	}
-	var carry uint64
-	x.w[word], carry = bits.Add64(x.w[word], lo, 0)
-	i := word + 1
-	if i < len(x.w) {
-		x.w[i], carry = bits.Add64(x.w[i], hi, carry)
-		i++
-	}
-	for carry != 0 && i < len(x.w) {
-		x.w[i], carry = bits.Add64(x.w[i], 0, carry)
-		i++
-	}
-	x.normalize()
-	return x
+	w[len(w)-1] &= x.mask
 }
 
 // SubUint64Shifted subtracts v << shift from x (mod 2^width).
-func (x *Int) SubUint64Shifted(v uint64, shift uint) *Int {
-	if v == 0 {
-		return x
+func (x *Int) SubUint64Shifted(v uint64, shift uint) {
+	w := x.words()
+	k := int(shift / 64)
+	if k >= len(w) {
+		return
 	}
-	word := int(shift / 64)
-	off := shift % 64
-	if word >= len(x.w) {
-		return x
+	lo, hi := shifted(v, shift%64)
+	var b uint64
+	w[k], b = bits.Sub64(w[k], lo, 0)
+	for i := k + 1; i < len(w) && hi|b != 0; i++ {
+		w[i], b = bits.Sub64(w[i], hi, b)
+		hi = 0
 	}
-	lo := v << off
-	var hi uint64
-	if off != 0 {
-		hi = v >> (64 - off)
-	}
-	var borrow uint64
-	x.w[word], borrow = bits.Sub64(x.w[word], lo, 0)
-	i := word + 1
-	if i < len(x.w) {
-		x.w[i], borrow = bits.Sub64(x.w[i], hi, borrow)
-		i++
-	}
-	for borrow != 0 && i < len(x.w) {
-		x.w[i], borrow = bits.Sub64(x.w[i], 0, borrow)
-		i++
-	}
-	x.normalize()
-	return x
+	w[len(w)-1] &= x.mask
 }
 
-// Shl sets x = x << s (mod 2^width) and returns x.
-func (x *Int) Shl(s uint) *Int {
-	if s >= x.width {
-		return x.SetZero()
-	}
-	wordShift := int(s / 64)
-	bitShift := s % 64
-	n := len(x.w)
-	if wordShift > 0 {
-		for i := n - 1; i >= 0; i-- {
-			if i >= wordShift {
-				x.w[i] = x.w[i-wordShift]
-			} else {
-				x.w[i] = 0
-			}
-		}
-	}
-	if bitShift > 0 {
-		var carry uint64
-		for i := 0; i < n; i++ {
-			nc := x.w[i] >> (64 - bitShift)
-			x.w[i] = x.w[i]<<bitShift | carry
-			carry = nc
-		}
-	}
-	x.normalize()
-	return x
-}
-
-// Shr sets x = x >> s (logical) and returns x.
-func (x *Int) Shr(s uint) *Int {
-	if s >= x.width {
-		return x.SetZero()
-	}
-	wordShift := int(s / 64)
-	bitShift := s % 64
-	n := len(x.w)
-	if wordShift > 0 {
-		for i := 0; i < n; i++ {
-			if i+wordShift < n {
-				x.w[i] = x.w[i+wordShift]
-			} else {
-				x.w[i] = 0
-			}
-		}
-	}
-	if bitShift > 0 {
-		var carry uint64
-		for i := n - 1; i >= 0; i-- {
-			nc := x.w[i] << (64 - bitShift)
-			x.w[i] = x.w[i]>>bitShift | carry
-			carry = nc
-		}
-	}
-	return x
-}
-
-// Sar sets x = x >> s (arithmetic: sign-filling) and returns x.
-func (x *Int) Sar(s uint) *Int {
-	neg := x.Sign()
-	if s >= x.width {
-		if neg {
-			for i := range x.w {
-				x.w[i] = ^uint64(0)
-			}
-			x.normalize()
-			return x
-		}
-		return x.SetZero()
-	}
-	x.Shr(s)
-	if neg {
-		// fill the vacated top s bits with ones
-		for i := uint(0); i < s; i++ {
-			x.SetBit(x.width-1-i, 1)
-		}
-	}
-	return x
-}
-
-// Len returns the minimal number of bits to represent the unsigned value
-// of x (0 for zero). Interpreting x as unsigned: position of MSB + 1.
-func (x *Int) Len() uint {
-	for i := len(x.w) - 1; i >= 0; i-- {
-		if x.w[i] != 0 {
-			return uint(i*64 + bits.Len64(x.w[i]))
-		}
-	}
-	return 0
-}
-
-// LeadingZeros counts zero bits above the most significant one bit, within
-// the declared width — the quire LZD of Algorithm 2 line 17.
-func (x *Int) LeadingZeros() uint {
-	return x.width - x.Len()
+// shifted splits v << off (off < 64) into its low and high words.
+func shifted(v uint64, off uint) (lo, hi uint64) {
+	return v << off, v >> (63 - off) >> 1
 }
 
 // Extract returns the count bits of x starting at bit lo (little-endian
@@ -333,118 +136,97 @@ func (x *Int) Extract(lo, count uint) uint64 {
 	if count > 64 {
 		panic("wide: Extract count must be <= 64")
 	}
-	var out uint64
-	for i := uint(0); i < count; i++ {
-		p := lo + i
-		if p >= x.width {
-			break
-		}
-		out |= x.Bit(p) << i
+	if count == 0 || lo >= x.width {
+		return 0
 	}
-	return out
+	w := x.words()
+	k, off := lo/64, lo%64
+	v := w[k] >> off
+	if off != 0 && int(k)+1 < len(w) {
+		v |= w[k+1] << (64 - off)
+	}
+	return v & bitutil.Mask(count)
 }
 
-// AnyBelow reports whether any bit strictly below position lo is set —
-// the sticky computation for post-accumulation rounding.
-func (x *Int) AnyBelow(lo uint) bool {
-	if lo == 0 {
-		return false
-	}
-	if lo > x.width {
-		lo = x.width
-	}
-	fullWords := int(lo / 64)
-	for i := 0; i < fullWords; i++ {
-		if x.w[i] != 0 {
-			return true
+// Readout splits x for its one rounding: the sign, the bit length l of
+// |x| (the leading one sits at bit l−1; 0 when x is zero), the top
+// min(l, 64) bits of |x| as sig, and sticky, whether any bit of |x| below
+// those is set. It reads the words in place and allocates nothing, at any
+// width.
+func (x *Int) Readout() (neg bool, l uint, sig uint64, sticky bool) {
+	if x.n == 1 {
+		// One word: |x| fits a uint64 outright, so there is nothing to
+		// extract and no bit below the significand.
+		v := x.in[0]
+		if neg = v>>(x.width-1)&1 == 1; neg {
+			v = -v & x.mask
 		}
+		return neg, uint(bits.Len64(v)), v, false
 	}
-	rem := lo % 64
-	if rem != 0 && x.w[fullWords]&bitutil.Mask(rem) != 0 {
-		return true
+	w := x.words()
+	// z is the lowest nonzero word. For a negative x, |x| = ^x + 1: the
+	// +1 carries through the zero words below z, so those stay 0, word z
+	// becomes -w[z] and every word above it ^w[i]. Negation keeps the
+	// trailing zeros, so |x| and x also share their lowest set bit.
+	z := 0
+	for z < len(w) && w[z] == 0 {
+		z++
 	}
-	return false
-}
-
-// Cmp compares the two's-complement values of x and y: -1, 0 or +1.
-func (x *Int) Cmp(y *Int) int {
-	x.mustMatch(y)
-	sx, sy := x.Sign(), y.Sign()
-	if sx != sy {
-		if sx {
-			return -1
-		}
-		return 1
+	if z == len(w) {
+		return false, 0, 0, false
 	}
-	for i := len(x.w) - 1; i >= 0; i-- {
-		if x.w[i] != y.w[i] {
-			if x.w[i] < y.w[i] {
-				return -1
+	neg = x.sign()
+	top := len(w) - 1
+	mag := func(i int) uint64 {
+		v := w[i]
+		if neg {
+			if i > z {
+				v = ^v
+			} else {
+				v = -v // 0 below z
 			}
-			return 1
 		}
+		if i == top {
+			v &= x.mask
+		}
+		return v
 	}
-	return 0
-}
-
-// Int64 returns the low 64 bits of x interpreted with x's sign. It panics
-// if the value does not fit in an int64.
-func (x *Int) Int64() int64 {
-	b := x.Big()
-	if !b.IsInt64() {
-		panic("wide: value does not fit in int64")
+	i := top
+	for mag(i) == 0 {
+		i-- // stops at z at the latest
 	}
-	return b.Int64()
+	l = uint(i*64 + bits.Len64(mag(i)))
+	lo := l - min(l, 64)
+	k, off := int(lo/64), lo%64
+	sig = mag(k) >> off
+	if off != 0 {
+		sig |= mag(k+1) << (64 - off)
+	}
+	sticky = z < k || z == k && w[k]&bitutil.Mask(off) != 0
+	return neg, l, sig, sticky
 }
 
 // Big returns the signed value of x as a new big.Int.
 func (x *Int) Big() *big.Int {
-	mag := x.Clone()
-	neg := mag.Sign()
-	if neg {
-		mag.Neg()
-	}
+	w := x.words()
 	out := new(big.Int)
-	// assemble from words, most significant first
-	for i := len(mag.w) - 1; i >= 0; i-- {
+	for i := len(w) - 1; i >= 0; i-- {
 		out.Lsh(out, 64)
-		out.Or(out, new(big.Int).SetUint64(mag.w[i]))
+		out.Or(out, new(big.Int).SetUint64(w[i]))
 	}
-	if neg {
-		out.Neg(out)
+	if x.sign() {
+		out.Sub(out, new(big.Int).Lsh(big.NewInt(1), x.width))
 	}
 	return out
 }
 
-// SetBig sets x to v mod 2^width (two's complement wrap) and returns x.
-func (x *Int) SetBig(v *big.Int) *Int {
-	m := new(big.Int).Set(v)
-	mod := new(big.Int).Lsh(big.NewInt(1), x.width)
-	m.Mod(m, mod)
-	if m.Sign() < 0 {
-		m.Add(m, mod)
-	}
-	x.SetZero()
-	words := m.Bits()
-	// big.Word is 64-bit on this platform; copy defensively bit by word.
-	for i, bw := range words {
-		if i < len(x.w) {
-			x.w[i] = uint64(bw)
-		}
-	}
-	x.normalize()
-	return x
-}
-
-// String renders x in decimal (signed).
-func (x *Int) String() string { return x.Big().String() }
-
 // HexString renders the raw two's-complement pattern in hex, most
 // significant word first, for debugging register contents.
 func (x *Int) HexString() string {
+	w := x.words()
 	s := ""
-	for i := len(x.w) - 1; i >= 0; i-- {
-		s += fmt.Sprintf("%016x", x.w[i])
+	for i := len(w) - 1; i >= 0; i-- {
+		s += fmt.Sprintf("%016x", w[i])
 	}
 	return "0x" + s
 }

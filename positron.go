@@ -254,8 +254,8 @@ type RuntimeOption = engine.Option
 var ErrRuntimeClosed = engine.ErrClosed
 
 // NewRuntime starts an inference runtime over any Model. Options:
-// WithWorkers, WithQueueDepth, WithWarmTables, WithSharedOutputs. Call
-// Close to release the pool.
+// WithWorkers, WithQueueDepth, WithSharedOutputs. Call Close to release
+// the pool.
 func NewRuntime(m Model, opts ...RuntimeOption) (*Runtime, error) {
 	return engine.NewRuntime(m, opts...)
 }
@@ -267,10 +267,6 @@ func WithWorkers(n int) RuntimeOption { return engine.WithWorkers(n) }
 // WithQueueDepth sets the job-queue capacity (n <= 0 selects twice the
 // worker count, the default).
 func WithQueueDepth(n int) RuntimeOption { return engine.WithQueueDepth(n) }
-
-// WithWarmTables eagerly builds the posit fast-path tables for every
-// posit layer format before the first inference.
-func WithWarmTables() RuntimeOption { return engine.WithWarmTables() }
 
 // WithSharedOutputs makes InferBatch decode logits into a runtime-owned
 // buffer reused across calls — allocation-free dataset sweeps; the
@@ -354,8 +350,7 @@ func WithMaxInFlight(n int) RegistryOption { return registry.WithMaxInFlight(n) 
 func WithRequestTimeout(d time.Duration) RegistryOption { return registry.WithRequestTimeout(d) }
 
 // WithRuntimeOptions sets the Runtime options (WithWorkers,
-// WithQueueDepth, WithWarmTables) applied to every per-model runtime a
-// Registry builds.
+// WithQueueDepth) applied to every per-model runtime a Registry builds.
 func WithRuntimeOptions(opts ...RuntimeOption) RegistryOption {
 	return registry.WithRuntimeOptions(opts...)
 }

@@ -120,7 +120,7 @@ func TestFacadeServingPath(t *testing.T) {
 		t.Fatalf("model metadata: %s %s", model.Kind(), model)
 	}
 
-	rt, err := NewRuntime(model, WithWorkers(4), WithWarmTables(), WithQueueDepth(16))
+	rt, err := NewRuntime(model, WithWorkers(4), WithQueueDepth(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFacadeRegistryServing(t *testing.T) {
 	mixed.Stand = std
 
 	reg := NewRegistry(
-		WithRuntimeOptions(WithWorkers(2), WithWarmTables()),
+		WithRuntimeOptions(WithWorkers(2)),
 		WithMaxBatch(16),
 	)
 	defer reg.Close()
