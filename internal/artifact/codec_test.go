@@ -241,8 +241,8 @@ func TestSigmoidRoundTrip(t *testing.T) {
 }
 
 // TestEncodeRejectsInvalidSigmoid: the encoder refuses the sigmoid flag
-// where no session could apply it (core.CheckSigmoid), so it never writes
-// an artifact the decoder rejects.
+// where no session could apply it (core.Network.Validate), so it never
+// writes an artifact the decoder rejects.
 func TestEncodeRejectsInvalidSigmoid(t *testing.T) {
 	src := nn.NewMLP([]int{4, 6, 2}, rng.New(7))
 	for _, a := range []emac.Arithmetic{emac.NewFixed(8, 4), emac.NewPosit(8, 1), emac.NewFloatN(8, 4)} {

@@ -68,7 +68,11 @@ func (r *reader) u32() (uint32, error) {
 // Decode parses a canonical binary artifact into its model. It is the
 // inverse of Encode and is safe on hostile input: malformed, truncated
 // or oversized-claim artifacts fail with an error (never a panic), and
-// allocations are bounded by the input length.
+// allocations are bounded by the input length. Decode checks the format
+// itself — magic, version, kind, flags, the layer-count and shape
+// bounds, the body CRC, the descriptors and the exact byte budget — and
+// then the network the bytes describe with core.Network.Validate, whose
+// error it wraps in ErrCorrupt.
 func Decode(data []byte) (core.Model, error) {
 	if !IsBinary(data) {
 		return nil, ErrNotBinary
@@ -86,9 +90,6 @@ func Decode(data []byte) (core.Model, error) {
 	flags := data[7]
 	if flags&^(flagSigmoid|flagStandardizer) != 0 {
 		return nil, corruptf("unknown flag bits %#x", flags)
-	}
-	if kind == kindMixed && flags&flagSigmoid != 0 {
-		return nil, fmt.Errorf("%w: sigmoid flag: %v", ErrCorrupt, core.ErrMixedSigmoid)
 	}
 	nLayers := int(binary.LittleEndian.Uint32(data[8:]))
 	if nLayers < 1 || nLayers > maxLayers {
@@ -133,13 +134,6 @@ func Decode(data []byte) (core.Model, error) {
 		}
 		ariths[i] = a
 	}
-	// Accepting the sigmoid flag where the fast sigmoid cannot run would
-	// defer the failure to inference time.
-	if flags&flagSigmoid != 0 {
-		if err := core.CheckSigmoid(ariths[0]); err != nil {
-			return nil, fmt.Errorf("%w: sigmoid flag: %v", ErrCorrupt, err)
-		}
-	}
 	arithAt := func(i int) emac.Arithmetic {
 		if kind == kindMixed {
 			return ariths[i]
@@ -147,10 +141,9 @@ func Decode(data []byte) (core.Model, error) {
 		return ariths[0]
 	}
 
-	// Layer shape table, with the activation chain checked as it is read.
+	// Layer shape table.
 	type shape struct{ in, out int }
 	shapes := make([]shape, nLayers)
-	prevOut := -1
 	for i := range shapes {
 		in32, err := r.u32()
 		if err != nil {
@@ -164,10 +157,6 @@ func Decode(data []byte) (core.Model, error) {
 		if in < 1 || in > maxDim || out < 1 || out > maxDim {
 			return nil, corruptf("layer %d shape %dx%d out of range", i, in, out)
 		}
-		if prevOut >= 0 && in != prevOut {
-			return nil, corruptf("layer %d input %d does not match previous output %d", i, in, prevOut)
-		}
-		prevOut = out
 		shapes[i] = shape{in: in, out: out}
 	}
 
@@ -202,57 +191,32 @@ func Decode(data []byte) (core.Model, error) {
 				dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
 			}
 		}
-		for j, s := range std {
-			if s == 0 {
-				return nil, corruptf("standardizer feature %d has zero scale", j)
-			}
-		}
 		stand = &datasets.Standardizer{Mean: mean, Std: std}
 	}
 
+	// Each layer's words land in one code plane, sliced into rows and
+	// biases.
 	layers := make([]*core.Layer, nLayers)
 	for i, s := range shapes {
-		arith := arithAt(i)
-		ws, _ := wordSize(arith.BitWidth())
-		mask := ^uint64(0)
-		if w := arith.BitWidth(); w < 64 {
-			mask = (uint64(1) << w) - 1
-		}
-		b, err := r.bytes((s.in*s.out + s.out) * ws)
+		ws, _ := wordSize(arithAt(i).BitWidth())
+		codes := make([]emac.Code, s.in*s.out+s.out)
+		b, err := r.bytes(len(codes) * ws)
 		if err != nil {
 			return nil, err
 		}
-		word := func(k int) uint64 {
+		for k := range codes {
 			switch ws {
 			case 1:
-				return uint64(b[k])
+				codes[k] = emac.Code(b[k])
 			case 2:
-				return uint64(binary.LittleEndian.Uint16(b[2*k:]))
+				codes[k] = emac.Code(binary.LittleEndian.Uint16(b[2*k:]))
 			default:
-				return uint64(binary.LittleEndian.Uint32(b[4*k:]))
+				codes[k] = emac.Code(binary.LittleEndian.Uint32(b[4*k:]))
 			}
 		}
-		l := &core.Layer{In: s.in, Out: s.out, W: make([][]emac.Code, s.out), B: make([]emac.Code, s.out)}
-		k := 0
+		l := &core.Layer{In: s.in, Out: s.out, W: make([][]emac.Code, s.out), B: codes[s.in*s.out:]}
 		for j := range l.W {
-			row := make([]emac.Code, s.in)
-			for c := range row {
-				w := word(k)
-				k++
-				if w&^mask != 0 {
-					return nil, corruptf("layer %d code %#x exceeds %d bits", i, w, arith.BitWidth())
-				}
-				row[c] = emac.Code(w)
-			}
-			l.W[j] = row
-		}
-		for j := range l.B {
-			w := word(k)
-			k++
-			if w&^mask != 0 {
-				return nil, corruptf("layer %d bias code %#x exceeds %d bits", i, w, arith.BitWidth())
-			}
-			l.B[j] = emac.Code(w)
+			l.W[j] = codes[j*s.in : (j+1)*s.in : (j+1)*s.in]
 		}
 		layers[i] = l
 	}
@@ -265,6 +229,9 @@ func Decode(data []byte) (core.Model, error) {
 		net.LayerAriths = ariths
 	} else {
 		net.Arith = ariths[0]
+	}
+	if err := net.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return net, nil
 }

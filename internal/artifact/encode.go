@@ -15,7 +15,9 @@ import (
 // word widths are all fixed by the format, so equal models encode to
 // equal bytes (the property the content hash relies on). Only a
 // *core.Network has an artifact; any other Model fails with
-// ErrUnsupported.
+// ErrUnsupported. The network must pass core.Network.Validate (Encode
+// lowers it through ArithSpecs), so Encode never writes bytes Decode
+// would refuse, and every code fits its layer's word.
 func Encode(m core.Model) ([]byte, error) {
 	net, ok := m.(*core.Network)
 	if !ok {
@@ -26,20 +28,12 @@ func Encode(m core.Model) ([]byte, error) {
 		return nil, err
 	}
 	layers, stand := net.Layers, net.Stand
-	if len(layers) == 0 {
-		return nil, fmt.Errorf("artifact: model has no layers")
-	}
 	ariths := net.Ariths()
 
 	// Size the body exactly: descriptors, shapes, standardizer, words.
-	size := int64(len(specs)*descriptorBytes + len(layers)*8)
+	size := len(specs)*descriptorBytes + len(layers)*8
 	if stand != nil {
-		in0 := layers[0].In
-		if len(stand.Mean) != in0 || len(stand.Std) != in0 {
-			return nil, fmt.Errorf("artifact: standardizer has %d/%d features for %d inputs",
-				len(stand.Mean), len(stand.Std), in0)
-		}
-		size += int64(16 * in0)
+		size += 16 * layers[0].In
 	}
 	wsizes := make([]int, len(layers))
 	for i, l := range layers {
@@ -48,10 +42,7 @@ func Encode(m core.Model) ([]byte, error) {
 			return nil, err
 		}
 		wsizes[i] = ws
-		if l.In <= 0 || l.Out <= 0 || len(l.W) != l.Out || len(l.B) != l.Out {
-			return nil, fmt.Errorf("artifact: layer %d malformed", i)
-		}
-		size += int64(l.In*l.Out+l.Out) * int64(ws)
+		size += (l.In*l.Out + l.Out) * ws
 	}
 
 	buf := make([]byte, headerSize, headerSize+size)
@@ -63,7 +54,7 @@ func Encode(m core.Model) ([]byte, error) {
 	}
 	var flags byte
 	if net.Sigmoid {
-		flags |= flagSigmoid // ArithSpecs applied the Sigmoid rule
+		flags |= flagSigmoid
 	}
 	if stand != nil {
 		flags |= flagStandardizer
@@ -91,42 +82,28 @@ func Encode(m core.Model) ([]byte, error) {
 		}
 	}
 	for i, l := range layers {
-		ws := wsizes[i]
-		appendCode := func(c emac.Code) error {
-			if ws < 8 && uint64(c)>>(8*ws) != 0 {
-				return fmt.Errorf("artifact: layer %d code %#x exceeds %d bytes", i, uint64(c), ws)
-			}
-			switch ws {
-			case 1:
-				buf = append(buf, byte(c))
-			case 2:
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(c))
-			default:
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-			}
-			return nil
+		for _, row := range l.W {
+			buf = appendWords(buf, row, wsizes[i])
 		}
-		for j, row := range l.W {
-			if len(row) != l.In {
-				return nil, fmt.Errorf("artifact: layer %d row %d has %d codes", i, j, len(row))
-			}
-			for _, c := range row {
-				if err := appendCode(c); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for _, c := range l.B {
-			if err := appendCode(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if int64(len(buf)-headerSize) != size {
-		return nil, fmt.Errorf("artifact: internal error: body is %d bytes, sized %d", len(buf)-headerSize, size)
+		buf = appendWords(buf, l.B, wsizes[i])
 	}
 	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[headerSize:]))
 	return buf, nil
+}
+
+// appendWords appends codes as little-endian words of ws bytes.
+func appendWords(buf []byte, codes []emac.Code, ws int) []byte {
+	for _, c := range codes {
+		switch ws {
+		case 1:
+			buf = append(buf, byte(c))
+		case 2:
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(c))
+		default:
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+		}
+	}
+	return buf
 }
 
 // descriptorBytes is one arith descriptor record: family, n, the

@@ -33,19 +33,11 @@ type Remote struct {
 	client *http.Client
 }
 
-// RemoteOption configures a Remote store.
-type RemoteOption func(*Remote)
-
-// WithRemoteClient substitutes the HTTP client (timeouts, transports,
-// test doubles). The default client has a 30s overall timeout.
-func WithRemoteClient(c *http.Client) RemoteOption {
-	return func(r *Remote) { r.client = c }
-}
-
 // NewRemote builds a peer-fetching store over the given base URLs
 // (e.g. "http://replica-b:8080"). Trailing slashes are trimmed; scheme
-// defaults to http:// when absent, matching positrond -peers usage.
-func NewRemote(peers []string, opts ...RemoteOption) *Remote {
+// defaults to http:// when absent, matching positrond -peers usage. Its
+// HTTP client has a 30s overall timeout.
+func NewRemote(peers []string) *Remote {
 	r := &Remote{
 		client: &http.Client{Timeout: 30 * time.Second},
 	}
@@ -58,9 +50,6 @@ func NewRemote(peers []string, opts ...RemoteOption) *Remote {
 			p = "http://" + p
 		}
 		r.peers = append(r.peers, p)
-	}
-	for _, opt := range opts {
-		opt(r)
 	}
 	return r
 }

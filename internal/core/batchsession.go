@@ -87,7 +87,7 @@ func (e *execLayer) forwardBatch(act, dst []emac.Code, b int) {
 func (s *Session) activate(li int, plane []emac.Code) {
 	a := s.ariths[li]
 	if s.sigmoid {
-		f := a.(emac.PositArith).F // NewSession ran CheckSigmoid
+		f := a.(emac.PositArith).F // NewSession ran Validate
 		for j, c := range plane {
 			plane[j] = emac.Code(f.FromBits(uint64(c)).FastSigmoid().Bits())
 		}

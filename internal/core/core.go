@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/datasets"
@@ -56,7 +57,7 @@ type Network struct {
 	Layers      []*Layer
 	// Sigmoid selects the posit fast-sigmoid activation instead of ReLU
 	// on hidden layers (extension; requires a uniform network over a
-	// posit arithmetic with es=0, see CheckSigmoid).
+	// posit arithmetic with es=0, see Validate).
 	Sigmoid bool
 	// Stand, when non-nil, is a per-feature standardizer folded into the
 	// deployment artifact: sessions standardize raw inputs with it before
@@ -75,36 +76,93 @@ type Network struct {
 // networks run ReLU on every hidden layer and cannot carry the flag.
 var ErrMixedSigmoid = errors.New("core: the Sigmoid activation is uniform-only; a mixed network cannot carry it")
 
-// CheckSigmoid reports whether a uniform network over arithmetic a may
-// carry the Sigmoid flag. The fast sigmoid is a bit trick on es=0 posits
-// only, so a must be one.
-func CheckSigmoid(a emac.Arithmetic) error {
-	if pa, ok := a.(emac.PositArith); !ok || !pa.F.FastSigmoidValid() {
-		return fmt.Errorf("core: Sigmoid activation requires a posit arithmetic with es=0, got %s", a.Name())
+// Validate reports whether the network is well formed. It is the one
+// statement of that rule: both JSON codec directions, both binary
+// artifact directions, NewSession and the engine's Runtime all apply
+// it, so every route into the kernel accepts and refuses the same
+// networks. A well-formed network
+//   - names one non-nil arithmetic per layer when mixed, and a non-nil
+//     Arith when uniform, each able to build its EMACs: a posit
+//     arithmetic's QuireDrop must leave at least one of the quire's
+//     2·MaxScale fraction bits (posit.NewTruncatedQuire);
+//   - sets Sigmoid only where a session can apply it: never on a mixed
+//     network (ErrMixedSigmoid), and on a uniform one only over an es=0
+//     posit, the only format the fast-sigmoid bit trick is valid on;
+//   - has at least one layer, each with In, Out ≥ 1, Out rows of In
+//     weight codes and Out bias codes, and each taking its predecessor's
+//     Out as its In;
+//   - holds only codes below 2^BitWidth of its layer's arithmetic (the
+//     width of that layer's local memory);
+//   - carries, if any, a standardizer of exactly Layers[0].In finite
+//     means and scales, none of the scales zero (JSON has no NaN or
+//     infinity, so only a finite standardizer has both artifact forms).
+func (n *Network) Validate() error {
+	if n.LayerAriths != nil {
+		if len(n.LayerAriths) != len(n.Layers) {
+			return fmt.Errorf("core: mixed network has %d arithmetics for %d layers", len(n.LayerAriths), len(n.Layers))
+		}
+	} else if n.Arith == nil {
+		return errors.New("core: uniform network has no arithmetic")
 	}
-	return nil
-}
-
-// checkSigmoid applies the Sigmoid rule to the network: ErrMixedSigmoid
-// on a mixed network, CheckSigmoid on a uniform one. NewSession,
-// UnmarshalJSON and both artifact encoders (through ArithSpecs) apply
-// it; the binary decoder applies the same rule to the header it reads.
-func (n *Network) checkSigmoid() error {
-	switch {
-	case !n.Sigmoid:
-		return nil
-	case n.LayerAriths != nil:
-		return ErrMixedSigmoid
-	default:
-		return CheckSigmoid(n.Arith)
+	if n.Sigmoid {
+		if n.LayerAriths != nil {
+			return ErrMixedSigmoid
+		}
+		if pa, ok := n.Arith.(emac.PositArith); !ok || !pa.F.FastSigmoidValid() {
+			return fmt.Errorf("core: Sigmoid activation requires a posit arithmetic with es=0, got %s", n.Arith.Name())
+		}
 	}
-}
-
-// checkArity reports a mixed network whose arithmetics do not match its
-// layers one for one.
-func (n *Network) checkArity() error {
-	if n.LayerAriths != nil && len(n.LayerAriths) != len(n.Layers) {
-		return fmt.Errorf("core: mixed network has %d arithmetics for %d layers", len(n.LayerAriths), len(n.Layers))
+	if len(n.Layers) == 0 {
+		return errors.New("core: model has no layers")
+	}
+	for li, l := range n.Layers {
+		a := n.Arith
+		if n.LayerAriths != nil {
+			a = n.LayerAriths[li]
+		}
+		if a == nil {
+			return fmt.Errorf("core: layer %d has no arithmetic", li)
+		}
+		if pa, ok := a.(emac.PositArith); ok && pa.QuireDrop >= uint(2*pa.F.MaxScale()) {
+			return fmt.Errorf("core: layer %d: %s quire drop %d leaves no fraction bits", li, a.Name(), pa.QuireDrop)
+		}
+		if l == nil || l.In < 1 || l.Out < 1 || len(l.W) != l.Out || len(l.B) != l.Out {
+			return fmt.Errorf("core: layer %d malformed", li)
+		}
+		if li > 0 && l.In != n.Layers[li-1].Out {
+			return fmt.Errorf("core: layer %d input %d does not match previous output %d", li, l.In, n.Layers[li-1].Out)
+		}
+		w := a.BitWidth()
+		over := ^emac.Code(0) << w // the bits no code of width w may set (0 at w ≥ 64)
+		for j, row := range l.W {
+			if len(row) != l.In {
+				return fmt.Errorf("core: layer %d row %d has %d codes", li, j, len(row))
+			}
+			for _, c := range row {
+				if c&over != 0 {
+					return fmt.Errorf("core: layer %d code %#x exceeds %d bits", li, c, w)
+				}
+			}
+		}
+		for _, c := range l.B {
+			if c&over != 0 {
+				return fmt.Errorf("core: layer %d bias code %#x exceeds %d bits", li, c, w)
+			}
+		}
+	}
+	if st := n.Stand; st != nil {
+		in0 := n.Layers[0].In
+		if len(st.Mean) != in0 || len(st.Std) != in0 {
+			return fmt.Errorf("core: standardizer has %d/%d features for %d inputs", len(st.Mean), len(st.Std), in0)
+		}
+		for i, s := range st.Std {
+			switch m := st.Mean[i]; {
+			case s == 0:
+				return fmt.Errorf("core: standardizer feature %d has zero scale", i)
+			case math.IsNaN(m) || math.IsInf(m, 0) || math.IsNaN(s) || math.IsInf(s, 0):
+				return fmt.Errorf("core: standardizer feature %d is not finite", i)
+			}
+		}
 	}
 	return nil
 }

@@ -21,6 +21,12 @@ import (
 // optional folded input standardizer; files written before versioning
 // (no "version" field) are read as version 0: uniform, no standardizer.
 // Readers reject versions they do not know.
+//
+// This file checks only the JSON form itself: the version, the kind and
+// the arithmetic descriptors. What makes the network inside well formed
+// (shapes, chaining, code widths, the standardizer, the Sigmoid rule) is
+// Network.Validate, which MarshalJSON applies through ArithSpecs and
+// UnmarshalJSON applies to what it decoded.
 
 // ArtifactVersion is the artifact format this build writes.
 const ArtifactVersion = 1
@@ -94,51 +100,24 @@ func encodeLayers(layers []*Layer) []layerJSON {
 	return out
 }
 
-// decodeLayers validates and rebuilds parameter memories; ariths[i] is
-// the arithmetic governing layer i's code width.
-func decodeLayers(ljs []layerJSON, ariths []emac.Arithmetic) ([]*Layer, error) {
-	if len(ljs) == 0 {
-		return nil, fmt.Errorf("core: model has no layers")
-	}
-	layers := make([]*Layer, 0, len(ljs))
-	prevOut := -1
+// decodeLayers rebuilds parameter memories from the wire form.
+func decodeLayers(ljs []layerJSON) []*Layer {
+	layers := make([]*Layer, len(ljs))
 	for li, lj := range ljs {
-		if lj.In <= 0 || lj.Out <= 0 || len(lj.W) != lj.Out || len(lj.B) != lj.Out {
-			return nil, fmt.Errorf("core: layer %d malformed", li)
-		}
-		if prevOut >= 0 && lj.In != prevOut {
-			return nil, fmt.Errorf("core: layer %d input %d does not match previous output %d", li, lj.In, prevOut)
-		}
-		prevOut = lj.Out
-		arith := ariths[li]
-		mask := ^uint64(0)
-		if w := arith.BitWidth(); w < 64 {
-			mask = (uint64(1) << w) - 1
-		}
-		l := &Layer{In: lj.In, Out: lj.Out, B: make([]emac.Code, lj.Out)}
-		l.W = make([][]emac.Code, lj.Out)
+		l := &Layer{In: lj.In, Out: lj.Out, W: make([][]emac.Code, len(lj.W)), B: make([]emac.Code, len(lj.B))}
 		for j, row := range lj.W {
-			if len(row) != lj.In {
-				return nil, fmt.Errorf("core: layer %d row %d has %d codes", li, j, len(row))
-			}
-			cr := make([]emac.Code, lj.In)
+			cr := make([]emac.Code, len(row))
 			for i, c := range row {
-				if c&^mask != 0 {
-					return nil, fmt.Errorf("core: layer %d code %#x exceeds %d bits", li, c, arith.BitWidth())
-				}
 				cr[i] = emac.Code(c)
 			}
 			l.W[j] = cr
 		}
 		for j, c := range lj.B {
-			if c&^mask != 0 {
-				return nil, fmt.Errorf("core: layer %d bias code %#x exceeds %d bits", li, c, arith.BitWidth())
-			}
 			l.B[j] = emac.Code(c)
 		}
-		layers = append(layers, l)
+		layers[li] = l
 	}
-	return layers, nil
+	return layers
 }
 
 // encodeStand lowers an optional standardizer into the wire form.
@@ -149,22 +128,12 @@ func encodeStand(st *datasets.Standardizer) *standJSON {
 	return &standJSON{Mean: st.Mean, Std: st.Std}
 }
 
-// decodeStand validates an optional standardizer block against the
-// network's input width.
-func decodeStand(sj *standJSON, inputDim int) (*datasets.Standardizer, error) {
+// decodeStand rebuilds an optional standardizer block.
+func decodeStand(sj *standJSON) *datasets.Standardizer {
 	if sj == nil {
-		return nil, nil
+		return nil
 	}
-	if len(sj.Mean) != inputDim || len(sj.Std) != inputDim {
-		return nil, fmt.Errorf("core: standardizer has %d/%d features for %d inputs",
-			len(sj.Mean), len(sj.Std), inputDim)
-	}
-	for i, s := range sj.Std {
-		if s == 0 {
-			return nil, fmt.Errorf("core: standardizer feature %d has zero scale", i)
-		}
-	}
-	return &datasets.Standardizer{Mean: sj.Mean, Std: sj.Std}, nil
+	return &datasets.Standardizer{Mean: sj.Mean, Std: sj.Std}
 }
 
 // MarshalJSON implements json.Marshaler: a version-1 artifact of the
@@ -190,11 +159,11 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler with structural validation.
-// It accepts version-1 artifacts of either kind and legacy
-// pre-versioning files (uniform). An artifact must carry the descriptors
-// of its own kind only: a uniform one with "ariths" or a mixed one with
-// "arith" is ambiguous and rejected.
+// UnmarshalJSON implements json.Unmarshaler, accepting only well-formed
+// networks (Validate). It accepts version-1 artifacts of either kind and
+// legacy pre-versioning files (uniform). An artifact must carry the
+// descriptors of its own kind only: a uniform one with "ariths" or a
+// mixed one with "arith" is ambiguous and rejected.
 func (n *Network) UnmarshalJSON(data []byte) error {
 	var in artifactJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -203,25 +172,19 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	if err := in.checkEnvelope(); err != nil {
 		return err
 	}
-	net := Network{Sigmoid: in.Sigmoid}
-	var ariths []emac.Arithmetic // one per artifact layer
+	net := Network{Sigmoid: in.Sigmoid, Layers: decodeLayers(in.Layers), Stand: decodeStand(in.Stand)}
 	if in.Kind == kindMixed {
 		if in.Arith != nil {
 			return fmt.Errorf("core: mixed artifact carries a uniform arithmetic descriptor")
 		}
-		if len(in.Ariths) != len(in.Layers) {
-			return fmt.Errorf("core: mixed artifact has %d arithmetics for %d layers",
-				len(in.Ariths), len(in.Layers))
-		}
-		ariths = make([]emac.Arithmetic, len(in.Ariths))
+		net.LayerAriths = make([]emac.Arithmetic, len(in.Ariths))
 		for i, spec := range in.Ariths {
 			a, err := spec.Build()
 			if err != nil {
 				return err
 			}
-			ariths[i] = a
+			net.LayerAriths[i] = a
 		}
-		net.LayerAriths = ariths
 	} else {
 		if in.Ariths != nil {
 			return fmt.Errorf("core: uniform artifact carries per-layer arithmetic descriptors")
@@ -233,20 +196,11 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return err
 		}
-		net.Arith, ariths = a, repeatArith(a, len(in.Layers))
+		net.Arith = a
 	}
-	if err := net.checkSigmoid(); err != nil {
+	if err := net.Validate(); err != nil {
 		return err
 	}
-	layers, err := decodeLayers(in.Layers, ariths)
-	if err != nil {
-		return err
-	}
-	stand, err := decodeStand(in.Stand, layers[0].In)
-	if err != nil {
-		return err
-	}
-	net.Layers, net.Stand = layers, stand
 	*n = net
 	return nil
 }

@@ -100,7 +100,7 @@ var invalidSigmoidBodies = map[string]string{
 }
 
 // TestParseModelRejectsInvalidSigmoid: the sigmoid flag parses only on a
-// uniform artifact over an es=0 posit (CheckSigmoid), the rule the binary
+// uniform artifact over an es=0 posit (Validate), the rule the binary
 // codec and NewSession apply; the same body over posit(8,0) parses, and
 // the JSON encoder refuses the flag where the decoder would.
 func TestParseModelRejectsInvalidSigmoid(t *testing.T) {

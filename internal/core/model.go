@@ -39,8 +39,13 @@ type Inferer interface {
 
 // Model is the immutable model plane shared by any number of Inferers:
 // topology, quantised parameters, the arithmetic of every layer and the
-// optional input standardizer. *Network implements it.
+// optional input standardizer. *Network implements it. A runtime serves
+// a Model only after Validate accepts it, so NewInferer never meets a
+// model it cannot execute.
 type Model interface {
+	// Validate reports whether the model is well formed (for a
+	// *Network, Network.Validate's rule).
+	Validate() error
 	// NewInferer builds an independent execution plane. Any number of
 	// Inferers may run concurrently over one Model.
 	NewInferer() Inferer

@@ -72,23 +72,16 @@ type Session struct {
 
 // NewSession builds an independent execution plane for the network. Any
 // number of sessions may run concurrently over the same Network. It
-// panics when a mixed network's arithmetics do not match its layers one
-// for one, when its Sigmoid flag breaks the rule checkSigmoid applies, or
-// when a layer's fan-in differs from its predecessor's width: the tiled
-// pass slices its planes by each layer's In, so a mis-chained network
-// would read stale plane entries.
+// panics with Validate's error on a network that is not well formed:
+// the tiled pass slices its planes by each layer's shape and indexes
+// the standardizer by feature, so such a network would read stale plane
+// entries or fail mid-inference.
 func (n *Network) NewSession() *Session {
-	if err := n.checkArity(); err != nil {
-		panic(err)
-	}
-	if err := n.checkSigmoid(); err != nil {
+	if err := n.Validate(); err != nil {
 		panic(err)
 	}
 	s := &Session{layers: make([]execLayer, len(n.Layers)), ariths: n.Ariths(), stand: n.Stand, sigmoid: n.Sigmoid}
 	for i, l := range n.Layers {
-		if i > 0 && l.In != n.Layers[i-1].Out {
-			panic(fmt.Sprintf("core: layer %d expects %d inputs, got %d", i, l.In, n.Layers[i-1].Out))
-		}
 		s.layers[i] = newExecLayer(l, s.ariths[i])
 	}
 	return s

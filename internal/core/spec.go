@@ -27,14 +27,11 @@ type ArithSpec struct {
 // ArithSpecs validates the network for an artifact and returns the
 // arithmetic specs the artifact records: one per layer for a mixed
 // network, the single arithmetic of a uniform one. Both artifact encoders
-// lower a network through it, so they refuse the same networks: a mixed
-// network whose arithmetics do not match its layers, a Sigmoid flag no
-// session could apply, and arithmetics the formats do not know.
+// lower a network through it, so they refuse exactly what the decoders
+// refuse — every network Validate rejects — and arithmetics the formats
+// do not know.
 func (n *Network) ArithSpecs() ([]ArithSpec, error) {
-	if err := n.checkArity(); err != nil {
-		return nil, err
-	}
-	if err := n.checkSigmoid(); err != nil {
+	if err := n.Validate(); err != nil {
 		return nil, err
 	}
 	ariths := n.LayerAriths

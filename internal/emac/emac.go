@@ -240,15 +240,6 @@ func (m *fixedMAC) Step(w, a Code) {
 
 func (m *fixedMAC) Result() Code { return Code(m.a.Result().Bits()) }
 
-// Convert re-rounds a code from one arithmetic into another — the
-// format-conversion unit at mixed-precision layer boundaries.
-func Convert(from, to Arithmetic, c Code) Code {
-	if from == to {
-		return c
-	}
-	return to.Quantize(from.Decode(c))
-}
-
 // --- float32 baseline ---
 
 // Float32Arith is the paper's 32-bit floating point baseline. Its MAC is

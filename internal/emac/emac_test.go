@@ -248,26 +248,6 @@ func TestFixedRNEAblationArm(t *testing.T) {
 	}
 }
 
-func TestConvert(t *testing.T) {
-	from := NewPosit(8, 0)
-	to := NewFixed(8, 4)
-	c := from.Quantize(1.5)
-	got := Convert(from, to, c)
-	if to.Decode(got) != 1.5 {
-		t.Errorf("convert 1.5: %v", to.Decode(got))
-	}
-	// identity fast path
-	if Convert(from, from, c) != c {
-		t.Error("identity conversion must be a no-op")
-	}
-	// range mismatch saturates in the target format
-	big := from.Quantize(64) // posit(8,0) max
-	sat := Convert(from, to, big)
-	if to.Decode(sat) != 7.9375 { // fixed(8,4) max
-		t.Errorf("saturating conversion: %v", to.Decode(sat))
-	}
-}
-
 // TestMACBankAllocFree: a warm MAC resets, steps and rounds without
 // allocating, in every arm, for every register up to 256 bits
 // (posit(16,2) at fan-in 30 is 233 bits), as the MAC bank runs it.

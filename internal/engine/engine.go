@@ -7,8 +7,11 @@
 // every worker owns one shared-nothing core.Inferer over one immutable
 // core.Model (uniform or mixed precision alike). It is configured with
 // functional options, observes context cancellation, and fails with
-// errors rather than panics on misuse. One layer up, internal/registry
-// serves many named Runtimes side by side with micro-batching.
+// errors rather than panics on misuse: NewRuntime refuses a model its
+// Validate rejects before any worker builds an inferer over it, and an
+// inference that panics fails only its own request. One layer up,
+// internal/registry serves many named Runtimes side by side with
+// micro-batching.
 package engine
 
 import (
@@ -174,15 +177,17 @@ type Runtime struct {
 	planes     chan *FlushSlot
 }
 
-// NewRuntime starts a runtime over the model. Each worker builds its own
-// core.Inferer (pre-decoded kernels included), so workers share nothing
-// but the read-only model plane. Call Close to release the pool.
+// NewRuntime starts a runtime over the model. It returns the model's
+// Validate error instead of starting workers over a model no inferer
+// could execute. Each worker builds its own core.Inferer (pre-decoded
+// kernels included), so workers share nothing but the read-only model
+// plane. Call Close to release the pool.
 func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 	if model == nil {
 		return nil, errors.New("engine: nil model")
 	}
-	if model.NumLayers() == 0 {
-		return nil, errors.New("engine: model has no layers")
+	if err := model.Validate(); err != nil {
+		return nil, err
 	}
 	cfg := config{}
 	for _, opt := range opts {

@@ -23,6 +23,7 @@ type panicModel struct{}
 type panicInferer struct{}
 
 func (panicModel) NewInferer() core.Inferer             { return panicInferer{} }
+func (panicModel) Validate() error                      { return nil }
 func (panicModel) Kind() string                         { return "test" }
 func (panicModel) InputDim() int                        { return 2 }
 func (panicModel) OutputDim() int                       { return 2 }

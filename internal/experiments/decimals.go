@@ -128,7 +128,9 @@ func NetworkReports() ([]NetworkReportRow, *tabulate.Table) {
 				maxFanin = f
 			}
 		}
-		for _, rep := range representative(8, maxFanin) {
+		reps := representative(8, maxFanin)
+		for _, fam := range families {
+			rep := reps[fam]
 			nr := SynthNet(rep, sh.fanin, sh.width)
 			rows = append(rows, NetworkReportRow{Dataset: name, Report: nr})
 			tab.AddStrings(name, rep.Name,

@@ -66,5 +66,14 @@ func TestNetworkReports(t *testing.T) {
 	if mush <= iris {
 		t.Error("mushroom instance should outweigh iris")
 	}
+	// Rows come out in a fixed order: per dataset, fixed, float, posit.
+	for i, r := range rows {
+		if want := families[i%len(families)]; r.Report.EMAC.Family != want {
+			t.Errorf("row %d (%s): family %s, want %s", i, r.Dataset, r.Report.EMAC.Family, want)
+		}
+	}
+	if _, again := NetworkReports(); again.String() != tab.String() {
+		t.Errorf("two calls render different tables:\n%s\n%s", tab, again)
+	}
 	t.Logf("\n%s", tab)
 }

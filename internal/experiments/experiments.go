@@ -208,7 +208,7 @@ func Fig6(k int) ([]hw.Report, *tabulate.Figure) {
 			series[r.Family] = append(series[r.Family], r)
 		}
 	}
-	for _, fam := range []string{"fixed", "float", "posit"} {
+	for _, fam := range families {
 		var xs, ys []float64
 		for _, r := range series[fam] {
 			xs = append(xs, r.DynRange)
@@ -218,6 +218,10 @@ func Fig6(k int) ([]hw.Report, *tabulate.Figure) {
 	}
 	return all, fig
 }
+
+// families is the order every per-family figure series and table row
+// is listed in.
+var families = []string{"fixed", "float", "posit"}
 
 // representative returns the per-family representative config at width n
 // used for the per-n curves of Figs. 7 and 8 (posit es=1, float we=3,
@@ -245,7 +249,7 @@ func Fig8(k int) (map[string][]hw.Report, *tabulate.Figure) {
 func perNCurves(k int, title, xl, yl string, metric func(hw.Report) float64) (map[string][]hw.Report, *tabulate.Figure) {
 	fig := tabulate.NewFigure(title, xl, yl)
 	out := map[string][]hw.Report{}
-	for _, fam := range []string{"fixed", "float", "posit"} {
+	for _, fam := range families {
 		var xs, ys []float64
 		for n := uint(5); n <= 8; n++ {
 			r := representative(n, k)[fam]
@@ -366,7 +370,7 @@ func Fig9(evalLimit int) ([]Fig9Point, *tabulate.Figure) {
 	fig := tabulate.NewFigure("Fig. 9: Avg accuracy degradation vs EDP",
 		"avg accuracy degradation (%)", "EDP (J·s per MAC)")
 	var pts []Fig9Point
-	for _, fam := range []string{"fixed", "float", "posit"} {
+	for _, fam := range families {
 		var xs, ys []float64
 		for n := uint(5); n <= 8; n++ {
 			k := key{fam, n}

@@ -280,7 +280,9 @@ func (r *Registry) GC() (removed int, freed int64, err error) {
 // bytes already loaded binds to the existing entry and shares its
 // runtime; otherwise a new runtime (one shared-nothing worker pool) and
 // micro-batcher are built. Load fails with ErrExists when the name is
-// taken and ErrRegistryClosed after Close.
+// taken and ErrRegistryClosed after Close, and with the model's Validate
+// error, before anything reaches the store, when the network is not
+// well formed.
 //
 // Models outside the binary codec (test doubles, experimental planes)
 // have no canonical artifact: they load and serve as given, with a zero

@@ -70,7 +70,6 @@ type config struct {
 	backoffBase   time.Duration
 	backoffMax    time.Duration
 	seed          uint64
-	transport     http.RoundTripper
 	noProbes      bool
 }
 
@@ -141,11 +140,6 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithTransport overrides the upstream HTTP transport (tests).
-func WithTransport(t http.RoundTripper) Option {
-	return func(c *config) { c.transport = t }
-}
-
 // withoutProbes disables the background probe goroutines (tests drive
 // probe rounds by hand for determinism).
 func withoutProbes() Option {
@@ -171,14 +165,12 @@ func New(addrs []string, opts ...Option) (*Router, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.transport == nil {
-		cfg.transport = &http.Transport{
-			DialContext:         (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
-			MaxIdleConnsPerHost: 32,
-		}
+	transport := &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: 32,
 	}
 	rt := &Router{
-		client:        &http.Client{Transport: cfg.transport},
+		client:        &http.Client{Transport: transport},
 		probeInterval: cfg.probeInterval,
 		probeTimeout:  cfg.probeTimeout,
 		maxRetries:    cfg.maxRetries,

@@ -128,6 +128,7 @@ type flakyStatModel struct{ bombs *int }
 type flakyInferer struct{}
 
 func (m flakyStatModel) NewInferer() core.Inferer           { return flakyInferer{} }
+func (flakyStatModel) Validate() error                      { return nil }
 func (flakyStatModel) Kind() string                         { return "test" }
 func (flakyStatModel) InputDim() int                        { return 1 }
 func (flakyStatModel) OutputDim() int                       { return 1 }
@@ -235,6 +236,7 @@ type poisonModel struct{}
 type poisonInferer struct{}
 
 func (poisonModel) NewInferer() core.Inferer             { return poisonInferer{} }
+func (poisonModel) Validate() error                      { return nil }
 func (poisonModel) Kind() string                         { return "test" }
 func (poisonModel) InputDim() int                        { return 1 }
 func (poisonModel) OutputDim() int                       { return 1 }

@@ -198,11 +198,11 @@ func QuantizeMixed(net *MLP, ariths []Arithmetic) *DeepPositron {
 
 // Model is the model plane *DeepPositron implements, uniform or mixed:
 // topology, per-layer arithmetic descriptors, the optional folded input
-// standardizer, session construction (NewInferer) and versioned
-// Save/Load. Everything downstream — the Runtime, the positrond HTTP
-// daemon — programs against Model, so which precision layout a
-// deployment picked is a property of the artifact, not of the serving
-// code.
+// standardizer, the well-formedness rule (Validate), session
+// construction (NewInferer) and versioned Save/Load. Everything
+// downstream — the Runtime, the positrond HTTP daemon — programs against
+// Model, so which precision layout a deployment picked is a property of
+// the artifact, not of the serving code.
 type Model = core.Model
 
 // Inferer is one per-goroutine execution plane over a Model: the surface
@@ -253,9 +253,9 @@ type RuntimeOption = engine.Option
 // ErrRuntimeClosed is returned by Runtime methods called after Close.
 var ErrRuntimeClosed = engine.ErrClosed
 
-// NewRuntime starts an inference runtime over any Model. Options:
-// WithWorkers, WithQueueDepth, WithSharedOutputs. Call Close to release
-// the pool.
+// NewRuntime starts an inference runtime over any Model, or returns the
+// model's Validate error. Options: WithWorkers, WithQueueDepth,
+// WithSharedOutputs. Call Close to release the pool.
 func NewRuntime(m Model, opts ...RuntimeOption) (*Runtime, error) {
 	return engine.NewRuntime(m, opts...)
 }
