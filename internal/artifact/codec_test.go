@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -311,6 +312,7 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		"huge layer count": mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 1<<31) }),
 		"flipped body bit": mutate(func(b []byte) { b[len(b)-1] ^= 1 }),
 		"bad family":       mutate(func(b []byte) { b[headerSize] = 200 }),
+		"wrapped budget":   wrappedBudget(),
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {
@@ -321,6 +323,25 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	if _, err := Decode(good); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wrappedBudget is a uniform float32 artifact of 2^14 unchained
+// (2^24-1)x2^24 layers and no parameter bytes. Each layer claims 2^50
+// bytes of words, so a 64-bit sum of the claims wraps to exactly the
+// zero bytes present.
+func wrappedBudget() []byte {
+	const layers = 1 << 14
+	b := make([]byte, headerSize, headerSize+descriptorBytes+8*layers)
+	copy(b, magic[:])
+	binary.LittleEndian.PutUint16(b[4:], Version)
+	binary.LittleEndian.PutUint32(b[8:], layers)
+	b = append(b, famFloat32, 0, 0, 0)
+	for range layers {
+		b = binary.LittleEndian.AppendUint32(b, maxDim-1)
+		b = binary.LittleEndian.AppendUint32(b, maxDim)
+	}
+	binary.LittleEndian.PutUint32(b[12:], crc32.ChecksumIEEE(b[headerSize:]))
+	return b
 }
 
 func TestHashParseRoundTrip(t *testing.T) {

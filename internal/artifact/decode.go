@@ -161,7 +161,8 @@ func Decode(data []byte) (core.Model, error) {
 	}
 
 	// The parameter sections have fully determined sizes now; the file
-	// must contain exactly that many bytes more.
+	// must contain exactly that many bytes more. The sum stops as soon as
+	// it passes the bytes present, so no count of huge layers can wrap it.
 	var need int64
 	if flags&flagStandardizer != 0 {
 		need += int64(16 * shapes[0].in)
@@ -171,7 +172,10 @@ func Decode(data []byte) (core.Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		need += int64(s.in*s.out+s.out) * int64(ws)
+		need += (int64(s.in)*int64(s.out) + int64(s.out)) * int64(ws)
+		if need > int64(r.remaining()) {
+			return nil, corruptf("parameter sections through layer %d need %d bytes, %d remain", i, need, r.remaining())
+		}
 	}
 	if int64(r.remaining()) != need {
 		return nil, corruptf("parameter sections need %d bytes, %d remain", need, r.remaining())
@@ -195,15 +199,15 @@ func Decode(data []byte) (core.Model, error) {
 	}
 
 	// Each layer's words land in one code plane, sliced into rows and
-	// biases.
+	// biases. The words are read before the plane is sized from them.
 	layers := make([]*core.Layer, nLayers)
 	for i, s := range shapes {
 		ws, _ := wordSize(arithAt(i).BitWidth())
-		codes := make([]emac.Code, s.in*s.out+s.out)
-		b, err := r.bytes(len(codes) * ws)
+		b, err := r.bytes((s.in*s.out + s.out) * ws)
 		if err != nil {
 			return nil, err
 		}
+		codes := make([]emac.Code, len(b)/ws)
 		for k := range codes {
 			switch ws {
 			case 1:

@@ -89,6 +89,9 @@ func FuzzParseArtifact(f *testing.F) {
 	// A quire drop of all 12 fraction bits of posit(8,0): no session can
 	// build its EMACs.
 	f.Add([]byte(`{"version":1,"kind":"uniform","arith":{"family":"posit","n":8,"quireDrop":12},"layers":[{"in":1,"out":1,"w":[[64]],"b":[0]}]}`))
+	// Layer claims whose 64-bit byte budget wraps to the zero bytes
+	// present: no code plane may be sized before its words are read.
+	f.Add(wrappedBudget())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Parse(data)

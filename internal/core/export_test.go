@@ -1,30 +1,27 @@
 package core
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"repro/internal/emac"
+)
 
 // RawJSON renders n as a version-1 JSON artifact without validating it,
 // so external tests can hand the parser the networks MarshalJSON
 // refuses. An arithmetic the formats cannot describe, or a nil one, is
 // left out of the descriptors.
 func RawJSON(n *Network) []byte {
-	a := artifactJSON{
-		Version: ArtifactVersion,
-		Kind:    n.Kind(),
-		Sigmoid: n.Sigmoid,
-		Stand:   encodeStand(n.Stand),
-		Layers:  encodeLayers(n.Layers),
+	ariths := n.LayerAriths
+	if ariths == nil {
+		ariths = []emac.Arithmetic{n.Arith}
 	}
-	for _, ar := range n.LayerAriths {
-		if s, err := DescribeArith(ar); err == nil {
-			a.Ariths = append(a.Ariths, s)
+	var specs []ArithSpec
+	for _, a := range ariths {
+		if s, err := DescribeArith(a); err == nil {
+			specs = append(specs, s)
 		}
 	}
-	if n.LayerAriths == nil {
-		if s, err := DescribeArith(n.Arith); err == nil {
-			a.Arith = &s
-		}
-	}
-	data, err := json.Marshal(a)
+	data, err := json.Marshal(n.wire(specs))
 	if err != nil {
 		panic(err)
 	}

@@ -144,6 +144,13 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return json.Marshal(n.wire(specs))
+}
+
+// wire lowers n into the version-1 envelope around the given
+// descriptors: all of them for a mixed network, the one of a uniform
+// network (none if specs is empty).
+func (n *Network) wire(specs []ArithSpec) artifactJSON {
 	out := artifactJSON{
 		Version: ArtifactVersion,
 		Kind:    n.Kind(),
@@ -153,10 +160,10 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 	}
 	if n.LayerAriths != nil {
 		out.Ariths = specs
-	} else {
+	} else if len(specs) > 0 {
 		out.Arith = &specs[0]
 	}
-	return json.Marshal(out)
+	return out
 }
 
 // UnmarshalJSON implements json.Unmarshaler, accepting only well-formed
