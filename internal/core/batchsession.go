@@ -1,7 +1,7 @@
 package core
 
 // The tiled forward pass every session runs. InferBatchInto walks a flush
-// in tiles of batchTile samples, and Infer and InferInto run it over a
+// in tiles of BatchTile samples, and Infer and InferInto run it over a
 // one-sample flush. Each tile is quantised into one flat sample-major
 // plane and passes through every layer in one call per layer: the layer's
 // fused BatchLayerKernel (decoding every activation column once per tile
@@ -9,7 +9,7 @@ package core
 // while hot), or its EMAC bank sample by sample where the arithmetic has
 // no fused kernel. The hidden layers' activation and any format
 // conversion follow, and the logits decode straight into the tile's slice
-// of dst. Two ping-pong planes of at most batchTile × the widest layer
+// of dst. Two ping-pong planes of at most BatchTile × the widest layer
 // are reused across tiles and flushes, so the steady state allocates
 // nothing and a session's memory does not grow with the flush. Results
 // are bit-identical to the MAC bank sample by sample — each sample's
@@ -22,13 +22,15 @@ import (
 	"repro/internal/emac"
 )
 
-// batchTile is the forward pass's sample tile. It is a multiple of the
+// BatchTile is the forward pass's sample tile. It is a multiple of the
 // term-table kernel's 256-sample tile and of the posit window tier's 64,
 // and even, so the fixed-point kernel's sample pairs do not move: every
 // kernel sees the same tile boundaries as over the whole flush, and
 // results stay bit-identical. Serving flushes are at most 64 samples (the
-// registry's default max batch), so each runs as a single tile.
-const batchTile = 256
+// registry's default max batch), so each runs as a single tile, and
+// engine.Runtime splits a flush over its workers only into chunks of at
+// least one tile.
+const BatchTile = 256
 
 // outDim is the width of the last layer: the logits per sample.
 func (s *Session) outDim() int { return s.layers[len(s.layers)-1].model.Out }
@@ -120,8 +122,8 @@ func (s *Session) InferBatchInto(dst []float64, xs [][]float64) []float64 {
 			panic(fmt.Sprintf("core: network expects %d inputs, got %d", in0, len(x)))
 		}
 	}
-	for s0 := 0; s0 < len(xs); s0 += batchTile {
-		tile := xs[s0:min(s0+batchTile, len(xs))]
+	for s0 := 0; s0 < len(xs); s0 += BatchTile {
+		tile := xs[s0:min(s0+BatchTile, len(xs))]
 		b := len(tile)
 		act := growPlane(&s.planes[0], b*in0)
 		// A call per sample, not an inline loop: after each Quantize call

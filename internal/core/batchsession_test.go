@@ -181,9 +181,9 @@ func TestInferBatchIntoTileBounded(t *testing.T) {
 			widest = max(widest, e.model.In, e.model.Out)
 		}
 		for i, pl := range s.planes {
-			if cap(pl) > batchTile*widest {
+			if cap(pl) > BatchTile*widest {
 				t.Fatalf("%s: plane %d holds %d codes after a %d-sample flush; want <= %d",
-					name, i, cap(pl), len(xs), batchTile*widest)
+					name, i, cap(pl), len(xs), BatchTile*widest)
 			}
 		}
 		if allocs := testing.AllocsPerRun(3, func() { s.InferBatchInto(dst, xs) }); allocs != 0 {

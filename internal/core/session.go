@@ -63,7 +63,7 @@ type Session struct {
 	// sigmoid selects the posit fast sigmoid on hidden layers.
 	sigmoid bool
 	// planes are the two reused ping-pong activation planes a tile flows
-	// through (flat sample-major), grown to at most batchTile × the
+	// through (flat sample-major), grown to at most BatchTile × the
 	// widest layer whatever the flush size.
 	planes [2][]emac.Code
 	// one is the one-sample flush Infer and InferInto run.
@@ -119,10 +119,10 @@ func (s *Session) Predict(x []float64) int { return nn.Argmax(s.Infer(x)) }
 // through InferBatchInto one tile at a time into one reused logits plane.
 func (s *Session) Accuracy(ds *datasets.Dataset) float64 {
 	od := s.outDim()
-	plane := make([]float64, min(len(ds.X), batchTile)*od)
+	plane := make([]float64, min(len(ds.X), BatchTile)*od)
 	correct := 0
-	for s0 := 0; s0 < len(ds.X); s0 += batchTile {
-		xs := ds.X[s0:min(s0+batchTile, len(ds.X))]
+	for s0 := 0; s0 < len(ds.X); s0 += BatchTile {
+		xs := ds.X[s0:min(s0+BatchTile, len(ds.X))]
 		logits := s.InferBatchInto(plane[:len(xs)*od], xs)
 		for i := range xs {
 			if nn.Argmax(logits[i*od:(i+1)*od]) == ds.Y[s0+i] {

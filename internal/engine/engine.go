@@ -122,7 +122,7 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
 
 // WithWarmTables does nothing: each worker's session builds the decode
-// and term tables its kernels read when the runtime starts, and no
+// and term tables its kernels read on the worker's first task, and no
 // inference reads posit's scalar Mul/Add tables.
 //
 // Deprecated: kept only for the bench module's callers; pass nothing.
@@ -180,8 +180,8 @@ type Runtime struct {
 // NewRuntime starts a runtime over the model. It returns the model's
 // Validate error instead of starting workers over a model no inferer
 // could execute. Each worker builds its own core.Inferer (pre-decoded
-// kernels included), so workers share nothing but the read-only model
-// plane. Call Close to release the pool.
+// kernels included) on its first task, so workers share nothing but the
+// read-only model plane. Call Close to release the pool.
 func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 	if model == nil {
 		return nil, errors.New("engine: nil model")
@@ -222,33 +222,37 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 	return r, nil
 }
 
-// worker drains the job queue through one private execution plane. A
-// model kernel that panics fails its own task with ErrPanic and costs
-// this worker its inferer (the panic may have left scratch buffers
-// half-written, so a fresh one is built) — but never the worker, and
-// never the daemon.
+// worker drains the job queue through one private execution plane,
+// built by its first task. A model kernel, or an inferer's construction,
+// that panics fails its own task with ErrPanic and costs this worker its
+// inferer (the panic may have left scratch buffers half-written, so the
+// next task builds a fresh one) — but never the worker, and never the
+// daemon.
 func (r *Runtime) worker() {
 	defer r.wg.Done()
-	s := r.model.NewInferer()
+	var s core.Inferer
 	for t := range r.jobs {
-		err := runTask(s, t)
+		err := r.runTask(&s, t)
 		if err != nil {
 			r.panics.Add(1)
-			s = r.model.NewInferer()
+			s = nil
 		}
 		t.d.done(t.id, err)
 	}
 }
 
-// runTask executes one fused batch chunk, converting a panic into an
-// error.
-func runTask(s core.Inferer, t task) (err error) {
+// runTask executes one fused batch chunk in *s, building *s first when
+// it is nil, and converts a panic in either step into an error.
+func (r *Runtime) runTask(s *core.Inferer, t task) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%w: %v", ErrPanic, p)
 		}
 	}()
-	s.InferBatchInto(t.dst, t.xs)
+	if *s == nil {
+		*s = r.model.NewInferer()
+	}
+	(*s).InferBatchInto(t.dst, t.xs)
 	return nil
 }
 
@@ -305,12 +309,18 @@ func (r *Runtime) enqueue(ctx context.Context, t task) error {
 }
 
 // run is the one batch loop behind every entry point. It checks xs,
-// fits p to its logits, splits it into one fused chunk per worker —
-// ceil(n / workers) samples, so a batch spreads over the whole pool
-// while each worker runs its share as a single InferBatchInto call —
-// submits the chunks, and waits for d to drain. Cancelling ctx stops
-// submission and returns ctx.Err after every already-submitted chunk
-// has drained, so no worker is left writing into p.
+// fits p to its logits, splits the n samples into k = min(workers,
+// max(1, ⌊n/core.BatchTile⌋)) fused chunks of ⌊n/k⌋ or ⌈n/k⌉ samples,
+// submits them, and waits for d to drain; a worker runs each chunk as a
+// single InferBatchInto call. No chunk of a split batch is therefore
+// shorter than the forward pass's tile. A session walks every weight row
+// once per tile however few samples the tile holds, so splitting one
+// tile's samples over two workers walks the weights twice and adds a
+// handoff, while under load the other workers are already serving other
+// batches: a batch of fewer than two tiles runs whole on one worker, and
+// a larger one spreads over the pool. Cancelling ctx stops submission
+// and returns ctx.Err after every already-submitted chunk has drained,
+// so no worker is left writing into p.
 func (r *Runtime) run(ctx context.Context, p *plane, d *drain, xs [][]float64) ([][]float64, error) {
 	for i, x := range xs {
 		if err := r.checkInput(x); err != nil {
@@ -324,9 +334,10 @@ func (r *Runtime) run(ctx context.Context, p *plane, d *drain, xs [][]float64) (
 	}
 	od := r.model.OutputDim()
 	rows := p.size(len(xs), od)
-	chunk := max((len(xs)+r.workers-1)/r.workers, 1)
-	for start := 0; start < len(xs); start += chunk {
-		end := min(start+chunk, len(xs))
+	n, end := len(xs), 0
+	for k := min(r.workers, max(1, n/core.BatchTile)); end < n; k-- {
+		start := end
+		end += (n - start) / k
 		d.wg.Add(1)
 		if err := r.enqueue(ctx, task{id: start, xs: xs[start:end], dst: p.buf[start*od : end*od], d: d}); err != nil {
 			d.wg.Done()
@@ -340,15 +351,18 @@ func (r *Runtime) run(ctx context.Context, p *plane, d *drain, xs [][]float64) (
 	return rows, nil
 }
 
-// InferBatch splits the batch into one fused chunk per worker and runs
-// each chunk through the inferer's batched layer kernels in a single
-// call, so every weight row is decoded once per chunk instead of once
-// per sample. Logits come back in input order, bit-identical to running
-// one core session serially (each sample's arithmetic is unchanged; only
-// the loop order differs). Cancelling ctx stops submission and returns
-// ctx.Err after every already-submitted chunk has drained — no worker is
-// left writing into the batch. Under WithSharedOutputs the returned
-// slices are valid only until the next InferBatch call.
+// InferBatch runs the batch through the pool in fused chunks, at most
+// one per worker and none shorter than core.BatchTile samples (see run),
+// so a batch of fewer than two tiles runs whole on one worker while the
+// rest of the pool serves concurrent batches. Each chunk goes through
+// the inferer's batched layer kernels in a single call, so every weight
+// row is decoded once per tile instead of once per sample. Logits come
+// back in input order, bit-identical to running one core session
+// serially (each sample's arithmetic is unchanged; only the loop order
+// differs). Cancelling ctx stops submission and returns ctx.Err after
+// every already-submitted chunk has drained — no worker is left writing
+// into the batch. Under WithSharedOutputs the returned slices are valid
+// only until the next InferBatch call.
 func (r *Runtime) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	if r.shared != nil {
 		r.sharedMu.Lock()

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -126,5 +128,75 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := rt.Close(); err != nil { // a second close is a no-op
 		t.Fatal(err)
+	}
+}
+
+// chunkModel wraps a model so that every inferer records the size of
+// each InferBatchInto call it serves.
+type chunkModel struct {
+	core.Model
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (m *chunkModel) NewInferer() core.Inferer {
+	return chunkInferer{Inferer: m.Model.NewInferer(), m: m}
+}
+
+type chunkInferer struct {
+	core.Inferer
+	m *chunkModel
+}
+
+func (c chunkInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
+	c.m.mu.Lock()
+	c.m.sizes = append(c.m.sizes, len(xs))
+	c.m.mu.Unlock()
+	return c.Inferer.InferBatchInto(dst, xs)
+}
+
+// TestInferBatchChunksWholeTiles: a batch is split over the pool only
+// into chunks of at least one forward-pass tile (core.BatchTile = 256
+// samples), at most one per worker and as even as the split allows, and
+// the logits stay bit-identical to one session's.
+func TestInferBatchChunksWholeTiles(t *testing.T) {
+	if core.BatchTile != 256 {
+		t.Fatalf("core.BatchTile = %d; the chunk table below assumes 256", core.BatchTile)
+	}
+	net, ds := fixture(emac.NewPosit(8, 0), 2708)
+	od := net.OutputDim()
+	want := net.NewSession().InferBatchInto(make([]float64, len(ds.X)*od), ds.X)
+	for _, c := range []struct {
+		n       int
+		workers int
+		chunks  []int // sorted
+	}{
+		{1, 1, []int{1}}, {1, 2, []int{1}}, {1, 4, []int{1}},
+		{64, 1, []int{64}}, {64, 2, []int{64}}, {64, 4, []int{64}},
+		{255, 1, []int{255}}, {255, 2, []int{255}}, {255, 4, []int{255}},
+		{256, 1, []int{256}}, {256, 2, []int{256}}, {256, 4, []int{256}},
+		{511, 1, []int{511}}, {511, 2, []int{511}}, {511, 4, []int{511}},
+		{512, 1, []int{512}}, {512, 2, []int{256, 256}}, {512, 4, []int{256, 256}},
+		{513, 1, []int{513}}, {513, 2, []int{256, 257}}, {513, 4, []int{256, 257}},
+		{2708, 1, []int{2708}}, {2708, 2, []int{1354, 1354}}, {2708, 4, []int{677, 677, 677, 677}},
+	} {
+		m := &chunkModel{Model: net}
+		rt := startRuntime(t, m, c.workers)
+		got, err := rt.InferBatch(context.Background(), ds.X[:c.n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(m.sizes)
+		if !slices.Equal(m.sizes, c.chunks) {
+			t.Errorf("%d samples on %d workers: chunks %v, want %v", c.n, c.workers, m.sizes, c.chunks)
+		}
+		for i := range got {
+			for j, v := range got[i] {
+				if math.Float64bits(v) != math.Float64bits(want[i*od+j]) {
+					t.Fatalf("%d samples on %d workers: sample %d logit %d: %v != %v", c.n, c.workers, i, j, v, want[i*od+j])
+				}
+			}
+		}
+		_ = rt.Close()
 	}
 }

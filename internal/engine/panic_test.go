@@ -1,13 +1,15 @@
 package engine
 
-// Panic-isolation contract: a model kernel that panics fails its own
-// request with ErrPanic, leaves every other request untouched, keeps the
-// worker alive (with a fresh inferer, since the panic may have corrupted
-// scratch state) and bumps the panics counter. CI runs this under -race.
+// Panic-isolation contract: a model kernel, or an inferer's
+// construction, that panics fails its own request with ErrPanic, leaves
+// every other request untouched, keeps the worker alive (with a fresh
+// inferer, since the panic may have corrupted scratch state) and bumps
+// the panics counter. CI runs this under -race.
 
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -101,5 +103,61 @@ func TestSharedOutputBatchSurfacesPanic(t *testing.T) {
 	}
 	if out[0][0] != 7 {
 		t.Fatalf("clean shared batch corrupted: %v", out)
+	}
+}
+
+// buildPanicModel is panicModel whose NewInferer panics on every
+// odd-numbered call: a worker's first build, and the first rebuild after
+// a task panicked.
+type buildPanicModel struct {
+	panicModel
+	builds *atomic.Int64
+}
+
+func (m buildPanicModel) NewInferer() core.Inferer {
+	if m.builds.Add(1)%2 == 1 {
+		panic("inferer construction failed")
+	}
+	return panicInferer{}
+}
+
+// TestWorkerSurvivesInfererConstructionPanic: a panic while a worker
+// builds its inferer fails that task with ErrPanic and counts as a panic,
+// and the worker builds again on its next task instead of dying with the
+// process.
+func TestWorkerSurvivesInfererConstructionPanic(t *testing.T) {
+	m := buildPanicModel{builds: new(atomic.Int64)}
+	rt, err := NewRuntime(m, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, poisoned := [][]float64{{3, 4}}, [][]float64{{-1, 0}}
+	for i, step := range []struct {
+		xs     [][]float64
+		builds int64
+	}{
+		{clean, 1},    // the first build panics
+		{poisoned, 2}, // the second build serves, and the input panics
+		{clean, 3},    // the rebuild after that panic panics too
+	} {
+		if _, err := rt.InferBatch(context.Background(), step.xs); !errors.Is(err, ErrPanic) {
+			t.Fatalf("batch %d: err = %v, want ErrPanic", i, err)
+		}
+		if n := rt.Panics(); n != int64(i+1) {
+			t.Fatalf("batch %d: Panics = %d, want %d", i, n, i+1)
+		}
+		if n := m.builds.Load(); n != step.builds {
+			t.Fatalf("batch %d: %d inferer builds, want %d", i, n, step.builds)
+		}
+	}
+	out, err := rt.InferBatch(context.Background(), clean)
+	if err != nil {
+		t.Fatalf("clean batch after construction panics: %v", err)
+	}
+	if out[0][0] != 3 || out[0][1] != 4 {
+		t.Fatalf("clean batch results corrupted: %v", out)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // maxPooled bounds the body buffers and batch planes kept for reuse, in
-// bytes, so one large request does not leave megabytes in the pools.
+// bytes, so one large request or response does not leave megabytes in
+// the pools.
 const maxPooled = 256 << 10
 
 var (
@@ -40,6 +41,14 @@ func (p *plane) release() {
 	planePool.Put(p)
 }
 
+// putBody returns a body buffer to its pool unless it has grown past
+// maxPooled.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooled {
+		bodyPool.Put(buf)
+	}
+}
+
 // errReader replays a body's read error after the bytes read before it.
 type errReader struct{ err error }
 
@@ -55,11 +64,7 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // it after a cancelled call returns.
 func readInfer(w http.ResponseWriter, r *http.Request) (inferRequest, *plane, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooled {
-			bodyPool.Put(buf)
-		}
-	}()
+	defer putBody(buf)
 	buf.Reset()
 	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
 		buf.Grow(int(n) + bytes.MinRead)
@@ -167,7 +172,11 @@ func (s *scanner) lit(lit string) bool {
 	return true
 }
 
-// row appends one array of numbers to p.vals.
+// row appends one array of numbers to p.vals. A run of at most 15
+// digits without a leading zero that ends at ',' or ']' is read inline:
+// it is a whole JSON integer, exact as a float64, and the form one-hot
+// and integer-coded features take. Every other number goes to number
+// and its grammar checks.
 func (s *scanner) row(p *plane) bool {
 	if !s.next('[') {
 		return false
@@ -177,13 +186,23 @@ func (s *scanner) row(p *plane) bool {
 	}
 	d, i, vals := s.data, s.pos, p.vals
 	for {
-		v, j, ok := number(d, skipSpace(d, i))
-		if !ok {
-			return false
+		i = skipSpace(d, i)
+		j, mant := i, uint64(0)
+		for ; j < len(d) && isDigit(d[j]); j++ {
+			mant = mant*10 + uint64(d[j]-'0')
 		}
-		vals = append(vals, v)
-		if i = skipSpace(d, j); i == len(d) {
-			return false
+		if n := j - i; n > 0 && n <= 15 && (n == 1 || d[i] != '0') && j < len(d) && (d[j] == ',' || d[j] == ']') {
+			vals = append(vals, float64(mant))
+			i = j
+		} else {
+			v, j, ok := number(d, i)
+			if !ok {
+				return false
+			}
+			vals = append(vals, v)
+			if i = skipSpace(d, j); i == len(d) {
+				return false
+			}
 		}
 		c := d[i]
 		i++

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/registry"
 	"repro/internal/rng"
@@ -81,6 +82,11 @@ func FuzzInferDecode(f *testing.F) {
 		`{"input":[5e-324,2.2250738585072014e-308,1.7976931348623157e308,1E+2]}`,
 		`[1,2]`, `{"data":[1]}`, `{}`, ``, `{"input":[1]}`, `{"input":[1]`,
 		"{\"input\":[1]}\n\t\r ", "\xef\xbb\xbf{\"input\":[1]}",
+		`{"inputs":[[0,0,1,0,0,0,0,1,0,1,0,0],[1,0,0,0,0,1,0,0,1,0,0,1]]}`,
+		`{"input":[1,01]}`, `{"input":[-0]}`, `{"input":[00]}`, `{"input":[0.5,1]}`,
+		`{"input":[123456789012345,999999999999999]}`, `{"input":[1234567890123456,9999999999999999]}`,
+		`{"input":[12.]}`, `{"input":[12.5]}`, `{"input":[12e1]}`, `{"input":[12E1]}`,
+		`{"input":[12 ,3]}`, "{\"input\":[12\n]}", `{"input":[12`, `{"inputs":[[12`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -97,6 +103,24 @@ func FuzzInferDecode(f *testing.F) {
 			t.Fatalf("%q: %s: scanner %v, encoding/json %v", body, diff, got, want)
 		}
 	})
+}
+
+// BenchmarkScanInfer scans the seed-1 64-sample Mushroom body (the
+// bench module's mushroom-batch request: 64 one-hot rows of 117
+// features) and reports the time per number.
+func BenchmarkScanInfer(b *testing.B) {
+	_, test := datasets.MushroomSplit(datasets.MushroomSeed + 1)
+	body, err := json.Marshal(map[string][][]float64{"inputs": test.X[:64]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := planePool.New().(*plane)
+	for b.Loop() {
+		if _, ok := scanInfer(body, p); !ok {
+			b.Fatal("scanner declined the Mushroom body")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(p.vals)), "ns/number")
 }
 
 // TestScanInferTakesMarshalledBodies keeps the fuzz property from holding

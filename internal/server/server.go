@@ -42,7 +42,8 @@
 // of the wrong feature width, 403 for path loads outside the configured
 // model directory (see WithModelDir; without one only inline artifact
 // uploads are accepted), 404 for unknown models, 409 for duplicate
-// loads, 405 for wrong methods. Inference observes request-context
+// loads, 405 for wrong methods, 500 for an inference whose logits are
+// not finite (JSON has no NaN). Inference observes request-context
 // cancellation, so a disconnected client stops occupying the pool.
 // The artifact endpoint answers with the raw binary, not JSON.
 //
@@ -55,11 +56,13 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -586,19 +589,6 @@ type inferRequest struct {
 	Inputs [][]float64 `json:"inputs"`
 }
 
-// prediction is one inference result.
-type prediction struct {
-	Logits []float64 `json:"logits"`
-	Class  int       `json:"class"`
-}
-
-// inferResponse mirrors the request shape: Result for single, Results
-// for batch.
-type inferResponse struct {
-	Result  *prediction  `json:"result,omitempty"`
-	Results []prediction `json:"results,omitempty"`
-}
-
 // retryAfter suggests a whole-seconds backoff for shed or timed-out
 // requests, derived from observed load: the model's queue-wait EWMA plus
 // one observed flush interval (Metrics.RetryHint) — roughly when a freed
@@ -707,13 +697,66 @@ func (s *Server) infer(w http.ResponseWriter, r *http.Request, name string) {
 		writeError(w, http.StatusInternalServerError, "inference aborted: %v", err)
 		return
 	}
-	preds := make([]prediction, len(logits))
-	for i, l := range logits {
-		preds[i] = prediction{Logits: l, Class: nn.Argmax(l)}
-	}
+	writeInfer(w, logits, single)
+}
+
+// writeInfer answers an inference with one prediction per row of
+// logits: {"result":{"logits":[…],"class":k}} for a single input and
+// {"results":[…]} for a batch, where the class is the row's argmax. It
+// writes the bytes json.NewEncoder(w).Encode writes for that envelope,
+// appended without reflection into a pooled body buffer. JSON has no
+// NaN or infinity, so a non-finite logit answers 500 instead; nothing
+// is written before the whole body is built.
+func writeInfer(w http.ResponseWriter, logits [][]float64, single bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	buf.Reset()
 	if single {
-		writeJSON(w, http.StatusOK, inferResponse{Result: &preds[0]})
-		return
+		buf.WriteString(`{"result":`)
+	} else {
+		buf.WriteString(`{"results":[`)
 	}
-	writeJSON(w, http.StatusOK, inferResponse{Results: preds})
+	for k, l := range logits {
+		if k > 0 {
+			buf.WriteByte(',')
+		}
+		buf.WriteString(`{"logits":[`)
+		for i, v := range l {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				writeError(w, http.StatusInternalServerError, "inference produced a non-finite logit for input %d", k)
+				return
+			}
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			buf.Write(appendFloat(buf.AvailableBuffer(), v))
+		}
+		buf.WriteString(`],"class":`)
+		buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(nn.Argmax(l)), 10))
+		buf.WriteByte('}')
+	}
+	if !single {
+		buf.WriteByte(']')
+	}
+	buf.WriteString("}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// appendFloat appends a finite f as encoding/json writes a float64: the
+// shortest decimal that reads back as f, in 'e' form below 1e-6 and from
+// 1e21 on, with a one-digit negative exponent unpadded (1e-7, not
+// 1e-07).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
