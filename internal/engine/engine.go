@@ -161,8 +161,9 @@ type Runtime struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// panics counts inferences that panicked inside a worker (each one
-	// failed with ErrPanic; the worker survived).
+	// panics counts tasks that panicked inside a worker, in inference or
+	// while building the worker's inferer (each one failed with
+	// ErrPanic; the worker survived).
 	panics atomic.Int64
 
 	// shared is the private flush slot a shared-output runtime's
@@ -277,10 +278,11 @@ func (r *Runtime) QueueLen() int { return len(r.jobs) }
 // InferBatch results.
 func (r *Runtime) SharedOutputs() bool { return r.shared != nil }
 
-// Panics returns how many inferences have panicked inside workers since
-// construction. Each one failed its own request with ErrPanic while the
-// worker survived; a nonzero value means some model kernel is unsound
-// for some inputs and deserves investigation.
+// Panics returns how many tasks have panicked inside workers since
+// construction, in inference or while building a worker's inferer.
+// Each one failed its own request with ErrPanic while the worker
+// survived; a nonzero value means some model kernel is unsound for some
+// inputs and deserves investigation.
 func (r *Runtime) Panics() int64 { return r.panics.Load() }
 
 // checkInput validates one input vector against the model shape.
