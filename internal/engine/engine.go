@@ -320,9 +320,11 @@ func (r *Runtime) enqueue(ctx context.Context, t task) error {
 // tile's samples over two workers walks the weights twice and adds a
 // handoff, while under load the other workers are already serving other
 // batches: a batch of fewer than two tiles runs whole on one worker, and
-// a larger one spreads over the pool. Cancelling ctx stops submission
-// and returns ctx.Err after every already-submitted chunk has drained,
-// so no worker is left writing into p.
+// a larger one spreads over the pool. The rule assumes that saturated
+// pool; one client sending such batches one at a time leaves the other
+// workers idle. Cancelling ctx stops submission and returns ctx.Err
+// after every already-submitted chunk has drained, so no worker is left
+// writing into p.
 func (r *Runtime) run(ctx context.Context, p *plane, d *drain, xs [][]float64) ([][]float64, error) {
 	for i, x := range xs {
 		if err := r.checkInput(x); err != nil {

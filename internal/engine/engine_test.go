@@ -34,11 +34,17 @@ func fixture(a emac.Arithmetic, samples int) (*core.Network, *datasets.Dataset) 
 	return net, ds
 }
 
+// splitN is the batch size the bit-identity and lifecycle tests run:
+// 2×core.BatchTile+1 samples, one more than the smallest batch the pool
+// splits, so it splits unevenly (256 + 257 samples on two or more
+// workers) and each test crosses a chunk boundary.
+const splitN = 2*core.BatchTile + 1
+
 // startRuntime starts a pool of the given size over net (workers <= 0
 // selects GOMAXPROCS), closed when the test ends.
-func startRuntime(t *testing.T, net core.Model, workers int) *Runtime {
+func startRuntime(t *testing.T, net core.Model, workers int, opts ...Option) *Runtime {
 	t.Helper()
-	rt, err := NewRuntime(net, WithWorkers(workers))
+	rt, err := NewRuntime(net, append([]Option{WithWorkers(workers)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +52,30 @@ func startRuntime(t *testing.T, net core.Model, workers int) *Runtime {
 	return rt
 }
 
+// wantChunks fails the test unless m's inferers have served exactly the
+// given chunk sizes, in any order.
+func wantChunks(t *testing.T, m *chunkModel, chunks ...int) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	slices.Sort(m.sizes)
+	if want := slices.Sorted(slices.Values(chunks)); !slices.Equal(m.sizes, want) {
+		t.Fatalf("chunks %v, want %v", m.sizes, want)
+	}
+}
+
 func TestInferBatchMatchesSerial(t *testing.T) {
 	for _, a := range []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4), emac.Float32Arith{},
 	} {
-		net, ds := fixture(a, 200)
+		net, ds := fixture(a, 4*core.BatchTile+3)
 		want := make([][]float64, len(ds.X))
 		s := net.NewSession()
 		for i, x := range ds.X {
 			want[i] = s.Infer(x)
 		}
-		rt := startRuntime(t, net, 8)
+		m := &chunkModel{Model: net}
+		rt := startRuntime(t, m, 8)
 		if rt.Workers() != 8 {
 			t.Fatalf("workers = %d", rt.Workers())
 		}
@@ -64,6 +83,7 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantChunks(t, m, 256, 257, 257, 257)
 		for i := range got {
 			for j := range got[i] {
 				if got[i][j] != want[i][j] {
@@ -75,7 +95,7 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 }
 
 func TestAccuracyMatchesCore(t *testing.T) {
-	net, ds := fixture(emac.NewPosit(8, 0), 300)
+	net, ds := fixture(emac.NewPosit(8, 0), splitN)
 	rt := startRuntime(t, net, 0) // GOMAXPROCS workers
 	if rt.Workers() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("workers = %d", rt.Workers())
@@ -90,13 +110,14 @@ func TestAccuracyMatchesCore(t *testing.T) {
 }
 
 func TestConcurrentBatches(t *testing.T) {
-	net, ds := fixture(emac.NewFloatN(8, 4), 60)
+	net, ds := fixture(emac.NewFloatN(8, 4), splitN)
 	s := net.NewSession()
 	want := make([][]float64, len(ds.X))
 	for i, x := range ds.X {
 		want[i] = s.Infer(x)
 	}
-	rt := startRuntime(t, net, 4)
+	m := &chunkModel{Model: net}
+	rt := startRuntime(t, m, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -118,6 +139,7 @@ func TestConcurrentBatches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	wantChunks(t, m, slices.Repeat([]int{256, 257}, 6)...)
 }
 
 func TestCloseIdempotent(t *testing.T) {

@@ -111,7 +111,7 @@ func TestAcquireFlushSlotBlocksAndCancels(t *testing.T) {
 // plane. This is the overlap-correctness property: flush N's readers and
 // flush N+1's compute share nothing.
 func TestFlushSlotPingPongIndependence(t *testing.T) {
-	net, ds := fixture(emac.NewFloatN(8, 4), 48)
+	net, ds := fixture(emac.NewFloatN(8, 4), 2*splitN)
 	want := make([][]float64, len(ds.X))
 	s := net.NewSession()
 	for i, x := range ds.X {
@@ -131,8 +131,8 @@ func TestFlushSlotPingPongIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loA, hiA := 0, 24
-	loB, hiB := 24, 48
+	loA, hiA := 0, splitN // each window runs in two chunks
+	loB, hiB := splitN, 2*splitN
 	outA, err := a.InferBatch(context.Background(), ds.X[loA:hiA])
 	if err != nil {
 		t.Fatal(err)

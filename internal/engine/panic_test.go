@@ -9,6 +9,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -86,6 +88,9 @@ func TestWorkerSurvivesPanic(t *testing.T) {
 	}
 }
 
+// TestSharedOutputBatchSurfacesPanic: a batch split into a clean chunk
+// and a poisoned one fails with the poisoned chunk's ErrPanic, and the
+// error does not leak into the next batch.
 func TestSharedOutputBatchSurfacesPanic(t *testing.T) {
 	rt, err := NewRuntime(panicModel{}, WithWorkers(2), WithSharedOutputs())
 	if err != nil {
@@ -93,8 +98,20 @@ func TestSharedOutputBatchSurfacesPanic(t *testing.T) {
 	}
 	defer rt.Close()
 
-	if _, err := rt.InferBatch(context.Background(), [][]float64{{1, 2}, {-1, 0}}); !errors.Is(err, ErrPanic) {
+	xs := make([][]float64, 2*core.BatchTile) // chunks [0, 256) and [256, 512)
+	for i := range xs {
+		xs[i] = []float64{1, 2}
+	}
+	xs[core.BatchTile+1] = []float64{-1, 0}
+	_, err = rt.InferBatch(context.Background(), xs)
+	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("shared-output poisoned batch: err = %v, want ErrPanic", err)
+	}
+	if want := fmt.Sprintf("chunk at input %d:", core.BatchTile); !strings.Contains(err.Error(), want) {
+		t.Fatalf("shared-output poisoned batch: err = %v, want it to name the chunk at input %d", err, core.BatchTile)
+	}
+	if n := rt.Panics(); n != 1 {
+		t.Fatalf("Panics = %d, want 1 (only the second chunk is poisoned)", n)
 	}
 	// The panic error must not leak into the next (clean) batch.
 	out, err := rt.InferBatch(context.Background(), [][]float64{{7, 8}})

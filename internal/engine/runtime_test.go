@@ -88,17 +88,19 @@ func TestSubmitAfterCloseErrorsNotPanics(t *testing.T) {
 // a partial batch, never a panic. Run under -race this is the lifecycle
 // stress of closing concurrently with producers.
 func TestCloseDrainsInFlightStreaming(t *testing.T) {
-	net, ds := fixture(emac.NewFixed(8, 4), 64)
+	const producerN, perProducer = 8, 50
+	// Every batch starts before input producerN+perProducer, so each
+	// holds at least splitN samples and runs in two chunks.
+	net, ds := fixture(emac.NewFixed(8, 4), splitN+producerN+perProducer)
 	od := net.OutputDim()
 	want := net.NewSession().InferBatchInto(make([]float64, len(ds.X)*od), ds.X)
 	rt, err := NewRuntime(net, WithWorkers(4), WithQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const perProducer = 50
 	var accepted, rejected atomic.Int64
 	var producers sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < producerN; g++ {
 		producers.Add(1)
 		go func(g int) {
 			defer producers.Done()
@@ -138,8 +140,8 @@ func TestCloseDrainsInFlightStreaming(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got := accepted.Load() + rejected.Load(); got != 8*perProducer {
-		t.Fatalf("%d calls returned, want %d", got, 8*perProducer)
+	if got := accepted.Load() + rejected.Load(); got != producerN*perProducer {
+		t.Fatalf("%d calls returned, want %d", got, producerN*perProducer)
 	}
 	if accepted.Load() == 0 {
 		t.Fatal("no batch was accepted before Close")
@@ -224,21 +226,19 @@ func TestSubmitObservesCancellation(t *testing.T) {
 }
 
 func TestRuntimeServesMixedModels(t *testing.T) {
-	net, ds := mixedFixture(120)
+	net, ds := mixedFixture(3*core.BatchTile + 2)
 	want := make([][]float64, len(ds.X))
 	s := net.NewSession()
 	for i, x := range ds.X {
 		want[i] = s.Infer(x)
 	}
-	rt, err := NewRuntime(net, WithWorkers(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	m := &chunkModel{Model: net}
+	rt := startRuntime(t, m, 6)
 	got, err := rt.InferBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantChunks(t, m, 256, 257, 257)
 	for i := range got {
 		for j := range got[i] {
 			if got[i][j] != want[i][j] {
@@ -256,21 +256,19 @@ func TestRuntimeServesMixedModels(t *testing.T) {
 }
 
 func TestSharedOutputsBitIdenticalAndReused(t *testing.T) {
-	net, ds := fixture(emac.NewFloatN(8, 4), 80)
+	net, ds := fixture(emac.NewFloatN(8, 4), splitN)
 	want := make([][]float64, len(ds.X))
 	s := net.NewSession()
 	for i, x := range ds.X {
 		want[i] = s.Infer(x)
 	}
-	rt, err := NewRuntime(net, WithWorkers(4), WithSharedOutputs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	m := &chunkModel{Model: net}
+	rt := startRuntime(t, m, 4, WithSharedOutputs())
 	got, err := rt.InferBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantChunks(t, m, 256, 257)
 	for i := range got {
 		for j := range got[i] {
 			if got[i][j] != want[i][j] {
@@ -313,16 +311,14 @@ func TestRuntimeRejectsMisshapenInput(t *testing.T) {
 // the caller's own batch, never another batch's logits (the shared
 // buffer is consumed under its lock). Run under -race in CI.
 func TestSharedOutputsConcurrentConsumers(t *testing.T) {
-	net, ds := fixture(emac.NewPosit(8, 0), 60)
-	rt, err := NewRuntime(net, WithWorkers(4), WithSharedOutputs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	net, ds := fixture(emac.NewPosit(8, 0), splitN)
+	m := &chunkModel{Model: net}
+	rt := startRuntime(t, m, 4, WithSharedOutputs())
 	wantClasses, err := rt.PredictBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantChunks(t, m, 256, 257)
 	wantAcc, err := rt.Accuracy(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)

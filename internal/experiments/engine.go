@@ -30,8 +30,12 @@ type EngineRow struct {
 // speedup. The engine's accuracies must match the serial ones exactly
 // (each worker's session is bit-identical to the serial datapath); the
 // harness panics if they ever diverge, so the table doubles as an
-// end-to-end check of the shared-nothing session plane. workers <= 0
-// selects GOMAXPROCS.
+// end-to-end check of the shared-nothing session plane. The pool splits
+// a batch only into chunks of at least core.BatchTile samples, so a
+// test split under two tiles (Iris's 50 samples, breast cancer's 190,
+// or any split cut by evalLimit below 512) runs on one worker and its
+// Speedup reads about 1×; Mushroom's 2708 spread over the pool.
+// workers <= 0 selects GOMAXPROCS.
 func EngineSweep(evalLimit, workers int) ([]EngineRow, *tabulate.Table) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

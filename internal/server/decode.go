@@ -172,11 +172,11 @@ func (s *scanner) lit(lit string) bool {
 	return true
 }
 
-// row appends one array of numbers to p.vals. A run of at most 15
-// digits without a leading zero that ends at ',' or ']' is read inline:
-// it is a whole JSON integer, exact as a float64, and the form one-hot
-// and integer-coded features take. Every other number goes to number
-// and its grammar checks.
+// row appends one array of numbers to p.vals. An integer of at most 15
+// digits, with an optional '-' and no leading zero, that ends at ',' or
+// ']' is read inline: it is exact as a float64, and it is the form
+// one-hot and integer-coded features take. Every other number goes to
+// number and its grammar checks.
 func (s *scanner) row(p *plane) bool {
 	if !s.next('[') {
 		return false
@@ -187,13 +187,21 @@ func (s *scanner) row(p *plane) bool {
 	d, i, vals := s.data, s.pos, p.vals
 	for {
 		i = skipSpace(d, i)
-		j, mant := i, uint64(0)
-		for ; j < len(d) && isDigit(d[j]); j++ {
-			mant = mant*10 + uint64(d[j]-'0')
+		j := i
+		if j < len(d) && d[j] == '-' {
+			j++
 		}
-		if n := j - i; n > 0 && n <= 15 && (n == 1 || d[i] != '0') && j < len(d) && (d[j] == ',' || d[j] == ']') {
-			vals = append(vals, float64(mant))
-			i = j
+		k, mant := j, uint64(0)
+		for ; k < len(d) && isDigit(d[k]); k++ {
+			mant = mant*10 + uint64(d[k]-'0')
+		}
+		if n := k - j; n > 0 && n <= 15 && (n == 1 || d[j] != '0') && k < len(d) && (d[k] == ',' || d[k] == ']') {
+			v := float64(mant)
+			if j != i {
+				v = -v // after the conversion, so that -0 stays -0
+			}
+			vals = append(vals, v)
+			i = k
 		} else {
 			v, j, ok := number(d, i)
 			if !ok {
@@ -218,37 +226,27 @@ func (s *scanner) row(p *plane) bool {
 
 // number reads one JSON number at d[i:] and returns it with the index
 // past it. It checks the grammar itself, because strconv.ParseFloat
-// also accepts Inf, NaN, hex floats, '_' and a leading '+'. An integer
-// of at most 15 digits is exact as a float64; every other number goes
-// to ParseFloat, whose range error declines.
+// also accepts Inf, NaN, hex floats, '_' and a leading '+'; ParseFloat's
+// range error declines.
 func number(d []byte, i int) (float64, int, bool) {
 	start := i
-	neg := i < len(d) && d[i] == '-'
-	if neg {
+	if i < len(d) && d[i] == '-' {
 		i++
 	}
-	var mant uint64
-	digits := 0
 	switch {
 	case i < len(d) && d[i] == '0':
 		i++
 	case i < len(d) && isDigit(d[i]):
-		for ; i < len(d) && isDigit(d[i]); i++ {
-			mant = mant*10 + uint64(d[i]-'0')
-			digits++
-		}
+		i = digitsFrom(d, i)
 	default:
 		return 0, i, false
 	}
-	integer := true
 	if i < len(d) && d[i] == '.' {
-		integer = false
 		if i = digitsFrom(d, i+1); i < 0 {
 			return 0, i, false
 		}
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		integer = false
 		i++
 		if i < len(d) && (d[i] == '+' || d[i] == '-') {
 			i++
@@ -256,13 +254,6 @@ func number(d []byte, i int) (float64, int, bool) {
 		if i = digitsFrom(d, i); i < 0 {
 			return 0, i, false
 		}
-	}
-	if integer && digits <= 15 {
-		v := float64(mant)
-		if neg {
-			v = -v // after the conversion, so that -0 stays -0
-		}
-		return v, i, true
 	}
 	v, err := strconv.ParseFloat(string(d[start:i]), 64)
 	return v, i, err == nil

@@ -87,6 +87,8 @@ func FuzzInferDecode(f *testing.F) {
 		`{"input":[123456789012345,999999999999999]}`, `{"input":[1234567890123456,9999999999999999]}`,
 		`{"input":[12.]}`, `{"input":[12.5]}`, `{"input":[12e1]}`, `{"input":[12E1]}`,
 		`{"input":[12 ,3]}`, "{\"input\":[12\n]}", `{"input":[12`, `{"inputs":[[12`,
+		`{"inputs":[[-1,0,1],[-7,-0]]}`, `{"input":[-123456789012345,-1234567890123456]}`,
+		`{"input":[-12.5,-12e1,-12 ]}`, `{"input":[--1]}`, `{"input":[-00]}`,
 	} {
 		f.Add([]byte(body))
 	}
