@@ -311,35 +311,40 @@ func BenchmarkSessionInfer(b *testing.B) {
 }
 
 // BenchmarkRuntimeBatch measures the context-aware Runtime over the full
-// Iris inference split (50 samples per op), comparing the default
-// allocating batch path against WithSharedOutputs — the ROADMAP item
-// making dataset sweeps allocation-free end to end. Run with -benchmem:
-// the shared arm's allocs/op is the proof.
+// Iris inference split (50 samples per op), comparing the caller-owned
+// batch path against one leased flush slot, whose plane is reused across
+// calls — allocation-free dataset sweeps end to end. Run with -benchmem:
+// the slot arm's allocs/op is the proof.
 func BenchmarkRuntimeBatch(b *testing.B) {
 	experiments.Datasets()
 	iris := experiments.Datasets()[1]
 	dp := QuantizeNetwork(iris.Net, emac.NewPosit(8, 0))
 	ctx := context.Background()
+	rt, err := NewRuntime(dp, WithWorkers(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	slot, err := rt.AcquireFlushSlot(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer slot.Release()
 	for _, mode := range []struct {
-		name string
-		opts []RuntimeOption
+		name  string
+		infer func(context.Context, [][]float64) ([][]float64, error)
 	}{
-		{"alloc", []RuntimeOption{WithWorkers(4)}},
-		{"shared-outputs", []RuntimeOption{WithWorkers(4), WithSharedOutputs()}},
+		{"alloc", rt.InferBatch},
+		{"flush-slot", slot.InferBatch},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			rt, err := NewRuntime(dp, mode.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rt.Close()
-			if _, err := rt.InferBatch(ctx, iris.Test.X); err != nil {
-				b.Fatal(err) // warm sessions and shared buffers
+			if _, err := mode.infer(ctx, iris.Test.X); err != nil {
+				b.Fatal(err) // warm sessions and the slot's plane
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rt.InferBatch(ctx, iris.Test.X); err != nil {
+				if _, err := mode.infer(ctx, iris.Test.X); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,6 +31,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -568,10 +569,10 @@ func main() {
 		peer.Close()
 	}
 	// FlushPipeline: sustained-load serving throughput through the
-	// default (work-conserving) micro-batcher over a shared-output
-	// runtime — 4 clients streaming 64-sample explicit batches out of the
-	// 256-sample plane through Batcher.InferBatch, each batch leasing its
-	// own flush slot — serialised flushes (depth 1) vs the two-plane
+	// default (work-conserving) micro-batcher — 4 clients streaming
+	// 64-sample explicit batches out of the 256-sample plane through
+	// Batcher.InferBatch, each batch leasing its own flush slot of the
+	// runtime's depth planes — serialised flushes (depth 1) vs the two-plane
 	// pipeline (depth 2: one batch computes while another's logits are
 	// copied out). ns/op is per sample. In -check mode each arm takes the
 	// best of 3 runs and pipelined must be at least as fast as
@@ -581,8 +582,7 @@ func main() {
 	// to the strict >=1x.
 	const flushClients, flushBatch = 4, 64
 	flushBench := func(name string, depth int) Result {
-		rt, err := engine.NewRuntime(dp,
-			engine.WithSharedOutputs(), engine.WithFlushPipeline(depth))
+		rt, err := engine.NewRuntime(dp, engine.WithFlushPipeline(depth))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchsnap:", err)
 			os.Exit(1)
@@ -708,31 +708,38 @@ func main() {
 	// Runtime worker-scaling bench, gated on a multicore host: the 1-CPU
 	// dev container measures ≈1.0× for any pool size, so emitting rows
 	// there would only record noise. On a host with GOMAXPROCS > 1 this
-	// produces the ROADMAP scaling record: shared-output batches (the 0
-	// allocs/op serving path) at 1, 2, 4, ... workers up to the CPU count.
+	// produces the ROADMAP scaling record: a 1024-sample batch (four
+	// tiles, so it splits over up to four workers) through one leased
+	// flush slot (0 allocs/op) at 1, 2, 4, ... workers up to the CPU count.
 	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		batch1024 := slices.Concat(batch, batch, batch, batch)
+		ctx := context.Background()
 		for workers := 1; workers <= procs; workers *= 2 {
-			rt, err := engine.NewRuntime(dp,
-				engine.WithWorkers(workers), engine.WithSharedOutputs())
+			rt, err := engine.NewRuntime(dp, engine.WithWorkers(workers))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchsnap:", err)
 				os.Exit(1)
 			}
-			ctx := context.Background()
+			slot, err := rt.AcquireFlushSlot(ctx)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "benchsnap:", err)
+				os.Exit(1)
+			}
 			snap.Results = append(snap.Results, measure(
-				fmt.Sprintf("RuntimeBatch256/posit(8,0)/workers%d", workers),
+				fmt.Sprintf("RuntimeBatch1024/posit(8,0)/workers%d", workers),
 				func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := rt.InferBatch(ctx, batch); err != nil {
+						if _, err := slot.InferBatch(ctx, batch1024); err != nil {
 							b.Fatal(err)
 						}
 					}
 				}))
+			slot.Release()
 			_ = rt.Close()
 		}
 	} else {
-		fmt.Fprintln(os.Stderr, "benchsnap: single-CPU host; skipping RuntimeBatch256 worker-scaling rows")
+		fmt.Fprintln(os.Stderr, "benchsnap: single-CPU host; skipping RuntimeBatch1024 worker-scaling rows")
 	}
 
 	data, err := json.MarshalIndent(snap, "", "  ")

@@ -13,9 +13,10 @@
 // -flush-pipeline sets the per-model flush-pipeline depth: that many
 // result planes per runtime, so the fused batch kernels compute flush N
 // while flush N−1's results demux and flush N+1 accumulates (1
-// serialises flushes end to end). The micro-batcher is work-conserving:
-// a single inference flushes at once while a plane is free, and only
-// requests queued behind busy planes share a batch of up to -max-batch.
+// serialises flushes end to end; 0 selects the default, 2). The
+// micro-batcher is work-conserving: a single inference flushes at once
+// while a plane is free, and only requests queued behind busy planes
+// share a batch of up to -max-batch.
 // -max-inflight caps the requests admitted per model at once, a single
 // inference and an explicit batch alike; beyond it requests are shed
 // with HTTP 429.
@@ -175,8 +176,8 @@ func main() {
 	queue := flag.Int("queue", 0, "per-model job queue depth (0 = 2x workers)")
 	maxBatch := flag.Int("max-batch", registry.DefaultMaxBatch,
 		"largest coalesced batch: a single inference flushes at once while a flush plane is free, and a finishing flush takes up at most this many of the requests queued behind busy planes")
-	flushPipeline := flag.Int("flush-pipeline", registry.DefaultFlushPipeline,
-		"flush-pipeline depth: result planes per model, so flush N computes while flush N-1 demuxes and N+1 accumulates (1 serialises flushes)")
+	flushPipeline := flag.Int("flush-pipeline", engine.DefaultFlushPipeline,
+		"flush-pipeline depth: result planes per model, so flush N computes while flush N-1 demuxes and N+1 accumulates (1 serialises flushes; 0 = the default)")
 	maxInFlight := flag.Int("max-inflight", 0,
 		"per-model cap on concurrently admitted inference requests, a single inference and an explicit batch counting one each; beyond it requests are shed with HTTP 429 (0 = unlimited)")
 	requestTimeout := flag.Duration("request-timeout", 0,
@@ -249,9 +250,9 @@ func main() {
 		registry.WithRuntimeOptions(
 			engine.WithWorkers(*workers),
 			engine.WithQueueDepth(*queue),
+			engine.WithFlushPipeline(*flushPipeline),
 		),
 		registry.WithMaxBatch(*maxBatch),
-		registry.WithFlushPipeline(*flushPipeline),
 		registry.WithMaxInFlight(*maxInFlight),
 		registry.WithRequestTimeout(*requestTimeout),
 	}

@@ -79,33 +79,17 @@ func (d *drain) wait() error {
 	return err
 }
 
-// plane is a flat logits buffer and its per-sample row views, grown to
-// the largest batch it has held.
-type plane struct {
-	buf  []float64
-	rows [][]float64
-}
-
-// size fits the plane to n samples of od logits and returns its rows.
-func (p *plane) size(n, od int) [][]float64 {
-	if cap(p.buf) < n*od {
-		p.buf = make([]float64, n*od)
-	}
-	if cap(p.rows) < n {
-		p.rows = make([][]float64, n)
-	}
-	rows := p.rows[:n]
-	for i := range rows {
-		rows[i] = p.buf[i*od : (i+1)*od : (i+1)*od]
-	}
-	return rows
-}
+// DefaultFlushPipeline is the flush-slot plane count a runtime owns when
+// none is configured: two planes — compute flush N while flush N−1
+// demuxes — capture most of the overlap win at one extra result plane of
+// memory (the Langroudi et al. bounded-memory framing: depth is a
+// budget, not a free variable).
+const DefaultFlushPipeline = 2
 
 // config collects the functional options.
 type config struct {
 	workers    int
 	queueDepth int
-	sharedOut  bool
 	flushDepth int
 }
 
@@ -128,21 +112,13 @@ func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } 
 // Deprecated: kept only for the bench module's callers; pass nothing.
 func WithWarmTables() Option { return func(*config) {} }
 
-// WithSharedOutputs makes InferBatch decode logits into one runtime-owned
-// buffer that is reused across calls, making steady-state dataset sweeps
-// allocation-free end to end. The returned slices are valid only until
-// the next InferBatch call; shared-output batches are serialised
-// internally.
-func WithSharedOutputs() Option { return func(c *config) { c.sharedOut = true } }
-
-// WithFlushPipeline sets the number of flush-slot result planes a
-// shared-output runtime owns (see AcquireFlushSlot). With d planes, d
-// batch computations can be in flight at once — one plane computing
-// while another's readers still demultiplex — which is how the serving
+// WithFlushPipeline sets the number of flush-slot result planes the
+// runtime owns (see AcquireFlushSlot). With d planes, d batch
+// computations can be in flight at once — one plane computing while
+// another's readers still demultiplex — which is how the serving
 // micro-batcher overlaps collect/compute/demux instead of serialising
-// them end to end. d <= 1 keeps a single plane (flushes serialise on
-// it, the pre-pipeline behaviour). Without WithSharedOutputs the option
-// is inert.
+// them end to end. d = 1 keeps a single plane (flushes serialise on it);
+// d <= 0 selects DefaultFlushPipeline.
 func WithFlushPipeline(d int) Option { return func(c *config) { c.flushDepth = d } }
 
 // Runtime is a context-aware worker-pool inference runtime over one
@@ -166,16 +142,9 @@ type Runtime struct {
 	// ErrPanic; the worker survived).
 	panics atomic.Int64
 
-	// shared is the private flush slot a shared-output runtime's
-	// InferBatch, PredictBatch and Accuracy run in, one batch at a time
-	// under sharedMu. nil without WithSharedOutputs.
-	sharedMu sync.Mutex
-	shared   *FlushSlot
-
-	// flush pipeline: flushDepth leasable result planes (see
-	// AcquireFlushSlot). nil when the runtime is not shared-output.
-	flushDepth int
-	planes     chan *FlushSlot
+	// planes holds the flush pipeline's free leasable slots; its
+	// capacity is the pipeline depth (see AcquireFlushSlot).
+	planes chan *FlushSlot
 }
 
 // NewRuntime starts a runtime over the model. It returns the model's
@@ -200,21 +169,17 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 	if cfg.queueDepth <= 0 {
 		cfg.queueDepth = 2 * cfg.workers
 	}
-	if cfg.flushDepth < 1 {
-		cfg.flushDepth = 1
+	if cfg.flushDepth <= 0 {
+		cfg.flushDepth = DefaultFlushPipeline
 	}
 	r := &Runtime{
 		model:   model,
 		workers: cfg.workers,
 		jobs:    make(chan task, cfg.queueDepth),
+		planes:  make(chan *FlushSlot, cfg.flushDepth),
 	}
-	if cfg.sharedOut {
-		r.shared = &FlushSlot{r: r}
-		r.flushDepth = cfg.flushDepth
-		r.planes = make(chan *FlushSlot, cfg.flushDepth)
-		for i := 0; i < cfg.flushDepth; i++ {
-			r.planes <- &FlushSlot{r: r}
-		}
+	for range cfg.flushDepth {
+		r.planes <- &FlushSlot{r: r}
 	}
 	r.wg.Add(cfg.workers)
 	for w := 0; w < cfg.workers; w++ {
@@ -273,11 +238,6 @@ func (r *Runtime) QueueCap() int { return cap(r.jobs) }
 // letting requests queue without bound.
 func (r *Runtime) QueueLen() int { return len(r.jobs) }
 
-// SharedOutputs reports whether the runtime was built with
-// WithSharedOutputs — callers then own the serialisation and copy-out of
-// InferBatch results.
-func (r *Runtime) SharedOutputs() bool { return r.shared != nil }
-
 // Panics returns how many tasks have panicked inside workers since
 // construction, in inference or while building a worker's inferer.
 // Each one failed its own request with ErrPanic while the worker
@@ -311,21 +271,21 @@ func (r *Runtime) enqueue(ctx context.Context, t task) error {
 }
 
 // run is the one batch loop behind every entry point. It checks xs,
-// fits p to its logits, splits the n samples into k = min(workers,
-// max(1, ⌊n/core.BatchTile⌋)) fused chunks of ⌊n/k⌋ or ⌈n/k⌉ samples,
-// submits them, and waits for d to drain; a worker runs each chunk as a
-// single InferBatchInto call. No chunk of a split batch is therefore
-// shorter than the forward pass's tile. A session walks every weight row
-// once per tile however few samples the tile holds, so splitting one
-// tile's samples over two workers walks the weights twice and adds a
-// handoff, while under load the other workers are already serving other
-// batches: a batch of fewer than two tiles runs whole on one worker, and
-// a larger one spreads over the pool. The rule assumes that saturated
-// pool; one client sending such batches one at a time leaves the other
-// workers idle. Cancelling ctx stops submission and returns ctx.Err
-// after every already-submitted chunk has drained, so no worker is left
-// writing into p.
-func (r *Runtime) run(ctx context.Context, p *plane, d *drain, xs [][]float64) ([][]float64, error) {
+// fits s's plane to its logits, splits the n samples into k =
+// min(workers, max(1, ⌊n/core.BatchTile⌋)) fused chunks of ⌊n/k⌋ or
+// ⌈n/k⌉ samples, submits them, and waits for s's drain; a worker runs
+// each chunk as a single InferBatchInto call. No chunk of a split batch
+// is therefore shorter than the forward pass's tile. A session walks
+// every weight row once per tile however few samples the tile holds, so
+// splitting one tile's samples over two workers walks the weights twice
+// and adds a handoff, while under load the other workers are already
+// serving other batches: a batch of fewer than two tiles runs whole on
+// one worker, and a larger one spreads over the pool. The rule assumes
+// that saturated pool; one client sending such batches one at a time
+// leaves the other workers idle. Cancelling ctx stops submission and
+// returns ctx.Err after every already-submitted chunk has drained, so no
+// worker is left writing into the plane.
+func (r *Runtime) run(ctx context.Context, s *FlushSlot, xs [][]float64) ([][]float64, error) {
 	for i, x := range xs {
 		if err := r.checkInput(x); err != nil {
 			return nil, fmt.Errorf("engine: batch input %d: %w", i, err)
@@ -337,13 +297,14 @@ func (r *Runtime) run(ctx context.Context, p *plane, d *drain, xs [][]float64) (
 		return nil, ErrClosed
 	}
 	od := r.model.OutputDim()
-	rows := p.size(len(xs), od)
+	rows := s.size(len(xs), od)
+	d := &s.d
 	n, end := len(xs), 0
 	for k := min(r.workers, max(1, n/core.BatchTile)); end < n; k-- {
 		start := end
 		end += (n - start) / k
 		d.wg.Add(1)
-		if err := r.enqueue(ctx, task{id: start, xs: xs[start:end], dst: p.buf[start*od : end*od], d: d}); err != nil {
+		if err := r.enqueue(ctx, task{id: start, xs: xs[start:end], dst: s.buf[start*od : end*od], d: d}); err != nil {
 			d.wg.Done()
 			_ = d.wait() // a delivered chunk's panic loses to the ctx error
 			return nil, err
@@ -363,53 +324,52 @@ func (r *Runtime) run(ctx context.Context, p *plane, d *drain, xs [][]float64) (
 // row is decoded once per tile instead of once per sample. Logits come
 // back in input order, bit-identical to running one core session
 // serially (each sample's arithmetic is unchanged; only the loop order
-// differs). Cancelling ctx stops submission and returns ctx.Err after
-// every already-submitted chunk has drained — no worker is left writing
-// into the batch. Under WithSharedOutputs the returned slices are valid
-// only until the next InferBatch call.
+// differs), in a fresh plane the caller owns. Cancelling ctx stops
+// submission and returns ctx.Err after every already-submitted chunk has
+// drained — no worker is left writing into the batch. A caller that
+// wants the logits in reused memory leases a FlushSlot instead.
 func (r *Runtime) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	if r.shared != nil {
-		r.sharedMu.Lock()
-		defer r.sharedMu.Unlock()
-	}
-	return r.batch(ctx, xs)
+	return r.run(ctx, &FlushSlot{r: r}, xs)
 }
 
-// batch runs xs in the runtime's private slot (the caller holds
-// sharedMu) or, without shared outputs, into a fresh caller-owned plane.
-func (r *Runtime) batch(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	if r.shared != nil {
-		return r.shared.InferBatch(ctx, xs)
-	}
-	return r.run(ctx, &plane{}, &drain{}, xs)
-}
-
-// FlushSlot is one leased result plane of a shared-output runtime's
-// flush pipeline: a runtime-owned flat logits buffer plus the machinery
-// to run one batch into it. Between AcquireFlushSlot and Release the
-// plane belongs to the holder alone, so a second slot's InferBatch can
-// compute while this slot's results are still being read — the
-// serving-plane analogue of the paper's accelerator keeping its EMAC
-// pipeline full across flushes. A FlushSlot is single-owner: its
+// FlushSlot is one result plane of a runtime's flush pipeline: a
+// runtime-owned flat logits buffer, its per-sample row views, and the
+// machinery to run one batch into it. Between AcquireFlushSlot and
+// Release the plane belongs to the holder alone, so a second slot's
+// InferBatch can compute while this slot's results are still being read
+// — the serving-plane analogue of the paper's accelerator keeping its
+// EMAC pipeline full across flushes. A FlushSlot is single-owner: its
 // methods must not be called concurrently.
 type FlushSlot struct {
-	r *Runtime
-	p plane
-	d drain
+	r    *Runtime
+	buf  []float64
+	rows [][]float64
+	d    drain
 }
 
-// FlushPipelineDepth returns the number of flush-slot result planes (0
-// when the runtime was not built with WithSharedOutputs).
-func (r *Runtime) FlushPipelineDepth() int { return r.flushDepth }
+// size fits the plane to n samples of od logits, growing it to the
+// largest batch it has held, and returns its rows.
+func (s *FlushSlot) size(n, od int) [][]float64 {
+	if cap(s.buf) < n*od {
+		s.buf = make([]float64, n*od)
+	}
+	if cap(s.rows) < n {
+		s.rows = make([][]float64, n)
+	}
+	rows := s.rows[:n]
+	for i := range rows {
+		rows[i] = s.buf[i*od : (i+1)*od : (i+1)*od]
+	}
+	return rows
+}
+
+// FlushPipelineDepth returns the number of flush-slot result planes
+// (WithFlushPipeline, default DefaultFlushPipeline).
+func (r *Runtime) FlushPipelineDepth() int { return cap(r.planes) }
 
 // FlushSlotsInUse returns how many flush slots are currently leased —
 // the live pipeline-depth gauge the serving metrics report.
-func (r *Runtime) FlushSlotsInUse() int {
-	if r.planes == nil {
-		return 0
-	}
-	return r.flushDepth - len(r.planes)
-}
+func (r *Runtime) FlushSlotsInUse() int { return cap(r.planes) - len(r.planes) }
 
 // AcquireFlushSlot leases one result plane, blocking while all
 // FlushPipelineDepth planes are held (backpressure: the pipeline is
@@ -417,9 +377,6 @@ func (r *Runtime) FlushSlotsInUse() int {
 // successors). It unblocks with ctx.Err on cancellation and fails with
 // ErrClosed after Close. Callers must Release the slot exactly once.
 func (r *Runtime) AcquireFlushSlot(ctx context.Context) (*FlushSlot, error) {
-	if r.planes == nil {
-		return nil, errors.New("engine: flush slots require WithSharedOutputs")
-	}
 	r.mu.RLock()
 	closed := r.closed
 	r.mu.RUnlock()
@@ -445,28 +402,21 @@ func (r *Runtime) AcquireFlushSlot(ctx context.Context) (*FlushSlot, error) {
 func (s *FlushSlot) Release() { s.r.planes <- s }
 
 // InferBatch runs one batch through the runtime's worker pool, decoding
-// logits into this slot's plane. It is Runtime.InferBatch with the
-// plane lease replacing the internal serialisation: results are valid
-// until Release (or the slot's next InferBatch), bit-identical to a
-// serial session, and other slots' in-flight batches are unaffected.
-// Cancelling ctx stops submission and returns ctx.Err after every
-// already-submitted chunk has drained.
+// logits into this slot's plane: Runtime.InferBatch without the fresh
+// allocation. Results are valid until Release (or the slot's next
+// InferBatch), bit-identical to a serial session, and other slots'
+// in-flight batches are unaffected. Cancelling ctx stops submission and
+// returns ctx.Err after every already-submitted chunk has drained.
 func (s *FlushSlot) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	return s.r.run(ctx, &s.p, &s.d, xs)
+	return s.r.run(ctx, s, xs)
 }
 
 // PredictBatch runs every input through the pool and returns the argmax
 // classes in input order. It shares InferBatch's contract: context
 // cancellation drains already-submitted work before returning, and after
-// Close it fails with ErrClosed. Under WithSharedOutputs it consumes the
-// shared logits buffer while still holding its lock, so concurrent
-// PredictBatch and Accuracy calls never read another batch's logits.
+// Close it fails with ErrClosed.
 func (r *Runtime) PredictBatch(ctx context.Context, xs [][]float64) ([]int, error) {
-	if r.shared != nil {
-		r.sharedMu.Lock()
-		defer r.sharedMu.Unlock()
-	}
-	logits, err := r.batch(ctx, xs)
+	logits, err := r.InferBatch(ctx, xs)
 	if err != nil {
 		return nil, err
 	}

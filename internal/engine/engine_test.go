@@ -42,9 +42,9 @@ const splitN = 2*core.BatchTile + 1
 
 // startRuntime starts a pool of the given size over net (workers <= 0
 // selects GOMAXPROCS), closed when the test ends.
-func startRuntime(t *testing.T, net core.Model, workers int, opts ...Option) *Runtime {
+func startRuntime(t *testing.T, net core.Model, workers int) *Runtime {
 	t.Helper()
-	rt, err := NewRuntime(net, append([]Option{WithWorkers(workers)}, opts...)...)
+	rt, err := NewRuntime(net, WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,53 +15,76 @@ import (
 	"repro/internal/emac"
 )
 
-func TestAcquireFlushSlotRequiresSharedOutputs(t *testing.T) {
-	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1))
+// TestAcquireFlushSlotOnDefaultRuntime: a runtime built with no options
+// owns DefaultFlushPipeline planes, and a leased slot serves a batch
+// bit-identical to a serial session.
+func TestAcquireFlushSlotOnDefaultRuntime(t *testing.T) {
+	net, ds := fixture(emac.NewPosit(8, 0), 3)
+	rt, err := NewRuntime(net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if _, err := rt.AcquireFlushSlot(context.Background()); err == nil {
-		t.Fatal("AcquireFlushSlot on a non-shared runtime succeeded")
+	if d := rt.FlushPipelineDepth(); d != DefaultFlushPipeline {
+		t.Fatalf("FlushPipelineDepth = %d, want DefaultFlushPipeline (%d)", d, DefaultFlushPipeline)
 	}
-	if d := rt.FlushPipelineDepth(); d != 0 {
-		t.Fatalf("FlushPipelineDepth = %d on a non-shared runtime, want 0", d)
+	slot, err := rt.AcquireFlushSlot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slot.Release()
+	out, err := slot.InferBatch(context.Background(), ds.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := net.NewSession()
+	for i, x := range ds.X {
+		want := s.Infer(x)
+		for j := range want {
+			if out[i][j] != want[j] {
+				t.Fatalf("sample %d logit %d: %v != %v", i, j, out[i][j], want[j])
+			}
+		}
 	}
 }
 
-// TestFlushSlotsDistinctToDepth leases every plane of a depth-3 pipeline
-// without releasing: all acquisitions succeed, the slots are distinct,
-// and the in-use gauge tracks each lease.
+// TestFlushSlotsDistinctToDepth leases every plane of the pipeline
+// without releasing, at each configured depth (d <= 0 selects
+// DefaultFlushPipeline): all acquisitions succeed, the slots are
+// distinct, and the in-use gauge tracks each lease.
 func TestFlushSlotsDistinctToDepth(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1), WithSharedOutputs(), WithFlushPipeline(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if d := rt.FlushPipelineDepth(); d != 3 {
-		t.Fatalf("FlushPipelineDepth = %d, want 3", d)
-	}
-	seen := map[*FlushSlot]bool{}
-	for i := 0; i < 3; i++ {
-		s, err := rt.AcquireFlushSlot(context.Background())
+	for _, c := range []struct{ d, want int }{
+		{3, 3}, {1, 1}, {0, DefaultFlushPipeline}, {-1, DefaultFlushPipeline},
+	} {
+		rt, err := NewRuntime(net, WithWorkers(1), WithFlushPipeline(c.d))
 		if err != nil {
-			t.Fatalf("acquire %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if seen[s] {
-			t.Fatalf("acquire %d returned an already-leased slot", i)
+		if d := rt.FlushPipelineDepth(); d != c.want {
+			t.Fatalf("WithFlushPipeline(%d): FlushPipelineDepth = %d, want %d", c.d, d, c.want)
 		}
-		seen[s] = true
-		if got := rt.FlushSlotsInUse(); got != i+1 {
-			t.Fatalf("FlushSlotsInUse = %d after %d leases", got, i+1)
+		seen := map[*FlushSlot]bool{}
+		for i := 0; i < c.want; i++ {
+			s, err := rt.AcquireFlushSlot(context.Background())
+			if err != nil {
+				t.Fatalf("depth %d: acquire %d: %v", c.want, i, err)
+			}
+			if seen[s] {
+				t.Fatalf("depth %d: acquire %d returned an already-leased slot", c.want, i)
+			}
+			seen[s] = true
+			if got := rt.FlushSlotsInUse(); got != i+1 {
+				t.Fatalf("depth %d: FlushSlotsInUse = %d after %d leases", c.want, got, i+1)
+			}
 		}
-	}
-	for s := range seen {
-		s.Release()
-	}
-	if got := rt.FlushSlotsInUse(); got != 0 {
-		t.Fatalf("FlushSlotsInUse = %d after releasing all, want 0", got)
+		for s := range seen {
+			s.Release()
+		}
+		if got := rt.FlushSlotsInUse(); got != 0 {
+			t.Fatalf("depth %d: FlushSlotsInUse = %d after releasing all, want 0", c.want, got)
+		}
+		rt.Close()
 	}
 }
 
@@ -70,7 +93,7 @@ func TestFlushSlotsDistinctToDepth(t *testing.T) {
 // or its context's cancellation (ctx.Err).
 func TestAcquireFlushSlotBlocksAndCancels(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1), WithSharedOutputs(), WithFlushPipeline(1))
+	rt, err := NewRuntime(net, WithWorkers(1), WithFlushPipeline(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +140,7 @@ func TestFlushSlotPingPongIndependence(t *testing.T) {
 	for i, x := range ds.X {
 		want[i] = s.Infer(x)
 	}
-	rt, err := NewRuntime(net, WithWorkers(2), WithSharedOutputs(), WithFlushPipeline(2))
+	rt, err := NewRuntime(net, WithWorkers(2), WithFlushPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +186,7 @@ func TestFlushSlotPingPongIndependence(t *testing.T) {
 
 func TestAcquireFlushSlotAfterClose(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1), WithSharedOutputs(), WithFlushPipeline(2))
+	rt, err := NewRuntime(net, WithWorkers(1), WithFlushPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}

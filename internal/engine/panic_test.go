@@ -89,37 +89,48 @@ func TestWorkerSurvivesPanic(t *testing.T) {
 }
 
 // TestSharedOutputBatchSurfacesPanic: a batch split into a clean chunk
-// and a poisoned one fails with the poisoned chunk's ErrPanic, and the
-// error does not leak into the next batch.
+// and a poisoned one fails with the poisoned chunk's ErrPanic, on the
+// caller-owned path and in a leased slot alike, and the error does not
+// leak into the slot's next batch.
 func TestSharedOutputBatchSurfacesPanic(t *testing.T) {
-	rt, err := NewRuntime(panicModel{}, WithWorkers(2), WithSharedOutputs())
+	rt, err := NewRuntime(panicModel{}, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	slot, err := rt.AcquireFlushSlot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slot.Release()
 
 	xs := make([][]float64, 2*core.BatchTile) // chunks [0, 256) and [256, 512)
 	for i := range xs {
 		xs[i] = []float64{1, 2}
 	}
 	xs[core.BatchTile+1] = []float64{-1, 0}
-	_, err = rt.InferBatch(context.Background(), xs)
-	if !errors.Is(err, ErrPanic) {
-		t.Fatalf("shared-output poisoned batch: err = %v, want ErrPanic", err)
+	for i, route := range []struct {
+		name  string
+		infer func(context.Context, [][]float64) ([][]float64, error)
+	}{{"caller-owned", rt.InferBatch}, {"slot", slot.InferBatch}} {
+		_, err = route.infer(context.Background(), xs)
+		if !errors.Is(err, ErrPanic) {
+			t.Fatalf("%s poisoned batch: err = %v, want ErrPanic", route.name, err)
+		}
+		if want := fmt.Sprintf("chunk at input %d:", core.BatchTile); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s poisoned batch: err = %v, want it to name the chunk at input %d", route.name, err, core.BatchTile)
+		}
+		if n := rt.Panics(); n != int64(i+1) {
+			t.Fatalf("%s: Panics = %d, want %d (only the second chunk is poisoned)", route.name, n, i+1)
+		}
 	}
-	if want := fmt.Sprintf("chunk at input %d:", core.BatchTile); !strings.Contains(err.Error(), want) {
-		t.Fatalf("shared-output poisoned batch: err = %v, want it to name the chunk at input %d", err, core.BatchTile)
-	}
-	if n := rt.Panics(); n != 1 {
-		t.Fatalf("Panics = %d, want 1 (only the second chunk is poisoned)", n)
-	}
-	// The panic error must not leak into the next (clean) batch.
-	out, err := rt.InferBatch(context.Background(), [][]float64{{7, 8}})
+	// The panic error must not leak into the slot's next (clean) batch.
+	out, err := slot.InferBatch(context.Background(), [][]float64{{7, 8}})
 	if err != nil {
-		t.Fatalf("clean shared batch after panic: %v", err)
+		t.Fatalf("clean slot batch after panic: %v", err)
 	}
 	if out[0][0] != 7 {
-		t.Fatalf("clean shared batch corrupted: %v", out)
+		t.Fatalf("clean slot batch corrupted: %v", out)
 	}
 }
 

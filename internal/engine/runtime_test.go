@@ -1,9 +1,9 @@
 package engine
 
 // Runtime contract tests: lifecycle (close drains, calls after close
-// error), context cancellation, mixed-precision serving and the
-// shared-output batch path. CI runs this file under -race, which is the
-// point of the lifecycle tests — they hammer InferBatch/Close
+// error), context cancellation, mixed-precision serving, and caller-owned
+// and leased-slot batch results. CI runs this file under -race, which is
+// the point of the lifecycle tests — they hammer InferBatch/Close
 // concurrently.
 
 import (
@@ -255,6 +255,9 @@ func TestRuntimeServesMixedModels(t *testing.T) {
 	}
 }
 
+// TestSharedOutputsBitIdenticalAndReused: batches run through one leased
+// slot are bit-identical to a serial session and reuse the slot's plane,
+// while Runtime.InferBatch hands every call fresh memory of its own.
 func TestSharedOutputsBitIdenticalAndReused(t *testing.T) {
 	net, ds := fixture(emac.NewFloatN(8, 4), splitN)
 	want := make([][]float64, len(ds.X))
@@ -263,8 +266,13 @@ func TestSharedOutputsBitIdenticalAndReused(t *testing.T) {
 		want[i] = s.Infer(x)
 	}
 	m := &chunkModel{Model: net}
-	rt := startRuntime(t, m, 4, WithSharedOutputs())
-	got, err := rt.InferBatch(context.Background(), ds.X)
+	rt := startRuntime(t, m, 4)
+	slot, err := rt.AcquireFlushSlot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slot.Release()
+	got, err := slot.InferBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,25 +280,38 @@ func TestSharedOutputsBitIdenticalAndReused(t *testing.T) {
 	for i := range got {
 		for j := range got[i] {
 			if got[i][j] != want[i][j] {
-				t.Fatalf("shared sample %d logit %d: %v != %v", i, j, got[i][j], want[i][j])
+				t.Fatalf("slot sample %d logit %d: %v != %v", i, j, got[i][j], want[i][j])
 			}
 		}
 	}
-	// The second batch reuses the same backing memory (the whole point),
-	// and still carries correct values.
-	again, err := rt.InferBatch(context.Background(), ds.X)
+	// The slot's second batch reuses the same backing memory (the whole
+	// point), and still carries correct values.
+	again, err := slot.InferBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &again[0][0] != &got[0][0] {
-		t.Fatal("shared-output batch did not reuse its buffer")
+		t.Fatal("flush slot did not reuse its plane")
 	}
 	for i := range again {
 		for j := range again[i] {
 			if again[i][j] != want[i][j] {
-				t.Fatalf("second shared batch diverged at sample %d", i)
+				t.Fatalf("second slot batch diverged at sample %d", i)
 			}
 		}
+	}
+	// The caller-owned path never hands out the slot's plane or another
+	// call's.
+	owned, err := rt.InferBatch(context.Background(), ds.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := rt.InferBatch(context.Background(), ds.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &owned[0][0] == &got[0][0] || &owned[0][0] == &other[0][0] {
+		t.Fatal("Runtime.InferBatch returned memory it does not give away")
 	}
 }
 
@@ -307,13 +328,13 @@ func TestRuntimeRejectsMisshapenInput(t *testing.T) {
 }
 
 // TestSharedOutputsConcurrentConsumers hammers PredictBatch/Accuracy
-// concurrently on a shared-output runtime: classes must be computed from
-// the caller's own batch, never another batch's logits (the shared
-// buffer is consumed under its lock). Run under -race in CI.
+// concurrently on one runtime: classes must be computed from the
+// caller's own batch, never another batch's logits (every call decodes
+// into its own plane). Run under -race in CI.
 func TestSharedOutputsConcurrentConsumers(t *testing.T) {
 	net, ds := fixture(emac.NewPosit(8, 0), splitN)
 	m := &chunkModel{Model: net}
-	rt := startRuntime(t, m, 4, WithSharedOutputs())
+	rt := startRuntime(t, m, 4)
 	wantClasses, err := rt.PredictBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,18 @@
 package registry
 
 // The dynamic micro-batcher. positrond's HTTP clients mostly send one
-// sample per request, but the runtime's shared-output batch path (0
-// allocs/op steady state) amortises scheduling and decode costs across a
-// whole batch. By default the batcher is work-conserving, like the
-// paper's EMAC pipeline, which streams each input as it arrives: a
-// request that finds a free flush plane flushes at once, alone. Only
-// requests arriving while every plane is busy queue, and each finishing
-// flush takes up to maxBatch of them as the next flush — batch size
-// follows load, not a clock.
+// sample per request, but the runtime's batch path amortises scheduling
+// and decode costs across a whole batch. By default the batcher is
+// work-conserving, like the paper's EMAC pipeline, which streams each
+// input as it arrives: a request that finds a free flush plane flushes
+// at once, alone. Only requests arriving while every plane is busy
+// queue, and each finishing flush takes up to maxBatch of them as the
+// next flush — batch size follows load, not a clock.
 //
 // Every flush leases one of the runtime's D result planes
-// (engine.AcquireFlushSlot), so flush N+1 computes while flush N's
-// results are still being demultiplexed. Bit-identity is unaffected:
+// (engine.AcquireFlushSlot), copies its logits out into one caller-owned
+// allocation and releases the plane, so flush N+1 computes while flush
+// N's results are still being demultiplexed. Bit-identity is unaffected:
 // samples are independent, and each flush computes into its own plane.
 
 import (
@@ -31,13 +31,6 @@ var ErrBatcherClosed = errors.New("registry: batcher closed")
 // DefaultMaxBatch bounds a coalesced flush when no limit is configured.
 const DefaultMaxBatch = 64
 
-// DefaultFlushPipeline is the flush-slot plane count the registry gives
-// its runtimes when none is configured: two planes — compute
-// flush N while flush N−1 demuxes — captures most of the overlap win at
-// one extra result plane of memory (the Langroudi et al. bounded-memory
-// framing: depth is a budget, not a free variable).
-const DefaultFlushPipeline = 2
-
 // call is one in-flight single-sample request waiting for its flush.
 // ctx is the caller's context: a call whose ctx is done by flush time is
 // dropped from the batch instead of burning an EMAC slot computing a
@@ -52,16 +45,14 @@ type call struct {
 	done   chan struct{}
 }
 
-// Batcher coalesces single-sample Infer calls in front of one
-// shared-output Runtime. All methods are safe for concurrent use. Every
-// inference — coalesced flushes and explicit InferBatch calls alike —
-// runs through a leased flush slot, and results are copied out of the
-// slot's plane before it is released; with D > 1 planes, flushes
-// pipeline.
+// Batcher coalesces single-sample Infer calls in front of one Runtime.
+// All methods are safe for concurrent use. Every inference — coalesced
+// flushes and explicit InferBatch calls alike — runs through a leased
+// flush slot, and results are copied out of the slot's plane before it
+// is released; with D > 1 planes, flushes pipeline.
 type Batcher struct {
 	rt       *engine.Runtime
 	maxBatch int
-	depth    int
 	metrics  *Metrics
 	inDim    int
 	outDim   int
@@ -72,8 +63,9 @@ type Batcher struct {
 	closed  bool
 
 	// running counts work-conserving flushes in progress. Calls queue
-	// only while running == depth, and only a flush that finds the queue
-	// empty decrements it, so a queued call always has a flush to take it.
+	// only while running equals the runtime's pipeline depth, and only a
+	// flush that finds the queue empty decrements it, so a queued call
+	// always has a flush to take it.
 	running int
 
 	// flights counts in-progress runtime operations (flushes and direct
@@ -82,17 +74,16 @@ type Batcher struct {
 	flights sync.WaitGroup
 }
 
-// NewBatcher wraps a runtime with a micro-batcher. The runtime must be
-// built with engine.WithSharedOutputs: every flush leases one of its
-// flush slots, and over any other runtime every inference fails. A
-// finishing flush takes up at most maxBatch queued calls (maxBatch <= 1
-// flushes every call alone). metrics may be nil.
+// NewBatcher wraps a runtime with a micro-batcher. Every flush leases one
+// of the runtime's flush slots, so as many flushes run at once as the
+// runtime has planes (engine.WithFlushPipeline). A finishing flush takes
+// up at most maxBatch queued calls (maxBatch <= 1 flushes every call
+// alone). metrics may be nil.
 func NewBatcher(rt *engine.Runtime, maxBatch int, metrics *Metrics) *Batcher {
 	m := rt.Model()
 	return &Batcher{
 		rt:       rt,
 		maxBatch: maxBatch,
-		depth:    max(rt.FlushPipelineDepth(), 1),
 		metrics:  metrics,
 		inDim:    m.InputDim(),
 		outDim:   m.OutputDim(),
@@ -159,7 +150,7 @@ func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
 		b.mu.Unlock()
 		return nil, ErrBatcherClosed
 	}
-	if b.running < b.depth {
+	if b.running < b.rt.FlushPipelineDepth() {
 		// A free plane: flush this call alone, on this goroutine.
 		b.running++
 		b.flights.Add(1)

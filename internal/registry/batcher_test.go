@@ -10,12 +10,12 @@ import (
 	"repro/internal/engine"
 )
 
-// newTestBatcher builds a shared-output runtime (as the registry does)
-// plus a reference runtime-free inferer for ground truth.
+// newTestBatcher builds a two-worker runtime (with the default flush
+// pipeline, as the registry does) and a micro-batcher over it.
 func newTestBatcher(t *testing.T, maxBatch int) (*Batcher, *Metrics) {
 	t.Helper()
 	model := posit8Model(11)
-	rt, err := engine.NewRuntime(model, engine.WithWorkers(2), engine.WithSharedOutputs())
+	rt, err := engine.NewRuntime(model, engine.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,44 +101,6 @@ func TestBatcherExplicitBatchMatches(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBatcherRequiresSharedRuntime: every flush leases a result plane,
-// so over an ordinary (allocating) runtime single and batch inferences
-// fail with an error — never a hang, never an answer.
-func TestBatcherRequiresSharedRuntime(t *testing.T) {
-	rt, err := engine.NewRuntime(posit8Model(12), engine.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Close() })
-	m := &Metrics{}
-	b := NewBatcher(rt, 8, m)
-	const n = 4
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			_, err := b.Infer(context.Background(), testInput(i))
-			errs <- err
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case err := <-errs:
-			if err == nil {
-				t.Fatal("single inference served over an unshared runtime")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("single inference hung over an unshared runtime")
-		}
-	}
-	if _, err := b.InferBatch(context.Background(), [][]float64{testInput(0)}); err == nil {
-		t.Fatal("batch served over an unshared runtime")
-	}
-	b.Close()
-	if snap := m.Snapshot(); snap.Batches != 0 {
-		t.Fatalf("failed inferences recorded flushes: %+v", snap)
 	}
 }
 

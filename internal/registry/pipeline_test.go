@@ -85,7 +85,7 @@ func queueBehindPinnedPlanes(t *testing.T, depth, maxBatch, n int) (b *Batcher, 
 	gate := make(chan struct{})
 	model := &gatedModel{Model: posit8Model(49), gate: gate}
 	rt, err := engine.NewRuntime(model,
-		engine.WithWorkers(depth), engine.WithSharedOutputs(), engine.WithFlushPipeline(depth))
+		engine.WithWorkers(depth), engine.WithFlushPipeline(depth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCloseWithCallersQueuedBehindBusyPlanes(t *testing.T) {
 // another's results.
 func TestPipelinedBitIdentityAtDepth2(t *testing.T) {
 	h := newHandle(t, &slowModel{Model: posit8Model(47), delay: 10 * time.Millisecond},
-		WithFlushPipeline(2),
+		WithRuntimeOptions(engine.WithFlushPipeline(2)),
 		WithMaxBatch(4),
 	)
 	if d := h.Runtime().FlushPipelineDepth(); d != 2 {
@@ -306,7 +306,7 @@ func TestPipelinedBitIdentityAtDepth2(t *testing.T) {
 func TestCloseMidPipelineDrains(t *testing.T) {
 	model := &slowModel{Model: posit8Model(48), delay: 20 * time.Millisecond}
 	rt, err := engine.NewRuntime(model,
-		engine.WithWorkers(2), engine.WithSharedOutputs(), engine.WithFlushPipeline(2))
+		engine.WithWorkers(2), engine.WithFlushPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}

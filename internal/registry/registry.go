@@ -52,18 +52,16 @@ type config struct {
 	maxBatch    int
 	maxInFlight int
 	reqTimeout  time.Duration
-	flushDepth  int
 	store       store.Store
 }
 
 // Option configures a Registry at construction.
 type Option func(*config)
 
-// WithRuntimeOptions sets the engine options (worker count, queue depth)
-// applied to every per-model runtime the registry builds.
-// engine.WithSharedOutputs and engine.WithFlushPipeline are implied: the
-// batcher leases a result plane per flush and copies results out, so
-// every flush rides the allocation-free batch path.
+// WithRuntimeOptions sets the engine options (worker count, queue depth,
+// flush-pipeline depth) applied, as given, to every per-model runtime the
+// registry builds. The flush-pipeline depth is also how many
+// work-conserving flushes run at once before requests start to queue.
 func WithRuntimeOptions(opts ...engine.Option) Option {
 	return func(c *config) { c.rtOpts = append(c.rtOpts, opts...) }
 }
@@ -83,16 +81,6 @@ func WithMaxBatch(n int) Option {
 // to 429. n <= 0 (the default) leaves admission unlimited.
 func WithMaxInFlight(n int) Option {
 	return func(c *config) { c.maxInFlight = n }
-}
-
-// WithFlushPipeline sets the flush-pipeline depth D for every runtime
-// the registry builds: D leasable result planes, so the runtime computes
-// flush N while flush N−1's results demux and flush N+1 accumulates. It
-// is also how many work-conserving flushes run at once before requests
-// start to queue. d = 1 serialises flushes (the pre-pipeline behaviour);
-// d <= 0 resets to DefaultFlushPipeline.
-func WithFlushPipeline(d int) Option {
-	return func(c *config) { c.flushDepth = d }
 }
 
 // WithStore sets the content-addressed artifact store behind the
@@ -181,9 +169,6 @@ func New(opts ...Option) *Registry {
 	cfg := config{maxBatch: DefaultMaxBatch}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.flushDepth <= 0 {
-		cfg.flushDepth = DefaultFlushPipeline
 	}
 	if cfg.store == nil {
 		cfg.store = store.NewMem()
@@ -413,10 +398,7 @@ func (r *Registry) loadEntry(name string, key, hash artifact.Hash, artBytes int6
 	}
 	r.mu.Unlock()
 
-	// The batcher leases a result plane per flush and copies results out.
-	opts := append([]engine.Option{}, r.cfg.rtOpts...)
-	opts = append(opts, engine.WithSharedOutputs(), engine.WithFlushPipeline(r.cfg.flushDepth))
-	rt, err := engine.NewRuntime(model, opts...)
+	rt, err := engine.NewRuntime(model, r.cfg.rtOpts...)
 	if err != nil {
 		return err
 	}
@@ -484,10 +466,10 @@ func (h *Handle) Model() core.Model { return h.e.model }
 // ContentHash returns the model's artifact content address.
 func (h *Handle) ContentHash() artifact.Hash { return h.e.hash }
 
-// Runtime returns the model's worker-pool runtime. It is built with
-// shared outputs: call it through Batcher (which leases a result plane
-// per flush and copies results out) rather than invoking InferBatch
-// directly.
+// Runtime returns the model's worker-pool runtime. Its InferBatch returns
+// caller-owned rows and is safe to call beside the batcher, but it
+// bypasses the micro-batcher, admission and the serving metrics; the
+// batcher's flushes lease the runtime's flush slots.
 func (h *Handle) Runtime() *engine.Runtime { return h.e.rt }
 
 // Batcher returns the model's micro-batcher — the inference entry point.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -65,8 +66,9 @@ func TestLoadAcquireUnload(t *testing.T) {
 	}
 }
 
-// TestSharedOutputsTracksBatching: every entry rides the shared-output
-// (0 allocs/op) runtime path with a flush pipeline.
+// TestSharedOutputsTracksBatching: every entry's runtime owns the
+// engine's default flush pipeline, so the batcher's flushes pipeline
+// without any registry option.
 func TestSharedOutputsTracksBatching(t *testing.T) {
 	r := New(WithRuntimeOptions(engine.WithWorkers(1)))
 	t.Cleanup(func() { r.Close() })
@@ -80,12 +82,73 @@ func TestSharedOutputsTracksBatching(t *testing.T) {
 	// Released before the registry closes, even on failure: a held
 	// handle would block Close on the entry's drain.
 	t.Cleanup(h.Release)
-	if !h.Runtime().SharedOutputs() {
-		t.Fatal("runtime not shared-output")
+	if d := h.Runtime().FlushPipelineDepth(); d != engine.DefaultFlushPipeline {
+		t.Fatalf("FlushPipelineDepth = %d, want %d", d, engine.DefaultFlushPipeline)
 	}
-	if d := h.Runtime().FlushPipelineDepth(); d != DefaultFlushPipeline {
-		t.Fatalf("FlushPipelineDepth = %d, want %d", d, DefaultFlushPipeline)
+}
+
+// TestRuntimeOptionsSetFlushPipeline: the flush-pipeline depth given in
+// WithRuntimeOptions reaches the served runtime, its stat record and its
+// batcher, which runs that many lone flushes before a call queues.
+func TestRuntimeOptionsSetFlushPipeline(t *testing.T) {
+	h, open := newParkingRegistry(t, WithRuntimeOptions(engine.WithFlushPipeline(3)))
+	st, err := h.r.Stat("m")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st.FlushPipeline != 3 {
+		t.Fatalf("Stat FlushPipeline = %d, want 3", st.FlushPipeline)
+	}
+	if n := h.Batcher().Flushing(); n != 3 {
+		t.Fatalf("%d flushes running with 3 planes pinned, want 3", n)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.Batcher().Infer(context.Background(), testInput(3))
+		done <- err
+	}()
+	waitFor(t, "a fourth call queueing", func() bool { return h.Batcher().Queued() == 1 })
+	open()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHandleRuntimeInferBatchIsCallerOwned: a served model's runtime
+// hands every InferBatch call rows of its own, so goroutines calling it
+// beside each other, with different inputs, each read their own logits.
+// CI runs it under -race.
+func TestHandleRuntimeInferBatchIsCallerOwned(t *testing.T) {
+	h := newAdmissionRegistry(t)
+	ref := h.Model().NewInferer()
+	inputs := [2][][]float64{{testInput(0)}, {testInput(1)}}
+	want := [2][]float64{ref.Infer(inputs[0][0]), ref.Infer(inputs[1][0])}
+	if want[0][0] == want[1][0] {
+		t.Fatalf("inputs share their first logit %v; pick inputs that differ", want[0][0])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g + i) % 2
+				out, err := h.Runtime().InferBatch(context.Background(), inputs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched() // let another caller's batch land before this one reads
+				for j, v := range want[k] {
+					if out[0][j] != v {
+						t.Errorf("goroutine %d call %d logit %d: %v, want %v", g, i, j, out[0][j], v)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestInvalidNames(t *testing.T) {

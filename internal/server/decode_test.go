@@ -244,7 +244,7 @@ func (g *gateInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
 func TestBatchPlaneLifetime(t *testing.T) {
 	m, test := irisModel(t)
 	gm := &gateModel{Model: m, calls: make(chan gateCall), open: make(chan struct{})}
-	reg := registry.New(registry.WithFlushPipeline(2), registry.WithRuntimeOptions(engine.WithWorkers(1)))
+	reg := registry.New(registry.WithRuntimeOptions(engine.WithWorkers(1), engine.WithFlushPipeline(2)))
 	if err := reg.Load("iris", gm); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/registry"
 )
@@ -50,7 +51,7 @@ func newPipelineServer(t *testing.T) (*httptest.Server, core.Model, *datasets.Da
 	m, test := irisModel(t)
 	reg := registry.New(
 		registry.WithMaxBatch(4),
-		registry.WithFlushPipeline(2),
+		registry.WithRuntimeOptions(engine.WithFlushPipeline(2)),
 	)
 	if err := reg.Load("iris", &slowModel{Model: m, delay: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)

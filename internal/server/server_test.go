@@ -546,7 +546,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	})
 	// The pins' lone flushes count beside the burst.
-	pins := int64(registry.DefaultFlushPipeline)
+	pins := int64(engine.DefaultFlushPipeline)
 
 	var metrics struct {
 		Models []struct {

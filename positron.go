@@ -254,8 +254,8 @@ type RuntimeOption = engine.Option
 var ErrRuntimeClosed = engine.ErrClosed
 
 // NewRuntime starts an inference runtime over any Model, or returns the
-// model's Validate error. Options: WithWorkers, WithQueueDepth,
-// WithSharedOutputs. Call Close to release the pool.
+// model's Validate error. Options: WithWorkers, WithQueueDepth. Call
+// Close to release the pool.
 func NewRuntime(m Model, opts ...RuntimeOption) (*Runtime, error) {
 	return engine.NewRuntime(m, opts...)
 }
@@ -267,11 +267,6 @@ func WithWorkers(n int) RuntimeOption { return engine.WithWorkers(n) }
 // WithQueueDepth sets the job-queue capacity (n <= 0 selects twice the
 // worker count, the default).
 func WithQueueDepth(n int) RuntimeOption { return engine.WithQueueDepth(n) }
-
-// WithSharedOutputs makes InferBatch decode logits into a runtime-owned
-// buffer reused across calls — allocation-free dataset sweeps; the
-// returned slices are valid only until the next InferBatch call.
-func WithSharedOutputs() RuntimeOption { return engine.WithSharedOutputs() }
 
 // --- the multi-model serving registry ---
 
