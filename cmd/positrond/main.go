@@ -317,9 +317,9 @@ func main() {
 		if stat.Name == def {
 			marker = "*"
 		}
-		fmt.Printf("positrond: %s %-20s %s (%s, %d features -> %d classes, %d workers, max batch %d, sha256:%.12s)\n",
+		fmt.Printf("positrond: %s %-20s %s (%s, %d features -> %d classes, %d workers, max batch %d, flush pipeline %d, sha256:%.12s)\n",
 			marker, stat.Name, stat.Model, stat.Kind, stat.InputDim, stat.OutputDim,
-			stat.Workers, stat.MaxBatch, stat.ContentHash)
+			stat.Workers, stat.MaxBatch, stat.FlushPipeline, stat.ContentHash)
 	}
 	if *storeDir != "" {
 		st := reg.StoreStats()
@@ -330,9 +330,6 @@ func main() {
 	}
 	if *storeGC > 0 {
 		fmt.Printf("positrond: artifact store GC every %s\n", *storeGC)
-	}
-	if *maxBatch > 1 {
-		fmt.Printf("positrond: flush pipeline depth %d per model\n", *flushPipeline)
 	}
 	if *maxInFlight > 0 || *requestTimeout > 0 {
 		fmt.Printf("positrond: admission control: max in-flight %d (0 = unlimited), request timeout %s\n",

@@ -1,8 +1,9 @@
 // Package bitutil provides the small bit-level helpers shared by every
 // number-system package in this repository: leading-zero detection (the
 // hardware LZD block of the paper's Fig. 5), ceil-log2 sizing used by the
-// accumulator-width equations (3) and (4), masking, and a bit writer that
-// implements round-to-nearest-even at an arbitrary cut point.
+// accumulator-width equations (3) and (4), masking, the 128-bit shift and
+// square root of the division and square-root paths, and a bit writer
+// that implements round-to-nearest-even at an arbitrary cut point.
 package bitutil
 
 import (
@@ -99,6 +100,50 @@ func RoundNearestEven(q uint64, guard, sticky bool) uint64 {
 		return q + 1
 	}
 	return q
+}
+
+// Shl128 returns x << s as a 128-bit (hi, lo) pair; s < 128.
+func Shl128(x uint64, s uint) (hi, lo uint64) {
+	switch {
+	case s == 0:
+		return 0, x
+	case s < 64:
+		return x >> (64 - s), x << s
+	case s < 128:
+		return x << (s - 64), 0
+	default:
+		panic("bitutil: Shl128 shift out of range")
+	}
+}
+
+// Sqrt128 returns floor(sqrt(hi:lo)) by binary restoring digit
+// recurrence and reports whether a remainder exists (the sticky bit of a
+// rounded square root).
+func Sqrt128(hi, lo uint64) (root uint64, inexact bool) {
+	var remHi, remLo uint64
+	var r uint64
+	for i := 0; i < 64; i++ {
+		// Shift the next two radicand bits into the remainder.
+		for j := 0; j < 2; j++ {
+			carry := hi >> 63
+			hi = hi<<1 | lo>>63
+			lo <<= 1
+			remHi = remHi<<1 | remLo>>63
+			remLo = remLo<<1 | carry
+		}
+		// Trial subtrahend t = (r << 2) | 1.
+		tHi := r >> 62
+		tLo := r<<2 | 1
+		if remHi > tHi || (remHi == tHi && remLo >= tLo) {
+			var borrow uint64
+			remLo, borrow = bits.Sub64(remLo, tLo, 0)
+			remHi, _ = bits.Sub64(remHi, tHi, borrow)
+			r = r<<1 | 1
+		} else {
+			r <<= 1
+		}
+	}
+	return r, remHi|remLo != 0
 }
 
 // ZeroBytes counts the zero bytes of b, eight at a time: in each word,

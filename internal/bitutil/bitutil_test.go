@@ -1,6 +1,9 @@
 package bitutil
 
 import (
+	"math/big"
+	"math/bits"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -282,5 +285,77 @@ func TestRoundKey(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// u128 is hi:lo as a big integer.
+func u128(hi, lo uint64) *big.Int {
+	v := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+	return v.Or(v, new(big.Int).SetUint64(lo))
+}
+
+// words128 are 64-bit words at the edges (0, 1, powers of two and their
+// neighbours, all ones) and 200 random ones.
+func words128() []uint64 {
+	ws := []uint64{0, 1, 2, 3, ^uint64(0), ^uint64(0) - 1}
+	for s := uint(1); s < 64; s++ {
+		ws = append(ws, 1<<s-1, 1<<s, 1<<s+1)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for range 200 {
+		ws = append(ws, r.Uint64()>>r.UintN(64))
+	}
+	return ws
+}
+
+// TestShl128 checks x << s against math/big for every shift below 128,
+// and that a shift of 128 panics.
+func TestShl128(t *testing.T) {
+	mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 128), big.NewInt(1))
+	for _, x := range words128() {
+		for s := uint(0); s < 128; s++ {
+			want := new(big.Int).Lsh(new(big.Int).SetUint64(x), s)
+			want.And(want, mask)
+			if hi, lo := Shl128(x, s); u128(hi, lo).Cmp(want) != 0 {
+				t.Fatalf("Shl128(%#x, %d) = %#x:%#x, want %#x", x, s, hi, lo, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Shl128 by 128 did not panic")
+		}
+	}()
+	Shl128(1, 128)
+}
+
+// TestSqrt128 checks the root and its inexact flag against math/big's
+// integer square root, on pairs of edge and random words and on perfect
+// squares and their neighbours.
+func TestSqrt128(t *testing.T) {
+	check := func(hi, lo uint64) {
+		t.Helper()
+		v := u128(hi, lo)
+		want := new(big.Int).Sqrt(v)
+		exact := new(big.Int).Mul(want, want).Cmp(v) == 0
+		if root, inexact := Sqrt128(hi, lo); root != want.Uint64() || inexact == exact {
+			t.Fatalf("Sqrt128(%#x:%#x) = %#x, inexact %v; want %#x, inexact %v", hi, lo, root, inexact, want, !exact)
+		}
+	}
+	ws := words128()
+	for i, hi := range ws {
+		for _, lo := range ws[i%7:][:40] {
+			check(hi, lo)
+		}
+	}
+	for _, root := range ws {
+		hi, lo := bits.Mul64(root, root)
+		check(hi, lo)
+		l, c := bits.Add64(lo, 1, 0) // one above: root² + 1 < 2^128
+		check(hi+c, l)
+		if root != 0 {
+			l, b := bits.Sub64(lo, 1, 0) // one below
+			check(hi-b, l)
+		}
 	}
 }

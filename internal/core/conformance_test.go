@@ -7,9 +7,12 @@ package core_test
 // Network.Validate's own error.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -252,5 +255,69 @@ func TestEveryRouteRefusesMalformedNetworks(t *testing.T) {
 		if err := reg.Load(string(rune('a'+i)), net); err != nil {
 			t.Fatalf("%v: registry.Load: %v", net, err)
 		}
+	}
+}
+
+// TestRoundNearestFixedHasNoArtifact: neither artifact format has a
+// field for fixed-point round-to-nearest, so every route that writes,
+// hashes or loads an artifact refuses a network that uses it, uniform or
+// in one layer of a mixed one, rather than record its truncating twin.
+// The in-process routes, which the ablation runs on, keep serving it with
+// round-to-nearest.
+func TestRoundNearestFixedHasNoArtifact(t *testing.T) {
+	rne := emac.NewFixed(8, 4)
+	rne.RoundNearest = true
+	net := conformanceNet(rne)
+	p8 := emac.NewPosit(8, 0)
+	mixed := core.QuantizeMixed(nn.NewMLP([]int{3, 4, 4, 2}, rng.New(25)), []emac.Arithmetic{p8, rne, p8})
+	reg := registry.New(registry.WithRuntimeOptions(engine.WithWorkers(1)))
+	defer reg.Close()
+	for i, n := range []*core.Network{net, mixed} {
+		if _, err := n.MarshalJSON(); err == nil {
+			t.Errorf("%v: MarshalJSON accepted round-to-nearest", n)
+		}
+		if err := n.Save(filepath.Join(t.TempDir(), "rne.json")); err == nil {
+			t.Errorf("%v: Save accepted round-to-nearest", n)
+		}
+		if _, err := artifact.Encode(n); err == nil {
+			t.Errorf("%v: artifact.Encode accepted round-to-nearest", n)
+		}
+		if err := reg.Load(string(rune('a'+i)), n); err == nil {
+			t.Errorf("%v: registry.Load accepted round-to-nearest", n)
+		}
+	}
+	if st := reg.StoreStats(); st.Puts != 0 || st.Objects != 0 {
+		t.Errorf("a refused network reached the store: %+v", st)
+	}
+
+	// In process, both routes round to nearest: the truncating twin
+	// answers other logits on some of 50 inputs.
+	rt, err := engine.NewRuntime(net, engine.WithWorkers(1))
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	defer rt.Close()
+	r := rng.New(3)
+	xs := make([][]float64, 50)
+	for i := range xs {
+		xs[i] = []float64{r.NormMS(0, 2), r.NormMS(1, 2), r.NormMS(-1, 2)}
+	}
+	got, err := rt.InferBatch(context.Background(), xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, twin := net.NewSession(), conformanceNet(emac.NewFixed(8, 4)).NewSession()
+	differ := 0
+	for i, x := range xs {
+		want := s.Infer(x)
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("input %d: runtime %v, session %v", i, got[i], want)
+		}
+		if !slices.Equal(want, twin.Infer(x)) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("round-to-nearest served the truncating twin's logits on every input")
 	}
 }

@@ -50,7 +50,9 @@ func (n *Network) ArithSpecs() ([]ArithSpec, error) {
 }
 
 // DescribeArith lowers an arithmetic into its spec. It fails on
-// arithmetic implementations the artifact formats do not know.
+// arithmetic implementations the artifact formats do not know, and on
+// the fixed arm's round-to-nearest ablation, which neither format can
+// record: written as plain fixed, it would load as its truncating twin.
 func DescribeArith(a emac.Arithmetic) (ArithSpec, error) {
 	switch arm := a.(type) {
 	case emac.PositArith:
@@ -58,6 +60,9 @@ func DescribeArith(a emac.Arithmetic) (ArithSpec, error) {
 	case emac.FloatArith:
 		return ArithSpec{Family: "float", N: arm.F.N(), WE: arm.F.WE()}, nil
 	case emac.FixedArith:
+		if arm.RoundNearest {
+			return ArithSpec{}, fmt.Errorf("core: %s with round-to-nearest has no artifact form", arm.Name())
+		}
 		return ArithSpec{Family: "fixed", N: arm.F.N(), Q: arm.F.Q()}, nil
 	case emac.Float32Arith:
 		return ArithSpec{Family: "float32"}, nil

@@ -4,19 +4,21 @@ package emac
 // samples through one layer in a single fused call: activations are
 // decoded once per flush instead of once per sample, and the pre-decoded
 // weight traversal is cache-blocked so each row streams through many
-// samples while hot. The arms' fused datapaths
-// (internal/{posit,fixedpoint,minifloat} BatchDenseKernel) read and write
-// the Code planes in place through their generic ForwardBatch entry
-// points, and every one skips zero activations, which add nothing to the
-// exact sum:
+// samples while hot. Each arm's NewBatchDenseKernel
+// (internal/{posit,fixedpoint,minifloat}) takes the layer's Code weight
+// and bias patterns as they are, generic over ~uint64, and its fused
+// datapath (posit.ForwardBatch, fixedpoint.ForwardBatch, or
+// termtile.Forward for the float arm) reads and writes the Code planes in
+// place. Every one skips zero activations, which add nothing to the exact
+// sum:
 //
 //   - Posit layers with n <= 8 whose eq.-(4) register fits one word, and
 //     float layers with n <= 8 whose eq.-(3) register does, run one
-//     kernel, internal/termtile, over per-format tables the two arms
-//     build: term tables over 256-sample tiles. A tile column with
-//     enough zeros is compacted to its nonzero entries; the others keep
-//     the dense loop. Sums round through the tables rather than the
-//     encoder.
+//     kernel, internal/termtile, over per-format tables it builds and
+//     caches from what each arm's format supplies: term tables over
+//     256-sample tiles. A tile column with enough zeros is compacted to
+//     its nonzero entries; the others keep the dense loop. Sums round
+//     through the tables rather than the encoder.
 //   - Other posit layers up to a 128-bit register take exact int64
 //     windows over per-sample lists of nonzero activations, with a
 //     two-word fallback.
@@ -34,6 +36,7 @@ import (
 	"repro/internal/fixedpoint"
 	"repro/internal/minifloat"
 	"repro/internal/posit"
+	"repro/internal/termtile"
 )
 
 // BatchLayerKernel is a whole-flush batched layer datapath.
@@ -64,22 +67,10 @@ func (f fusedBatchKernel) ForwardBatchStrided(act, out []Code, b int) { f(act, o
 // datapath when the quire fits two words. The truncated-quire ablation
 // has no kernel tier.
 func (p PositArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool) {
-	if p.QuireDrop > 0 || len(w) == 0 || len(w[0]) == 0 {
+	if p.QuireDrop > 0 {
 		return nil, false
 	}
-	pw := make([][]posit.Posit, len(w))
-	for j, row := range w {
-		pr := make([]posit.Posit, len(row))
-		for i, c := range row {
-			pr[i] = p.F.FromBits(uint64(c))
-		}
-		pw[j] = pr
-	}
-	pb := make([]posit.Posit, len(b))
-	for j, c := range b {
-		pb[j] = p.F.FromBits(uint64(c))
-	}
-	if k, ok := posit.NewBatchDenseKernel(p.F, pw, pb); ok {
+	if k, ok := posit.NewBatchDenseKernel(p.F, w, b); ok {
 		return fusedBatchKernel(func(act, out []Code, b int) { posit.ForwardBatch(k, act, out, b) }), true
 	}
 	return nil, false
@@ -89,23 +80,8 @@ func (p PositArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 // term-table datapath when the format is at most 8 bits wide and the
 // register fits one word.
 func (p FloatArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool) {
-	if len(w) == 0 || len(w[0]) == 0 {
-		return nil, false
-	}
-	fw := make([][]minifloat.Float, len(w))
-	for j, row := range w {
-		fr := make([]minifloat.Float, len(row))
-		for i, c := range row {
-			fr[i] = p.F.FromBits(uint64(c))
-		}
-		fw[j] = fr
-	}
-	fb := make([]minifloat.Float, len(b))
-	for j, c := range b {
-		fb[j] = p.F.FromBits(uint64(c))
-	}
-	if k, ok := minifloat.NewBatchDenseKernel(p.F, fw, fb); ok {
-		return fusedBatchKernel(func(act, out []Code, b int) { minifloat.ForwardBatch(k, act, out, b) }), true
+	if k, ok := minifloat.NewBatchDenseKernel(p.F, w, b); ok {
+		return fusedBatchKernel(func(act, out []Code, b int) { termtile.Forward(k, act, out, b) }), true
 	}
 	return nil, false
 }
@@ -114,22 +90,7 @@ func (p FloatArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel,
 // signed-lane datapath when the format is at most 8 bits wide and the
 // register and lane bounds allow.
 func (p FixedArith) NewBatchLayerKernel(w [][]Code, b []Code) (BatchLayerKernel, bool) {
-	if len(w) == 0 || len(w[0]) == 0 {
-		return nil, false
-	}
-	fw := make([][]fixedpoint.Fixed, len(w))
-	for j, row := range w {
-		fr := make([]fixedpoint.Fixed, len(row))
-		for i, c := range row {
-			fr[i] = p.F.FromBits(uint64(c))
-		}
-		fw[j] = fr
-	}
-	fb := make([]fixedpoint.Fixed, len(b))
-	for j, c := range b {
-		fb[j] = p.F.FromBits(uint64(c))
-	}
-	if k, ok := fixedpoint.NewBatchDenseKernel(p.F, fw, fb, p.RoundNearest); ok {
+	if k, ok := fixedpoint.NewBatchDenseKernel(p.F, w, b, p.RoundNearest); ok {
 		return fusedBatchKernel(func(act, out []Code, b int) { fixedpoint.ForwardBatch(k, act, out, b) }), true
 	}
 	return nil, false

@@ -41,11 +41,13 @@ type BatchDenseKernel struct {
 	pk     []int64
 }
 
-// NewBatchDenseKernel builds the signed-lane batch kernel. ok is false
-// when the configuration has no packed fast path: the eq.-(3) register
-// is wider than 64 bits, the format is wider than 8 bits, or the fan-in
-// is large enough that a lane sum could reach 2^31 in magnitude.
-func NewBatchDenseKernel(f Format, w [][]Fixed, b []Fixed, roundNearest bool) (*BatchDenseKernel, bool) {
+// NewBatchDenseKernel builds the signed-lane batch kernel of a layer of
+// format f from its row-major weight matrix and bias vector, given as
+// n-bit patterns in any uint64-backed code type. ok is false when the
+// configuration has no packed fast path: the eq.-(3) register is wider
+// than 64 bits, the format is wider than 8 bits, or the fan-in is large
+// enough that a lane sum could reach 2^31 in magnitude.
+func NewBatchDenseKernel[C ~uint64](f Format, w [][]C, b []C, roundNearest bool) (*BatchDenseKernel, bool) {
 	f.mustValid()
 	out := len(w)
 	if out == 0 || len(b) != out || len(w[0]) == 0 {
@@ -79,30 +81,13 @@ func NewBatchDenseKernel(f Format, w [][]Fixed, b []Fixed, roundNearest bool) (*
 			panic("fixedpoint: BatchDenseKernel ragged weight matrix")
 		}
 		dst := k.w[j*in : (j+1)*in]
-		for i, v := range row {
-			if v.f != f {
-				panic("fixedpoint: BatchDenseKernel weight format mismatch")
-			}
-			dst[i] = v.v
+		for i, c := range row {
+			dst[i] = k.ext[uint8(c)]
 		}
-	}
-	for j, v := range b {
-		if v.f != f {
-			panic("fixedpoint: BatchDenseKernel bias format mismatch")
-		}
-		k.bq[j] = v.v << f.q
+		k.bq[j] = k.ext[uint8(b[j])] << f.q
 	}
 	return k, true
 }
-
-// In returns the layer fan-in.
-func (k *BatchDenseKernel) In() int { return k.in }
-
-// Out returns the layer width.
-func (k *BatchDenseKernel) Out() int { return k.out }
-
-// Format returns the kernel's fixed-point format.
-func (k *BatchDenseKernel) Format() Format { return k.f }
 
 // finish applies the per-sample readout to one dot product: bias,
 // sign-wrap to the register width, shift back to the stored scale
@@ -119,10 +104,10 @@ func (k *BatchDenseKernel) finish(j int, dot int64) uint64 {
 	return uint64(min(max(v, k.lo), k.hi)) & k.mask // FromRaw(v).Bits()
 }
 
-// ForwardBatch computes dst[s*k.Out()+j] = round(b[j] + Σ_i
-// W[j][i]·act[s*k.In()+i]) for every sample s: flat sample-major planes
-// of any uint64-backed code type, read and written in place, with
-// len(act) = b·In(), len(dst) = b·Out(). Not safe for concurrent use of
+// ForwardBatch computes dst[s*out+j] = round(b[j] + Σ_i
+// W[j][i]·act[s*in+i]) for every sample s: flat sample-major planes of
+// any uint64-backed code type, read and written in place, with len(act) =
+// b·in, len(dst) = b·out. Not safe for concurrent use of
 // one kernel.
 func ForwardBatch[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
 	if b < 0 || len(act) != b*k.in || len(dst) != b*k.out {

@@ -19,6 +19,23 @@ func randFixed(f Format, n int, r *rng.Source) []Fixed {
 	return out
 }
 
+// patterns returns a layer's weights and biases as the n-bit patterns
+// the kernel constructor takes.
+func patterns(w [][]Fixed, b []Fixed) ([][]uint64, []uint64) {
+	pw := make([][]uint64, len(w))
+	for j, row := range w {
+		pw[j] = make([]uint64, len(row))
+		for i, x := range row {
+			pw[j][i] = x.Bits()
+		}
+	}
+	pb := make([]uint64, len(b))
+	for j, x := range b {
+		pb[j] = x.Bits()
+	}
+	return pw, pb
+}
+
 // macForward is the reference the kernel is held to: one Accumulator per
 // row, driven through ResetToBias/MulAdd/Result for every sample of a flat
 // sample-major flush.
@@ -125,7 +142,8 @@ func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
 func checkBatchFlush(t *testing.T, f Format, w [][]Fixed, b []Fixed, act []uint64, rne bool) {
 	t.Helper()
 	in, out := len(w[0]), len(w)
-	bk, ok := NewBatchDenseKernel(f, w, b, rne)
+	pw, pb := patterns(w, b)
+	bk, ok := NewBatchDenseKernel(f, pw, pb, rne)
 	if !ok {
 		t.Fatalf("%v: no batch kernel for %dx%d", f, out, in)
 	}
@@ -227,21 +245,21 @@ func TestKernelRandomLayers(t *testing.T) {
 // activation at −2^(n−1), so every term is +2^(2n−2) — must still match
 // the accumulator in both lanes and in an odd tail.
 func TestBatchDenseKernelGates(t *testing.T) {
+	zw, zb := [][]uint64{{0}}, []uint64{0} // a 1x1 layer of zeros
 	for _, wide := range []Format{MustFormat(16, 8), MustFormat(9, 4)} {
-		w := [][]Fixed{{wide.Zero()}}
-		if _, ok := NewBatchDenseKernel(wide, w, []Fixed{wide.Zero()}, false); ok {
+		if _, ok := NewBatchDenseKernel(wide, zw, zb, false); ok {
 			t.Fatalf("%v must have no signed-lane batch kernel", wide)
 		}
 	}
 	f := MustFormat(8, 4)
-	bk, ok := NewBatchDenseKernel(f, [][]Fixed{{f.Zero()}}, []Fixed{f.Zero()}, false)
+	bk, ok := NewBatchDenseKernel(f, zw, zb, false)
 	if !ok {
 		t.Fatal("Q(8,4) 1x1 should qualify")
 	}
 	ForwardBatch[uint64](bk, nil, nil, 0) // empty flush must not panic
 
 	maxIn := 1<<(31-(2*f.N()-2)) - 1 // 131071 for n = 8
-	if _, ok := NewBatchDenseKernel(f, [][]Fixed{make([]Fixed, maxIn+1)}, []Fixed{f.Zero()}, false); ok {
+	if _, ok := NewBatchDenseKernel(f, [][]uint64{make([]uint64, maxIn+1)}, zb, false); ok {
 		t.Fatalf("fan-in %d must decline: its lane sum reaches 2^31", maxIn+1)
 	}
 	row := make([]Fixed, maxIn)

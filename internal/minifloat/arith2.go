@@ -5,7 +5,11 @@ package minifloat
 // number-system library should). Both are correctly rounded (RNE) with
 // the same clip-at-max overflow semantics as the rest of the package.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/bitutil"
+)
 
 // Div returns x/y with a single rounding. IEEE special cases: x/0 is
 // ±Inf for finite nonzero x (sign by XOR), 0/0 and Inf/Inf are NaN.
@@ -44,7 +48,7 @@ func (x Float) Div(y Float) Float {
 	if s < 1 {
 		s = 1
 	}
-	hi, lo := shl128(dx.sig, uint(s))
+	hi, lo := bitutil.Shl128(dx.sig, uint(s))
 	quo, rem := bits.Div64(hi, lo, dy.sig)
 	l := uint(bits.Len64(quo))
 	sf := dx.sf - dy.sf - int(dx.sigW) + int(dy.sigW) - s + int(l) - 1
@@ -73,8 +77,8 @@ func (x Float) Sqrt() Float {
 	if (e-shift)%2 != 0 {
 		shift++
 	}
-	hi, lo := shl128(d.sig, uint(shift))
-	root, inexact := sqrt128(hi, lo)
+	hi, lo := bitutil.Shl128(d.sig, uint(shift))
+	root, inexact := bitutil.Sqrt128(hi, lo)
 	l := uint(bits.Len64(root))
 	sf := (e-shift)/2 + int(l) - 1
 	return x.f.encode(false, sf, root, l, inexact)
@@ -93,44 +97,4 @@ func (x Float) FMA(y, z Float) Float {
 	a.AddFloat(z)
 	a.MulAdd(x, y)
 	return a.Result()
-}
-
-// shl128 and sqrt128 mirror the posit package helpers (kept local so the
-// two number-system packages stay independent).
-func shl128(x uint64, s uint) (hi, lo uint64) {
-	switch {
-	case s == 0:
-		return 0, x
-	case s < 64:
-		return x >> (64 - s), x << s
-	case s < 128:
-		return x << (s - 64), 0
-	default:
-		panic("minifloat: shl128 shift out of range")
-	}
-}
-
-func sqrt128(hi, lo uint64) (root uint64, inexact bool) {
-	var remHi, remLo uint64
-	var r uint64
-	for i := 0; i < 64; i++ {
-		for j := 0; j < 2; j++ {
-			carry := hi >> 63
-			hi = hi<<1 | lo>>63
-			lo <<= 1
-			remHi = remHi<<1 | remLo>>63
-			remLo = remLo<<1 | carry
-		}
-		tHi := r >> 62
-		tLo := r<<2 | 1
-		if remHi > tHi || (remHi == tHi && remLo >= tLo) {
-			var borrow uint64
-			remLo, borrow = bits.Sub64(remLo, tLo, 0)
-			remHi, _ = bits.Sub64(remHi, tHi, borrow)
-			r = r<<1 | 1
-		} else {
-			r <<= 1
-		}
-	}
-	return r, remHi|remLo != 0
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitutil"
 	"repro/internal/rng"
+	"repro/internal/termtile"
 )
 
 // Equivalence tests for the term-table batch kernel: it must be
@@ -20,6 +21,23 @@ func randFloats(f Format, n int, r *rng.Source) []Float {
 		out[i] = f.FromBits(r.Uint64() & f.Mask())
 	}
 	return out
+}
+
+// patterns returns a layer's weights and biases as the n-bit patterns
+// the kernel constructor takes.
+func patterns(w [][]Float, b []Float) ([][]uint64, []uint64) {
+	pw := make([][]uint64, len(w))
+	for j, row := range w {
+		pw[j] = make([]uint64, len(row))
+		for i, x := range row {
+			pw[j][i] = x.Bits()
+		}
+	}
+	pb := make([]uint64, len(b))
+	for j, x := range b {
+		pb[j] = x.Bits()
+	}
+	return pw, pb
 }
 
 // macForward is the reference the kernel is held to: one Accumulator per
@@ -47,13 +65,14 @@ func macForward(f Format, w [][]Float, b []Float, act []uint64) []uint64 {
 func checkBatchFlush(t *testing.T, f Format, w [][]Float, b []Float, act []uint64) {
 	t.Helper()
 	in, out := len(w[0]), len(w)
-	bk, ok := NewBatchDenseKernel(f, w, b)
+	pw, pb := patterns(w, b)
+	bk, ok := NewBatchDenseKernel(f, pw, pb)
 	if !ok {
 		t.Fatalf("%v: no batch kernel for %dx%d", f, out, in)
 	}
 	batch := len(act) / in
 	got := make([]uint64, batch*out)
-	ForwardBatch(bk, act, got, batch)
+	termtile.Forward(bk, act, got, batch)
 	for i, wb := range macForward(f, w, b, act) {
 		if s, j := i/out, i%out; got[i] != wb {
 			t.Fatalf("%v %dx%d b=%d: sample %d row %d (bias %#x, act %#x): batch %#x, accumulator %#x",
@@ -136,20 +155,21 @@ func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
 
 // TestBatchDenseKernelGates checks the decline conditions.
 func TestBatchDenseKernelGates(t *testing.T) {
+	zw, zb := [][]uint64{{0}}, []uint64{0} // a 1x1 layer of zeros
 	f := MustFormat(4, 3)
-	bk, ok := NewBatchDenseKernel(f, [][]Float{{f.Zero()}}, []Float{f.Zero()})
+	bk, ok := NewBatchDenseKernel(f, zw, zb)
 	if !ok {
 		t.Fatal("float(4,3) 1x1 should qualify")
 	}
-	ForwardBatch[uint64](bk, nil, nil, 0) // empty flush must not panic
-	wide := MustFormat(5, 10)             // 16-bit: too wide to enumerate
-	if _, ok := NewBatchDenseKernel(wide, [][]Float{{wide.Zero()}}, []Float{wide.Zero()}); ok {
+	termtile.Forward[uint64](bk, nil, nil, 0) // empty flush must not panic
+	wide := MustFormat(5, 10)                 // 16-bit: too wide to enumerate
+	if _, ok := NewBatchDenseKernel(wide, zw, zb); ok {
 		t.Fatal("16-bit float must have no term-table batch kernel")
 	}
 	// float(8) with we=5 spans 2^-16..2^16: its register is 66 bits even
 	// at fan-in 1, so its layers run the MAC bank.
 	f52 := MustFormat(5, 2)
-	if _, ok := NewBatchDenseKernel(f52, [][]Float{{f52.Zero()}}, []Float{f52.Zero()}); ok {
+	if _, ok := NewBatchDenseKernel(f52, zw, zb); ok {
 		t.Fatalf("%v: register of %d bits must have no batch kernel", f52, AccumSize(f52, 1))
 	}
 }
@@ -225,21 +245,22 @@ func TestKernelRandomLayers(t *testing.T) {
 
 // TestTermTablesMatchFormat checks the tables of every float(n <= 8)
 // format with a term-table kernel exhaustively: each activation byte's
-// classification, each pattern's negation, and the rounding of register
-// magnitudes of every bit length, ties and sticky tails included, through
-// Round and Neg against the encoder.
+// classification, each pattern's negation and bias term, and the
+// rounding of register magnitudes of every bit length, ties and sticky
+// tails included, through Round and Neg against the encoder.
 func TestTermTablesMatchFormat(t *testing.T) {
 	r := rng.New(23)
 	for we := uint(2); we <= 7; we++ {
 		for wf := uint(0); 1+we+wf <= 8; wf++ {
 			f := MustFormat(we, wf)
-			if _, ok := NewBatchDenseKernel(f, [][]Float{{f.Zero()}}, []Float{f.Zero()}); !ok {
+			if _, ok := NewBatchDenseKernel(f, [][]uint64{{0}}, []uint64{0}); !ok {
 				continue // register wider than a word: no kernel
 			}
-			tab := f.termTables()
+			tab := termtile.TablesOf(termFormat(f))
 			if tab.Special != f.NaN().Bits() {
 				t.Fatalf("%v: special %#x", f, tab.Special)
 			}
+			fb := 2 * (f.Bias() - 1 + int(f.wf))
 			for p := range 256 {
 				x := f.FromBits(uint64(p) & f.Mask())
 				want := uint16(x.Bits())
@@ -256,8 +277,14 @@ func TestTermTablesMatchFormat(t *testing.T) {
 				if x.IsNaN() != neg.IsNaN() || !x.IsNaN() && math.Float64bits(neg.Float64()) != math.Float64bits(-x.Float64()) {
 					t.Fatalf("%v: Neg[%#x] = %v, want -%v", f, p, neg, x)
 				}
+				var bias float64 // a special's term is 0: Act flags it
+				if want < 1<<8 {
+					bias = math.Ldexp(x.Float64(), fb)
+				}
+				if float64(tab.Bias[p]) != bias {
+					t.Fatalf("%v: Bias[%#x] = %d, want %v", f, p, tab.Bias[p], bias)
+				}
 			}
-			fb := 2 * (f.Bias() - 1 + int(f.wf))
 			check := func(m uint64, sign bool) {
 				var got, want uint64
 				if m != 0 {

@@ -137,27 +137,13 @@ func (p Posit) Div(q Posit) Posit {
 	if s < 1 {
 		s = 1
 	}
-	hi, lo := shl128(dp.sig, uint(s))
+	hi, lo := bitutil.Shl128(dp.sig, uint(s))
 	quo, rem := bits.Div64(hi, lo, dq.sig)
 	sticky := rem != 0
 	l := uint(bits.Len64(quo))
 	// value = Q × 2^(-s) × 2^(sf_p - sf_q - (w_p-1) + (w_q-1))
 	sf := dp.sf - dq.sf - int(dp.sigW) + int(dq.sigW) - s + int(l) - 1
 	return p.f.encode(dp.sign != dq.sign, sf, quo, l, sticky)
-}
-
-// shl128 returns x << s as a 128-bit (hi, lo) pair; s < 128.
-func shl128(x uint64, s uint) (hi, lo uint64) {
-	switch {
-	case s == 0:
-		return 0, x
-	case s < 64:
-		return x >> (64 - s), x << s
-	case s < 128:
-		return x << (s - 64), 0
-	default:
-		panic("posit: shl128 shift out of range")
-	}
 }
 
 // FMA returns p*q + r with a single rounding, using a two-product quire
@@ -191,38 +177,9 @@ func (p Posit) Sqrt() Posit {
 	if (e-shift)%2 != 0 {
 		shift++
 	}
-	hi, lo := shl128(d.sig, uint(shift))
-	root, rem := sqrt128(hi, lo)
+	hi, lo := bitutil.Shl128(d.sig, uint(shift))
+	root, rem := bitutil.Sqrt128(hi, lo)
 	l := uint(bits.Len64(root))
 	sf := (e-shift)/2 + int(l) - 1
 	return p.f.encode(false, sf, root, l, rem)
-}
-
-// sqrt128 computes floor(sqrt(hi:lo)) by binary restoring digit recurrence
-// and reports whether a remainder exists (for sticky).
-func sqrt128(hi, lo uint64) (root uint64, inexact bool) {
-	var remHi, remLo uint64
-	var r uint64
-	for i := 0; i < 64; i++ {
-		// Shift the next two radicand bits into the remainder.
-		for j := 0; j < 2; j++ {
-			carry := hi >> 63
-			hi = hi<<1 | lo>>63
-			lo <<= 1
-			remHi = remHi<<1 | remLo>>63
-			remLo = remLo<<1 | carry
-		}
-		// Trial subtrahend t = (r << 2) | 1.
-		tHi := r >> 62
-		tLo := r<<2 | 1
-		if remHi > tHi || (remHi == tHi && remLo >= tLo) {
-			var borrow uint64
-			remLo, borrow = bits.Sub64(remLo, tLo, 0)
-			remHi, _ = bits.Sub64(remHi, tHi, borrow)
-			r = r<<1 | 1
-		} else {
-			r <<= 1
-		}
-	}
-	return r, remHi|remLo != 0
 }

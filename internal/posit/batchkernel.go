@@ -7,8 +7,8 @@ package posit
 // eq.-(4) register is at most two words (128 bits), in one of two tiers:
 //
 //   - Term tables, for formats narrow enough to enumerate (n <= 8) whose
-//     register fits one word: the termtile kernel over this format's
-//     tables (termTables). They hold the full signed MAC contribution
+//     register fits one word: the termtile kernel over the tables it
+//     builds from termFormat. They hold the full signed MAC contribution
 //     ±(sig_w·sig_a) << (fb+adj_w+adj_a) of every (weight, activation)
 //     pattern pair, map NaR to the special flag and round each sum
 //     through a table keyed by its bit length and top bits
@@ -35,7 +35,6 @@ package posit
 import (
 	"math/bits"
 
-	"repro/internal/bitutil"
 	"repro/internal/termtile"
 )
 
@@ -45,68 +44,6 @@ import (
 // than the whole flush, and the flush scratch stays O(in × batchTile)
 // whatever the flush size.
 const batchTile = 64
-
-// termTables returns f's term-tier tables (f.n <= 8), building and
-// caching them on first use. Terms are at the quire's fraction depth fb,
-// and Round holds the pattern of each positive m × 2^-fb. Memory cost:
-// 2^n × 256 × 8 bytes of terms (512 KiB at n = 8) and 16 KiB of rounding.
-func (f Format) termTables() *termtile.Tables {
-	if t := termTabs[f.n][f.es].Load(); t != nil {
-		return t
-	}
-	// Build the decode table first: tabMu is not reentrant.
-	dec := f.decTab()
-	tabMu.Lock()
-	defer tabMu.Unlock()
-	if t := termTabs[f.n][f.es].Load(); t != nil {
-		return t
-	}
-	fb := int((uint(1) << (f.es + 1)) * (f.n - 2))
-	mask, count := f.Mask(), 1<<f.n
-	t := &termtile.Tables{
-		Terms:   make([]int64, count<<8),
-		Round:   new([64 << 8]uint8),
-		Special: f.NaR().bits,
-	}
-	for p := range t.Act {
-		q := uint64(p) & mask
-		switch predecodeBits(f, dec, q).cls {
-		case pdReal:
-			t.Act[p] = uint16(q)
-		case pdNaR:
-			t.Act[p] = 1 << 8
-		}
-		t.Neg[p] = uint8(-q & mask)
-	}
-	for wb := 0; wb < count; wb++ {
-		wd := predecodeBits(f, dec, uint64(wb))
-		if wd.cls != pdReal {
-			continue // zero/NaR rows stay all-zero
-		}
-		row := t.Terms[wb<<8 : (wb+1)<<8]
-		for ab := 0; ab < count; ab++ {
-			ad := predecodeBits(f, dec, uint64(ab))
-			if ad.cls != pdReal {
-				continue
-			}
-			// The exact product's term: the significand product shifted
-			// to the quire's fraction depth, signed by the XOR mask (two's
-			// complement in uint64 is the int64 bit pattern).
-			v := wd.sig * ad.sig << uint(fb+int(wd.adj)+int(ad.adj))
-			sm := wd.sgn ^ ad.sgn
-			row[ab] = int64((v ^ sm) - sm)
-		}
-	}
-	// An n <= 8 posit keeps at most five fraction bits, so the key decides
-	// the rounding.
-	for key := range t.Round {
-		m := bitutil.RoundKeyValue(key)
-		l := bits.Len64(m)
-		t.Round[key] = uint8(f.encode(false, l-1-fb, m, uint(l), false).bits)
-	}
-	termTabs[f.n][f.es].Store(t)
-	return t
-}
 
 // BatchDenseKernel holds the pre-decoded parameters and reused flush
 // scratch for one layer. Not safe for concurrent use.
@@ -149,11 +86,12 @@ type BatchDenseKernel struct {
 }
 
 // NewBatchDenseKernel pre-decodes a row-major weight matrix (out rows of
-// in weights) and bias vector of format f into a batched layer kernel.
-// ok is false when this configuration has no batched fast path: the
-// eq.-(4) quire for this fan-in is wider than two machine words (or the
-// fan-in reaches 2^24, beyond the window tier's packed index).
-func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, bool) {
+// in weights) and bias vector of format f, given as n-bit patterns in any
+// uint64-backed code type, into a batched layer kernel. ok is false when
+// this configuration has no batched fast path: the eq.-(4) quire for this
+// fan-in is wider than two machine words (or the fan-in reaches 2^24,
+// beyond the window tier's packed index).
+func NewBatchDenseKernel[C ~uint64](f Format, w [][]C, b []C) (*BatchDenseKernel, bool) {
 	f.mustValid()
 	out := len(w)
 	if out == 0 || len(b) != out || len(w[0]) == 0 {
@@ -166,7 +104,8 @@ func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, b
 	}
 	k := &BatchDenseKernel{f: f, in: in, out: out}
 	if f.n <= opTabMaxN && width <= 64 {
-		k.term = newTermKernel(f, w, b)
+		// The quire never wraps: sums take the full 64-bit register.
+		k.term = termtile.New(termFormat(f), w, b, 64)
 		return k, true
 	}
 	k.fracBits = (uint(1) << (f.es + 1)) * (f.n - 2)
@@ -183,13 +122,16 @@ func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, b
 	k.aAlign = make([]int64, in*batchTile)
 	k.start = make([]int, batchTile+1)
 	k.narS = make([]bool, batchTile)
+	dec, mask := f.decTab(), f.Mask()
 	wd := make([]pdec, in)
 	for j, row := range w {
 		if len(row) != in {
 			panic("posit: BatchDenseKernel ragged weight matrix")
 		}
-		predecodeInto(wd, row, f)
-		bd := predecodeBits(f, f.decTab(), b[j].mustFormat(f).bits)
+		for i, c := range row {
+			wd[i] = predecodeBits(f, dec, uint64(c)&mask)
+		}
+		bd := predecodeBits(f, dec, uint64(b[j])&mask)
 		nar := bd.cls == pdNaR
 		for _, d := range wd {
 			nar = nar || d.cls == pdNaR
@@ -198,30 +140,6 @@ func NewBatchDenseKernel(f Format, w [][]Posit, b []Posit) (*BatchDenseKernel, b
 		k.initWindowRow(j, wd, bd)
 	}
 	return k, true
-}
-
-// newTermKernel builds the term tier's kernel for a layer: f's tables,
-// the weight patterns, and each real bias at the quire's fraction depth.
-// The quire never wraps, so sums take the full 64-bit register.
-func newTermKernel(f Format, w [][]Posit, b []Posit) *termtile.Kernel {
-	dec, fb := f.decTab(), int((uint(1)<<(f.es+1))*(f.n-2))
-	pats := make([][]uint8, len(w))
-	biasTerm := make([]int64, len(w))
-	biasNaR := make([]bool, len(w))
-	for j, row := range w {
-		pats[j] = make([]uint8, len(row))
-		for i, p := range row {
-			pats[j][i] = uint8(p.mustFormat(f).bits)
-		}
-		switch bd := predecodeBits(f, dec, b[j].mustFormat(f).bits); bd.cls {
-		case pdReal:
-			v := bd.sig << uint(fb+int(bd.adj))
-			biasTerm[j] = int64((v ^ bd.sgn) - bd.sgn)
-		case pdNaR:
-			biasNaR[j] = true
-		}
-	}
-	return termtile.New(f.termTables(), pats, biasTerm, biasNaR, 64)
 }
 
 func (k *BatchDenseKernel) initWindowRow(j int, wd []pdec, bd pdec) {
@@ -249,24 +167,6 @@ func signedSig(d pdec) int64 {
 	return (int64(d.sig) ^ int64(d.sgn)) - int64(d.sgn)
 }
 
-// mustFormat panics unless p has format f (mirrors predecodeInto's check
-// for the bias vector, which is decoded one element at a time here).
-func (p Posit) mustFormat(f Format) Posit {
-	if p.f != f {
-		panic("posit: mixed formats in kernel operand")
-	}
-	return p
-}
-
-// In returns the layer fan-in.
-func (k *BatchDenseKernel) In() int { return k.in }
-
-// Out returns the layer width.
-func (k *BatchDenseKernel) Out() int { return k.out }
-
-// Format returns the kernel's posit format.
-func (k *BatchDenseKernel) Format() Format { return k.f }
-
 // round rounds the exact value a × 2^lsb to a posit pattern: the
 // one-word Quire.Result step (the magnitude fits 64 bits, so there is no
 // extraction and no sticky bit).
@@ -283,10 +183,10 @@ func (k *BatchDenseKernel) round(a int64, lsb int) uint64 {
 	return k.f.encode(sign, l-1+lsb, m, uint(l), false).bits
 }
 
-// ForwardBatch computes dst[s*k.Out()+j] = round(b[j] + Σ_i
-// W[j][i]·act[s*k.In()+i]) for every sample s in the flush: flat
-// sample-major planes of n-bit patterns, len(act) = b·In(), len(dst) =
-// b·Out(). The planes may be any uint64-backed code type and are read and
+// ForwardBatch computes dst[s*out+j] = round(b[j] + Σ_i
+// W[j][i]·act[s*in+i]) for every sample s in the flush: flat
+// sample-major planes of n-bit patterns, len(act) = b·in, len(dst) =
+// b·out. The planes may be any uint64-backed code type and are read and
 // written in place. No activation function is applied. Not safe for
 // concurrent use of one kernel (the flush scratch is reused).
 func ForwardBatch[C ~uint64](k *BatchDenseKernel, act, dst []C, b int) {
@@ -426,4 +326,29 @@ func dotWide(a0, a1 uint64, wrow, ents []int64, fb int) (uint64, uint64) {
 		a0, a1 = accSigned128(a0, a1, (uint64(p)^sm)-sm, uint(fb+int(int8(w))+int(int8(e))), sm)
 	}
 	return a0, a1
+}
+
+// termFormat follows the window tier in this file because the compiler
+// lays functions out in source order: placed before it, it moved
+// dotAligned's loop across a 64-byte line in the bench binary.
+
+// termFormat is a format of at most 8 bits as termtile builds its
+// tables: terms at the quire's fraction depth 2^(es+1)·(n−2), NaR the
+// special, and the encoder rounding each sum once.
+type termFormat Format
+
+func (f termFormat) Bits() uint      { return f.n }
+func (f termFormat) FracBits() int   { return int((uint(1) << (f.es + 1)) * (f.n - 2)) }
+func (f termFormat) Special() uint64 { return Format(f).NaR().bits }
+
+func (f termFormat) Decode(p uint64) termtile.Operand {
+	d := predecodeBits(Format(f), Format(f).decTab(), p)
+	return termtile.Operand{Sig: d.sig, LSB: int(d.adj), Neg: d.sgn != 0, Special: d.cls == pdNaR}
+}
+
+func (f termFormat) Negate(p uint64) uint64 { return -p & Format(f).Mask() }
+
+func (f termFormat) Round(m uint64, lsb int) uint64 {
+	l := bits.Len64(m)
+	return Format(f).encode(false, l-1+lsb, m, uint(l), false).bits
 }

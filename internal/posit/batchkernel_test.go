@@ -1,10 +1,12 @@
 package posit
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bitutil"
 	"repro/internal/rng"
+	"repro/internal/termtile"
 )
 
 // randPosits fills a slice with patterns drawn from the full code space
@@ -15,6 +17,23 @@ func randPosits(f Format, n int, r *rng.Source) []Posit {
 		out[i] = Posit{f: f, bits: uint64(r.Uint64()) & f.Mask()}
 	}
 	return out
+}
+
+// patterns returns a layer's weights and biases as the n-bit patterns
+// the kernel constructor takes.
+func patterns(w [][]Posit, b []Posit) ([][]uint64, []uint64) {
+	pw := make([][]uint64, len(w))
+	for j, row := range w {
+		pw[j] = make([]uint64, len(row))
+		for i, p := range row {
+			pw[j][i] = p.bits
+		}
+	}
+	pb := make([]uint64, len(b))
+	for j, p := range b {
+		pb[j] = p.bits
+	}
+	return pw, pb
 }
 
 // quireForward is the reference the kernels are held to: one Quire per
@@ -111,7 +130,8 @@ func TestBatchDenseKernelExhaustiveZeroHeavy(t *testing.T) {
 func checkBatchFlush(t *testing.T, f Format, w [][]Posit, b []Posit, act []uint64) {
 	t.Helper()
 	in, out := len(w[0]), len(w)
-	bk, ok := NewBatchDenseKernel(f, w, b)
+	pw, pb := patterns(w, b)
+	bk, ok := NewBatchDenseKernel(f, pw, pb)
 	if !ok {
 		t.Fatalf("%v: no batch kernel for %dx%d", f, out, in)
 	}
@@ -144,14 +164,10 @@ func TestBatchDenseKernelGates(t *testing.T) {
 		{8, 3, 1, false},  // 194 bits
 	} {
 		f := MustFormat(tc.n, tc.es)
-		w := [][]Posit{make([]Posit, tc.in)}
-		for i := range w[0] {
-			w[0][i] = f.Zero()
-		}
 		if got := QuireSize(f, tc.in) <= 128; got != tc.ok {
 			t.Fatalf("%v in=%d: register %d bits, case expects fit=%v", f, tc.in, QuireSize(f, tc.in), tc.ok)
 		}
-		if _, ok := NewBatchDenseKernel(f, w, []Posit{f.Zero()}); ok != tc.ok {
+		if _, ok := NewBatchDenseKernel(f, [][]uint64{make([]uint64, tc.in)}, []uint64{0}); ok != tc.ok {
 			t.Fatalf("%v in=%d: batch kernel ok=%v, want %v", f, tc.in, ok, tc.ok)
 		}
 	}
@@ -163,7 +179,7 @@ func TestBatchDenseKernelGates(t *testing.T) {
 // TestBatchDenseKernelEmptyFlush checks the b = 0 edge.
 func TestBatchDenseKernelEmptyFlush(t *testing.T) {
 	f := MustFormat(8, 0)
-	bk, ok := NewBatchDenseKernel(f, [][]Posit{{f.Zero()}}, []Posit{f.Zero()})
+	bk, ok := NewBatchDenseKernel(f, [][]uint64{{0}}, []uint64{0})
 	if !ok {
 		t.Fatal("no batch kernel")
 	}
@@ -172,18 +188,19 @@ func TestBatchDenseKernelEmptyFlush(t *testing.T) {
 
 // TestTermTablesMatchFormat checks every posit(n <= 8, es <= 2) term
 // tier's tables exhaustively: each activation byte's classification, each
-// pattern's negation, and the rounding of exact sums of every bit length,
-// ties and sticky tails included, through Round and Neg against the
-// encoder.
+// pattern's negation, each bias term where the quire fits one word, and
+// the rounding of exact sums of every bit length, ties and sticky tails
+// included, through Round and Neg against the encoder.
 func TestTermTablesMatchFormat(t *testing.T) {
 	r := rng.New(19)
 	for n := uint(3); n <= 8; n++ {
 		for es := uint(0); es <= 2; es++ {
 			f := MustFormat(n, es)
-			tab := f.termTables()
+			tab := termtile.TablesOf(termFormat(f))
 			if tab.Special != f.NaR().Bits() {
 				t.Fatalf("%v: special %#x", f, tab.Special)
 			}
+			lsb := -int((uint(1) << (es + 1)) * (n - 2))
 			for p := range 256 {
 				x := f.FromBits(uint64(p) & f.Mask())
 				want := uint16(x.Bits())
@@ -200,9 +217,15 @@ func TestTermTablesMatchFormat(t *testing.T) {
 				if x.IsNaR() != neg.IsNaR() || !x.IsNaR() && neg.Float64() != -x.Float64() {
 					t.Fatalf("%v: Neg[%#x] = %v, want -%v", f, p, neg, x)
 				}
+				var bias float64 // NaR's term is 0: Act flags it
+				if !x.IsNaR() {
+					bias = math.Ldexp(x.Float64(), -lsb)
+				}
+				if QuireSize(f, 1) <= 64 && float64(tab.Bias[p]) != bias {
+					t.Fatalf("%v: Bias[%#x] = %d, want %v", f, p, tab.Bias[p], bias)
+				}
 			}
 			k := &BatchDenseKernel{f: f}
-			lsb := -int((uint(1) << (es + 1)) * (n - 2))
 			check := func(a int64) {
 				m := uint64(a)
 				if a < 0 {

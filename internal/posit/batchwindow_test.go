@@ -33,7 +33,8 @@ var windowGens = []valueGen{
 // per-row quires and fails on the first differing output.
 func checkBatchAgainstQuire(t *testing.T, label string, f Format, w [][]Posit, b []Posit, act []uint64, batch int) {
 	t.Helper()
-	bk, ok := NewBatchDenseKernel(f, w, b)
+	pw, pb := patterns(w, b)
+	bk, ok := NewBatchDenseKernel(f, pw, pb)
 	if !ok {
 		t.Fatalf("%s: no batch kernel for %v in=%d", label, f, len(w[0]))
 	}
@@ -196,14 +197,14 @@ func TestBatchDenseKernelWindowAllocFree(t *testing.T) {
 	f := MustFormat(16, 1)
 	r := rng.New(3)
 	const in, out, batch = 30, 16, 200
-	w := make([][]Posit, out)
-	b := make([]Posit, out)
+	w := make([][]uint64, out)
+	b := make([]uint64, out)
 	for j := range w {
-		w[j] = make([]Posit, in)
+		w[j] = make([]uint64, in)
 		for i := range w[j] {
-			w[j][i] = f.FromFloat64(r.NormMS(0, 1))
+			w[j][i] = f.FromFloat64(r.NormMS(0, 1)).bits
 		}
-		b[j] = f.FromFloat64(r.NormMS(0, 0.5))
+		b[j] = f.FromFloat64(r.NormMS(0, 0.5)).bits
 	}
 	bk, ok := NewBatchDenseKernel(f, w, b)
 	if !ok {

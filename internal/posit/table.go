@@ -20,8 +20,6 @@ package posit
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/termtile"
 )
 
 const (
@@ -83,9 +81,6 @@ var (
 	decTabs [decTabMaxN + 1][MaxES + 1]atomic.Pointer[[]uint32]
 	mulTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[[]uint8]
 	addTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[[]uint8]
-	// termTabs holds the batch kernel's term-tier tables (see
-	// batchkernel.go).
-	termTabs [opTabMaxN + 1][MaxES + 1]atomic.Pointer[termtile.Tables]
 )
 
 // decTab returns the decode table for f, building it on first use, or nil
@@ -233,18 +228,6 @@ func predecodeBits(f Format, t []uint32, bits uint64) pdec {
 		out.sgn = ^uint64(0)
 	}
 	return out
-}
-
-// predecodeInto decodes every element of ps into dst (len(dst) must equal
-// len(ps)); all elements must share format f.
-func predecodeInto(dst []pdec, ps []Posit, f Format) {
-	t := f.decTab()
-	for i, p := range ps {
-		if p.f != f {
-			panic("posit: mixed formats in kernel operand")
-		}
-		dst[i] = predecodeBits(f, t, p.bits)
-	}
 }
 
 // WarmTables eagerly builds the decode and operation tables for f (a

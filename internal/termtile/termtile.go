@@ -1,5 +1,6 @@
 // Package termtile is the term-table batch kernel of the posit and float
-// arms for 8-bit-enumerable formats: one Kernel over per-format Tables.
+// arms for formats of at most 8 bits: per-format Tables, built and cached
+// here, and one Kernel over them.
 //
 // Tables hold the full signed MAC term of every (weight, activation)
 // pattern pair at the register's fraction depth, so the inner loop is
@@ -16,12 +17,18 @@
 // the encoder. A special activation, weight or bias poisons its sample or
 // row, which then yields the special pattern.
 //
-// An arm supplies only its Tables, each row's weight patterns, its bias
-// terms and its register width; results are bit-identical to the arm's
-// MAC (Quire or Accumulator) per sample.
+// An arm supplies only its Format (pattern width, fraction depth, special
+// pattern, operand decoder, negation and rounding encoder) and its
+// register width; New builds a layer's kernel from its weight and bias
+// patterns. Results are bit-identical to the arm's MAC (Quire or
+// Accumulator) per sample.
 package termtile
 
-import "repro/internal/bitutil"
+import (
+	"sync"
+
+	"repro/internal/bitutil"
+)
 
 // tileSize is the sample tile: a sample's index within its tile fits the
 // low byte of a compacted entry, and a kernel's tile scratch stays
@@ -33,7 +40,7 @@ const tileSize = 256
 // a single-sample flush measured 20% slower with it.
 const minCompact = 16
 
-// Tables is one format's data for the kernel, built once by its arm.
+// Tables is one format's data for the kernel, built once by TablesOf.
 type Tables struct {
 	// Terms[w<<8|a] is the signed MAC term of weight pattern w and
 	// activation pattern a at the register's fraction depth: 2^n rows of
@@ -47,6 +54,10 @@ type Tables struct {
 	// bytes, so the patterns of formats narrower than 8 bits read the
 	// same with any bits above their width.
 	Act [256]uint16
+	// Bias[p] is the term of bias pattern p at the register's fraction
+	// depth: 0 for zero and special patterns. It covers all 256 bytes,
+	// as Act does.
+	Bias [256]int64
 	// Round[bitutil.RoundKey(m)] is the pattern of the positive exact
 	// value m at the register's fraction depth. An 8-bit format keeps at
 	// most five fraction bits, so the key decides the rounding.
@@ -55,6 +66,36 @@ type Tables struct {
 	Neg [256]uint8
 	// Special is the pattern a poisoned sum yields (NaR, or a float's NaN).
 	Special uint64
+}
+
+// Format is what an arm supplies of a format of at most 8 bits to build
+// its Tables. Its dynamic value keys the table cache, so it must be
+// comparable, and equal values must describe the same format.
+type Format interface {
+	// Bits is the pattern width n, 1..8.
+	Bits() uint
+	// FracBits is the register's fraction depth fb: a value v is the
+	// term v·2^fb, an integer for every real operand and product.
+	FracBits() int
+	// Special is the pattern a poisoned sum yields.
+	Special() uint64
+	// Decode returns the operand of pattern p < 2^n.
+	Decode(p uint64) Operand
+	// Negate returns the pattern of the negation of pattern p < 2^n.
+	Negate(p uint64) uint64
+	// Round returns the pattern of the positive value m·2^lsb, rounded
+	// once.
+	Round(m uint64, lsb int) uint64
+}
+
+// Operand is one decoded pattern: (-1)^Neg · Sig · 2^LSB, zero when Sig
+// is 0. A Special operand (NaR, NaN, ±Inf) poisons its sample or row and
+// adds no term.
+type Operand struct {
+	Sig     uint64
+	LSB     int
+	Neg     bool
+	Special bool
 }
 
 // Kernel is one layer's term-table datapath: its weights as table-row
@@ -83,19 +124,26 @@ type Kernel struct {
 	spS   [tileSize]bool
 }
 
-// New builds the kernel of a layer of len(w) rows of len(w[0]) weight
-// patterns over t. biasTerm[j] is row j's bias at the register's fraction
-// depth (0 for a zero or special bias) and biasSpecial[j] flags a special
-// bias. Each sum wraps in a two's-complement register of width bits
-// (1..64), as the arm's register does.
-func New(t *Tables, w [][]uint8, biasTerm []int64, biasSpecial []bool, width uint) *Kernel {
+// New builds the kernel of a layer over f's tables: len(w) rows of
+// len(w[0]) weight patterns and one bias pattern per row, in any
+// uint64-backed code type, of which only the low 8 bits are read. Each
+// sum wraps in a two's-complement register of width bits (1..64), as the
+// arm's register does.
+func New[C ~uint64](f Format, w [][]C, b []C, width uint) *Kernel {
+	return newKernel(TablesOf(f), w, b, width)
+}
+
+func newKernel[C ~uint64](t *Tables, w [][]C, b []C, width uint) *Kernel {
 	out, in := len(w), len(w[0])
+	if len(b) != out {
+		panic("termtile: one bias per row")
+	}
 	k := &Kernel{
 		t:          t,
 		in:         in,
 		out:        out,
 		wRow:       make([]int32, out*in),
-		biasTerm:   biasTerm,
+		biasTerm:   make([]int64, out),
 		specialRow: make([]bool, out),
 		wrap:       64 - width,
 		spans:      make([]int32, 2*in),
@@ -104,10 +152,11 @@ func New(t *Tables, w [][]uint8, biasTerm []int64, biasSpecial []bool, width uin
 		if len(row) != in {
 			panic("termtile: ragged weight matrix")
 		}
-		special := biasSpecial[j]
+		k.biasTerm[j] = t.Bias[uint8(b[j])]
+		special := t.Act[uint8(b[j])]>>8 != 0
 		dst := k.wRow[j*in : (j+1)*in]
 		for i, p := range row {
-			c := t.Act[p]
+			c := t.Act[uint8(p)]
 			special = special || c>>8 != 0
 			dst[i] = -1
 			if uint8(c) != 0 {
@@ -279,4 +328,91 @@ func (k *Kernel) round(a int64) uint64 {
 		p = k.t.Neg[p]
 	}
 	return uint64(p)
+}
+
+// The table builder follows the kernel in this file because the compiler
+// lays functions out in source order: placed first, it moved the row
+// loops of addRow and addEntries across a 64-byte line in positrond and
+// benchsnap, where they read slower.
+
+// The table cache: one entry per format, whose tables are built once.
+// Concurrent first uses of a format wait for one build and share it;
+// other formats build beside it.
+var (
+	tablesMu sync.Mutex
+	tables   = map[Format]*cached{}
+)
+
+type cached struct {
+	once sync.Once
+	t    *Tables
+}
+
+// TablesOf returns f's tables, building them on first use and caching
+// them for the process lifetime. Memory cost per format: 2^n × 256 × 8
+// bytes of terms (512 KiB at n = 8), 16 KiB of rounding and 2.75 KiB
+// of per-byte maps.
+func TablesOf(f Format) *Tables {
+	tablesMu.Lock()
+	c := tables[f]
+	if c == nil {
+		c = new(cached)
+		tables[f] = c
+	}
+	tablesMu.Unlock()
+	c.once.Do(func() { c.t = build(f) })
+	return c.t
+}
+
+func build(f Format) *Tables {
+	fb, count := f.FracBits(), 1<<f.Bits()
+	ops := make([]Operand, count)
+	for p := range ops {
+		if ops[p] = f.Decode(uint64(p)); ops[p].Special {
+			ops[p].Sig = 0
+		}
+	}
+	t := &Tables{
+		Terms:   make([]int64, count<<8),
+		Round:   new([64 << 8]uint8),
+		Special: f.Special(),
+	}
+	for p := range t.Act {
+		q := p & (count - 1)
+		switch d := ops[q]; {
+		case d.Special:
+			t.Act[p] = 1 << 8
+		case d.Sig != 0:
+			t.Act[p] = uint16(q)
+			t.Bias[p] = term(d.Sig, d.LSB, d.Neg, fb)
+		}
+		t.Neg[p] = uint8(f.Negate(uint64(q)))
+	}
+	for w, wd := range ops {
+		if wd.Sig == 0 {
+			continue // zero and special rows stay all-zero
+		}
+		row := t.Terms[w<<8 : (w+1)<<8]
+		for a, ad := range ops {
+			if ad.Sig != 0 {
+				row[a] = term(wd.Sig*ad.Sig, wd.LSB+ad.LSB, wd.Neg != ad.Neg, fb)
+			}
+		}
+	}
+	for key := range t.Round {
+		t.Round[key] = uint8(f.Round(bitutil.RoundKeyValue(key), -fb))
+	}
+	return t
+}
+
+// term is the register term of the exact value (-1)^neg · sig · 2^lsb at
+// fraction depth fb. The shift is non-negative (no real operand or
+// product lies below the register's LSB), and the term fits an int64
+// because one product fits the register.
+func term(sig uint64, lsb int, neg bool, fb int) int64 {
+	v := int64(sig << uint(fb+lsb))
+	if neg {
+		return -v
+	}
+	return v
 }

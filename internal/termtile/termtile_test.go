@@ -2,6 +2,8 @@ package termtile
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitutil"
@@ -10,9 +12,10 @@ import (
 
 // The tests drive the kernel with a toy format of their own, independent
 // of both arms: 4-bit sign-magnitude patterns (bit 3 the sign, bits 0-2
-// the magnitude) whose -0 pattern, 8, is special. Round and Neg hold
-// arbitrary bytes, so only a kernel that indexes them exactly as
-// documented reproduces the naive loop.
+// the magnitude) whose -0 pattern, 8, is special. The kernel tests run
+// over hand-made tables whose Round, Neg and Bias hold arbitrary values,
+// so only a kernel that indexes them exactly as documented reproduces the
+// naive loop; the builder tests build the toy format's own tables.
 const toySpecial = 8
 
 func toyVal(p uint8) int64 {
@@ -23,7 +26,116 @@ func toyVal(p uint8) int64 {
 	return v
 }
 
-// toyTables builds the toy format's tables, its terms scaled by 2^scale.
+// toyFormat is the toy format as the builder reads it: a value v is the
+// term v·2^scale, and the encoder truncates to an integer and saturates
+// at 7. decodes, when set, counts Decode calls.
+type toyFormat struct {
+	scale   uint
+	decodes *atomic.Int64
+}
+
+func (f toyFormat) Bits() uint      { return 4 }
+func (f toyFormat) FracBits() int   { return int(f.scale) }
+func (f toyFormat) Special() uint64 { return toySpecial }
+
+func (f toyFormat) Decode(p uint64) Operand {
+	if f.decodes != nil {
+		f.decodes.Add(1)
+	}
+	return Operand{Sig: p & 7, Neg: p&8 != 0, Special: p == toySpecial}
+}
+
+func (f toyFormat) Negate(p uint64) uint64 {
+	if p&7 == 0 {
+		return p // zero, and the special
+	}
+	return p ^ 8
+}
+
+func (f toyFormat) Round(m uint64, lsb int) uint64 { return min(m>>uint(-lsb), 7) }
+
+// TestTablesOfToyFormat builds the toy format's tables and checks every
+// entry against toyVal: each term is its weight's value times its
+// activation's, and each bias term its pattern's value, at the format's
+// fraction depth; Act drops zeros and flags the special; Neg negates; and
+// Round maps each positive integer sum to its saturated magnitude.
+func TestTablesOfToyFormat(t *testing.T) {
+	nonzero := func(p uint8) bool { return p&7 != 0 }
+	for _, scale := range []uint{0, 5, 40} {
+		tab := TablesOf(toyFormat{scale: scale})
+		if tab.Special != toySpecial || len(tab.Terms) != 16<<8 {
+			t.Fatalf("scale %d: special %#x, %d terms", scale, tab.Special, len(tab.Terms))
+		}
+		for w := range 16 {
+			for a := range 256 {
+				var want int64
+				if a < 16 && nonzero(uint8(w)) && nonzero(uint8(a)) {
+					want = toyVal(uint8(w)) * toyVal(uint8(a)) << scale
+				}
+				if got := tab.Terms[w<<8|a]; got != want {
+					t.Fatalf("scale %d: Terms[%#x<<8|%#x] = %d, want %d", scale, w, a, got, want)
+				}
+			}
+		}
+		for p := range 256 {
+			q := uint8(p & 15)
+			act, bias := uint16(q), toyVal(q)<<scale
+			switch {
+			case q == toySpecial:
+				act, bias = 1<<8, 0
+			case !nonzero(q):
+				act = 0
+			}
+			if tab.Act[p] != act || tab.Bias[p] != bias {
+				t.Fatalf("scale %d: Act[%#x] = %#x, Bias = %d; want %#x, %d", scale, p, tab.Act[p], tab.Bias[p], act, bias)
+			}
+			if n := tab.Neg[p]; n > 15 || n == toySpecial != (q == toySpecial) || toyVal(n) != -toyVal(q) {
+				t.Fatalf("scale %d: Neg[%#x] = %#x", scale, p, n)
+			}
+		}
+		for v := uint64(1); v < 300; v++ {
+			if got := tab.Round[bitutil.RoundKey(v<<scale)]; uint64(got) != min(v, 7) {
+				t.Fatalf("scale %d: %d rounds to %d, want %d", scale, v, got, min(v, 7))
+			}
+		}
+	}
+}
+
+// TestTablesOfConcurrentFirstUse starts one format's first use from 8
+// goroutines at once: the format is built once, and every caller, then
+// and later, gets the same tables.
+func TestTablesOfConcurrentFirstUse(t *testing.T) {
+	var decodes atomic.Int64
+	f := toyFormat{scale: 3, decodes: &decodes}
+	start := make(chan struct{})
+	got := make([]*Tables, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = TablesOf(f)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, tab := range got {
+		if tab == nil || tab != got[0] {
+			t.Fatalf("caller %d got tables %p, caller 0 %p", i, tab, got[0])
+		}
+	}
+	if TablesOf(f) != got[0] {
+		t.Fatal("a later call got other tables")
+	}
+	if n := decodes.Load(); n != 16 {
+		t.Fatalf("the format decoded %d patterns, want 16: one build", n)
+	}
+}
+
+// toyTables hand-makes tables for the toy format, its terms scaled by
+// 2^scale. Round, Neg and Bias hold arbitrary values, and Bias differs
+// between bytes with the same low four bits.
 func toyTables(scale uint) *Tables {
 	t := &Tables{Terms: make([]int64, 16<<8), Round: new([64 << 8]uint8), Special: 1<<40 | 5}
 	for p := range t.Act {
@@ -35,6 +147,7 @@ func toyTables(scale uint) *Tables {
 			t.Act[p] = q
 		}
 		t.Neg[p] = uint8(p*37 + 11)
+		t.Bias[p] = (int64(p*29+7)%97 - 48) << scale
 	}
 	for w := range 16 {
 		for a := range 16 {
@@ -47,22 +160,23 @@ func toyTables(scale uint) *Tables {
 	return t
 }
 
-// naive is the per-sample definition: sum each row's exact products over
-// the toy patterns (the low four bits of each activation), wrap the sum
-// in width bits, read the magnitude's rounding and negate a negative
-// sum's pattern; a special operand makes the output t.Special.
-func naive(t *Tables, scale uint, w [][]uint8, biasTerm []int64, biasSpecial []bool, width uint, act []uint64, b int) []uint64 {
+// naive is the per-sample definition: sum each row's bias term and exact
+// products over the toy patterns (the low four bits of each weight and
+// activation), wrap the sum in width bits, read the magnitude's rounding
+// and negate a negative sum's pattern; a special operand makes the output
+// t.Special.
+func naive(t *Tables, scale uint, w [][]uint64, b []uint64, width uint, act []uint64, batch int) []uint64 {
 	out, in := len(w), len(w[0])
-	dst := make([]uint64, b*out)
+	dst := make([]uint64, batch*out)
 	mask := bitutil.Mask(width)
-	for s := 0; s < b; s++ {
+	for s := 0; s < batch; s++ {
 		x := act[s*in : (s+1)*in]
 		for j, row := range w {
-			special, sum := biasSpecial[j], biasTerm[j]
+			special, sum := b[j]&15 == toySpecial, t.Bias[uint8(b[j])]
 			for i, a := range x {
-				a := uint8(a & 15)
-				special = special || row[i] == toySpecial || a == toySpecial
-				sum += toyVal(row[i]) * toyVal(a) << scale
+				wp, ap := uint8(row[i]&15), uint8(a&15)
+				special = special || wp == toySpecial || ap == toySpecial
+				sum += toyVal(wp) * toyVal(ap) << scale
 			}
 			m := uint64(sum) & mask
 			neg := m>>(width-1)&1 == 1
@@ -85,23 +199,24 @@ func naive(t *Tables, scale uint, w [][]uint8, biasTerm []int64, biasSpecial []b
 	return dst
 }
 
-// randLayer draws a layer of toy weights and biases, a weight special
-// once in 256 draws and a bias once in 40.
-func randLayer(r *rng.Source, in, out int, scale uint) (w [][]uint8, biasTerm []int64, biasSpecial []bool) {
-	w = make([][]uint8, out)
-	biasTerm = make([]int64, out)
-	biasSpecial = make([]bool, out)
+// randLayer draws a layer of toy weight and bias patterns with random
+// bits above the toy width, a weight special once in 256 draws and a bias
+// about once in 48.
+func randLayer(r *rng.Source, in, out int) (w [][]uint64, b []uint64) {
+	w = make([][]uint64, out)
+	b = make([]uint64, out)
 	for j := range w {
-		w[j] = make([]uint8, in)
+		w[j] = make([]uint64, in)
 		for i := range w[j] {
-			if w[j][i] = uint8(r.Uint64() % 16); w[j][i] == toySpecial && r.Uint64()%16 != 0 {
-				w[j][i] = 0
+			if w[j][i] = r.Uint64(); w[j][i]&15 == toySpecial && r.Uint64()%16 != 0 {
+				w[j][i] &^= 15
 			}
 		}
-		biasTerm[j] = (int64(r.Uint64()%97) - 48) << scale
-		biasSpecial[j] = r.Uint64()%40 == 0
+		if b[j] = r.Uint64(); b[j]&15 == toySpecial && r.Uint64()%3 != 0 {
+			b[j] ^= 1
+		}
 	}
-	return w, biasTerm, biasSpecial
+	return w, b
 }
 
 // randFlush draws a flush of activations with random bits above the toy
@@ -129,14 +244,14 @@ func TestForwardMatchesNaive(t *testing.T) {
 	}{{0, 64}, {50, 64}, {4, 12}} {
 		tab := toyTables(cfg.scale)
 		for _, shape := range []struct{ in, out int }{{24, 5}, {40, 1}, {9, 32}} {
-			w, biasTerm, biasSpecial := randLayer(r, shape.in, shape.out, cfg.scale)
-			k := New(tab, w, biasTerm, biasSpecial, cfg.width)
+			w, bias := randLayer(r, shape.in, shape.out)
+			k := newKernel(tab, w, bias, cfg.width)
 			for _, b := range []int{1, 15, 16, 255, 256, 257, 513} {
 				for _, zeroHeavy := range []bool{false, true} {
 					act := randFlush(r, b*shape.in, zeroHeavy)
 					dst := make([]uint64, b*shape.out)
 					Forward(k, act, dst, b)
-					want := naive(tab, cfg.scale, w, biasTerm, biasSpecial, cfg.width, act, b)
+					want := naive(tab, cfg.scale, w, bias, cfg.width, act, b)
 					for n := range dst {
 						if dst[n] != want[n] {
 							t.Fatalf("scale %d width %d %dx%d b=%d zero-heavy=%v: output %d (sample %d row %d) = %#x, want %#x",
@@ -216,20 +331,20 @@ func TestCompactThreshold(t *testing.T) {
 func TestSpecialsPoisonTheirSampleOrRow(t *testing.T) {
 	tab := toyTables(0)
 	const in, out, b = 6, 4, 40
-	w := make([][]uint8, out)
+	w := make([][]uint64, out)
 	for j := range w {
-		w[j] = []uint8{1, 2, 3, 9, 10, 11}
+		w[j] = []uint64{1, 2, 3, 9, 10, 11}
 	}
 	w[1][4] = toySpecial
-	biasTerm, biasSpecial := make([]int64, out), make([]bool, out)
-	biasSpecial[2] = true
+	bias := make([]uint64, out)
+	bias[2] = toySpecial
 	act := make([]uint64, b*in)
 	for n := range act {
 		act[n] = uint64(1 + n%7)
 	}
 	act[17*in+3] = toySpecial | 0x30 // bits above the toy width are ignored
 	dst := make([]uint64, b*out)
-	Forward(New(tab, w, biasTerm, biasSpecial, 64), act, dst, b)
+	Forward(newKernel(tab, w, bias, 64), act, dst, b)
 	for s := 0; s < b; s++ {
 		for j := 0; j < out; j++ {
 			if poisoned := s == 17 || j == 1 || j == 2; (dst[s*out+j] == tab.Special) != poisoned {
@@ -241,7 +356,8 @@ func TestSpecialsPoisonTheirSampleOrRow(t *testing.T) {
 
 // TestNegativeAndWrappedSums checks a single product's rounding: a
 // negative sum's pattern goes through Neg, and a sum past the register
-// width wraps before it rounds.
+// width wraps before it rounds. Each case's bias term is Bias[0x30], a
+// zero pattern's byte.
 func TestNegativeAndWrappedSums(t *testing.T) {
 	tab := toyTables(0)
 	round := func(m uint64) uint64 { return uint64(tab.Round[bitutil.RoundKey(m)]) }
@@ -260,7 +376,8 @@ func TestNegativeAndWrappedSums(t *testing.T) {
 		{7, 7, 1<<62 - 49, 63, uint64(tab.Neg[round(1<<62)])}, // the most negative 63-bit sum
 	} {
 		dst := make([]uint64, 1)
-		k := New(tab, [][]uint8{{tc.w}}, []int64{tc.bias}, []bool{false}, tc.width)
+		tab.Bias[0x30] = tc.bias
+		k := newKernel(tab, [][]uint64{{uint64(tc.w)}}, []uint64{0x30}, tc.width)
 		Forward(k, []uint64{uint64(tc.a)}, dst, 1)
 		if dst[0] != tc.want {
 			t.Errorf("%d·%d + %d in %d bits = %#x, want %#x", toyVal(tc.w), toyVal(tc.a), tc.bias, tc.width, dst[0], tc.want)
@@ -273,8 +390,8 @@ func TestNegativeAndWrappedSums(t *testing.T) {
 func TestWarmForwardAllocatesNothing(t *testing.T) {
 	r := rng.New(37)
 	tab := toyTables(0)
-	w, biasTerm, biasSpecial := randLayer(r, 30, 16, 0)
-	k := New(tab, w, biasTerm, biasSpecial, 64)
+	w, bias := randLayer(r, 30, 16)
+	k := newKernel(tab, w, bias, 64)
 	for _, zeroHeavy := range []bool{false, true} {
 		const b = 300
 		act, dst := randFlush(r, b*30, zeroHeavy), make([]uint64, b*16)
