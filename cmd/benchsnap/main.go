@@ -710,7 +710,8 @@ func main() {
 	// there would only record noise. On a host with GOMAXPROCS > 1 this
 	// produces the ROADMAP scaling record: a 1024-sample batch (four
 	// tiles, so it splits over up to four workers) through one leased
-	// flush slot (0 allocs/op) at 1, 2, 4, ... workers up to the CPU count.
+	// flush slot (one alloc per chunk goroutine the batch starts) at 1,
+	// 2, 4, ... workers up to the CPU count.
 	if procs := runtime.GOMAXPROCS(0); procs > 1 {
 		batch1024 := slices.Concat(batch, batch, batch, batch)
 		ctx := context.Background()

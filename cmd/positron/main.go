@@ -73,7 +73,7 @@ experiments:
   wide16   16-bit formats: posit16 vs binary16 vs bfloat16 (extension)
   scaling  EMAC hardware scaling to n in {8..32} (extension)
   robust   re-run Table II under alternative master seeds (extension)
-  engine   parallel dataset evaluation: serial session vs worker-pool
+  engine   parallel dataset evaluation: serial session vs the pooled
            batch engine, all 8-bit arms (extension)
   verify   re-check every headline paper claim; exit 1 on violation
   all      everything above

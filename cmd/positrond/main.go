@@ -1,7 +1,7 @@
 // Command positrond serves quantised Deep Positron artifacts over HTTP:
 // load one or more versioned model files (uniform or mixed precision)
-// into the serving registry, start a worker-pool inference runtime and a
-// dynamic micro-batcher per model, and expose the JSON API.
+// into the serving registry, build an inference runtime and a dynamic
+// micro-batcher per model, and expose the JSON API.
 //
 // Usage:
 //
@@ -26,8 +26,10 @@
 // JSON and binary (.bin, trainer -format bin) artifacts load
 // transparently — the format is sniffed from the bytes. The first
 // -model is the default served by the /v1/infer and /v1/model aliases
-// unless -default names another. When a model loads, each worker of its
-// runtime builds its kernels and the decode and term tables they read.
+// unless -default names another. Requests compute on their own
+// goroutines, borrowing one of the model's -workers pooled inferers per
+// batch chunk; each inferer builds its kernels, and the decode and term
+// tables they read, on the first chunk that takes it.
 //
 // Every loaded model is fingerprinted (SHA-256 of its canonical binary
 // encoding) into a content-addressed artifact store — the source of
@@ -91,8 +93,8 @@
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: /healthz flips to 503
 // first (so routers and load balancers drain away), the listener stops
-// accepting, in-flight requests finish, then every model's worker pool
-// drains.
+// accepting, in-flight requests finish, then every model's runtime
+// closes.
 package main
 
 import (
@@ -172,8 +174,7 @@ func main() {
 	modelDir := flag.String("model-dir", "",
 		"directory POST /v1/models path loads may read artifacts from (default: the first -model's directory; uploads are always allowed)")
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "per-model inference worker count (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "per-model job queue depth (0 = 2x workers)")
+	workers := flag.Int("workers", 0, "per-model inferer count: batch chunks of one model that compute at once, each on its request's goroutine (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", registry.DefaultMaxBatch,
 		"largest coalesced batch: a single inference flushes at once while a flush plane is free, and a finishing flush takes up at most this many of the requests queued behind busy planes")
 	flushPipeline := flag.Int("flush-pipeline", engine.DefaultFlushPipeline,
@@ -249,7 +250,6 @@ func main() {
 	regOpts := []registry.Option{
 		registry.WithRuntimeOptions(
 			engine.WithWorkers(*workers),
-			engine.WithQueueDepth(*queue),
 			engine.WithFlushPipeline(*flushPipeline),
 		),
 		registry.WithMaxBatch(*maxBatch),

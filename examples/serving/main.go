@@ -205,7 +205,7 @@ func main() {
 	}
 
 	// Graceful unload over HTTP: the name disappears immediately,
-	// in-flight work drains, the worker pool closes.
+	// in-flight work drains, the runtime closes.
 	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/models/mixed", nil)
 	r, err := http.DefaultClient.Do(req)
 	if err != nil {

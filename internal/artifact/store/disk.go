@@ -129,22 +129,29 @@ func (d *Disk) Has(h artifact.Hash) (bool, error) {
 
 // Delete implements Store.
 func (d *Disk) Delete(h artifact.Hash) error {
-	path := d.path(h)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	_, err := d.removeLocked(h)
+	return err
+}
+
+// removeLocked deletes h's blob and its share of the occupancy cache,
+// returning its size; the caller holds mu.
+func (d *Disk) removeLocked(h artifact.Hash) (int64, error) {
+	path := d.path(h)
 	info, err := os.Stat(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return ErrNotFound
+		return 0, ErrNotFound
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.Remove(path); err != nil {
-		return err
+		return 0, err
 	}
 	d.objects--
 	d.bytes -= info.Size()
-	return nil
+	return info.Size(), nil
 }
 
 // List implements Store.
@@ -173,12 +180,12 @@ func (d *Disk) scan() (hashes []artifact.Hash, temps []string, err error) {
 }
 
 // GC implements Store: walks the shards and deletes every blob the live
-// predicate does not claim. Each candidate goes through Delete, so the
-// occupancy cache stays exact and the sweep serialises correctly
-// against concurrent Puts of the same hash (the predicate runs at
-// delete time — a hash pinned before its Put can never be swept). It
-// also removes the temp files of writers killed mid-Put: their bytes
-// count as freed, but removed and Stats count blobs only.
+// predicate does not claim. Each candidate goes through removeLocked, as
+// in Delete, so the occupancy cache stays exact and the sweep serialises
+// against concurrent Puts of the same hash (the predicate runs at delete
+// time — a hash pinned before its Put can never be swept). It also
+// removes the temp files of writers killed mid-Put: their bytes count
+// as freed, but removed and Stats count blobs only.
 func (d *Disk) GC(live func(artifact.Hash) bool) (int, int64, error) {
 	d.gcRuns.Add(1)
 	hashes, temps, err := d.scan()
@@ -196,25 +203,17 @@ func (d *Disk) GC(live func(artifact.Hash) bool) (int, int64, error) {
 			d.mu.Unlock()
 			continue
 		}
-		info, err := os.Stat(d.path(h))
-		if err != nil {
-			d.mu.Unlock()
-			if errors.Is(err, fs.ErrNotExist) {
-				continue // already gone (concurrent Delete)
-			}
-			d.gcFreed.Add(freed)
-			return removed, freed, err
-		}
-		if err := os.Remove(d.path(h)); err != nil {
-			d.mu.Unlock()
-			d.gcFreed.Add(freed)
-			return removed, freed, err
-		}
-		d.objects--
-		d.bytes -= info.Size()
+		size, err := d.removeLocked(h)
 		d.mu.Unlock()
+		if errors.Is(err, ErrNotFound) {
+			continue // already gone (concurrent Delete)
+		}
+		if err != nil {
+			d.gcFreed.Add(freed)
+			return removed, freed, err
+		}
 		removed++
-		freed += info.Size()
+		freed += size
 	}
 	for _, path := range temps {
 		// Put holds mu across its write and rename, so a temp file that

@@ -16,7 +16,9 @@ import (
 
 // Inferer is one execution plane over an immutable model: the surface of
 // Session, which serves both network kinds. An Inferer serves one
-// goroutine; build one per goroutine via Model.NewInferer.
+// goroutine at a time; build one per concurrent user via
+// Model.NewInferer (engine.Runtime pools them, each used by one batch
+// chunk at a time).
 type Inferer interface {
 	// Infer runs one input and returns freshly allocated decoded logits.
 	Infer(x []float64) []float64

@@ -3,12 +3,13 @@
 // accelerator serving a stream of inputs; this package is the software
 // analogue for dataset-scale evaluation and serving.
 //
-// Runtime is the serving-grade execution plane: a worker pool in which
-// every worker owns one shared-nothing core.Inferer over one immutable
-// core.Model (uniform or mixed precision alike). It is configured with
+// Runtime is the serving-grade execution plane: a pool of shared-nothing
+// core.Inferers over one immutable core.Model (uniform or mixed
+// precision alike), each used by one batch chunk at a time, with every
+// batch computed on its caller's goroutine. It is configured with
 // functional options, observes context cancellation, and fails with
 // errors rather than panics on misuse: NewRuntime refuses a model its
-// Validate rejects before any worker builds an inferer over it, and an
+// Validate rejects before any inferer is built over it, and an
 // inference that panics fails only its own request. One layer up,
 // internal/registry serves many named Runtimes side by side with
 // micro-batching.
@@ -30,48 +31,33 @@ import (
 // ErrClosed is returned by Runtime methods called after Close.
 var ErrClosed = errors.New("engine: runtime closed")
 
-// ErrPanic wraps a panic recovered inside a worker: the inference that
-// panicked fails with this error, the worker survives with a fresh
-// execution plane, and Runtime.Panics counts the event. A poisoned
-// input must cost one request, never the daemon.
+// ErrPanic wraps a panic recovered inside an inference: the batch that
+// panicked fails with this error, the runtime survives with a fresh
+// inferer in place of the one that panicked, and Runtime.Panics counts
+// the event. A poisoned input must cost one request, never the daemon.
 var ErrPanic = errors.New("engine: inference panicked")
 
-// task is one fused batch chunk: the worker runs the whole chunk xs
-// through the inferer's batched kernels in one InferBatchInto call,
-// decoding into the flat dst window (len(xs) × output width). id is the
-// chunk's first input index. The worker reports the chunk to d exactly
-// once, with an error when the inference panicked.
-type task struct {
-	id  int
-	xs  [][]float64
-	dst []float64
-	d   *drain
-}
-
-// drain tracks one batch's submitted chunks: how many are outstanding,
-// and the first error any of them reported.
+// drain tracks one batch's chunks: how many are still running, and the
+// first error any of them reported.
 type drain struct {
 	wg  sync.WaitGroup
 	mu  sync.Mutex
 	err error
 }
 
-// done records one delivered chunk.
-func (d *drain) done(id int, err error) {
-	if err != nil {
-		d.mu.Lock()
-		if d.err == nil {
-			d.err = fmt.Errorf("engine: batch chunk at input %d: %w", id, err)
-		}
-		d.mu.Unlock()
+// fail records a chunk's error unless an earlier chunk's came first.
+func (d *drain) fail(err error) {
+	d.mu.Lock()
+	if d.err == nil {
+		d.err = err
 	}
-	d.wg.Done()
+	d.mu.Unlock()
 }
 
-// wait blocks until every submitted chunk is delivered, then returns and
-// clears the first chunk error. wg.Wait orders every done write before
-// the read, and a drain serves one batch at a time, so the reset cannot
-// race the next batch.
+// wait blocks until every chunk is done, then returns and clears the
+// first chunk error. wg.Wait orders every fail before the read, and a
+// drain serves one batch at a time, so the reset cannot race the next
+// batch.
 func (d *drain) wait() error {
 	d.wg.Wait()
 	err := d.err
@@ -89,25 +75,20 @@ const DefaultFlushPipeline = 2
 // config collects the functional options.
 type config struct {
 	workers    int
-	queueDepth int
 	flushDepth int
 }
 
 // Option configures a Runtime at construction.
 type Option func(*config)
 
-// WithWorkers sets the worker-pool size; n <= 0 selects GOMAXPROCS (the
+// WithWorkers sets how many inferers the runtime pools, and so how many
+// batch chunks compute at once; n <= 0 selects GOMAXPROCS (the
 // default).
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithQueueDepth sets the job-queue capacity; n <= 0 selects twice the
-// worker count (the default). Deeper queues let bursty batch traffic
-// ride ahead of the pool at the cost of buffered latency.
-func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
-
-// WithWarmTables does nothing: each worker's session builds the decode
-// and term tables its kernels read on the worker's first task, and no
-// inference reads posit's scalar Mul/Add tables.
+// WithWarmTables does nothing: each inferer builds the decode and term
+// tables its kernels read on its first chunk, and no inference reads
+// posit's scalar Mul/Add tables.
 //
 // Deprecated: kept only for the bench module's callers; pass nothing.
 func WithWarmTables() Option { return func(*config) {} }
@@ -121,25 +102,29 @@ func WithWarmTables() Option { return func(*config) {} }
 // d <= 0 selects DefaultFlushPipeline.
 func WithFlushPipeline(d int) Option { return func(c *config) { c.flushDepth = d } }
 
-// Runtime is a context-aware worker-pool inference runtime over one
-// immutable Model. All methods are safe for concurrent use, including
-// Close: closing drains in-flight work, and submissions after Close
-// return ErrClosed.
+// Runtime is a context-aware inference runtime over one immutable
+// Model: a pool of inferers that batches borrow, chunk by chunk, on
+// their callers' goroutines. All methods are safe for concurrent use,
+// including Close: closing drains in-flight work, and submissions after
+// Close return ErrClosed.
 type Runtime struct {
-	model   core.Model
-	workers int
-	jobs    chan task
+	model core.Model
 
-	wg sync.WaitGroup // workers
+	// idle holds the pooled inferers not in use; its capacity is the
+	// worker count. A nil entry is an inferer not built yet, or dropped
+	// after a panic: the chunk that takes it builds a fresh one.
+	idle chan core.Inferer
 
-	// mu guards closed. Producers hold it for reading while enqueueing, so
-	// jobs is never closed mid-send.
+	// waiting counts chunks blocked for an idle inferer (QueueLen).
+	waiting atomic.Int64
+
+	// mu guards closed. Every batch holds it for reading until its last
+	// chunk is done, so Close's write lock waits out in-flight batches.
 	mu     sync.RWMutex
 	closed bool
 
-	// panics counts tasks that panicked inside a worker, in inference or
-	// while building the worker's inferer (each one failed with
-	// ErrPanic; the worker survived).
+	// panics counts chunks that panicked, in inference or while building
+	// their inferer (each one failed with ErrPanic).
 	panics atomic.Int64
 
 	// planes holds the flush pipeline's free leasable slots; its
@@ -147,11 +132,11 @@ type Runtime struct {
 	planes chan *FlushSlot
 }
 
-// NewRuntime starts a runtime over the model. It returns the model's
-// Validate error instead of starting workers over a model no inferer
-// could execute. Each worker builds its own core.Inferer (pre-decoded
-// kernels included) on its first task, so workers share nothing but the
-// read-only model plane. Call Close to release the pool.
+// NewRuntime returns a runtime over the model, or the model's Validate
+// error instead of a runtime no inferer could execute. It starts no
+// goroutine and builds no inferer: each pooled inferer (pre-decoded
+// kernels included) is built by the first chunk that takes it, so
+// inferers share nothing but the read-only model plane.
 func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 	if model == nil {
 		return nil, errors.New("engine: nil model")
@@ -166,50 +151,70 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 	if cfg.workers <= 0 {
 		cfg.workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.queueDepth <= 0 {
-		cfg.queueDepth = 2 * cfg.workers
-	}
 	if cfg.flushDepth <= 0 {
 		cfg.flushDepth = DefaultFlushPipeline
 	}
 	r := &Runtime{
-		model:   model,
-		workers: cfg.workers,
-		jobs:    make(chan task, cfg.queueDepth),
-		planes:  make(chan *FlushSlot, cfg.flushDepth),
+		model:  model,
+		idle:   make(chan core.Inferer, cfg.workers),
+		planes: make(chan *FlushSlot, cfg.flushDepth),
+	}
+	for range cfg.workers {
+		r.idle <- nil
 	}
 	for range cfg.flushDepth {
 		r.planes <- &FlushSlot{r: r}
 	}
-	r.wg.Add(cfg.workers)
-	for w := 0; w < cfg.workers; w++ {
-		go r.worker()
-	}
 	return r, nil
 }
 
-// worker drains the job queue through one private execution plane,
-// built by its first task. A model kernel, or an inferer's construction,
-// that panics fails its own task with ErrPanic and costs this worker its
-// inferer (the panic may have left scratch buffers half-written, so the
-// next task builds a fresh one) — but never the worker, and never the
-// daemon.
-func (r *Runtime) worker() {
-	defer r.wg.Done()
-	var s core.Inferer
-	for t := range r.jobs {
-		err := r.runTask(&s, t)
-		if err != nil {
-			r.panics.Add(1)
-			s = nil
-		}
-		t.d.done(t.id, err)
+// acquire takes an idle inferer (nil when it is not built yet), waiting
+// while every one is in use. An already-ended ctx takes none, and ctx
+// ending during the wait returns its error.
+func (r *Runtime) acquire(ctx context.Context) (core.Inferer, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	select {
+	case s := <-r.idle:
+		return s, nil
+	default:
+	}
+	r.waiting.Add(1)
+	defer r.waiting.Add(-1)
+	select {
+	case s := <-r.idle:
+		return s, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
-// runTask executes one fused batch chunk in *s, building *s first when
-// it is nil, and converts a panic in either step into an error.
-func (r *Runtime) runTask(s *core.Inferer, t task) (err error) {
+// chunk runs one fused chunk of a batch, the inputs xs starting at
+// input id, into the flat dst window (len(xs) × output width) in a
+// single InferBatchInto call on an idle inferer, and reports to d. A
+// model kernel, or an inferer's construction, that panics fails the
+// chunk with ErrPanic and drops its inferer (the panic may have left
+// scratch buffers half-written, so the next chunk to take its place
+// builds a fresh one) — but never the runtime, and never the daemon.
+func (r *Runtime) chunk(ctx context.Context, d *drain, id int, xs [][]float64, dst []float64) {
+	defer d.wg.Done()
+	s, err := r.acquire(ctx)
+	if err != nil {
+		d.fail(err)
+		return
+	}
+	if err := r.infer(&s, xs, dst); err != nil {
+		r.panics.Add(1)
+		s = nil
+		d.fail(fmt.Errorf("engine: batch chunk at input %d: %w", id, err))
+	}
+	r.idle <- s
+}
+
+// infer runs xs through *s into dst, building *s first when it is nil,
+// and converts a panic in either step into an error.
+func (r *Runtime) infer(s *core.Inferer, xs [][]float64, dst []float64) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%w: %v", ErrPanic, p)
@@ -218,31 +223,31 @@ func (r *Runtime) runTask(s *core.Inferer, t task) (err error) {
 	if *s == nil {
 		*s = r.model.NewInferer()
 	}
-	(*s).InferBatchInto(t.dst, t.xs)
+	(*s).InferBatchInto(dst, xs)
 	return nil
 }
 
 // Model returns the model plane the runtime serves.
 func (r *Runtime) Model() core.Model { return r.model }
 
-// Workers returns the pool size.
-func (r *Runtime) Workers() int { return r.workers }
+// Workers returns the pool size: how many inferers the runtime holds.
+func (r *Runtime) Workers() int { return cap(r.idle) }
 
-// QueueCap returns the job-queue capacity configured at construction
-// (WithQueueDepth, default twice the worker count).
-func (r *Runtime) QueueCap() int { return cap(r.jobs) }
+// QueueCap returns twice the worker count: the number of waiting chunks
+// (QueueLen) at which an admission layer calls the runtime saturated.
+func (r *Runtime) QueueCap() int { return 2 * cap(r.idle) }
 
-// QueueLen returns the current job-queue occupancy: batch chunks
-// submitted but not yet picked up by a worker. Together with QueueCap it is the
-// backpressure signal an admission layer reads to shed load instead of
-// letting requests queue without bound.
-func (r *Runtime) QueueLen() int { return len(r.jobs) }
+// QueueLen returns how many batch chunks are waiting for an idle
+// inferer. Together with QueueCap it is the backpressure signal an
+// admission layer reads to shed load instead of letting requests queue
+// without bound.
+func (r *Runtime) QueueLen() int { return int(r.waiting.Load()) }
 
-// Panics returns how many tasks have panicked inside workers since
-// construction, in inference or while building a worker's inferer.
-// Each one failed its own request with ErrPanic while the worker
-// survived; a nonzero value means some model kernel is unsound for some
-// inputs and deserves investigation.
+// Panics returns how many chunks have panicked since construction, in
+// inference or while building an inferer. Each one failed its own
+// request with ErrPanic while the runtime survived; a nonzero value
+// means some model kernel is unsound for some inputs and deserves
+// investigation.
 func (r *Runtime) Panics() int64 { return r.panics.Load() }
 
 // checkInput validates one input vector against the model shape.
@@ -253,38 +258,22 @@ func (r *Runtime) checkInput(x []float64) error {
 	return nil
 }
 
-// enqueue submits one task, respecting cancellation (an already-
-// cancelled context never enqueues). The caller must hold r.mu for
-// reading with r.closed == false.
-func (r *Runtime) enqueue(ctx context.Context, t task) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-	}
-	select {
-	case r.jobs <- t:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // run is the one batch loop behind every entry point. It checks xs,
-// fits s's plane to its logits, splits the n samples into k =
+// fits s's plane to its logits, and splits the n samples into k =
 // min(workers, max(1, ⌊n/core.BatchTile⌋)) fused chunks of ⌊n/k⌋ or
-// ⌈n/k⌉ samples, submits them, and waits for s's drain; a worker runs
-// each chunk as a single InferBatchInto call. No chunk of a split batch
-// is therefore shorter than the forward pass's tile. A session walks
-// every weight row once per tile however few samples the tile holds, so
-// splitting one tile's samples over two workers walks the weights twice
-// and adds a handoff, while under load the other workers are already
-// serving other batches: a batch of fewer than two tiles runs whole on
-// one worker, and a larger one spreads over the pool. The rule assumes
-// that saturated pool; one client sending such batches one at a time
-// leaves the other workers idle. Cancelling ctx stops submission and
-// returns ctx.Err after every already-submitted chunk has drained, so no
-// worker is left writing into the plane.
+// ⌈n/k⌉ samples. The last chunk computes on the calling goroutine and
+// each earlier one on a goroutine of its own, and run waits for all of
+// them. No chunk of a split batch is therefore shorter than the forward
+// pass's tile. A session walks every weight row once per tile however
+// few samples the tile holds, so splitting one tile's samples over two
+// inferers walks the weights twice, while under load the other
+// inferers are already serving other batches: a batch of fewer than
+// two tiles runs whole on one inferer, and a larger one spreads over
+// the pool. The rule assumes that saturated pool; one client sending
+// such batches one at a time leaves the other inferers idle.
+// Cancelling ctx fails every chunk still waiting for an inferer, and
+// run returns the first chunk error once every chunk is done, so no
+// inferer is left writing into the plane.
 func (r *Runtime) run(ctx context.Context, s *FlushSlot, xs [][]float64) ([][]float64, error) {
 	for i, x := range xs {
 		if err := r.checkInput(x); err != nil {
@@ -299,17 +288,15 @@ func (r *Runtime) run(ctx context.Context, s *FlushSlot, xs [][]float64) ([][]fl
 	od := r.model.OutputDim()
 	rows := s.size(len(xs), od)
 	d := &s.d
-	n, end := len(xs), 0
-	for k := min(r.workers, max(1, n/core.BatchTile)); end < n; k-- {
-		start := end
-		end += (n - start) / k
+	n, start := len(xs), 0
+	for k := min(cap(r.idle), max(1, n/core.BatchTile)); k > 1; k-- {
+		end := start + (n-start)/k
 		d.wg.Add(1)
-		if err := r.enqueue(ctx, task{id: start, xs: xs[start:end], dst: s.buf[start*od : end*od], d: d}); err != nil {
-			d.wg.Done()
-			_ = d.wait() // a delivered chunk's panic loses to the ctx error
-			return nil, err
-		}
+		go r.chunk(ctx, d, start, xs[start:end], s.buf[start*od:end*od])
+		start = end
 	}
+	d.wg.Add(1)
+	r.chunk(ctx, d, start, xs[start:], s.buf[start*od:n*od])
 	if err := d.wait(); err != nil {
 		return nil, err
 	}
@@ -318,15 +305,15 @@ func (r *Runtime) run(ctx context.Context, s *FlushSlot, xs [][]float64) ([][]fl
 
 // InferBatch runs the batch through the pool in fused chunks, at most
 // one per worker and none shorter than core.BatchTile samples (see run),
-// so a batch of fewer than two tiles runs whole on one worker while the
+// so a batch of fewer than two tiles runs whole on one inferer while the
 // rest of the pool serves concurrent batches. Each chunk goes through
 // the inferer's batched layer kernels in a single call, so every weight
 // row is decoded once per tile instead of once per sample. Logits come
 // back in input order, bit-identical to running one core session
 // serially (each sample's arithmetic is unchanged; only the loop order
-// differs), in a fresh plane the caller owns. Cancelling ctx stops
-// submission and returns ctx.Err after every already-submitted chunk has
-// drained — no worker is left writing into the batch. A caller that
+// differs), in a fresh plane the caller owns. Cancelling ctx fails the
+// chunks still waiting for an inferer and returns after every chunk is
+// done — no inferer is left writing into the batch. A caller that
 // wants the logits in reused memory leases a FlushSlot instead.
 func (r *Runtime) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	return r.run(ctx, &FlushSlot{r: r}, xs)
@@ -401,20 +388,20 @@ func (r *Runtime) AcquireFlushSlot(ctx context.Context) (*FlushSlot, error) {
 // from this point. Release exactly once per acquisition.
 func (s *FlushSlot) Release() { s.r.planes <- s }
 
-// InferBatch runs one batch through the runtime's worker pool, decoding
-// logits into this slot's plane: Runtime.InferBatch without the fresh
-// allocation. Results are valid until Release (or the slot's next
+// InferBatch runs one batch through the runtime's inferer pool,
+// decoding logits into this slot's plane: Runtime.InferBatch without the
+// fresh allocation. Results are valid until Release (or the slot's next
 // InferBatch), bit-identical to a serial session, and other slots'
-// in-flight batches are unaffected. Cancelling ctx stops submission and
-// returns ctx.Err after every already-submitted chunk has drained.
+// in-flight batches are unaffected. Cancellation behaves as in
+// Runtime.InferBatch.
 func (s *FlushSlot) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	return s.r.run(ctx, s, xs)
 }
 
 // PredictBatch runs every input through the pool and returns the argmax
 // classes in input order. It shares InferBatch's contract: context
-// cancellation drains already-submitted work before returning, and after
-// Close it fails with ErrClosed.
+// cancellation returns once every chunk is done, and after Close it
+// fails with ErrClosed.
 func (r *Runtime) PredictBatch(ctx context.Context, xs [][]float64) ([]int, error) {
 	logits, err := r.InferBatch(ctx, xs)
 	if err != nil {
@@ -449,21 +436,13 @@ func (r *Runtime) Accuracy(ctx context.Context, ds *datasets.Dataset) (float64, 
 	return float64(correct) / float64(ds.Len()), nil
 }
 
-// Close stops accepting work and waits for every in-flight batch chunk:
-// a batch submitted before Close completes in full. Close is idempotent
-// and safe to call concurrently with InferBatch: late callers observe
+// Close stops accepting work and waits for every in-flight batch: a
+// batch started before Close completes in full. Close is idempotent and
+// safe to call concurrently with InferBatch: late callers observe
 // ErrClosed.
 func (r *Runtime) Close() error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
 	r.closed = true
 	r.mu.Unlock()
-	// No producer can be mid-send here: sends happen under the read lock
-	// with closed == false, and the write lock above waited them out.
-	close(r.jobs)
-	r.wg.Wait()
 	return nil
 }

@@ -62,6 +62,15 @@ func (panicInferer) Predict(x []float64) int { return 0 }
 
 func (panicInferer) Accuracy(*datasets.Dataset) float64 { return 0 }
 
+// cleanBatch returns n copies of the clean input {1, 2}.
+func cleanBatch(n int) [][]float64 {
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = []float64{1, 2}
+	}
+	return xs
+}
+
 func TestWorkerSurvivesPanic(t *testing.T) {
 	rt, err := NewRuntime(panicModel{}, WithWorkers(1))
 	if err != nil {
@@ -131,6 +140,27 @@ func TestSharedOutputBatchSurfacesPanic(t *testing.T) {
 	}
 	if out[0][0] != 7 {
 		t.Fatalf("clean slot batch corrupted: %v", out)
+	}
+}
+
+// TestSpawnedChunkPanicIsRecovered: a batch's earlier chunks run on
+// goroutines of their own, off the caller's stack, and a panic in one
+// fails the batch with ErrPanic naming that chunk, as a panic in the
+// caller's own chunk does.
+func TestSpawnedChunkPanicIsRecovered(t *testing.T) {
+	rt, err := NewRuntime(panicModel{}, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	xs := cleanBatch(2 * core.BatchTile) // chunks [0, 256) and [256, 512)
+	xs[1] = []float64{-1, 0}
+	_, err = rt.InferBatch(context.Background(), xs)
+	if !errors.Is(err, ErrPanic) || !strings.Contains(err.Error(), "chunk at input 0:") {
+		t.Fatalf("poisoned first chunk: err = %v, want ErrPanic naming the chunk at input 0", err)
+	}
+	if n := rt.Panics(); n != 1 {
+		t.Fatalf("Panics = %d, want 1", n)
 	}
 }
 

@@ -9,6 +9,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,18 +48,18 @@ func TestNewRuntimeRejectsNilModel(t *testing.T) {
 	}
 }
 
-// TestQueueOccupancy: the runtime reports its job-queue capacity and
+// TestQueueOccupancy: the runtime reports its queue capacity and
 // occupancy — the backpressure signal the registry's admission gate
 // surfaces per model.
 func TestQueueOccupancy(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(2), WithQueueDepth(7))
+	rt, err := NewRuntime(net, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if rt.QueueCap() != 7 {
-		t.Fatalf("QueueCap = %d, want 7", rt.QueueCap())
+	if rt.QueueCap() != 2*rt.Workers() {
+		t.Fatalf("QueueCap = %d, want 2 × %d workers", rt.QueueCap(), rt.Workers())
 	}
 	if n := rt.QueueLen(); n < 0 || n > rt.QueueCap() {
 		t.Fatalf("QueueLen = %d out of [0, %d]", n, rt.QueueCap())
@@ -94,7 +95,7 @@ func TestCloseDrainsInFlightStreaming(t *testing.T) {
 	net, ds := fixture(emac.NewFixed(8, 4), splitN+producerN+perProducer)
 	od := net.OutputDim()
 	want := net.NewSession().InferBatchInto(make([]float64, len(ds.X)*od), ds.X)
-	rt, err := NewRuntime(net, WithWorkers(4), WithQueueDepth(8))
+	rt, err := NewRuntime(net, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +189,13 @@ func (g gatedInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
 	return g.panicInferer.InferBatchInto(dst, xs)
 }
 
-// TestSubmitObservesCancellation saturates the runtime — its one worker
-// held inside a batch, its one queue slot taken by a second — and
-// verifies that an InferBatch blocked submitting its chunk unblocks with
-// the context error.
+// TestSubmitObservesCancellation saturates the runtime — its one
+// inferer held inside a batch, a second batch waiting for it — and
+// verifies that a third InferBatch, waiting too, unblocks with the
+// context error.
 func TestSubmitObservesCancellation(t *testing.T) {
 	m := gatedModel{entered: make(chan struct{}, 2), gate: make(chan struct{})}
-	rt, err := NewRuntime(m, WithWorkers(1), WithQueueDepth(1))
+	rt, err := NewRuntime(m, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,19 +210,111 @@ func TestSubmitObservesCancellation(t *testing.T) {
 			}
 		}()
 	}
-	<-m.entered // the worker holds one batch
-	for rt.QueueLen() < rt.QueueCap() {
-		time.Sleep(100 * time.Microsecond) // the other fills the queue
+	<-m.entered // the inferer holds one batch
+	for rt.QueueLen() < 1 {
+		time.Sleep(100 * time.Microsecond) // the other waits for it
+	}
+	if n := rt.QueueLen(); n != 1 {
+		t.Fatalf("QueueLen = %d with one batch waiting, want 1", n)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := rt.InferBatch(ctx, x); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("saturated InferBatch = %v, want context.DeadlineExceeded", err)
 	}
+	if n := rt.QueueLen(); n != 1 {
+		t.Fatalf("QueueLen = %d once the cancelled batch left, want 1", n)
+	}
 	close(m.gate)
 	held.Wait()
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once two reads a
+// millisecond apart agree, so goroutines of earlier tests still on their
+// way out are not counted.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestRuntimeStartsNoGoroutine: NewRuntime and Close each leave the
+// goroutine count as they found it. Batches compute on their callers'
+// goroutines, so an idle runtime runs none.
+func TestRuntimeStartsNoGoroutine(t *testing.T) {
+	net, _ := fixture(emac.NewPosit(8, 0), 1)
+	before := settledGoroutines()
+	rt, err := NewRuntime(net, WithWorkers(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := settledGoroutines() - before; d != 0 {
+		t.Fatalf("NewRuntime changed the goroutine count by %d, want 0", d)
+	}
+	before = settledGoroutines()
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := settledGoroutines() - before; d != 0 {
+		t.Fatalf("Close changed the goroutine count by %d, want 0", d)
+	}
+}
+
+// TestBatchGoroutines: a batch computes its last chunk on the calling
+// goroutine and each earlier chunk on a goroutine of its own. Parked in
+// gated inferers, a one-chunk batch adds no goroutine beyond its
+// caller's, and a two-chunk batch adds exactly one.
+func TestBatchGoroutines(t *testing.T) {
+	for _, c := range []struct{ n, chunks int }{{1, 1}, {2 * core.BatchTile, 2}} {
+		m := gatedModel{entered: make(chan struct{}, 2), gate: make(chan struct{})}
+		rt := startRuntime(t, m, 2)
+		xs := cleanBatch(c.n)
+		before := settledGoroutines()
+		done := make(chan error, 1)
+		go func() {
+			_, err := rt.InferBatch(context.Background(), xs)
+			done <- err
+		}()
+		for range c.chunks {
+			<-m.entered
+		}
+		if d := settledGoroutines() - before; d != c.chunks {
+			t.Errorf("%d-chunk batch parked: %d goroutines beyond the test's, want its caller and %d more",
+				c.chunks, d, c.chunks-1)
+		}
+		close(m.gate)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCancelledContextNeverEntersInferer: a batch whose context has
+// already ended fails with the context's error before any of its chunks
+// reaches an inferer, in one chunk or in two.
+func TestCancelledContextNeverEntersInferer(t *testing.T) {
+	m := gatedModel{entered: make(chan struct{}, 2), gate: make(chan struct{})}
+	close(m.gate)
+	rt := startRuntime(t, m, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, n := range []int{1, 2 * core.BatchTile} {
+		if _, err := rt.InferBatch(ctx, cleanBatch(n)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d samples, cancelled ctx: err = %v, want context.Canceled", n, err)
+		}
+		if k := len(m.entered); k != 0 {
+			t.Fatalf("%d samples, cancelled ctx: %d chunks entered an inferer", n, k)
+		}
 	}
 }
 

@@ -26,14 +26,14 @@ type EngineRow struct {
 
 // EngineSweep (extension) evaluates every 8-bit EMAC arm over every
 // dataset twice — serially through one session and in parallel through
-// the worker-pool batch engine — and reports throughput plus the
+// the batch engine's pool of inferers — and reports throughput plus the
 // speedup. The engine's accuracies must match the serial ones exactly
-// (each worker's session is bit-identical to the serial datapath); the
+// (each pooled session is bit-identical to the serial datapath); the
 // harness panics if they ever diverge, so the table doubles as an
 // end-to-end check of the shared-nothing session plane. The pool splits
 // a batch only into chunks of at least core.BatchTile samples, so a
 // test split under two tiles (Iris's 50 samples, breast cancer's 190,
-// or any split cut by evalLimit below 512) runs on one worker and its
+// or any split cut by evalLimit below 512) runs on one inferer and its
 // Speedup reads about 1×; Mushroom's 2708 spread over the pool.
 // workers <= 0 selects GOMAXPROCS.
 func EngineSweep(evalLimit, workers int) ([]EngineRow, *tabulate.Table) {

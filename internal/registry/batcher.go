@@ -179,12 +179,15 @@ func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
 // flush, on a fresh goroutine, so the caller that started this flush is
 // never held back computing later ones. The flight and the running slot
 // pass down the chain and end with the flush that finds the queue empty.
+// This flush's callers wake only after that hand-off, so once every
+// caller has its answer no finished flush still counts as running.
 func (b *Batcher) conserve(ctx context.Context, batch []*call) {
-	b.run(ctx, batch)
+	live := b.run(ctx, batch)
 	b.mu.Lock()
 	if len(b.pending) == 0 {
 		b.running--
 		b.mu.Unlock()
+		wake(live)
 		b.flights.Done()
 		return
 	}
@@ -192,6 +195,7 @@ func (b *Batcher) conserve(ctx context.Context, batch []*call) {
 	next := b.pending[:n:n]
 	b.pending = b.pending[n:]
 	b.mu.Unlock()
+	wake(live)
 	go b.conserve(context.Background(), next)
 }
 
@@ -254,15 +258,16 @@ func (b *Batcher) compute(ctx context.Context, xs [][]float64, coalesced bool) (
 	return hdrs, start, nil
 }
 
-// run executes one flush and demultiplexes results to the waiting
-// callers. Calls whose own context is already done are dropped before
-// the runtime sees the batch — the caller returned at cancellation but
-// its entry stayed in the pending queue, and computing it would waste
-// EMAC compute, occupy a batch slot, and skew the batch-size histogram.
-// ctx bounds the flush: Background when it carries queued calls, since
-// one caller's cancellation must not abort its batch-mates' inferences,
-// and the caller's own context for a call flushing alone at once.
-func (b *Batcher) run(ctx context.Context, batch []*call) {
+// run executes one flush, fills in each live caller's result or error,
+// and returns those callers for conserve to wake. Calls whose own
+// context is already done leave at once, before the runtime sees the
+// batch — the caller returned at cancellation but its entry stayed in
+// the pending queue, and computing it would waste EMAC compute, occupy
+// a batch slot, and skew the batch-size histogram. ctx bounds the
+// flush: Background when it carries queued calls, since one caller's
+// cancellation must not abort its batch-mates' inferences, and the
+// caller's own context for a call flushing alone at once.
+func (b *Batcher) run(ctx context.Context, batch []*call) []*call {
 	live := batch[:0]
 	for _, c := range batch {
 		select {
@@ -274,28 +279,27 @@ func (b *Batcher) run(ctx context.Context, batch []*call) {
 		}
 	}
 	if len(live) == 0 {
-		return
+		return nil
 	}
 	xs := make([][]float64, len(live))
 	for i, c := range live {
 		xs[i] = c.x
 	}
 	out, computed, err := b.compute(ctx, xs, len(xs) > 1)
-	if err != nil {
-		b.failAll(live, err)
-		return
-	}
 	for i, c := range live {
+		if err != nil {
+			c.err = err
+			continue
+		}
 		b.metrics.ObserveQueueWait(computed.Sub(c.enq))
 		c.logits = out[i]
-		close(c.done)
 	}
+	return live
 }
 
-// failAll delivers err to every live call of a flush.
-func (b *Batcher) failAll(live []*call, err error) {
-	for _, c := range live {
-		c.err = err
+// wake releases the calls of a finished flush to read their results.
+func wake(calls []*call) {
+	for _, c := range calls {
 		close(c.done)
 	}
 }

@@ -18,8 +18,8 @@
 // The paper's premise — precision-adaptable EMACs make low-precision
 // inference cheap enough to deploy widely — lands here as many small
 // quantised models (different formats, different datasets) served side
-// by side from one process, each behind its own worker pool and
-// micro-batcher.
+// by side from one process, each behind its own runtime (a pool of
+// inferers its callers' goroutines compute on) and micro-batcher.
 package registry
 
 import (
@@ -45,6 +45,12 @@ var ErrExists = errors.New("registry: model already loaded")
 // ErrRegistryClosed is returned after Close.
 var ErrRegistryClosed = errors.New("registry: closed")
 
+// ErrStore marks a load that failed in the artifact store, not on the
+// caller's artifact: a write or readback that failed, or bytes no peer
+// served intact (store.ErrCorrupt). LoadHash reports a hash no store
+// tier holds as store.ErrNotFound instead.
+var ErrStore = errors.New("registry: artifact store failed")
+
 // config collects the functional options applied to every model loaded
 // into a Registry.
 type config struct {
@@ -58,7 +64,7 @@ type config struct {
 // Option configures a Registry at construction.
 type Option func(*config)
 
-// WithRuntimeOptions sets the engine options (worker count, queue depth,
+// WithRuntimeOptions sets the engine options (worker count,
 // flush-pipeline depth) applied, as given, to every per-model runtime the
 // registry builds. The flush-pipeline depth is also how many
 // work-conserving flushes run at once before requests start to queue.
@@ -263,9 +269,9 @@ func (r *Registry) GC() (removed int, freed int64, err error) {
 // store first and the served model is decoded back from store-owned
 // bytes, so what serves is exactly what the store holds. A name over
 // bytes already loaded binds to the existing entry and shares its
-// runtime; otherwise a new runtime (one shared-nothing worker pool) and
-// micro-batcher are built. Load fails with ErrExists when the name is
-// taken and ErrRegistryClosed after Close, and with the model's Validate
+// runtime; otherwise a new runtime and micro-batcher are built. Load
+// fails with ErrExists when the name is taken, ErrRegistryClosed after
+// Close, ErrStore when the store fails, and with the model's Validate
 // error, before anything reaches the store, when the network is not
 // well formed.
 //
@@ -305,11 +311,11 @@ func (r *Registry) Load(name string, model core.Model) error {
 	r.pin(hash)
 	defer r.unpin(hash)
 	if _, err := r.cfg.store.Put(data); err != nil {
-		return fmt.Errorf("registry: storing artifact for %q: %w", name, err)
+		return fmt.Errorf("%w: storing artifact for %q: %w", ErrStore, name, err)
 	}
 	stored, err := r.cfg.store.Get(hash)
 	if err != nil {
-		return fmt.Errorf("registry: reading back artifact for %q: %w", name, err)
+		return fmt.Errorf("%w: reading back artifact for %q: %w", ErrStore, name, err)
 	}
 	decoded, err := artifact.Parse(stored)
 	if err != nil {
@@ -348,7 +354,8 @@ func (r *Registry) LoadBytes(name string, data []byte) error {
 // the bytes come out of the store (which, over a peer-backed tier, may
 // mean fetching and persisting them from another replica), decode, and
 // serve. A store miss surfaces as store.ErrNotFound — the caller asked
-// for bytes the fleet does not have.
+// for bytes the fleet does not have — and any other store failure as
+// ErrStore.
 func (r *Registry) LoadHash(name string, h artifact.Hash) error {
 	if err := validName(name); err != nil {
 		return err
@@ -363,8 +370,11 @@ func (r *Registry) LoadHash(name string, h artifact.Hash) error {
 	r.pin(h)
 	defer r.unpin(h)
 	data, err := r.cfg.store.Get(h)
-	if err != nil {
+	if errors.Is(err, store.ErrNotFound) {
 		return fmt.Errorf("registry: artifact %s: %w", h, err)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: artifact %s: %w", ErrStore, h, err)
 	}
 	model, err := artifact.Parse(data)
 	if err != nil {
@@ -374,9 +384,9 @@ func (r *Registry) LoadHash(name string, h artifact.Hash) error {
 }
 
 // loadEntry binds name to the entry for key, building the entry (runtime
-// + micro-batcher) if no live one exists. The runtime build happens
-// outside the lock — warm tables can take a while and must not stall
-// unrelated lookups — so a lost build race resolves by binding to the
+// + micro-batcher) if no live one exists. The runtime build, which
+// validates every weight code, happens outside the lock so it does not
+// stall unrelated lookups; a lost build race resolves by binding to the
 // winner and discarding the fresh runtime.
 func (r *Registry) loadEntry(name string, key, hash artifact.Hash, artBytes int64, model core.Model) error {
 	r.mu.Lock()
@@ -390,7 +400,7 @@ func (r *Registry) loadEntry(name string, key, hash artifact.Hash, artBytes int6
 	}
 	if e, ok := r.objects[key]; ok {
 		// Alias fast path: the content is already serving; share its
-		// runtime instead of building another worker pool.
+		// runtime instead of building another.
 		e.bound++
 		r.names[name] = &binding{e: e, loaded: time.Now()}
 		r.mu.Unlock()
@@ -466,7 +476,7 @@ func (h *Handle) Model() core.Model { return h.e.model }
 // ContentHash returns the model's artifact content address.
 func (h *Handle) ContentHash() artifact.Hash { return h.e.hash }
 
-// Runtime returns the model's worker-pool runtime. Its InferBatch returns
+// Runtime returns the model's runtime. Its InferBatch returns
 // caller-owned rows and is safe to call beside the batcher, but it
 // bypasses the micro-batcher, admission and the serving metrics; the
 // batcher's flushes lease the runtime's flush slots.
@@ -629,13 +639,14 @@ type ModelStat struct {
 	// none).
 	MaxInFlight    int    `json:"max_in_flight"`
 	RequestTimeout string `json:"request_timeout"`
-	// QueueLen/QueueCap sample the runtime job queue — the backpressure
-	// signal behind admission control.
+	// QueueLen samples the runtime's chunks waiting for an inferer and
+	// QueueCap is twice Workers — the backpressure signal behind
+	// admission control.
 	QueueLen int `json:"queue_len"`
 	QueueCap int `json:"queue_cap"`
-	// Panics counts inferences that panicked inside a worker (each failed
-	// its own request; the worker survived). Nonzero means some kernel is
-	// unsound for some inputs.
+	// Panics counts batch chunks that panicked in an inferer (each failed
+	// its own request; the runtime rebuilt the inferer). Nonzero means
+	// some kernel is unsound for some inputs.
 	Panics   int64    `json:"panics"`
 	LoadedAt string   `json:"loaded_at"`
 	Metrics  Snapshot `json:"metrics"`

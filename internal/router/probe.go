@@ -89,9 +89,10 @@ func (rt *Router) probeGet(ctx context.Context, rep *replica, path string) (int,
 	return resp.StatusCode, body, nil
 }
 
-// probeOccupancy sums per-model job-queue occupancy from the replica's
+// probeOccupancy sums per-model queue occupancy from the replica's
 // /v1/metrics — the QueueLen/QueueCap backpressure signal the serving
-// plane exposes per model.
+// plane exposes per model: batch chunks waiting for one of the model's
+// pooled inferers, against twice the pool size.
 func (rt *Router) probeOccupancy(ctx context.Context, rep *replica) (queueLen, queueCap int, err error) {
 	code, body, err := rt.probeGet(ctx, rep, "/v1/metrics")
 	if err != nil {

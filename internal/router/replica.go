@@ -27,8 +27,8 @@ type replica struct {
 	healthy  bool   // /healthz answered 200 on the last probe
 	draining bool   // /healthz answered 503: graceful shutdown, route away
 	ready    bool   // /readyz answered 200
-	queueLen int    // summed per-model job-queue occupancy
-	queueCap int    // summed per-model job-queue capacity
+	queueLen int    // summed per-model queue occupancy (waiting chunks)
+	queueCap int    // summed per-model queue capacity
 	probeErr string // last probe failure, "" when probing is clean
 	probed   bool   // at least one probe round has completed
 }

@@ -69,7 +69,6 @@ type config struct {
 	maxRetries    int
 	backoffBase   time.Duration
 	backoffMax    time.Duration
-	seed          uint64
 	noProbes      bool
 }
 
@@ -135,11 +134,6 @@ func WithBackoff(base, max time.Duration) Option {
 	}
 }
 
-// WithSeed seeds the router's deterministic jitter source (default 1).
-func WithSeed(seed uint64) Option {
-	return func(c *config) { c.seed = seed }
-}
-
 // withoutProbes disables the background probe goroutines (tests drive
 // probe rounds by hand for determinism).
 func withoutProbes() Option {
@@ -160,7 +154,6 @@ func New(addrs []string, opts ...Option) (*Router, error) {
 		maxRetries:    2,
 		backoffBase:   10 * time.Millisecond,
 		backoffMax:    250 * time.Millisecond,
-		seed:          1,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -177,7 +170,7 @@ func New(addrs []string, opts ...Option) (*Router, error) {
 		backoffBase:   cfg.backoffBase,
 		backoffMax:    cfg.backoffMax,
 		cooldown:      cfg.cooldown,
-		rng:           rng.New(cfg.seed),
+		rng:           rng.New(1), // a fixed seed, so retry schedules replay
 		stop:          make(chan struct{}),
 	}
 	seen := make(map[string]bool, len(addrs))

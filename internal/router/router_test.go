@@ -89,7 +89,7 @@ func ok200(n int, w http.ResponseWriter, r *http.Request) {
 
 func newTestRouter(t *testing.T, addrs []string, opts ...Option) *Router {
 	t.Helper()
-	opts = append([]Option{withoutProbes(), WithSeed(1), WithBackoff(0, 0)}, opts...)
+	opts = append([]Option{withoutProbes(), WithBackoff(0, 0)}, opts...)
 	rt, err := New(addrs, opts...)
 	if err != nil {
 		t.Fatalf("New: %v", err)

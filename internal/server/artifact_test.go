@@ -7,11 +7,15 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/artifact"
@@ -135,6 +139,69 @@ func TestLoadByHash(t *testing.T) {
 	}
 	if resp, _ := postJSON(t, ts.URL+"/v1/models", fmt.Sprintf(`{"name":"x","path":"p","hash":"%s"}`, hash)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("two sources: %d", resp.StatusCode)
+	}
+}
+
+// brokenStore is a mem store whose writes fail as on a full disk and
+// whose reads of one hash fail as corrupt.
+type brokenStore struct {
+	store.Store
+	corrupt artifact.Hash
+}
+
+func (brokenStore) Put([]byte) (artifact.Hash, error) {
+	return artifact.Hash{}, fmt.Errorf("write: %w", syscall.ENOSPC)
+}
+
+func (b brokenStore) Get(h artifact.Hash) ([]byte, error) {
+	if h == b.corrupt {
+		return nil, fmt.Errorf("%w: %s", store.ErrCorrupt, h)
+	}
+	return b.Store.Get(h)
+}
+
+// TestLoadStoreFailureIs500: a load the artifact store fails — a write
+// refused by a full disk on the path and upload arms, a corrupt read on
+// the hash arm — answers 500, not the 400 of a bad artifact, and binds
+// no name. A hash the store does not hold still answers 404.
+func TestLoadStoreFailureIs500(t *testing.T) {
+	corrupt := artifact.Sum([]byte("rotted"))
+	reg := registry.New(registry.WithStore(brokenStore{Store: store.NewMem(), corrupt: corrupt}))
+	modelDir := t.TempDir()
+	s := New(reg, "", WithModelDir(modelDir))
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	m := mixedModel(t)
+	path := filepath.Join(modelDir, "m.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	upload, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent := artifact.Sum([]byte("never stored"))
+	for _, c := range []struct {
+		name   string
+		source string
+		code   int
+		text   string
+	}{
+		{"bypath", fmt.Sprintf(`"path":%q`, path), http.StatusInternalServerError, "no space left on device"},
+		{"upload", `"artifact":` + string(upload), http.StatusInternalServerError, "no space left on device"},
+		{"corrupt", fmt.Sprintf(`"hash":%q`, corrupt), http.StatusInternalServerError, "do not match their hash"},
+		{"absent", fmt.Sprintf(`"hash":%q`, absent), http.StatusNotFound, "not found"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/models", fmt.Sprintf(`{"name":%q,%s}`, c.name, c.source))
+		if resp.StatusCode != c.code || !strings.Contains(string(body), c.text) {
+			t.Errorf("load %s: %d %s, want %d naming %q", c.name, resp.StatusCode, body, c.code, c.text)
+		}
+		if _, err := reg.Stat(c.name); !errors.Is(err, registry.ErrNotFound) {
+			t.Errorf("failed load %s left the name bound (Stat: %v)", c.name, err)
+		}
 	}
 }
 

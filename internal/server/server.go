@@ -1,7 +1,8 @@
 // Package server implements the positrond HTTP inference API: a JSON
 // front-end over a multi-model registry. Each loaded model owns a
-// worker-pool Runtime and a dynamic micro-batcher; single-sample
-// requests queued behind busy flush planes share one runtime batch.
+// Runtime, whose pooled inferers compute on the request goroutines, and
+// a dynamic micro-batcher; single-sample requests queued behind busy
+// flush planes share one runtime batch.
 //
 //	GET    /healthz                 liveness probe (503 once shutdown
 //	                                has begun — the drain signal the
@@ -87,7 +88,7 @@ const MaxBodyBytes = 1 << 20
 const MaxArtifactBytes = 16 << 20
 
 // Server is the HTTP handler set over one model registry. Create with
-// New; Close unloads every model and drains the worker pools.
+// New; Close unloads every model and drains its in-flight batches.
 type Server struct {
 	reg         *registry.Registry
 	defaultName string
@@ -248,7 +249,7 @@ type readyResponse struct {
 
 // handleReadyz distinguishes readiness from liveness: the process may be
 // alive (healthz 200) yet unable to serve — shutting down, no models
-// loaded, or every model's job queue saturated. Upstreams route new
+// loaded, or every model's queue saturated. Upstreams route new
 // traffic only to ready replicas.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	stats := s.reg.Stats()
@@ -410,6 +411,10 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.Is(err, registry.ErrRegistryClosed):
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
+		return
+	case errors.Is(err, registry.ErrStore):
+		// The store failed, not the client's artifact.
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	case errors.Is(err, store.ErrNotFound):
 		// Load-by-hash asked for bytes neither this replica nor its
@@ -689,7 +694,7 @@ func (s *Server) infer(w http.ResponseWriter, r *http.Request, name string) {
 		return
 	case errors.Is(err, engine.ErrPanic):
 		// A poisoned input killed its own inference, not the daemon; the
-		// worker recovered and /v1/metrics counts the panic.
+		// runtime recovered and /v1/metrics counts the panic.
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	default:

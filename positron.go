@@ -13,10 +13,10 @@
 //   - Serving: the Model interface (one network type, uniform or
 //     per-layer mixed precision, behind versioned JSON and binary
 //     artifacts, content-addressed by SHA-256 into a pluggable store) and
-//     the context-aware worker-pool Runtime; cmd/positrond serves any
-//     artifact over HTTP, and the Router tier fronts many positrond
-//     replicas with circuit breakers, retries and health-aware proxying
-//     (chaos-tested via the deterministic FaultInjector).
+//     the context-aware Runtime over a pool of inferers; cmd/positrond
+//     serves any artifact over HTTP, and the Router tier fronts many
+//     positrond replicas with circuit breakers, retries and health-aware
+//     proxying (chaos-tested via the deterministic FaultInjector).
 //   - Evaluation: the analytic Virtex-7 hardware model and harnesses
 //     regenerating every table and figure of the paper.
 //
@@ -238,9 +238,10 @@ func SearchPerLayerFixed(net *MLP, test *Dataset, n uint) (*DeepPositron, []uint
 // changes to those fields reach only sessions built after them.
 type Session = core.Session
 
-// Runtime is the serving-grade inference plane: a worker pool in which
-// every worker owns one shared-nothing Inferer over one immutable Model
-// (uniform or mixed precision alike). Its methods observe context
+// Runtime is the serving-grade inference plane: a pool of
+// shared-nothing Inferers over one immutable Model (uniform or mixed
+// precision alike), which batches borrow chunk by chunk on their
+// callers' goroutines. Its methods observe context
 // cancellation and return errors instead of panicking: InferBatch(ctx),
 // PredictBatch(ctx), Accuracy(ctx) and Close — after which late calls
 // get ErrRuntimeClosed, while batches already in flight complete.
@@ -253,20 +254,17 @@ type RuntimeOption = engine.Option
 // ErrRuntimeClosed is returned by Runtime methods called after Close.
 var ErrRuntimeClosed = engine.ErrClosed
 
-// NewRuntime starts an inference runtime over any Model, or returns the
-// model's Validate error. Options: WithWorkers, WithQueueDepth. Call
-// Close to release the pool.
+// NewRuntime returns an inference runtime over any Model, or the
+// model's Validate error. Batches compute on their callers' goroutines,
+// each chunk on one of the runtime's pooled inferers. Options:
+// WithWorkers. Call Close to stop accepting batches.
 func NewRuntime(m Model, opts ...RuntimeOption) (*Runtime, error) {
 	return engine.NewRuntime(m, opts...)
 }
 
-// WithWorkers sets the worker-pool size (n <= 0 selects GOMAXPROCS, the
-// default).
+// WithWorkers sets how many inferers a runtime pools, and so how many
+// batch chunks compute at once (n <= 0 selects GOMAXPROCS, the default).
 func WithWorkers(n int) RuntimeOption { return engine.WithWorkers(n) }
-
-// WithQueueDepth sets the job-queue capacity (n <= 0 selects twice the
-// worker count, the default).
-func WithQueueDepth(n int) RuntimeOption { return engine.WithQueueDepth(n) }
 
 // --- the multi-model serving registry ---
 
@@ -344,8 +342,8 @@ func WithMaxInFlight(n int) RegistryOption { return registry.WithMaxInFlight(n) 
 // deadline (the default).
 func WithRequestTimeout(d time.Duration) RegistryOption { return registry.WithRequestTimeout(d) }
 
-// WithRuntimeOptions sets the Runtime options (WithWorkers,
-// WithQueueDepth) applied to every per-model runtime a Registry builds.
+// WithRuntimeOptions sets the Runtime options (WithWorkers) applied to
+// every per-model runtime a Registry builds.
 func WithRuntimeOptions(opts ...RuntimeOption) RegistryOption {
 	return registry.WithRuntimeOptions(opts...)
 }

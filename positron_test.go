@@ -120,7 +120,7 @@ func TestFacadeServingPath(t *testing.T) {
 		t.Fatalf("model metadata: %s %s", model.Kind(), model)
 	}
 
-	rt, err := NewRuntime(model, WithWorkers(4), WithQueueDepth(16))
+	rt, err := NewRuntime(model, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
